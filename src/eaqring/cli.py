@@ -107,10 +107,7 @@ def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
             h = tuple(int(x) for x in val.split(","))
         except ValueError:
             raise ParseError(f"bad h coefficient list {val!r}", ln, col)
-    try:
-        ring = make_ring(p, b, m, h)
-    except (ValueError, EaqringError):
-        raise
+    ring = make_ring(p, b, m, h)
     t = need("'n'")
     if t[2] != "n":
         raise ParseError(f"expected 'n', got {t[2]!r}", t[0], t[1])
@@ -215,9 +212,8 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
     if command == "decompose":
         report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
     elif command == "extend":
-        d = hyperbolic_decompose(C)
-        ext = build_minimal_extension(C, d)
-        report["decomposition"] = _decomposition_block(d)
+        ext = build_minimal_extension(C)
+        report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
         report["c_min"] = ext.c
         report["card_code"] = cardinality(C)
         report["card_extended"] = ext.card_extended
@@ -247,8 +243,7 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         report.update(_params_block(P))
         if P.D is None:
             code = 2
-        d = hyperbolic_decompose(C)
-        ext = build_minimal_extension(C, d)
+        ext = build_minimal_extension(C)
         try:
             group = build_stabilizer(ext, max_dim=max_matrix_dim)
             dim = projector_dimension(group, max_dim=max_matrix_dim)

@@ -4,6 +4,12 @@ puncturing, and exhaustive minimum symplectic distance.
 
 Internally every code is its phi-expanded row module over Z_{p^b}^{2nm};
 ring-level generators are reconstructed on demand.
+
+Codes are immutable, so every object derived from one is computed once per
+code and kept on it: the expanded matrix and its Howell and Smith forms, and
+the ``CodeAnalysis`` tower (chi-dual levels, their intersections with C,
+quotient ranks, rho, the decomposition and the minimal extension).  The
+caches live and die with the code.
 """
 
 from __future__ import annotations
@@ -11,22 +17,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
-from .errors import DimensionMismatch, LimitExceeded, RingMismatch, SearchLimitExceeded
+from .errors import (
+    DimensionMismatch,
+    InternalInvariantViolation,
+    LimitExceeded,
+    RingMismatch,
+    SearchLimitExceeded,
+)
 from .galois import GaloisRingSpec, RingElement, char_exponent, phi_contract, phi_expand
 from .zpblinalg import (
     HowellBasis,
+    SmithDecomposition,
     ZpbMatrix,
     enumerate_module,
     howell_form,
     howell_member,
     intersect,
     kernel,
-    minimal_generators,
-    module_cardinality,
+    quotient_rank,
     smith_form,
 )
+
+if TYPE_CHECKING:
+    from .decompose import HyperbolicDecomposition
+    from .extension import SelfOrthogonalExtension
 
 DEFAULT_ENUM_LIMIT = 1 << 22
 
@@ -132,6 +148,14 @@ class AdditiveCode:
     def expanded_howell(self) -> HowellBasis:
         return howell_form(self.expanded_matrix)
 
+    @cached_property
+    def expanded_smith(self) -> SmithDecomposition:
+        return smith_form(self.expanded_matrix)
+
+    @cached_property
+    def analysis(self) -> "CodeAnalysis":
+        return CodeAnalysis(self)
+
     @classmethod
     def from_expanded(cls, ring: GaloisRingSpec, n: int, rows: Sequence[Sequence[int]]) -> "AdditiveCode":
         gens = tuple(SymplecticVector.from_components(ring, phi_contract(ring, r)) for r in rows)
@@ -149,12 +173,12 @@ class AdditiveCode:
         return howell_member(self.expanded_howell, phi_expand(self.ring, v.components))
 
     def minimal_generating_vectors(self) -> List[SymplecticVector]:
-        rows = minimal_generators(self.expanded_matrix)
+        rows = self.expanded_smith.minimal_generators()
         return [SymplecticVector.from_components(self.ring, phi_contract(self.ring, r)) for r in rows]
 
 
 def cardinality(C: AdditiveCode) -> int:
-    return module_cardinality(C.expanded_matrix)
+    return C.expanded_howell.cardinality
 
 
 def same_module(C1: AdditiveCode, C2: AdditiveCode) -> bool:
@@ -185,8 +209,7 @@ def chi_dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
     c in C.  t = 0 is the plain chi-dual; t = b is the full ambient space."""
     if not 0 <= t <= C.ring.b:
         raise ValueError("level t out of range")
-    K = kernel(_pairing_columns(C, C.ring.p ** t))
-    return AdditiveCode.from_expanded(C.ring, C.n, K.matrix.to_rows())
+    return C.analysis.dual(t)
 
 
 def symplectic_dual(C: AdditiveCode) -> AdditiveCode:
@@ -214,6 +237,69 @@ def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
         raise DimensionMismatch("codes live in different ambient spaces")
     H = intersect(C1.expanded_howell, C2.expanded_howell)
     return AdditiveCode.from_expanded(C1.ring, C1.n, H.matrix.to_rows())
+
+
+class CodeAnalysis:
+    """The tower every parameter of the construction is read off, built
+    lazily and at most once per code (``AdditiveCode.analysis``).
+
+    For each level t: the chi-dual C^{chi,t} (``dual``), the intersection
+    C cap C^{chi,t} (``meet``) and rank(C / (C cap C^{chi,t})) (``rank``);
+    from these the checked rho profile, and on top the checked hyperbolic
+    decomposition and minimal extension.  Every invariant check runs when
+    its object is first built.
+    """
+
+    def __init__(self, code: AdditiveCode):
+        self.code = code
+        self._levels: Dict[Tuple[str, int], object] = {}
+
+    def _level(self, kind: str, t: int, build):
+        key = (kind, t)
+        if key not in self._levels:
+            self._levels[key] = build()
+        return self._levels[key]
+
+    def dual(self, t: int) -> AdditiveCode:
+        """C^{chi-dual, t}, for 0 <= t <= b."""
+        C = self.code
+
+        def build():
+            K = kernel(_pairing_columns(C, C.ring.p ** t))
+            return AdditiveCode.from_expanded(C.ring, C.n, K.matrix.to_rows())
+        return self._level("dual", t, build)
+
+    def meet(self, t: int) -> AdditiveCode:
+        """C cap C^{chi-dual, t}."""
+        return self._level("meet", t, lambda: code_intersection(self.code, self.dual(t)))
+
+    def rank(self, t: int) -> int:
+        """rank(C / (C cap C^{chi-dual, t})); at t = 0 this is twice the
+        number of hyperbolic pairs."""
+        return self._level("rank", t, lambda: quotient_rank(
+            self.code.expanded_howell, self.meet(t).expanded_howell))
+
+    @cached_property
+    def rho(self) -> Tuple[int, ...]:
+        """(rho_1, ..., rho_{b-1}), rho_t = rank(t-1) - rank(t); each is
+        checked to be even and non-negative."""
+        out = []
+        for t in range(1, self.code.ring.b):
+            rho = self.rank(t - 1) - self.rank(t)
+            if rho < 0 or rho % 2:
+                raise InternalInvariantViolation(f"rho_{t} = {rho} is not even and non-negative")
+            out.append(rho)
+        return tuple(out)
+
+    @cached_property
+    def decomposition(self) -> "HyperbolicDecomposition":
+        from .decompose import _decompose
+        return _decompose(self.code)
+
+    @cached_property
+    def extension(self) -> "SelfOrthogonalExtension":
+        from .extension import _minimal_extension
+        return _minimal_extension(self.code, self.decomposition)
 
 
 def is_chi_self_orthogonal(C: AdditiveCode) -> bool:
@@ -266,8 +352,8 @@ def puncture(C: AdditiveCode, keep_n: int) -> AdditiveCode:
 
 
 def code_rank(C: AdditiveCode) -> int:
-    return len(smith_form(C.expanded_matrix).diag_exponents)
+    return len(C.expanded_smith.diag_exponents)
 
 
 def is_free(C: AdditiveCode) -> bool:
-    return all(e == 0 for e in smith_form(C.expanded_matrix).diag_exponents)
+    return all(e == 0 for e in C.expanded_smith.diag_exponents)

@@ -9,16 +9,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .codes import (
-    AdditiveCode,
-    SymplecticVector,
-    chi_dual_level,
-    code_intersection,
-    symplectic_product,
-)
+from .codes import AdditiveCode, SymplecticVector, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
 from .galois import RingElement, char_exponent, phi_contract
-from .zpblinalg import howell_form, howell_member, quotient_rank, solve_congruence
+from .zpblinalg import ZpbMatrix, howell_form, howell_member, solve_congruence
 
 
 @dataclass(frozen=True)
@@ -51,8 +45,9 @@ def _expanded_pairing(u, v, nm, N):
     return sum(u[nm + i] * v[i] - v[nm + i] * u[i] for i in range(nm)) % N
 
 
-def _lift_quotient_basis(C: AdditiveCode, D: AdditiveCode) -> List[Tuple[int, ...]]:
-    """Codewords projecting to a minimal generating set of C/D.
+def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
+    """Codewords projecting to a minimal generating set of C/D, with
+    D = C cap C^{chi-dual}.
 
     Greedy over the Smith minimal generators of C: keep a candidate iff it
     falls outside span(pC + D + already chosen); by Nakayama the chosen
@@ -60,11 +55,11 @@ def _lift_quotient_basis(C: AdditiveCode, D: AdditiveCode) -> List[Tuple[int, ..
     """
     p, b = C.ring.p, C.ring.b
     N = p ** b
-    target = quotient_rank(C.expanded_howell, D.expanded_howell)
+    D = C.analysis.meet(0)
+    target = C.analysis.rank(0)
     base_rows = [[(p * x) % N for x in r] for r in C.expanded_matrix.to_rows()]
     base_rows += D.expanded_matrix.to_rows()
     chosen: List[Tuple[int, ...]] = []
-    from .zpblinalg import ZpbMatrix, minimal_generators
 
     def spanning():
         rows = base_rows + [list(r) for r in chosen]
@@ -73,7 +68,7 @@ def _lift_quotient_basis(C: AdditiveCode, D: AdditiveCode) -> List[Tuple[int, ..
         return howell_form(m)
 
     H = spanning()
-    for cand in minimal_generators(C.expanded_matrix):
+    for cand in C.expanded_smith.minimal_generators():
         if len(chosen) == target:
             break
         if not howell_member(H, cand):
@@ -84,17 +79,14 @@ def _lift_quotient_basis(C: AdditiveCode, D: AdditiveCode) -> List[Tuple[int, ..
     return chosen
 
 
-def _complete_generating_set(C: AdditiveCode, D: AdditiveCode,
-                             lifted: List[Tuple[int, ...]]) -> List[List[int]]:
+def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> List[List[int]]:
     """Isotropic completion: extend the lifted quotient generators to a
-    minimal generating set of C with candidates from D's minimal
-    generators (C = span(lifted) + D, so candidates suffice).
+    minimal generating set of C with candidates from the minimal generators
+    of D = C cap C^{chi-dual} (C = span(lifted) + D, so candidates suffice).
 
     Keeping the full list minimal means it is a basis whenever C is free,
     which the extension's free-module cardinality equality relies on.
     """
-    from .zpblinalg import ZpbMatrix, minimal_generators
-
     p, b = C.ring.p, C.ring.b
     N = p ** b
     base = [[(p * x) % N for x in r] for r in C.expanded_matrix.to_rows()]
@@ -108,7 +100,7 @@ def _complete_generating_set(C: AdditiveCode, D: AdditiveCode,
         return howell_form(m)
 
     H = span_howell()
-    for cand in minimal_generators(D.expanded_matrix):
+    for cand in C.analysis.meet(0).expanded_smith.minimal_generators():
         if not howell_member(H, cand):
             chosen.append(list(cand))
             H = span_howell()
@@ -122,14 +114,19 @@ def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:
     (ties: lowest index pair), the rest eliminated through the two solvable
     congruences; leftover generators with all-trivial pairings join the
     isotropic set alongside an isotropic completion drawn from C's
-    intersection with its chi-dual.
+    intersection with its chi-dual.  Built and checked once per code;
+    every call returns that same object from ``C.analysis``.
     """
+    return C.analysis.decomposition
+
+
+def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
+    """Build the decomposition of ``hyperbolic_decompose`` and check it."""
     ring = C.ring
     p, b = ring.p, ring.b
     N = p ** b
     nm = C.n * ring.m
-    D = code_intersection(C, chi_dual_level(C, 0))
-    work = [list(r) for r in _lift_quotient_basis(C, D)]
+    work = [list(r) for r in _lift_quotient_basis(C)]
     lifted = [tuple(r) for r in work]
     pairs: List[Tuple[SymplecticVector, SymplecticVector]] = []
 
@@ -167,7 +164,7 @@ def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:
             SymplecticVector.from_components(ring, phi_contract(ring, g1)),
         ))
 
-    iso_rows = _complete_generating_set(C, D, lifted)
+    iso_rows = _complete_generating_set(C, lifted)
     isotropic = tuple(
         SymplecticVector.from_components(ring, phi_contract(ring, r))
         for r in iso_rows + work)
@@ -194,35 +191,20 @@ def _check_decomposition(d: HyperbolicDecomposition) -> None:
     rebuilt = AdditiveCode(C.ring, C.n, tuple(gens))
     if rebuilt.expanded_howell.matrix != C.expanded_howell.matrix:
         raise InternalInvariantViolation("decomposition does not span the code")
-    D = code_intersection(C, chi_dual_level(C, 0))
-    if 2 * d.c != quotient_rank(C.expanded_howell, D.expanded_howell):
+    if 2 * d.c != C.analysis.rank(0):
         raise InternalInvariantViolation("pair count does not match rank(C/(C cap C-dual))")
 
 
 def rho_profile(C: AdditiveCode) -> Tuple[int, ...]:
     """(rho_1, ..., rho_{b-1}) with rho_t the drop in rank(C/(C cap
     C^{chi-dual,t})) from level t-1 to t; each entry is even and >= 0."""
-    b = C.ring.b
-    ranks = []
-    for t in range(b):
-        It = code_intersection(C, chi_dual_level(C, t))
-        ranks.append(quotient_rank(C.expanded_howell, It.expanded_howell))
-    out = []
-    for t in range(1, b):
-        rho = ranks[t - 1] - ranks[t]
-        if rho < 0 or rho % 2:
-            raise InternalInvariantViolation(f"rho_{t} = {rho} is not even and non-negative")
-        out.append(rho)
-    return tuple(out)
+    return C.analysis.rho
 
 
 def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bool:
     """Number of pair members inside C^{chi-dual,t} equals the rank drop
     from level 0 to level t."""
-    dual_t = chi_dual_level(C, t)
+    A = C.analysis
+    dual_t = A.dual(t)
     count = sum(1 for pair in d.pairs for member in pair if dual_t.contains(member))
-    D0 = code_intersection(C, chi_dual_level(C, 0))
-    Dt = code_intersection(C, dual_t)
-    diff = quotient_rank(C.expanded_howell, D0.expanded_howell) \
-        - quotient_rank(C.expanded_howell, Dt.expanded_howell)
-    return count == diff
+    return count == A.rank(0) - A.rank(t)

@@ -8,15 +8,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .codes import (
     DEFAULT_ENUM_LIMIT,
     AdditiveCode,
     SymplecticVector,
     cardinality,
-    chi_dual_level,
-    code_intersection,
     is_chi_self_orthogonal,
     is_free,
     min_symplectic_distance,
@@ -24,7 +22,7 @@ from .codes import (
     same_module,
     symplectic_product,
 )
-from .decompose import HyperbolicDecomposition, hyperbolic_decompose, rho_profile
+from .decompose import HyperbolicDecomposition, rho_profile
 from .errors import (
     CapacityExceeded,
     InternalInvariantViolation,
@@ -35,7 +33,7 @@ from .errors import (
     ZeroTarget,
 )
 from .galois import GaloisRingSpec, char_exponent
-from .zpblinalg import ZpbMatrix, quotient_rank, smith_form
+from .zpblinalg import ZpbMatrix, smith_form
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,7 @@ def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
 
 def minimum_entanglement_degree(C: AdditiveCode) -> int:
     """ceil(r / 2m) with r = rank(C / (C cap C^{chi-dual}))."""
-    D = code_intersection(C, chi_dual_level(C, 0))
-    r = quotient_rank(C.expanded_howell, D.expanded_howell)
+    r = C.analysis.rank(0)
     if r % 2:
         raise OddRank(f"rank(C/(C cap dual)) = {r} is odd")
     return -(-r // (2 * C.ring.m))
@@ -187,9 +184,16 @@ def build_minimal_extension(C: AdditiveCode,
 
     Appends only ceil(pairs / m) coordinates by packing up to m pairs into
     one fresh ring coordinate via a symplectic subset with the grams'
-    exponents as targets.
+    exponents as targets.  For C's own decomposition (the default) it is
+    built and checked once per code and read from ``C.analysis``.
     """
-    d = decomposition if decomposition is not None else hyperbolic_decompose(C)
+    A = C.analysis
+    if decomposition is None or decomposition is A.decomposition:
+        return A.extension
+    return _minimal_extension(C, decomposition)
+
+
+def _minimal_extension(C: AdditiveCode, d: HyperbolicDecomposition) -> SelfOrthogonalExtension:
     if d.code is not C and not same_module(d.code, C):
         raise MismatchedExtension("decomposition does not belong to this code")
     ring = C.ring
@@ -295,11 +299,11 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     """
     ring = C.ring
     q = ring.cardinality
-    d = hyperbolic_decompose(C)
-    ext = build_minimal_extension(C, d)
+    A = C.analysis
+    ext = A.extension
     n, c = C.n, ext.c
     card_code = cardinality(C)
-    rho = rho_profile(C)
+    rho = A.rho
     total = q ** (n + c)
     K_exact, rem = divmod(total, ext.card_extended)
     if rem:
@@ -310,7 +314,7 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
         growth *= ring.p ** ((ring.b - t) * r)
     K_lower_raw = Fraction(total, card_code * growth)
     K_lower = max(1, math.floor(K_lower_raw))
-    dual = chi_dual_level(C, 0)
+    dual = A.dual(0)
     dual_in_code = all(C.contains(g) for g in dual.generators)
     case = "dual_subset_of_code" if dual_in_code else "dual_minus_code"
     try:

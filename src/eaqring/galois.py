@@ -70,7 +70,8 @@ def _is_primitive_mod_p(hbar: Sequence[int], p: int, m: int) -> bool:
     if hbar[0] % p == 0:
         return False
     order = p ** m - 1
-    x = tuple([0, 1] + [0] * (m - 2)) if m >= 2 else (hbar[0],)
+    # x itself, reduced mod hbar: for m = 1 that is the root -hbar[0] of x + hbar[0]
+    x = tuple([0, 1] + [0] * (m - 2)) if m >= 2 else ((-hbar[0]) % p,)
     one = tuple([1] + [0] * (m - 1))
     if _poly_pow_mod(x, order, hbar, p) != one:
         return False

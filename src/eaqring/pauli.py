@@ -10,11 +10,9 @@ exponent factor N/p^b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import math
-
-import numpy as np
 
 from .codes import AdditiveCode, SymplecticVector, chi_dual_level, iterate_codewords
 from .errors import (
@@ -28,6 +26,12 @@ from .errors import (
 from .extension import SelfOrthogonalExtension
 from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract
 from .zpblinalg import smith_form, solve_congruence
+
+# numpy is imported by the functions that use it: only `verify` needs it,
+# and importing it at start-up roughly doubles the start-up time and
+# resident memory of every other command.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MATRIX_DIM = 1024
 
@@ -138,6 +142,7 @@ def _state_index(vec: Sequence[RingElement], q: int) -> int:
 
 def pauli_matrix(P: PauliOperator, max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
     """Dense unitary: entry omega^l zeta^{Tr(b.x)} at (x+a, x)."""
+    import numpy as np
     ring = P.ring
     q = ring.cardinality
     dim = q ** P.n
@@ -252,6 +257,7 @@ def _check_stabilizer(group: StabilizerGroup, ext: SelfOrthogonalExtension) -> N
 
 def stabilizer_projector(group: StabilizerGroup,
                          max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
+    import numpy as np
     q = group.ring.cardinality
     dim = q ** group.n
     if dim > max_dim:
@@ -266,6 +272,7 @@ def stabilizer_projector(group: StabilizerGroup,
 def projector_dimension(group: StabilizerGroup,
                         max_dim: int = DEFAULT_MATRIX_DIM) -> int:
     """Trace of the averaged stabilizer sum, asserted idempotent."""
+    import numpy as np
     P = stabilizer_projector(group, max_dim)
     if np.max(np.abs(P @ P - P)) > 1e-9:
         raise NonProjector("averaged stabilizer sum is not idempotent")
@@ -292,6 +299,7 @@ def undetectable_error_search(C: AdditiveCode, ext: SelfOrthogonalExtension,
     """Classify every error X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
     criterion on an orthonormal basis of the code space, and cross-check
     the undetectable set against C^{chi-dual} minus C."""
+    import numpy as np
     ring = C.ring
     n, ntot = C.n, ext.extended.n
     q = ring.cardinality

@@ -10,10 +10,17 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from .errors import DimensionMismatch, LimitExceeded, NoSolution, NotContained, ParameterTooLarge
+from .errors import (
+    DimensionMismatch,
+    InternalInvariantViolation,
+    LimitExceeded,
+    NoSolution,
+    NotContained,
+    ParameterTooLarge,
+)
 
 
 def _is_prime(p: int) -> bool:
@@ -121,6 +128,20 @@ class HowellBasis:
     def cols(self) -> int:
         return self.matrix.cols
 
+    @property
+    def cardinality(self) -> int:
+        """Number of elements of the row module, prod N / pivot_i.
+
+        Every element is sum c_i * row_i with c_i in [0, N / pivot_i), each
+        exactly once: echelon pivots make the coefficients unique, and the
+        annihilator rows make every element reachable.
+        """
+        N = self.matrix.modulus
+        card = 1
+        for i, col in enumerate(self.pivots):
+            card *= N // self.matrix.entries[i * self.cols + col]
+        return card
+
 
 def howell_form(gens: ZpbMatrix) -> HowellBasis:
     """Canonical Howell form of the row module spanned by ``gens``.
@@ -217,6 +238,12 @@ class SmithDecomposition:
             card *= p ** (b - e)
         return card
 
+    def minimal_generators(self) -> List[Tuple[int, ...]]:
+        """A minimal generating set of the row module (rows p^{e_i} * R_i)."""
+        p, N = self.right.p, self.right.modulus
+        return [tuple((p ** e * x) % N for x in self.right.row(i))
+                for i, e in enumerate(self.diag_exponents)]
+
     def diag_matrix(self, rows: int, cols: int) -> ZpbMatrix:
         p, b = self.left.p, self.left.b
         out = [[0] * cols for _ in range(rows)]
@@ -305,7 +332,7 @@ def module_rank(gens: ZpbMatrix) -> int:
 
 
 def module_cardinality(gens: ZpbMatrix) -> int:
-    return smith_form(gens).cardinality
+    return howell_form(gens).cardinality
 
 
 def is_free_module(gens: ZpbMatrix) -> bool:
@@ -314,14 +341,7 @@ def is_free_module(gens: ZpbMatrix) -> bool:
 
 def minimal_generators(gens: ZpbMatrix) -> List[Tuple[int, ...]]:
     """A minimal generating set of the row module (rows p^{e_i} * R_i)."""
-    p, b = gens.p, gens.b
-    N = p ** b
-    sd = smith_form(gens)
-    out = []
-    for i, e in enumerate(sd.diag_exponents):
-        row = sd.right.row(i)
-        out.append(tuple((p ** e * x) % N for x in row))
-    return out
+    return smith_form(gens).minimal_generators()
 
 
 def kernel(A: ZpbMatrix) -> HowellBasis:
@@ -384,17 +404,20 @@ def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:
             raise NotContained("S is not a submodule of M")
     p, b = A.p, A.b
     N = p ** b
-    card_m = module_cardinality(A)
     prows = [[(p * x) % N for x in r] for r in A.to_rows()]
     sub = ZpbMatrix.from_rows(p, b, prows + B.to_rows(), cols=A.cols) if (prows or B.rows) \
         else ZpbMatrix(p, b, 0, A.cols, ())
-    card_sub = module_cardinality(sub)
+    card_m, card_sub = M.cardinality, module_cardinality(sub)
     ratio, rem = divmod(card_m, card_sub)
-    assert rem == 0, "pM + S must sit inside M"
+    if rem:
+        raise InternalInvariantViolation(
+            f"|pM + S| = {card_sub} does not divide |M| = {card_m}")
     rank = 0
     while ratio > 1:
         ratio, rem = divmod(ratio, p)
-        assert rem == 0, "quotient size must be a power of p"
+        if rem:
+            raise InternalInvariantViolation(
+                f"|M / (pM + S)| = {card_m // card_sub} is not a power of p = {p}")
         rank += 1
     return rank
 
@@ -422,15 +445,11 @@ def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
     A = M.matrix
     p, b = A.p, A.b
     N = p ** b
+    if M.cardinality > limit:
+        raise LimitExceeded(M.cardinality)
     sd = smith_form(A)
-    card = sd.cardinality
-    if card > limit:
-        raise LimitExceeded(card)
-    base = []
-    radix = []
-    for i, e in enumerate(sd.diag_exponents):
-        base.append(tuple((p ** e * x) % N for x in sd.right.row(i)))
-        radix.append(p ** (b - e))
+    base = sd.minimal_generators()
+    radix = [p ** (b - e) for e in sd.diag_exponents]
     k = len(base)
     if k == 0:
         yield tuple([0] * A.cols)

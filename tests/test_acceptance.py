@@ -1,13 +1,15 @@
 """Acceptance gate: nine end-to-end criteria, one printed pass/fail line
-each.  Run with -s (or check test_output.txt) to see the lines; they are
-written to the unredirected stdout so they survive pytest capture."""
+each.  The lines are written to the unredirected stdout, so they show even
+under pytest's capture."""
 
+import contextlib
 import functools
 import itertools
 import random
 import subprocess
 import sys
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -84,59 +86,80 @@ def random_code(ring, n, k, rng):
 
 @pytest.fixture(scope="module")
 def corpus():
+    """(label, seed, index, code) for PER_RING codes per ring; the seed is
+    a checksum of the label, so the sample is the same in every process."""
     out = []
     for label, spec, lengths in CORPUS_SPECS:
         ring = make_ring(*spec)
-        rng = random.Random(hash(label) & 0xFFFFFF)
-        for _ in range(PER_RING):
+        seed = zlib.crc32(label.encode())
+        rng = random.Random(seed)
+        for i in range(PER_RING):
             n = rng.choice(lengths)
-            out.append(random_code(ring, n, rng.randint(1, 2 * n * ring.m), rng))
+            out.append((label, seed, i, random_code(ring, n, rng.randint(1, 2 * n * ring.m), rng)))
     return out
+
+
+@contextlib.contextmanager
+def reproducer(label, seed, i, C):
+    """On a failure, print which corpus code failed, in code-file form."""
+    try:
+        yield
+    except BaseException:
+        print(f"failing corpus code: {label}, seed {seed}, index {i}\n"
+              f"{serialize_code(C.ring, C)}", file=sys.__stdout__, flush=True)
+        raise
 
 
 @pytest.fixture(scope="module")
 def decomps(corpus):
-    return [hyperbolic_decompose(C) for C in corpus]
+    out = []
+    for label, seed, i, C in corpus:
+        with reproducer(label, seed, i, C):
+            out.append(hyperbolic_decompose(C))
+    return out
 
 
 @criterion(1)
 def test_criterion_1_duality_cardinality(corpus):
     start = time.monotonic()
-    for C in corpus:
-        ambient = C.ring.cardinality ** (2 * C.n)
-        assert ambient <= 2 ** 20
-        assert cardinality(C) * cardinality(chi_dual_level(C, 0)) == ambient
+    for label, seed, i, C in corpus:
+        with reproducer(label, seed, i, C):
+            ambient = C.ring.cardinality ** (2 * C.n)
+            assert ambient <= 2 ** 20
+            assert cardinality(C) * cardinality(chi_dual_level(C, 0)) == ambient
     assert time.monotonic() - start <= 60.0
 
 
 @criterion(2)
 def test_criterion_2_decomposition(corpus, decomps):
     # hyperbolic_decompose verifies its own invariants (span preservation
-    # and the pairing structure) on every call; re-check the count formula
-    for C, d in zip(corpus, decomps):
-        D = code_intersection(C, chi_dual_level(C, 0))
-        assert 2 * d.c == quotient_rank(C.expanded_howell, D.expanded_howell)
-        k = len(d.isotropic)
-        gens = d.all_generators()
-        for i, g in enumerate(gens):
-            for j, h in enumerate(gens):
-                partners = i >= k and j >= k and i != j and (i - k) // 2 == (j - k) // 2
-                assert (char_exponent(symplectic_product(g, h)) != 0) == partners
+    # and the pairing structure) once per code; re-check the count formula
+    for (label, seed, i, C), d in zip(corpus, decomps):
+        with reproducer(label, seed, i, C):
+            D = code_intersection(C, chi_dual_level(C, 0))
+            assert 2 * d.c == quotient_rank(C.expanded_howell, D.expanded_howell)
+            k = len(d.isotropic)
+            gens = d.all_generators()
+            for a, g in enumerate(gens):
+                for b, h in enumerate(gens):
+                    partners = a >= k and b >= k and a != b and (a - k) // 2 == (b - k) // 2
+                    assert (char_exponent(symplectic_product(g, h)) != 0) == partners
 
 
 @criterion(3)
 def test_criterion_3_extension(corpus, decomps):
-    for C, d in zip(corpus, decomps):
-        card = cardinality(C)
-        bound = card
-        for t, r in enumerate(rho_profile(C), start=1):
-            bound *= C.ring.p ** ((C.ring.b - t) * r)
-        for ext in (build_extension(d), build_minimal_extension(C, d)):
-            assert is_chi_self_orthogonal(ext.extended)
-            assert same_module(puncture(ext.extended, C.n), C)
-            assert card <= ext.card_extended <= bound
-            if is_free(C):
-                assert ext.card_extended == card
+    for (label, seed, i, C), d in zip(corpus, decomps):
+        with reproducer(label, seed, i, C):
+            card = cardinality(C)
+            bound = card
+            for t, r in enumerate(rho_profile(C), start=1):
+                bound *= C.ring.p ** ((C.ring.b - t) * r)
+            for ext in (build_extension(d), build_minimal_extension(C, d)):
+                assert is_chi_self_orthogonal(ext.extended)
+                assert same_module(puncture(ext.extended, C.n), C)
+                assert card <= ext.card_extended <= bound
+                if is_free(C):
+                    assert ext.card_extended == card
 
 
 @criterion(4)

@@ -40,6 +40,18 @@ def test_parse_round_trip():
         assert serialize_code(ring2, C2) == canon
 
 
+@pytest.mark.parametrize("p,b", [(3, 1), (3, 2), (3, 3), (7, 2), (2, 1), (2, 2), (2, 3)])
+def test_serialize_round_trip_canonical_h(p, b):
+    """serialize_code -> parse_code_text -> serialize_code on the canonical
+    ring Z_{p^b}; the echoed h must validate when read back (Z3, Z9, Z27
+    and Z49 used to fail with HPolyInvalid; F2, Z4 and Z8 are controls)."""
+    ring, C = parse_code_text(f"ring p={p} b={b} m=1\nn 2\ngen 1 0 1 1\ngen 0 1 1 0\n")
+    text = serialize_code(ring, C)
+    ring2, C2 = parse_code_text(text)
+    assert ring2 == ring
+    assert serialize_code(ring2, C2) == text
+
+
 def test_parse_comments_and_h():
     text = "# a comment\nring p=2 b=2 m=2 h=1,1,1  # canonical\nn 1\ngen 1,0 0,0\n"
     ring, C = parse_code_text(text)

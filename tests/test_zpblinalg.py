@@ -278,3 +278,26 @@ def test_kernel_soundness(args):
         if not any(sum(x[t] * rows[t][j] for t in range(nr)) % N for j in range(nc))
     )
     assert module_cardinality(K.matrix) == count
+
+
+@pytest.mark.parametrize("p,b", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_howell_cardinality_matches_smith(p, b):
+    """|M| read off the Howell pivots, prod N / pivot_i, agrees with the
+    Smith form's prod p^(b - e_i) on seeded random matrices, including zero
+    rows, all-zero matrices and 0-row matrices."""
+    N = p ** b
+    rng = random.Random(1000 * p + b)
+    for _ in range(150):
+        nr, nc = rng.randint(0, 5), rng.randint(1, 5)
+        rows = [[rng.randrange(N) for _ in range(nc)] for _ in range(nr)]
+        for r in rows:
+            if rng.random() < 0.2:
+                r[:] = [0] * nc
+        A = mat(p, b, rows, cols=nc)
+        want = smith_form(A).cardinality
+        assert howell_form(A).cardinality == want
+        assert module_cardinality(A) == want
+    # the multiples of one vector p^v * (1, 1): cardinality p^(b - v)
+    for v in range(b + 1):
+        A = mat(p, b, [[p ** v % N, p ** v % N]], cols=2)
+        assert howell_form(A).cardinality == smith_form(A).cardinality == p ** (b - v)
