@@ -16,6 +16,7 @@ row has 2n entries of m comma-separated coordinates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -274,7 +275,10 @@ def render_report(report: Dict) -> str:
 
 # ---------------------------------------------------------------- driver
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    on it, and each ``run`` reuses it."""
     ap = argparse.ArgumentParser(prog="eaqring")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("params", "decompose", "extend", "dual", "distance", "verify"):
@@ -282,18 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="code file")
         sp.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_LIMIT)
         sp.add_argument("--max-matrix-dim", type=int, default=DEFAULT_MATRIX_DIM)
-        sp.add_argument("--threads", type=int, default=1)
     return ap
 
 
 def run(argv: List[str], out=None) -> int:
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        out.write(render_report({
-            "schema": SCHEMA_VERSION,
-            "error": {"type": "ValueError", "message": "--threads must be >= 1"}}))
-        return 1
     try:
         ring, C = parse_code_file(args.file)
         report, code = build_report(args.command, ring, C,

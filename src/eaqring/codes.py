@@ -351,9 +351,5 @@ def puncture(C: AdditiveCode, keep_n: int) -> AdditiveCode:
     return AdditiveCode(C.ring, keep_n, gens)
 
 
-def code_rank(C: AdditiveCode) -> int:
-    return len(C.expanded_smith.diag_exponents)
-
-
 def is_free(C: AdditiveCode) -> bool:
     return all(e == 0 for e in C.expanded_smith.diag_exponents)

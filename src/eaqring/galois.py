@@ -2,7 +2,14 @@
 
 Covers ring construction with a canonical defining polynomial, Teichmuller
 digits, the generalized Frobenius and trace, dual bases, the generating
-additive character, and the coordinate expansion phi down to Z_{p^b}^m.
+additive character chi(z) = zeta^{Tr z}, and the coordinate expansion phi
+down to Z_{p^b}^m.
+
+Construction, the trace, the dual basis, phi and the Frobenius never touch
+anything of size p^m: they are read off the power-basis coordinates of
+theta^k for k <= 2m - 2, and h is checked by square-and-multiply.  Only
+``GaloisRingSpec.teichmuller`` builds the p^m-element Teichmuller table, on
+a caller's first use of it or of ``teichmuller_decompose``.
 """
 
 from __future__ import annotations
@@ -65,13 +72,19 @@ def _poly_pow_mod(a: Sequence[int], e: int, h: Sequence[int], N: int) -> Tuple[i
     return result
 
 
+def _x_mod(h: Sequence[int], N: int) -> Tuple[int, ...]:
+    """x reduced mod the monic h and mod N: for m = 1 that is the root -h[0]
+    of x + h[0]."""
+    m = len(h) - 1
+    return tuple([0, 1] + [0] * (m - 2)) if m >= 2 else ((-h[0]) % N,)
+
+
 def _is_primitive_mod_p(hbar: Sequence[int], p: int, m: int) -> bool:
     """x generates the full cyclic group of order p^m - 1 mod (hbar, p)."""
     if hbar[0] % p == 0:
         return False
     order = p ** m - 1
-    # x itself, reduced mod hbar: for m = 1 that is the root -hbar[0] of x + hbar[0]
-    x = tuple([0, 1] + [0] * (m - 2)) if m >= 2 else ((-hbar[0]) % p,)
+    x = _x_mod(hbar, p)
     one = tuple([1] + [0] * (m - 1))
     if _poly_pow_mod(x, order, hbar, p) != one:
         return False
@@ -116,9 +129,7 @@ class GaloisRingSpec:
     @property
     def theta(self) -> "RingElement":
         """Canonical root of h: the power-basis generator x (a unit of order p^m - 1)."""
-        if self.m == 1:
-            return self.scalar(-self.h_coeffs[0])
-        return self.element([0, 1] + [0] * (self.m - 2))
+        return self.element(_x_mod(self.h_coeffs, self.modulus))
 
     @cached_property
     def teichmuller(self) -> Tuple["RingElement", ...]:
@@ -138,28 +149,38 @@ class GaloisRingSpec:
         return {tuple(c % self.p for c in t.coeffs): t for t in self.teichmuller}
 
     @cached_property
-    def tr_powers(self) -> Tuple[int, ...]:
-        """Tr(theta^j) for j < m; makes gen_trace a dot product."""
-        out = []
-        pw = self.one
-        for _ in range(self.m):
-            out.append(_trace_by_frobenius(pw))
-            pw = pw * self.theta
+    def _theta_powers(self) -> Tuple[Tuple[int, ...], ...]:
+        """Power-basis coordinates of theta^k for k <= 2m - 2."""
+        h, N, theta = self.h_coeffs, self.modulus, self.theta.coeffs
+        out = [self.one.coeffs]
+        for _ in range(2 * self.m - 2):
+            out.append(_poly_mul_mod(out[-1], theta, h, N))
         return tuple(out)
+
+    @cached_property
+    def tr_powers(self) -> Tuple[int, ...]:
+        """Tr(theta^j) for j < m; makes gen_trace a dot product.
+
+        The generalized trace is the trace of multiplication by the element,
+        and column i of multiplication by theta^j is theta^{i+j}.
+        """
+        T = self._theta_powers
+        return tuple(sum(T[i + j][i] for i in range(self.m)) % self.modulus
+                     for j in range(self.m))
+
+    @cached_property
+    def _gram(self) -> Tuple[Tuple[int, ...], ...]:
+        """The trace form on the power basis: gram[i][k] = Tr(theta^{i+k})."""
+        T, m, N = self._theta_powers, self.m, self.modulus
+        tr = [sum(c * t for c, t in zip(T[s], self.tr_powers)) % N for s in range(2 * m - 1)]
+        return tuple(tuple(tr[i + k] for k in range(m)) for i in range(m))
 
     @cached_property
     def dual(self) -> Tuple["RingElement", ...]:
         """The unique dual basis of {1, theta, ..., theta^{m-1}}."""
         m, N = self.m, self.modulus
-        # gram[i][k] = Tr(theta^{i+k}); trace is Z_{p^b}-linear, so precompute
-        # traces of powers up to 2m-2
-        tr_high = []
-        pw = self.one
-        for _ in range(2 * m - 1):
-            tr_high.append(gen_trace(pw))
-            pw = pw * self.theta
-        aug = [[tr_high[i + k] for k in range(m)] + [1 if i == j else 0 for j in range(m)]
-               for i in range(m)]
+        aug = [list(row) + [1 if i == j else 0 for j in range(m)]
+               for i, row in enumerate(self._gram)]
         for col in range(m):
             piv = next((r for r in range(col, m) if aug[r][col] % self.p != 0), None)
             if piv is None:
@@ -224,18 +245,6 @@ class RingElement:
         return not any(self.coeffs[1:])
 
 
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def ring_neg(a: RingElement) -> RingElement:
-    return -a
-
-
 def teichmuller_decompose(z: RingElement) -> Tuple[RingElement, ...]:
     """p-adic digits (z_0, ..., z_{b-1}) of z, each from the Teichmuller set."""
     ring = z.ring
@@ -260,23 +269,17 @@ def teichmuller_decompose(z: RingElement) -> Tuple[RingElement, ...]:
 
 
 def frobenius(z: RingElement) -> RingElement:
-    """Generalized Frobenius: p-th power on each Teichmuller digit."""
+    """Generalized Frobenius: p-th power on each Teichmuller digit.
+
+    It is the Z_{p^b}-algebra automorphism sending theta, itself a
+    Teichmuller element, to theta^p; evaluated by Horner's rule at theta^p.
+    """
     ring = z.ring
+    theta_p = ring.theta ** ring.p
     out = ring.zero
-    for t, d in enumerate(teichmuller_decompose(z)):
-        out = out + (d ** ring.p).scale(ring.p ** t)
+    for c in reversed(z.coeffs):
+        out = out * theta_p + ring.scalar(c)
     return out
-
-
-def _trace_by_frobenius(z: RingElement) -> int:
-    s = z
-    cur = z
-    for _ in range(z.ring.m - 1):
-        cur = frobenius(cur)
-        s = s + cur
-    if not s.is_scalar():
-        raise InternalInvariantViolation("trace is not scalar; ring construction bug")
-    return s.coeffs[0]
 
 
 def gen_trace(z: RingElement) -> int:
@@ -294,28 +297,11 @@ def dual_basis(ring: GaloisRingSpec) -> Tuple[RingElement, ...]:
     return ring.dual
 
 
-@dataclass(frozen=True)
-class GeneratingCharacter:
-    """chi(r) = zeta^{Tr(r)} with zeta = exp(2*pi*i/p^b)."""
-
-    ring: GaloisRingSpec
-
-    def exponent(self, z: RingElement) -> int:
-        return gen_trace(z)
-
-    def in_subgroup(self, z: RingElement, t: int) -> bool:
-        """Whether chi(z) lies in H_t, iff Tr(z) = 0 mod p^{b-t}."""
-        return gen_trace(z) % self.ring.p ** (self.ring.b - t) == 0
-
-
 def _dual_coords(z: RingElement) -> Tuple[int, ...]:
-    """Coordinates of z in the dual basis: j-th is Tr(z * theta^j)."""
-    out = []
-    pw = z
-    for _ in range(z.ring.m):
-        out.append(gen_trace(pw))
-        pw = pw * z.ring.theta
-    return tuple(out)
+    """Coordinates of z in the dual basis: j-th is Tr(z * theta^j), that is
+    sum_i z_i Tr(theta^{i+j})."""
+    N = z.ring.modulus
+    return tuple(sum(c * g for c, g in zip(z.coeffs, row)) % N for row in z.ring._gram)
 
 
 def phi_expand(ring: GaloisRingSpec, vec: Sequence[RingElement]) -> Tuple[int, ...]:
@@ -376,19 +362,9 @@ def _smallest_primitive_root(p: int) -> int:
 
 
 def _check_h_divides(h: Sequence[int], p: int, b: int, m: int) -> None:
-    """Verify h | x^{p^m - 1} - 1 over Z_{p^b} by polynomial division."""
+    """Verify h | x^{p^m - 1} - 1 over Z_{p^b}: x^{p^m - 1} = 1 mod h."""
     N = p ** b
-    order = p ** m - 1
-    rem = [0] * (order + 1)
-    rem[0] = (rem[0] - 1) % N
-    rem[order] = 1
-    for d in range(order, m - 1, -1):
-        coef = rem[d]
-        if coef:
-            rem[d] = 0
-            for k in range(m):
-                rem[d - m + k] = (rem[d - m + k] - coef * h[k]) % N
-    if any(rem):
+    if _poly_pow_mod(_x_mod(h, N), p ** m - 1, h, N) != tuple([1] + [0] * (m - 1)):
         raise HPolyInvalid("h does not divide x^{p^m-1} - 1 over Z_{p^b}")
 
 
@@ -436,36 +412,24 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
 
     # provisional ring on the naive lift; Teichmuller-iterate x to a root of
     # unity, then rebuild h from its Frobenius conjugates
-    h0 = hbar
-    x = tuple([0, 1] + [0] * (m - 2))
-    z = x
+    ring0 = GaloisRingSpec(p, b, m, hbar)
+    z = ring0.theta
     for _ in range(b + 2):
-        z2 = _poly_pow_mod(z, p ** m, h0, N)
+        z2 = z ** (p ** m)
         if z2 == z:
             break
         z = z2
     else:
         raise InternalInvariantViolation("Teichmuller iteration did not converge")
-
-    conjugates = [z]
-    for _ in range(m - 1):
-        conjugates.append(_poly_pow_mod(conjugates[-1], p, h0, N))
-    # expand prod (X - conj_i); coefficients live in the provisional ring
-    poly = [tuple([1] + [0] * (m - 1))]  # coefficients of X^k, low-to-high
-    for c in conjugates:
-        neg_c = tuple((-t) % N for t in c)
-        new = [tuple([0] * m) for _ in range(len(poly) + 1)]
-        for k, coef in enumerate(poly):
-            new[k + 1] = tuple((a + t) % N for a, t in zip(new[k + 1], coef))
-            prod = _poly_mul_mod(coef, neg_c, h0, N)
-            new[k] = tuple((a + t) % N for a, t in zip(new[k], prod))
-        poly = new
-    h = []
-    for coef in poly:
-        if any(coef[1:]):
-            raise InternalInvariantViolation("lifted polynomial has non-scalar coefficients")
-        h.append(coef[0])
-    h = tuple(h)
+    # expand prod_i (X - z^{p^i}) with coefficients in the provisional ring,
+    # listed low-to-high: multiplying by X - c maps poly[k] to poly[k-1] - c poly[k]
+    poly = [ring0.one]
+    for _ in range(m):
+        poly = [a - z * c for a, c in zip([ring0.zero] + poly, poly + [ring0.zero])]
+        z = z ** p
+    if not all(c.is_scalar() for c in poly):
+        raise InternalInvariantViolation("lifted polynomial has non-scalar coefficients")
+    h = tuple(c.coeffs[0] for c in poly)
     if tuple(c % p for c in h) != hbar:
         raise InternalInvariantViolation("lifted polynomial does not reduce to hbar")
     _check_h_divides(h, p, b, m)

@@ -326,22 +326,8 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
     )
 
 
-def module_rank(gens: ZpbMatrix) -> int:
-    """Size of a minimal generating set (Nakayama: dim over F_p of M/pM)."""
-    return len(smith_form(gens).diag_exponents)
-
-
 def module_cardinality(gens: ZpbMatrix) -> int:
     return howell_form(gens).cardinality
-
-
-def is_free_module(gens: ZpbMatrix) -> bool:
-    return all(e == 0 for e in smith_form(gens).diag_exponents)
-
-
-def minimal_generators(gens: ZpbMatrix) -> List[Tuple[int, ...]]:
-    """A minimal generating set of the row module (rows p^{e_i} * R_i)."""
-    return smith_form(gens).minimal_generators()
 
 
 def kernel(A: ZpbMatrix) -> HowellBasis:

@@ -5,6 +5,7 @@ under pytest's capture."""
 import contextlib
 import functools
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import zlib
 import numpy as np
 import pytest
 
+import eaqring
 from eaqring.cli import serialize_code
 from eaqring.codes import (
     AdditiveCode,
@@ -380,12 +382,16 @@ def test_criterion_9_cli_determinism(tmp_path):
     f = tmp_path / "worked.txt"
     f.write_text(serialize_code(z4, C))
     runner = [sys.executable, "-c", "from eaqring.cli import main; main()"]
+    # the child imports the same package as this process, however it was found
+    src = os.path.dirname(os.path.dirname(eaqring.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for command in ("params", "verify"):
         outs = set()
         codes = set()
         for _ in range(2):
             proc = subprocess.run(runner + [command, str(f)],
-                                  capture_output=True, timeout=120)
+                                  capture_output=True, timeout=120, env=env)
             outs.add(proc.stdout)
             codes.add(proc.returncode)
         assert codes == {0}

@@ -188,8 +188,6 @@ def test_run_errors(tmp_path):
     assert code == 1
     err = json.loads(out)["error"]
     assert err["type"] == "ParseError" and err["line"] == 3
-    code, out = run_cli(["params", "--threads", "0", str(f2)])
-    assert code == 1
 
 
 def test_parse_code_file(tmp_path):

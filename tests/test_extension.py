@@ -234,3 +234,15 @@ def test_eaqecc_params_bounds_randomized(z4):
         P = eaqecc_params(C)
         assert P.K_lower <= P.K_exact <= P.K_upper
         assert P.K_exact * P.card_extended == z4.cardinality ** (P.n + P.c)
+
+
+@pytest.mark.xfail(strict=True, reason="D is read off C^chi minus C, not C^chi minus Z "
+                   "with Z = {v : (v, 0) in the extended code}; Z can be smaller than "
+                   "C cap C^chi (ROADMAP open item)")
+def test_eaqecc_params_distance_uses_extended_code():
+    """The Z8 code below has a weight-1 vector of C^chi outside Z (the
+    Pauli matrix check reads D_matrix = 1), yet every weight-1 vector of
+    C^chi lies in C, so the C^chi minus C minimum is 2."""
+    z8 = make_ring(2, 3, 1)
+    C = AdditiveCode.from_int_rows(z8, [[3, 4, 7, 1], [3, 6, 5, 6]])
+    assert eaqecc_params(C).D == 1

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from eaqring.errors import HPolyInvalid, ParameterTooLarge
 from eaqring.galois import (
-    GeneratingCharacter,
+    _check_h_divides,
     char_exponent,
     dual_basis,
     frobenius,
@@ -17,11 +18,7 @@ from eaqring.galois import (
     make_ring,
     phi_contract,
     phi_expand,
-    ring_add,
-    ring_mul,
-    ring_neg,
     teichmuller_decompose,
-    _trace_by_frobenius,
 )
 
 
@@ -29,6 +26,41 @@ def all_elements(ring):
     N = ring.modulus
     for coeffs in itertools.product(range(N), repeat=ring.m):
         yield ring.element(coeffs)
+
+
+def frobenius_by_digits(z):
+    """Oracle: the Frobenius as sum_t p^t z_t^p over the Teichmuller digits."""
+    ring = z.ring
+    out = ring.zero
+    for t, d in enumerate(teichmuller_decompose(z)):
+        out = out + (d ** ring.p).scale(ring.p ** t)
+    return out
+
+
+def trace_by_frobenius(z):
+    """Oracle: Tr(z) = z + f(z) + ... + f^{m-1}(z) with the digit Frobenius."""
+    s = cur = z
+    for _ in range(z.ring.m - 1):
+        cur = frobenius_by_digits(cur)
+        s = s + cur
+    assert s.is_scalar()
+    return s.coeffs[0]
+
+
+def h_divides_by_division(h, p, b, m):
+    """Oracle: whether h | x^{p^m - 1} - 1 over Z_{p^b}, by long division."""
+    N = p ** b
+    order = p ** m - 1
+    rem = [0] * (order + 1)
+    rem[0] = N - 1
+    rem[order] = 1
+    for d in range(order, m - 1, -1):
+        coef = rem[d]
+        if coef:
+            rem[d] = 0
+            for k in range(m):
+                rem[d - m + k] = (rem[d - m + k] - coef * h[k]) % N
+    return not any(rem)
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +115,9 @@ def test_ring_mul_examples(gr42):
     th = gr42.theta
     assert (th * th).coeffs == (3, 3)  # theta^2 = -theta - 1 over Z_4
     for a in list(all_elements(gr42))[:8]:
-        assert ring_mul(a, gr42.one) == a
-        assert ring_mul(a, gr42.zero) == gr42.zero
-        assert ring_add(a, ring_neg(a)) == gr42.zero
+        assert a * gr42.one == a
+        assert a * gr42.zero == gr42.zero
+        assert a + (-a) == gr42.zero
 
 
 def test_teichmuller_decompose_examples(gr42):
@@ -135,6 +167,56 @@ def test_frobenius_is_automorphism(ringname, request):
         assert frobenius(ring.scalar(c)) == ring.scalar(c)
 
 
+@pytest.mark.parametrize("spec", [(2, 2, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2),
+                                  (2, 1, 3), (2, 3, 3), (5, 2, 2), (2, 2, 4)])
+def test_frobenius_matches_teichmuller_digits(spec):
+    ring = make_ring(*spec)
+    rng = random.Random(13)
+    for _ in range(200):
+        z = ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
+        assert frobenius(z) == frobenius_by_digits(z)
+
+
+@pytest.mark.parametrize("spec", [(2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 2), (2, 1, 5)])
+def test_gen_trace_matches_frobenius_sum(spec):
+    ring = make_ring(*spec)
+    for z in all_elements(ring):
+        assert gen_trace(z) == trace_by_frobenius(z)
+
+
+@pytest.mark.parametrize("spec", [(2, 2, 1), (3, 2, 1), (5, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2),
+                                  (2, 2, 3), (2, 1, 4)])
+def test_h_check_matches_division(spec):
+    """Every single-coefficient change of the canonical h: the
+    square-and-multiply check rejects exactly the non-divisors."""
+    p, b, m = spec
+    h = make_ring(*spec).h_coeffs
+    for i in range(m):
+        for v in range(p ** b):
+            cand = h[:i] + (v,) + h[i + 1:]
+            try:
+                _check_h_divides(cand, p, b, m)
+                accepted = True
+            except HPolyInvalid:
+                accepted = False
+            assert accepted == h_divides_by_division(cand, p, b, m), cand
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 16), (1000003, 1, 1)])
+def test_ring_layer_allocates_nothing_of_size_p_to_the_m(spec):
+    """Construction, trace, dual basis and Frobenius stay far below p^m
+    bytes; only the Teichmuller table is that large."""
+    tracemalloc.start()
+    try:
+        ring = make_ring(*spec)
+        ring.tr_powers, ring.dual, frobenius(ring.theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "teichmuller" not in ring.__dict__
+
+
 def test_gen_trace_examples(gr42):
     assert gen_trace(gr42.one) == 2
     assert gen_trace(gr42.theta) == 3
@@ -149,9 +231,6 @@ def test_gen_trace_properties(ringname, request):
     ring = request.getfixturevalue(ringname)
     N = ring.modulus
     elems = list(all_elements(ring))
-    # cache agrees with the Frobenius-sum definition
-    for z in elems:
-        assert gen_trace(z) == _trace_by_frobenius(z)
     # Z_{p^b}-linearity
     rng = random.Random(5)
     for _ in range(100):
@@ -168,16 +247,12 @@ def test_gen_trace_properties(ringname, request):
 
 
 def test_generating_character(gr42):
-    chi = GeneratingCharacter(gr42)
     elems = list(all_elements(gr42))
     N = gr42.modulus
     for u in elems:
-        assert chi.exponent(u) == char_exponent(u) == gen_trace(u)
-        # H_t membership: chi(z) in <zeta^{p^{b-t}}> iff Tr(z) = 0 mod p^{b-t}
-        for t in range(gr42.b + 1):
-            assert chi.in_subgroup(u, t) == (gen_trace(u) % 2 ** (2 - t) == 0)
+        assert char_exponent(u) == gen_trace(u)
     for u, v in random.Random(1).sample(list(itertools.product(elems, repeat=2)), 60):
-        assert chi.exponent(u + v) == (chi.exponent(u) + chi.exponent(v)) % N
+        assert char_exponent(u + v) == (char_exponent(u) + char_exponent(v)) % N
 
 
 def test_dual_basis_example(gr42):

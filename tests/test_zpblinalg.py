@@ -19,11 +19,8 @@ from eaqring.zpblinalg import (
     howell_form,
     howell_member,
     intersect,
-    is_free_module,
     kernel,
-    minimal_generators,
     module_cardinality,
-    module_rank,
     quotient_rank,
     smith_form,
     solve_congruence,
@@ -121,18 +118,23 @@ def test_smith_factorization(p, b, rows):
 @pytest.mark.parametrize("p,b,rows", CASES)
 def test_minimal_generators_span(p, b, rows):
     cols = len(rows[0])
-    gens = minimal_generators(mat(p, b, rows))
+    sd = smith_form(mat(p, b, rows))
+    gens = sd.minimal_generators()
     assert span_set(p, b, gens, cols) == span_set(p, b, rows, cols)
-    assert len(gens) == module_rank(mat(p, b, rows))
+    assert len(gens) == len(sd.diag_exponents)
 
 
 def test_module_rank_examples():
-    assert module_rank(mat(2, 2, [[1, 0], [0, 2]])) == 2
-    assert module_rank(mat(2, 2, [[2, 0], [0, 2], [2, 2]])) == 2
-    assert module_rank(mat(2, 2, [[0, 0]])) == 0
-    assert module_rank(mat(3, 2, [[1, 2], [2, 4]])) == 1
-    assert is_free_module(mat(2, 2, [[1, 0], [0, 1]]))
-    assert not is_free_module(mat(2, 2, [[1, 0], [0, 2]]))
+    def exponents(p, b, rows):
+        return smith_form(mat(p, b, rows)).diag_exponents
+    # the rank (size of a minimal generating set) is the number of Smith factors
+    assert len(exponents(2, 2, [[1, 0], [0, 2]])) == 2
+    assert len(exponents(2, 2, [[2, 0], [0, 2], [2, 2]])) == 2
+    assert len(exponents(2, 2, [[0, 0]])) == 0
+    assert len(exponents(3, 2, [[1, 2], [2, 4]])) == 1
+    # free iff every factor is a unit
+    assert exponents(2, 2, [[1, 0], [0, 1]]) == (0, 0)
+    assert exponents(2, 2, [[1, 0], [0, 2]]) == (0, 1)
 
 
 @pytest.mark.parametrize("p,b,rows", CASES)
