@@ -296,6 +296,9 @@ def run(argv: List[str], out=None) -> int:
         ring, C = parse_code_file(args.file)
         report, code = build_report(args.command, ring, C,
                                     args.max_enum, args.max_matrix_dim)
+        # C's analysis refers back to C: dropping it frees the per-code
+        # objects now, not at the next full cyclic garbage collection
+        vars(C).pop("analysis", None)
     except OSError as e:
         out.write(render_report({
             "schema": SCHEMA_VERSION,
@@ -314,3 +317,7 @@ def run(argv: List[str], out=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -313,7 +313,7 @@ def iterate_codewords(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> Itera
     try:
         yield from enumerate_module(C.expanded_howell, limit)
     except LimitExceeded as e:
-        raise SearchLimitExceeded(e.cardinality) from None
+        raise SearchLimitExceeded(e.cardinality, e.limit) from None
 
 
 def min_symplectic_distance(C: AdditiveCode, mode: str = "code",

@@ -12,17 +12,19 @@ class NoSolution(EaqringError):
 class LimitExceeded(EaqringError):
     """Module enumeration would exceed the configured limit."""
 
-    def __init__(self, cardinality: int):
-        super().__init__(f"module has {cardinality} elements, over the limit")
+    def __init__(self, cardinality: int, limit: int):
+        super().__init__(f"module has {cardinality} elements, over the --max-enum limit {limit}")
         self.cardinality = cardinality
+        self.limit = limit
 
 
 class SearchLimitExceeded(EaqringError):
     """Distance/error search set is too large to enumerate."""
 
-    def __init__(self, cardinality: int):
-        super().__init__(f"search set has {cardinality} elements, over the limit")
+    def __init__(self, cardinality: int, limit: int):
+        super().__init__(f"search set has {cardinality} elements, over the --max-enum limit {limit}")
         self.cardinality = cardinality
+        self.limit = limit
 
 
 class DimensionMismatch(EaqringError):

@@ -1,14 +1,21 @@
-"""Brute-force Pauli verifier: explicit q^n x q^n matrices for X(a)Z(b),
-stabilizer-group assembly through an effective character xi, projector
-dimension, and exhaustive undetectable-error search.
+"""Brute-force Pauli verifier: X(a)Z(b) as monomial matrices, stabilizer-group
+assembly through an effective character xi, projector dimension, and
+exhaustive undetectable-error search.
 
 The phase scale is omega = exp(2*pi*i/N) with N = p^b for odd p and 2p^b
 for p = 2; the additive character zeta = exp(2*pi*i/p^b) embeds via the
-exponent factor N/p^b.
+exponent factor N/p^b.  omega^l X(a)Z(b) sends |x> to omega^{l + (N/p^b)
+Tr(b.x)} |x + a>: a row permutation and an integer omega exponent per
+column, read off q x q tables of ring addition and of Tr(x*y).  Each error
+is applied to the code basis U as a row gather and a scale.  Only the
+projector (the group's monomials summed into one array), its idempotence
+check and its eigendecomposition are dense, and ``pauli_matrix`` for
+callers that ask for one operator as a matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
@@ -24,7 +31,7 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .extension import SelfOrthogonalExtension
-from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract
+from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract, phi_expand
 from .zpblinalg import smith_form, solve_congruence
 
 # numpy is imported by the functions that use it: only `verify` needs it,
@@ -115,54 +122,50 @@ def operator_power(P: PauliOperator, e: int) -> PauliOperator:
 
 
 def _element_index(z: RingElement) -> int:
-    N = z.ring.modulus
-    idx = 0
-    for c in reversed(z.coeffs):
-        idx = idx * N + c
-    return idx
+    return sum(c * z.ring.modulus ** j for j, c in enumerate(z.coeffs))
 
 
-def _all_elements(ring: GaloisRingSpec) -> List[RingElement]:
-    """All ring elements, ordered by their state index."""
-    import itertools
-    out = [None] * ring.cardinality
-    N = ring.modulus
-    for coeffs in itertools.product(range(N), repeat=ring.m):
-        el = ring.element(coeffs)
-        out[_element_index(el)] = el
-    return out
+class _Monomials:
+    """Operators on n qudits as (rows, phase): column x of omega^l X(a)Z(b)
+    holds omega^phase[x] in row rows[x], the state index of x + a.  State
+    indices are big-endian in the element indices of the qudits."""
 
+    def __init__(self, ring: GaloisRingSpec, n: int, max_dim: int):
+        import numpy as np
+        q, mod = ring.cardinality, ring.modulus
+        if q ** n > max_dim:
+            raise DimensionTooLarge(f"q^n = {q ** n} exceeds the matrix cap {max_dim}")
+        self.elements = elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
+                                 for i in range(q)]
+        self.add = np.array([[_element_index(x + y) for y in elems] for x in elems])
+        self.trace = np.array([[gen_trace(x * y) for y in elems] for x in elems])
+        self.N = omega_modulus(ring)
+        self.chi_scale = self.N // mod
+        self.roots = np.exp(2j * np.pi * np.arange(self.N) / self.N)
+        self.place = q ** np.arange(n - 1, -1, -1)
+        self.states = np.arange(q ** n)
+        self.digits = self.states[:, None] // self.place % q
 
-def _state_index(vec: Sequence[RingElement], q: int) -> int:
-    idx = 0
-    for el in vec:
-        idx = idx * q + _element_index(el)
-    return idx
+    def of(self, a: Sequence[int], b: Sequence[int], phase_exp: int):
+        """(rows, phase) of omega^phase_exp X(a)Z(b), a and b as element indices."""
+        rows = self.add[self.digits, a] @ self.place
+        dots = self.trace[b, self.digits].sum(axis=1)
+        return rows, (phase_exp + self.chi_scale * dots) % self.N
+
+    def dense(self, operators: Sequence[PauliOperator]) -> np.ndarray:
+        """The sum of the operators as one dense matrix."""
+        import numpy as np
+        M = np.zeros((self.states.size, self.states.size), dtype=np.complex128)
+        for P in operators:
+            rows, phase = self.of([_element_index(e) for e in P.a],
+                                  [_element_index(e) for e in P.b], P.phase_exp)
+            M[rows, self.states] += self.roots[phase]
+        return M
 
 
 def pauli_matrix(P: PauliOperator, max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
     """Dense unitary: entry omega^l zeta^{Tr(b.x)} at (x+a, x)."""
-    import numpy as np
-    ring = P.ring
-    q = ring.cardinality
-    dim = q ** P.n
-    if dim > max_dim:
-        raise DimensionTooLarge(f"q^n = {dim} exceeds the matrix cap {max_dim}")
-    N = omega_modulus(ring)
-    omega = np.exp(2j * np.pi / N)
-    chi_scale = N // ring.modulus
-    elems = _all_elements(ring)
-    import itertools
-    M = np.zeros((dim, dim), dtype=np.complex128)
-    base = omega ** P.phase_exp
-    for x in itertools.product(elems, repeat=P.n):
-        col = _state_index(x, q)
-        row = _state_index([xi + ai for xi, ai in zip(x, P.a)], q)
-        dot = ring.zero
-        for bi, xi in zip(P.b, x):
-            dot = dot + bi * xi
-        M[row, col] = base * omega ** (chi_scale * gen_trace(dot))
-    return M
+    return _Monomials(P.ring, P.n, max_dim).dense([P])
 
 
 @dataclass(frozen=True)
@@ -257,16 +260,7 @@ def _check_stabilizer(group: StabilizerGroup, ext: SelfOrthogonalExtension) -> N
 
 def stabilizer_projector(group: StabilizerGroup,
                          max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
-    import numpy as np
-    q = group.ring.cardinality
-    dim = q ** group.n
-    if dim > max_dim:
-        raise DimensionTooLarge(f"q^n = {dim} exceeds the matrix cap {max_dim}")
-    P = np.zeros((dim, dim), dtype=np.complex128)
-    for el in group.elements:
-        P += pauli_matrix(el, max_dim)
-    P /= group.size
-    return P
+    return _Monomials(group.ring, group.n, max_dim).dense(group.elements) / group.size
 
 
 def projector_dimension(group: StabilizerGroup,
@@ -304,33 +298,31 @@ def undetectable_error_search(C: AdditiveCode, ext: SelfOrthogonalExtension,
     n, ntot = C.n, ext.extended.n
     q = ring.cardinality
     if q ** (2 * n) > limit:
-        raise SearchLimitExceeded(q ** (2 * n))
-    P = stabilizer_projector(group, max_dim)
+        raise SearchLimitExceeded(q ** (2 * n), limit)
+    mono = _Monomials(ring, ntot, max_dim)
+    P = mono.dense(group.elements) / group.size
     if np.max(np.abs(P @ P - P)) > 1e-9:
         raise NonProjector("averaged stabilizer sum is not idempotent")
     vals, vecs = np.linalg.eigh(P)
     U = vecs[:, vals > 0.5]
     K = U.shape[1]
-    zeros = [ring.zero] * (ntot - n)
-    elems = _all_elements(ring)
-    import itertools
+    Uh, eye = U.conj().T, np.eye(K)
+    pad = (0,) * (ntot - n)
     undet: List[Tuple[int, ...]] = []
     best = math.inf
     dim1_best = math.inf
-    for ab in itertools.product(elems, repeat=2 * n):
-        a, b = ab[:n], ab[n:]
-        if not any(a) and not any(b):
+    for ab in itertools.product(range(q), repeat=2 * n):
+        if not any(ab):
             continue
-        vec = SymplecticVector(ring, a, b)
-        E = pauli_matrix(PauliOperator(ring, ntot, 0,
-                                       tuple(a) + tuple(zeros),
-                                       tuple(b) + tuple(zeros)), max_dim)
-        M = U.conj().T @ E @ U
+        a, b = ab[:n], ab[n:]
+        rows, phase = mono.of(a + pad, b + pad, 0)
+        EU = np.empty_like(U)
+        EU[rows] = mono.roots[phase][:, None] * U
+        M = Uh @ EU
         lam = M[0, 0]
         w = sum(1 for x, z in zip(a, b) if x or z)
-        if np.max(np.abs(M - lam * np.eye(K))) > 1e-8:
-            from .galois import phi_expand
-            undet.append(tuple(phi_expand(ring, vec.components)))
+        if np.max(np.abs(M - lam * eye)) > 1e-8:
+            undet.append(phi_expand(ring, [mono.elements[i] for i in ab]))
             best = min(best, w)
         if K == 1 and abs(lam) > 1e-8:
             dim1_best = min(dim1_best, w)

@@ -24,13 +24,21 @@ from .errors import (
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin with the first 12 prime bases: exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or p in bases or any(p % a == 0 for a in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    for a in bases:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
@@ -432,7 +440,7 @@ def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
     p, b = A.p, A.b
     N = p ** b
     if M.cardinality > limit:
-        raise LimitExceeded(M.cardinality)
+        raise LimitExceeded(M.cardinality, limit)
     sd = smith_form(A)
     base = sd.minimal_generators()
     radix = [p ** (b - e) for e in sd.diag_exponents]

@@ -3,9 +3,13 @@ codes, error rendering, cap behavior, and byte-level determinism."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eaqring
 from eaqring.cli import (
     build_report,
     parse_code_file,
@@ -21,6 +25,7 @@ from eaqring.galois import make_ring
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
 F2_REP = "ring p=2 b=1 m=1\nn 1\ngen 1 1\n"
 GR42 = "ring p=2 b=2 m=2\nn 1\ngen 1,0 0,0\ngen 0,1 2,0\n"
+Z8_N2 = "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n"
 
 
 def test_parse_worked():
@@ -145,6 +150,51 @@ def test_verify_matrix_cap():
     rep, code = build_report("verify", ring, C, 1 << 22, 4)
     assert code == 2
     assert "skipped" in rep["verification"]
+
+
+def test_verify_z8_regression():
+    """A Z8 n = 2 code at matrix dimension 512: 4,096 errors, each applied
+    to the code basis (it took about two minutes with dense operators)."""
+    ring, C = parse_code_text(Z8_N2)
+    rep, code = build_report("verify", ring, C, 1 << 22, 1024)
+    assert code == 0
+    assert rep["verification"] == {
+        "stabilizer_size": 256,
+        "matrix_dimension": 512,
+        "projector_dimension": 2,
+        "undetectable_count": 12,
+        "undetectable_min_weight": 2,
+        "set_matches_dual_minus_code": True,
+        "dimension_one_convention": False,
+        "D_matrix": 2,
+    }
+
+
+def test_verify_enum_cap_names_the_limit(tmp_path):
+    f = tmp_path / "code.txt"
+    f.write_text("ring p=2 b=2 m=1\nn 2\ngen 1 0 1 0\ngen 0 2 0 2\n")
+    code, out = run_cli(["verify", str(f), "--max-enum", "16"])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["D"] == "Unknown"
+    assert rep["verification"]["skipped"] == (
+        "search set has 256 elements, over the --max-enum limit 16")
+
+
+def test_module_entry_point(tmp_path):
+    f = tmp_path / "code.txt"
+    f.write_text(Z4_WORKED)
+    # the child imports the same package as this process, however it was found
+    src = os.path.dirname(os.path.dirname(eaqring.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "eaqring.cli", "params", str(f)],
+                          capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0
+    rep = json.loads(proc.stdout)
+    assert rep["command"] == "params"
+    assert rep["K_exact"] == 1 and rep["D"] == 1
+    assert proc.stdout.decode() == render_report(rep)
 
 
 def run_cli(argv):

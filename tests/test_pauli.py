@@ -1,18 +1,21 @@
 """Pauli verifier tests: explicit small matrices, the composition phase
 rule against matrix products, commutation vs the trace pairing, stabilizer
-assembly, projector dimension, and the exhaustive error search."""
+assembly, projector dimension, and the exhaustive error search; the
+monomial verifier against an entry-by-entry dense oracle."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from eaqring import cli, pauli
 from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
 from eaqring.decompose import hyperbolic_decompose
 from eaqring.errors import DimensionTooLarge, NonProjector, SearchLimitExceeded
-from eaqring.extension import build_extension
-from eaqring.galois import char_exponent, make_ring
+from eaqring.extension import build_extension, build_minimal_extension
+from eaqring.galois import char_exponent, gen_trace, make_ring, phi_expand
 from eaqring.pauli import (
     PauliOperator,
     StabilizerGroup,
@@ -255,3 +258,125 @@ def test_stabilizer_randomized(z4, f4):
             assert g.size == ext.card_extended
             dim = projector_dimension(g)
             assert dim * g.size == ring.cardinality ** ext.extended.n
+
+
+# ------------------------------------------------ dense oracle
+
+def index_elements(ring):
+    """Ring elements by index sum_j c_j N^j of their coefficients."""
+    N = ring.modulus
+    return [ring.element(reversed(c)) for c in itertools.product(range(N), repeat=ring.m)]
+
+
+def dense_oracle(P):
+    """omega^l X(a)Z(b) entry by entry through ring arithmetic: omega^l
+    zeta^{Tr(b.x)} at (x + a, x), states indexed big-endian by qudit."""
+    ring = P.ring
+    elems = index_elements(ring)
+    index = {e.coeffs: i for i, e in enumerate(elems)}
+    q = len(elems)
+    N = omega_modulus(ring)
+    omega = np.exp(2j * np.pi / N)
+
+    def state(vec):
+        out = 0
+        for e in vec:
+            out = out * q + index[e.coeffs]
+        return out
+
+    M = np.zeros((q ** P.n, q ** P.n), dtype=np.complex128)
+    for x in itertools.product(elems, repeat=P.n):
+        dot = ring.zero
+        for bi, xi in zip(P.b, x):
+            dot = dot + bi * xi
+        M[state([xi + ai for xi, ai in zip(x, P.a)]), state(x)] = (
+            omega ** P.phase_exp * omega ** ((N // ring.modulus) * gen_trace(dot)))
+    return M
+
+
+def dense_error_search(C, group):
+    """Every error X(a,0)Z(b,0) classified by the dense U^dagger E U."""
+    ring, n, ntot = C.ring, C.n, group.n
+    P = sum(dense_oracle(el) for el in group.elements) / group.size
+    vals, vecs = np.linalg.eigh(P)
+    U = vecs[:, vals > 0.5]
+    K = U.shape[1]
+    zeros = (ring.zero,) * (ntot - n)
+    undet, best, dim1 = set(), math.inf, math.inf
+    for ab in itertools.product(index_elements(ring), repeat=2 * n):
+        a, b = ab[:n], ab[n:]
+        if not any(ab):
+            continue
+        M = U.conj().T @ dense_oracle(PauliOperator(ring, ntot, 0, a + zeros, b + zeros)) @ U
+        w = sum(1 for x, z in zip(a, b) if x or z)
+        if np.max(np.abs(M - M[0, 0] * np.eye(K))) > 1e-8:
+            undet.add(phi_expand(ring, ab))
+            best = min(best, w)
+        if K == 1 and abs(M[0, 0]) > 1e-8:
+            dim1 = min(dim1, w)
+    return K, undet, best, (dim1 if K == 1 else None)
+
+
+ORACLE_RINGS = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("p,b,m", ORACLE_RINGS)
+def test_pauli_matrix_matches_dense_oracle(p, b, m):
+    ring = make_ring(p, b, m)
+    rng = random.Random(31 * p + 7 * b + m)
+    n = 2 if ring.cardinality <= 4 else 1
+    phases = set()
+    for _ in range(12):
+        P = rand_op(ring, n, rng)
+        phases.add(P.phase_exp)
+        got, want = pauli_matrix(P), dense_oracle(P)
+        assert np.array_equal(got != 0, want != 0)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert phases - {0}
+
+
+def random_verify_instances(count, seed):
+    """(C, ext, group) for seeded random codes with q^{n+c} <= 64."""
+    rng = random.Random(seed)
+    rings = [make_ring(*spec) for spec in ORACLE_RINGS[:4]]
+    out = []
+    while len(out) < count:
+        ring = rng.choice(rings)
+        n = rng.randint(1, 2 if ring.cardinality <= 4 else 1)
+        gens = tuple(SymplecticVector.from_components(ring, [
+            ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
+            for _ in range(2 * n)]) for _ in range(rng.randint(1, 2 * n * ring.m)))
+        C = AdditiveCode(ring, n, gens)
+        ext = build_minimal_extension(C)
+        if ring.cardinality ** ext.extended.n <= 64:
+            out.append((C, ext, build_stabilizer(ext)))
+    return out
+
+
+def test_projector_matches_dense_oracle():
+    for C, ext, group in random_verify_instances(8, 41):
+        want = sum(dense_oracle(el) for el in group.elements) / group.size
+        assert np.allclose(stabilizer_projector(group), want, rtol=0, atol=1e-12)
+
+
+def test_error_search_matches_dense_oracle():
+    for C, ext, group in random_verify_instances(20, 43):
+        res = undetectable_error_search(C, ext, group)
+        K, undet, best, dim1 = dense_error_search(C, group)
+        assert res.dimension == K
+        assert set(res.undetectable) == undet
+        assert res.min_weight == best
+        assert res.dim1_distance == dim1
+
+
+def test_verify_builds_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pauli_matrix called")
+
+    monkeypatch.setattr(pauli, "pauli_matrix", refuse)
+    for text in ("ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n",
+                 "ring p=2 b=1 m=2\nn 2\ngen 1,0 0,1 1,1 0,0\n"):
+        ring, C = cli.parse_code_text(text)
+        rep, code = cli.build_report("verify", ring, C, 1 << 22, 1024)
+        assert code == 0
+        assert rep["verification"]["projector_dimension"] == rep["K_exact"]

@@ -5,6 +5,7 @@ truth that Howell/Smith/kernel/intersection outputs are checked against.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from eaqring.errors import DimensionMismatch, LimitExceeded, NoSolution, NotContained
 from eaqring.zpblinalg import (
     HowellBasis,
+    _is_prime,
     ZpbMatrix,
     enumerate_module,
     howell_form,
@@ -227,6 +229,20 @@ def test_enumerate_module_limit():
     with pytest.raises(LimitExceeded) as exc:
         list(enumerate_module(H, limit=15))
     assert exc.value.cardinality == 16
+    assert str(exc.value) == "module has 16 elements, over the --max-enum limit 15"
+
+
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(-2, 20000) if _is_prime(p)] == [
+        p for p in range(-2, 20000) if trial(p)]
+    assert _is_prime(2 ** 31 - 1)
+    assert not _is_prime(2 ** 31 + 1)
+    # Carmichael numbers, then strong pseudoprimes to base 2
+    for composite in (561, 1105, 1729, 2047, 3277, 4033):
+        assert not _is_prime(composite)
 
 
 def test_enumerate_module_deterministic():
