@@ -140,9 +140,7 @@ class AdditiveCode:
     @cached_property
     def expanded_matrix(self) -> ZpbMatrix:
         rows = [phi_expand(self.ring, g.components) for g in self.generators]
-        if not rows:
-            return ZpbMatrix(self.ring.p, self.ring.b, 0, self.ambient_cols, ())
-        return ZpbMatrix.from_rows(self.ring.p, self.ring.b, rows, cols=self.ambient_cols)
+        return ZpbMatrix.from_reduced(self.ring.p, self.ring.b, rows, self.ambient_cols)
 
     @cached_property
     def expanded_howell(self) -> HowellBasis:
@@ -157,9 +155,14 @@ class AdditiveCode:
         return CodeAnalysis(self)
 
     @classmethod
-    def from_expanded(cls, ring: GaloisRingSpec, n: int, rows: Sequence[Sequence[int]]) -> "AdditiveCode":
-        gens = tuple(SymplecticVector.from_components(ring, phi_contract(ring, r)) for r in rows)
-        return cls(ring, n, gens)
+    def from_expanded(cls, ring: GaloisRingSpec, n: int, H: HowellBasis) -> "AdditiveCode":
+        """The code whose phi-expanded row module has Howell basis H; its
+        generators are the basis rows, and H seeds the expanded caches."""
+        rows = H.matrix.to_rows()
+        code = cls(ring, n, tuple(SymplecticVector.from_components(ring, phi_contract(ring, r))
+                                  for r in rows))
+        code.__dict__.update(expanded_matrix=H.matrix, expanded_howell=H)
+        return code
 
     @classmethod
     def from_int_rows(cls, ring: GaloisRingSpec, rows: Sequence[Sequence[int]]) -> "AdditiveCode":
@@ -198,8 +201,6 @@ def _pairing_columns(C: AdditiveCode, scale: int) -> ZpbMatrix:
         row = C.expanded_matrix.row(i)
         A_c, B_c = row[:nm], row[nm:]
         cols.append([(scale * (-x)) % N for x in B_c] + [(scale * x) % N for x in A_c])
-    if not cols:
-        return ZpbMatrix(p, b, dim, 0, ())
     flat = tuple(cols[j][i] for i in range(dim) for j in range(len(cols)))
     return ZpbMatrix(p, b, dim, len(cols), flat)
 
@@ -228,15 +229,13 @@ def symplectic_dual(C: AdditiveCode) -> AdditiveCode:
                 ring, tuple(pw * e for e in g.x), tuple(pw * e for e in g.y)))
             pw = pw * ring.theta
     enlarged = AdditiveCode(ring, C.n, tuple(scaled_gens))
-    K = kernel(_pairing_columns(enlarged, 1))
-    return AdditiveCode.from_expanded(ring, C.n, K.matrix.to_rows())
+    return AdditiveCode.from_expanded(ring, C.n, kernel(_pairing_columns(enlarged, 1)))
 
 
 def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
     if C1.ring != C2.ring or C1.n != C2.n:
         raise DimensionMismatch("codes live in different ambient spaces")
-    H = intersect(C1.expanded_howell, C2.expanded_howell)
-    return AdditiveCode.from_expanded(C1.ring, C1.n, H.matrix.to_rows())
+    return AdditiveCode.from_expanded(C1.ring, C1.n, intersect(C1.expanded_howell, C2.expanded_howell))
 
 
 class CodeAnalysis:
@@ -264,10 +263,8 @@ class CodeAnalysis:
         """C^{chi-dual, t}, for 0 <= t <= b."""
         C = self.code
 
-        def build():
-            K = kernel(_pairing_columns(C, C.ring.p ** t))
-            return AdditiveCode.from_expanded(C.ring, C.n, K.matrix.to_rows())
-        return self._level("dual", t, build)
+        return self._level("dual", t, lambda: AdditiveCode.from_expanded(
+            C.ring, C.n, kernel(_pairing_columns(C, C.ring.p ** t))))
 
     def meet(self, t: int) -> AdditiveCode:
         """C cap C^{chi-dual, t}."""

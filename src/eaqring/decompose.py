@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .codes import AdditiveCode, SymplecticVector, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
@@ -45,6 +45,26 @@ def _expanded_pairing(u, v, nm, N):
     return sum(u[nm + i] * v[i] - v[nm + i] * u[i] for i in range(nm)) % N
 
 
+def _greedy_extension(C: AdditiveCode, extra: Sequence[Sequence[int]],
+                      candidates: Sequence[Tuple[int, ...]],
+                      limit: int | None = None) -> List[Tuple[int, ...]]:
+    """The candidates, in order, that each fall outside span(pC + extra +
+    those already chosen), stopping once ``limit`` are chosen."""
+    p, b = C.ring.p, C.ring.b
+    N = p ** b
+    rows = [[(p * x) % N for x in r] for r in C.expanded_matrix.to_rows()] + list(extra)
+    chosen: List[Tuple[int, ...]] = []
+    H = howell_form(ZpbMatrix.from_reduced(p, b, rows, C.ambient_cols))
+    for cand in candidates:
+        if len(chosen) == limit:
+            break
+        if not howell_member(H, cand):
+            chosen.append(cand)
+            rows.append(cand)
+            H = howell_form(ZpbMatrix.from_reduced(p, b, rows, C.ambient_cols))
+    return chosen
+
+
 def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     """Codewords projecting to a minimal generating set of C/D, with
     D = C cap C^{chi-dual}.
@@ -53,33 +73,15 @@ def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     falls outside span(pC + D + already chosen); by Nakayama the chosen
     images generate the quotient minimally.
     """
-    p, b = C.ring.p, C.ring.b
-    N = p ** b
-    D = C.analysis.meet(0)
     target = C.analysis.rank(0)
-    base_rows = [[(p * x) % N for x in r] for r in C.expanded_matrix.to_rows()]
-    base_rows += D.expanded_matrix.to_rows()
-    chosen: List[Tuple[int, ...]] = []
-
-    def spanning():
-        rows = base_rows + [list(r) for r in chosen]
-        m = ZpbMatrix.from_rows(p, b, rows, cols=C.ambient_cols) if rows \
-            else ZpbMatrix(p, b, 0, C.ambient_cols, ())
-        return howell_form(m)
-
-    H = spanning()
-    for cand in C.expanded_smith.minimal_generators():
-        if len(chosen) == target:
-            break
-        if not howell_member(H, cand):
-            chosen.append(cand)
-            H = spanning()
+    chosen = _greedy_extension(C, C.analysis.meet(0).expanded_matrix.to_rows(),
+                               C.expanded_smith.minimal_generators(), target)
     if len(chosen) != target:
         raise InternalInvariantViolation("quotient basis lift fell short")
     return chosen
 
 
-def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> List[List[int]]:
+def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     """Isotropic completion: extend the lifted quotient generators to a
     minimal generating set of C with candidates from the minimal generators
     of D = C cap C^{chi-dual} (C = span(lifted) + D, so candidates suffice).
@@ -87,24 +89,7 @@ def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> 
     Keeping the full list minimal means it is a basis whenever C is free,
     which the extension's free-module cardinality equality relies on.
     """
-    p, b = C.ring.p, C.ring.b
-    N = p ** b
-    base = [[(p * x) % N for x in r] for r in C.expanded_matrix.to_rows()]
-    base += [list(r) for r in lifted]
-    chosen: List[List[int]] = []
-
-    def span_howell():
-        rows = base + chosen
-        m = ZpbMatrix.from_rows(p, b, rows, cols=C.ambient_cols) if rows \
-            else ZpbMatrix(p, b, 0, C.ambient_cols, ())
-        return howell_form(m)
-
-    H = span_howell()
-    for cand in C.analysis.meet(0).expanded_smith.minimal_generators():
-        if not howell_member(H, cand):
-            chosen.append(list(cand))
-            H = span_howell()
-    return chosen
+    return _greedy_extension(C, lifted, C.analysis.meet(0).expanded_smith.minimal_generators())
 
 
 def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:

@@ -266,7 +266,7 @@ def verify_quasi_symplectic(ring: GaloisRingSpec,
         for j in sorted(Jset):
             a1 = pairs[j][0]
             rows.append([el.coeffs[0] % ring.p for el in a1.components])
-        M = ZpbMatrix.from_rows(ring.p, 1, rows, cols=2 * pairs[0][0].n)
+        M = ZpbMatrix.from_reduced(ring.p, 1, rows, 2 * pairs[0][0].n)
         if len(smith_form(M).diag_exponents) != len(rows):
             return False
     return True

@@ -176,8 +176,10 @@ class GaloisRingSpec:
         return tuple(tuple(tr[i + k] for k in range(m)) for i in range(m))
 
     @cached_property
-    def dual(self) -> Tuple["RingElement", ...]:
-        """The unique dual basis of {1, theta, ..., theta^{m-1}}."""
+    def _dual_coeffs(self) -> Tuple[Tuple[int, ...], ...]:
+        """Power-basis coordinates of the dual basis of {1, theta, ...,
+        theta^{m-1}}: plain integers, so the cache holds no reference back
+        to the ring."""
         m, N = self.m, self.modulus
         aug = [list(row) + [1 if i == j else 0 for j in range(m)]
                for i, row in enumerate(self._gram)]
@@ -193,7 +195,12 @@ class GaloisRingSpec:
                     c = aug[r][col]
                     aug[r] = [(aug[r][j] - c * aug[col][j]) % N for j in range(2 * m)]
         # column j of the inverse gram gives the theta-coordinates of gamma_j
-        return tuple(self.element([aug[i][m + j] for i in range(m)]) for j in range(m))
+        return tuple(tuple(aug[i][m + j] for i in range(m)) for j in range(m))
+
+    @property
+    def dual(self) -> Tuple["RingElement", ...]:
+        """The unique dual basis of {1, theta, ..., theta^{m-1}}."""
+        return tuple(RingElement(self, c) for c in self._dual_coeffs)
 
 
 @dataclass(frozen=True)
@@ -327,16 +334,14 @@ def phi_contract(ring: GaloisRingSpec, flat: Sequence[int]) -> Tuple[RingElement
     m = ring.m
     if len(flat) % (2 * m):
         raise RingMismatch("flat length must be a multiple of 2m")
-    n = len(flat) // (2 * m)
+    n, N, dual = len(flat) // (2 * m), ring.modulus, ring._dual_coeffs
     out: List[RingElement] = []
     for i in range(n):
         out.append(ring.element(flat[i * m:(i + 1) * m]))
     for i in range(n, 2 * n):
         coords = flat[i * m:(i + 1) * m]
-        acc = ring.zero
-        for c, g in zip(coords, ring.dual):
-            acc = acc + g.scale(c)
-        out.append(acc)
+        out.append(RingElement(ring, tuple(sum(c * g[k] for c, g in zip(coords, dual)) % N
+                                           for k in range(m))))
     return tuple(out)
 
 

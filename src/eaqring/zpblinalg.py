@@ -44,7 +44,13 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class ZpbMatrix:
-    """Dense matrix over Z_{p^b}, entries stored row-major in [0, p^b)."""
+    """Dense matrix over Z_{p^b}, entries stored row-major in [0, p^b).
+
+    The constructor trusts its arguments.  Rows from outside the library go
+    through ``from_rows``, which checks them once; matrices built inside it
+    come from rows that are already reduced, through ``from_reduced`` or
+    the constructor itself.
+    """
 
     p: int
     b: int
@@ -52,56 +58,42 @@ class ZpbMatrix:
     cols: int
     entries: Tuple[int, ...]
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.b < 1:
-            raise ValueError("b must be positive")
-        if self.p ** self.b > 2 ** 31:
-            raise ParameterTooLarge(f"p^b = {self.p ** self.b} exceeds 2^31")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-        N = self.p ** self.b
-        if any(e < 0 or e >= N for e in self.entries):
-            raise ValueError("entries must be reduced into [0, p^b)")
-
     @property
     def modulus(self) -> int:
         return self.p ** self.b
 
     @classmethod
     def from_rows(cls, p: int, b: int, rows: Sequence[Sequence[int]], cols: int | None = None) -> "ZpbMatrix":
+        """Checked constructor: p prime, b >= 1, p^b <= 2^31 and rectangular
+        rows (``cols`` is required when there are none); entries are reduced
+        into [0, p^b)."""
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if b < 1:
+            raise ValueError("b must be positive")
+        if p ** b > 2 ** 31:
+            raise ParameterTooLarge(f"p^b = {p ** b} exceeds 2^31")
         N = p ** b
-        row_list = [tuple(x % N for x in r) for r in rows]
+        row_list = [[x % N for x in r] for r in rows]
         if cols is None:
             if not row_list:
                 raise ValueError("cols must be given for an empty matrix")
             cols = len(row_list[0])
         if any(len(r) != cols for r in row_list):
             raise ValueError("ragged rows")
-        flat = tuple(x for r in row_list for x in r)
-        return cls(p, b, len(row_list), cols, flat)
+        return cls.from_reduced(p, b, row_list, cols)
 
     @classmethod
-    def identity(cls, p: int, b: int, n: int) -> "ZpbMatrix":
-        return cls.from_rows(p, b, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+    def from_reduced(cls, p: int, b: int, rows: Sequence[Sequence[int]], cols: int) -> "ZpbMatrix":
+        """Unchecked: (p, b) already validated, each row of length ``cols``
+        with entries in [0, p^b)."""
+        return cls(p, b, len(rows), cols, tuple(x for r in rows for x in r))
 
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def to_rows(self) -> List[List[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def mat_mul(self, other: "ZpbMatrix") -> "ZpbMatrix":
-        if (self.p, self.b) != (other.p, other.b) or self.cols != other.rows:
-            raise DimensionMismatch("incompatible shapes for multiplication")
-        N = self.modulus
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([sum(r[k] * other.entries[k * other.cols + j] for k in range(self.cols)) % N
-                        for j in range(other.cols)])
-        return ZpbMatrix.from_rows(self.p, self.b, out, cols=other.cols)
 
 
 def _val(x: int, p: int, b: int) -> int:
@@ -203,7 +195,7 @@ def howell_form(gens: ZpbMatrix) -> HowellBasis:
             coef = work[i][col] // pv  # reduce the entry into [0, p^v)
             if coef:
                 work[i] = [(work[i][j] - coef * work[r_i][j]) % N for j in range(gens.cols)]
-    matrix = ZpbMatrix.from_rows(p, b, work, cols=gens.cols)
+    matrix = ZpbMatrix.from_reduced(p, b, work, gens.cols)
     return HowellBasis(matrix=matrix, pivots=tuple(col for _, col, _ in pivots))
 
 
@@ -229,18 +221,17 @@ def howell_member(H: HowellBasis, vec: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Smith form over Z_{p^b}: left * diag(p^{e_i}) * right = input."""
+    """Smith form over Z_{p^b}: left_inv * A = diag(p^{e_i}) * right, with
+    left_inv and right unimodular."""
 
     diag_exponents: Tuple[int, ...]
-    left: ZpbMatrix
-    right: ZpbMatrix
     left_inv: ZpbMatrix
-    right_inv: ZpbMatrix
+    right: ZpbMatrix
 
     @property
     def cardinality(self) -> int:
         """Number of elements in the row module of the input matrix."""
-        p, b = self.left.p, self.left.b
+        p, b = self.right.p, self.right.b
         card = 1
         for e in self.diag_exponents:
             card *= p ** (b - e)
@@ -252,28 +243,26 @@ class SmithDecomposition:
         return [tuple((p ** e * x) % N for x in self.right.row(i))
                 for i, e in enumerate(self.diag_exponents)]
 
-    def diag_matrix(self, rows: int, cols: int) -> ZpbMatrix:
-        p, b = self.left.p, self.left.b
-        out = [[0] * cols for _ in range(rows)]
-        for i, e in enumerate(self.diag_exponents):
-            out[i][i] = p ** e
-        return ZpbMatrix.from_rows(p, b, out, cols=cols)
+
+def _identity_rows(n: int) -> List[List[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_form(A: ZpbMatrix) -> SmithDecomposition:
     """Smith normal form by minimal-p-valuation pivoting.
 
-    Diagonal entries come out as p^{e_i} with e_i non-decreasing; the
-    accumulated transforms satisfy left * D * right = A mod p^b.
+    Diagonal entries come out as p^{e_i} with e_i non-decreasing.  Row
+    operations accumulate into left_inv and the inverses of the column
+    operations into right, so left_inv * A = D * right mod p^b.  Once a
+    pivot has cleared its column, the rest of its row only feeds right:
+    later pivots search the rows and columns beyond it.
     """
     p, b = A.p, A.b
     N = p ** b
     nr, nc = A.rows, A.cols
     D = A.to_rows()
-    U = ZpbMatrix.identity(p, b, nr).to_rows()
-    Uinv = ZpbMatrix.identity(p, b, nr).to_rows()
-    V = ZpbMatrix.identity(p, b, nc).to_rows()
-    Vinv = ZpbMatrix.identity(p, b, nc).to_rows()
+    U = _identity_rows(nr)
+    Vinv = _identity_rows(nc)
     exps: List[int] = []
     for k in range(min(nr, nc)):
         best = None
@@ -291,80 +280,49 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
         if bi != k:
             D[k], D[bi] = D[bi], D[k]
             U[k], U[bi] = U[bi], U[k]
-            for row in Uinv:
-                row[k], row[bi] = row[bi], row[k]
         if bj != k:
             for row in D:
-                row[k], row[bj] = row[bj], row[k]
-            for row in V:
                 row[k], row[bj] = row[bj], row[k]
             Vinv[k], Vinv[bj] = Vinv[bj], Vinv[k]
         v = best_v
         pv = p ** v
-        u = D[k][k] // pv
-        uinv = pow(u, -1, N)
+        uinv = pow(D[k][k] // pv, -1, N)
         D[k] = [(uinv * x) % N for x in D[k]]
         U[k] = [(uinv * x) % N for x in U[k]]
-        for row in Uinv:
-            row[k] = (row[k] * u) % N
         for i in range(k + 1, nr):
             e = D[i][k]
             if e:
                 coef = e // pv
                 D[i] = [(D[i][j] - coef * D[k][j]) % N for j in range(nc)]
                 U[i] = [(U[i][j] - coef * U[k][j]) % N for j in range(nr)]
-                for row in Uinv:
-                    row[k] = (row[k] + coef * row[i]) % N
         for j in range(k + 1, nc):
             e = D[k][j]
             if e:
                 coef = e // pv
-                for row in D:
-                    row[j] = (row[j] - coef * row[k]) % N
-                for row in V:
-                    row[j] = (row[j] - coef * row[k]) % N
                 Vinv[k] = [(Vinv[k][t] + coef * Vinv[j][t]) % N for t in range(nc)]
         exps.append(v)
     return SmithDecomposition(
         diag_exponents=tuple(exps),
-        left=ZpbMatrix.from_rows(p, b, Uinv, cols=nr) if nr else ZpbMatrix(p, b, 0, 0, ()),
-        right=ZpbMatrix.from_rows(p, b, Vinv, cols=nc) if nc else ZpbMatrix(p, b, 0, 0, ()),
-        left_inv=ZpbMatrix.from_rows(p, b, U, cols=nr) if nr else ZpbMatrix(p, b, 0, 0, ()),
-        right_inv=ZpbMatrix.from_rows(p, b, V, cols=nc) if nc else ZpbMatrix(p, b, 0, 0, ()),
+        left_inv=ZpbMatrix.from_reduced(p, b, U, nr),
+        right=ZpbMatrix.from_reduced(p, b, Vinv, nc),
     )
 
 
-def module_cardinality(gens: ZpbMatrix) -> int:
-    return howell_form(gens).cardinality
-
-
 def kernel(A: ZpbMatrix) -> HowellBasis:
-    """All row vectors x with x*A = 0 mod p^b, as a Howell basis."""
+    """All row vectors x with x*A = 0 mod p^b, as a Howell basis.
+
+    In Smith coordinates the kernel is spanned by p^{b-e_i} e_i for e_i > 0
+    and by e_i beyond the diagonal; x = y * left_inv pulls it back.
+    """
     p, b = A.p, A.b
     N = p ** b
-    nr = A.rows
-    if nr == 0:
-        return howell_form(ZpbMatrix(p, b, 0, 0, ()))
-    if A.cols == 0:
-        return howell_form(ZpbMatrix.identity(p, b, nr))
     sd = smith_form(A)
-    nd = len(sd.diag_exponents)
-    ybasis: List[List[int]] = []
-    for i, e in enumerate(sd.diag_exponents):
-        if e > 0:
-            y = [0] * nr
-            y[i] = p ** (b - e)
-            ybasis.append(y)
-    for i in range(nd, nr):
-        y = [0] * nr
-        y[i] = 1
-        ybasis.append(y)
-    # x = y * left_inv pulls the kernel back from Smith coordinates.
     U = sd.left_inv
-    xrows = []
-    for y in ybasis:
-        xrows.append([sum(y[k] * U.entries[k * nr + j] for k in range(nr)) % N for j in range(nr)])
-    return howell_form(ZpbMatrix.from_rows(p, b, xrows, cols=nr) if xrows else ZpbMatrix(p, b, 0, nr, ()))
+    nd = len(sd.diag_exponents)
+    xrows = [[(p ** (b - e) * x) % N for x in U.row(i)]
+             for i, e in enumerate(sd.diag_exponents) if e > 0]
+    xrows += [U.row(i) for i in range(nd, A.rows)]
+    return howell_form(ZpbMatrix.from_reduced(p, b, xrows, A.rows))
 
 
 def intersect(M1: HowellBasis, M2: HowellBasis) -> HowellBasis:
@@ -376,8 +334,8 @@ def intersect(M1: HowellBasis, M2: HowellBasis) -> HowellBasis:
     N = p ** b
     cols = A1.cols
     if A1.rows == 0 or A2.rows == 0:
-        return howell_form(ZpbMatrix(p, b, 0, cols, ()))
-    stacked = ZpbMatrix.from_rows(p, b, A1.to_rows() + A2.to_rows(), cols=cols)
+        return howell_form(ZpbMatrix.from_reduced(p, b, [], cols))
+    stacked = ZpbMatrix(p, b, A1.rows + A2.rows, cols, A1.entries + A2.entries)
     K = kernel(stacked)
     r1 = A1.rows
     out = []
@@ -385,7 +343,7 @@ def intersect(M1: HowellBasis, M2: HowellBasis) -> HowellBasis:
         k = K.matrix.row(i)
         vec = [sum(k[t] * A1.entries[t * cols + j] for t in range(r1)) % N for j in range(cols)]
         out.append(vec)
-    return howell_form(ZpbMatrix.from_rows(p, b, out, cols=cols) if out else ZpbMatrix(p, b, 0, cols, ()))
+    return howell_form(ZpbMatrix.from_reduced(p, b, out, cols))
 
 
 def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:
@@ -398,10 +356,8 @@ def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:
             raise NotContained("S is not a submodule of M")
     p, b = A.p, A.b
     N = p ** b
-    prows = [[(p * x) % N for x in r] for r in A.to_rows()]
-    sub = ZpbMatrix.from_rows(p, b, prows + B.to_rows(), cols=A.cols) if (prows or B.rows) \
-        else ZpbMatrix(p, b, 0, A.cols, ())
-    card_m, card_sub = M.cardinality, module_cardinality(sub)
+    sub = ZpbMatrix(p, b, A.rows + B.rows, A.cols, tuple((p * x) % N for x in A.entries) + B.entries)
+    card_m, card_sub = M.cardinality, howell_form(sub).cardinality
     ratio, rem = divmod(card_m, card_sub)
     if rem:
         raise InternalInvariantViolation(

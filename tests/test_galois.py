@@ -1,8 +1,10 @@
 """Galois ring oracle tests: construction, Frobenius, trace, duals, phi."""
 
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -319,3 +321,19 @@ def test_ring_axioms(spec, data):
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert a + (b + c) == (a + b) + c
+
+
+def test_ring_is_freed_without_the_cyclic_collector():
+    """The ring caches plain integers only, so dropping the last reference
+    frees it by reference counting alone."""
+    gc.disable()
+    try:
+        ring = make_ring(2, 2, 3)
+        v = (ring.element([1, 2, 3]), ring.theta, ring.one, ring.zero)
+        assert phi_contract(ring, phi_expand(ring, v)) == v
+        assert len(dual_basis(ring)) == 3
+        ref = weakref.ref(ring)
+        del ring, v
+        assert ref() is None
+    finally:
+        gc.enable()

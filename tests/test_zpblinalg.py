@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqring.errors import DimensionMismatch, LimitExceeded, NoSolution, NotContained
+from eaqring.errors import (
+    DimensionMismatch,
+    LimitExceeded,
+    NoSolution,
+    NotContained,
+    ParameterTooLarge,
+)
 from eaqring.zpblinalg import (
     HowellBasis,
     _is_prime,
@@ -22,7 +28,6 @@ from eaqring.zpblinalg import (
     howell_member,
     intersect,
     kernel,
-    module_cardinality,
     quotient_rank,
     smith_form,
     solve_congruence,
@@ -48,6 +53,17 @@ def span_set(p, b, rows, cols):
 
 def mat(p, b, rows, cols=None):
     return ZpbMatrix.from_rows(p, b, rows, cols=cols)
+
+
+def mat_mul(X, Y):
+    """X * Y over Z_{p^b}, as rows."""
+    N = X.modulus
+    return [[sum(X.row(i)[k] * Y.row(k)[j] for k in range(X.cols)) % N for j in range(Y.cols)]
+            for i in range(X.rows)]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 CASES = [
@@ -108,10 +124,14 @@ def test_smith_factorization(p, b, rows):
     cols = len(rows[0])
     A = mat(p, b, rows)
     sd = smith_form(A)
-    D = sd.diag_matrix(A.rows, A.cols)
-    assert sd.left.mat_mul(D).mat_mul(sd.right) == A
-    assert sd.left.mat_mul(sd.left_inv) == ZpbMatrix.identity(p, b, A.rows)
-    assert sd.right_inv.mat_mul(sd.right) == ZpbMatrix.identity(p, b, A.cols)
+    exps = sd.diag_exponents
+    D = mat(p, b, [[p ** exps[i] if i == j < len(exps) else 0 for j in range(A.cols)]
+                   for i in range(A.rows)], cols=A.cols)
+    assert mat_mul(sd.left_inv, A) == mat_mul(D, sd.right)
+    # both transforms are unimodular: each spans the whole free module
+    for T, n in ((sd.left_inv, A.rows), (sd.right, A.cols)):
+        assert (T.rows, T.cols) == (n, n)
+        assert howell_form(T).matrix.to_rows() == identity(n)
     assert list(sd.diag_exponents) == sorted(sd.diag_exponents)
     assert all(e < b for e in sd.diag_exponents)
     assert sd.cardinality == len(span_set(p, b, rows, cols))
@@ -271,7 +291,7 @@ def test_howell_properties(args):
     truth = span_set(p, b, rows, nc)
     assert span_set(p, b, H.matrix.to_rows(), nc) == truth
     assert howell_form(H.matrix).matrix == H.matrix
-    assert module_cardinality(A) == len(truth)
+    assert H.cardinality == len(truth)
     # every original generator reduces to zero against the Howell basis
     for r in rows:
         assert howell_member(H, r)
@@ -295,7 +315,7 @@ def test_kernel_soundness(args):
         1 for x in itertools.product(range(N), repeat=nr)
         if not any(sum(x[t] * rows[t][j] for t in range(nr)) % N for j in range(nc))
     )
-    assert module_cardinality(K.matrix) == count
+    assert K.cardinality == count
 
 
 @pytest.mark.parametrize("p,b", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -314,8 +334,53 @@ def test_howell_cardinality_matches_smith(p, b):
         A = mat(p, b, rows, cols=nc)
         want = smith_form(A).cardinality
         assert howell_form(A).cardinality == want
-        assert module_cardinality(A) == want
     # the multiples of one vector p^v * (1, 1): cardinality p^(b - v)
     for v in range(b + 1):
         A = mat(p, b, [[p ** v % N, p ** v % N]], cols=2)
         assert howell_form(A).cardinality == smith_form(A).cardinality == p ** (b - v)
+
+
+def test_from_rows_checks_the_boundary():
+    with pytest.raises(ValueError, match="not prime"):
+        ZpbMatrix.from_rows(4, 1, [[1]])
+    with pytest.raises(ValueError, match="positive"):
+        ZpbMatrix.from_rows(2, 0, [[1]])
+    with pytest.raises(ParameterTooLarge):
+        ZpbMatrix.from_rows(2, 32, [[1]])
+    with pytest.raises(ValueError, match="ragged"):
+        ZpbMatrix.from_rows(3, 2, [[1, 2], [1]])
+    with pytest.raises(ValueError, match="cols"):
+        ZpbMatrix.from_rows(3, 2, [])
+    # inside the boundary: entries are reduced, an empty matrix takes cols
+    assert ZpbMatrix.from_rows(2, 31, [[-1, 2 ** 31]]).entries == (2 ** 31 - 1, 0)
+    assert ZpbMatrix.from_rows(3, 2, [], cols=3) == ZpbMatrix(3, 2, 0, 3, ())
+
+
+@pytest.mark.parametrize("p,b", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_smith_exponents_match_sympy(p, b):
+    """Over Z, the Smith form of A stacked on p^b * I has diagonal entries
+    whose p-adic valuations, capped at b, are the exponents of the Smith
+    form of A over Z_{p^b}, padded with b up to the column count."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    def valuation(d):
+        v = 0
+        while v < b and d % p == 0:
+            d //= p
+            v += 1
+        return v
+
+    N = p ** b
+    rng = random.Random(100 * p + b)
+    for _ in range(40):
+        nr, nc = rng.randint(0, 4), rng.randint(1, 5)
+        rows = [[rng.randrange(N) for _ in range(nc)] for _ in range(nr)]
+        for r in rows:
+            if rng.random() < 0.2:
+                r[:] = [0] * nc
+        exps = list(smith_form(mat(p, b, rows, cols=nc)).diag_exponents)
+        S = smith_normal_form(sympy.Matrix(rows + [[N * x for x in r] for r in identity(nc)]),
+                              domain=sympy.ZZ)
+        got = sorted(valuation(int(S[i, i])) for i in range(nc))
+        assert got == sorted(exps) + [b] * (nc - len(exps)), (rows, exps)
