@@ -2,8 +2,8 @@
 """Sample random additive codes over a chain ring and tabulate the
 ((n, K, D; c)) parameters of the entanglement-assisted codes they induce.
 
-Usage:
-    python3 scripts/survey_random_codes.py --p 2 --b 2 --m 1 --n 2 --count 20
+Usage, from the root of a checkout:
+    PYTHONPATH=src python3 scripts/survey_random_codes.py --p 2 --b 2 --m 1 --n 2 --count 20
 """
 
 import argparse

@@ -34,6 +34,7 @@ from .decompose import hyperbolic_decompose
 from .errors import (
     DimensionTooLarge,
     EaqringError,
+    InternalInvariantViolation,
     ParseError,
     RangeError,
     SearchLimitExceeded,
@@ -292,6 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: List[str], out=None) -> int:
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
+    C = None
     try:
         ring, C = parse_code_file(args.file)
         report, code = build_report(args.command, ring, C,
@@ -309,6 +311,8 @@ def run(argv: List[str], out=None) -> int:
         if isinstance(e, ParseError):
             err["line"] = e.line
             err["column"] = e.column
+        if isinstance(e, InternalInvariantViolation) and C is not None:
+            err["reproducer"] = serialize_code(ring, C)
         out.write(render_report({"schema": SCHEMA_VERSION, "error": err}))
         return 1
     out.write(render_report(report))

@@ -33,7 +33,7 @@ from .errors import (
     ZeroTarget,
 )
 from .galois import GaloisRingSpec, char_exponent
-from .zpblinalg import ZpbMatrix, smith_form
+from .zpblinalg import ZpbMatrix, howell_member, smith_form
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     K_lower_raw = Fraction(total, card_code * growth)
     K_lower = max(1, math.floor(K_lower_raw))
     dual = A.dual(0)
-    dual_in_code = all(C.contains(g) for g in dual.generators)
+    dual_in_code = all(howell_member(C.expanded_howell, r) for r in dual.expanded_matrix.to_rows())
     case = "dual_subset_of_code" if dual_in_code else "dual_minus_code"
     try:
         D = min_symplectic_distance(C, "dual" if dual_in_code else "dual_minus_code", limit)

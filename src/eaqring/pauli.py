@@ -5,23 +5,26 @@ exhaustive undetectable-error search.
 The phase scale is omega = exp(2*pi*i/N) with N = p^b for odd p and 2p^b
 for p = 2; the additive character zeta = exp(2*pi*i/p^b) embeds via the
 exponent factor N/p^b.  omega^l X(a)Z(b) sends |x> to omega^{l + (N/p^b)
-Tr(b.x)} |x + a>: a row permutation and an integer omega exponent per
-column, read off q x q tables of ring addition and of Tr(x*y).  Each error
-is applied to the code basis U as a row gather and a scale.  Only the
-projector (the group's monomials summed into one array), its idempotence
-check and its eigendecomposition are dense, and ``pauli_matrix`` for
-callers that ask for one operator as a matrix.
+Tr(b.x)} |x + a>, so with the ring elements numbered, everything is read
+off q x q tables of ring addition and of Tr(x*y).  The stabilizer group is
+built and checked as (l, a, b) triples of element indices.  As a matrix an
+operator is a row permutation and an integer omega exponent per column,
+and each error is applied to the code basis U as a row gather and a scale.
+Only the projector (the group's monomials summed into one array), its
+idempotence check and its eigendecomposition are dense, and
+``pauli_matrix`` for callers that ask for one operator as a matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import math
 
 from .codes import AdditiveCode, SymplecticVector, chi_dual_level, iterate_codewords
+from .decompose import _expanded_pairing
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -71,19 +74,6 @@ class PauliOperator:
     def is_scalar(self) -> bool:
         return not any(self.a) and not any(self.b)
 
-    def key(self) -> tuple:
-        return (self.phase_exp,
-                tuple(e.coeffs for e in self.a), tuple(e.coeffs for e in self.b))
-
-
-def identity_operator(ring: GaloisRingSpec, n: int) -> PauliOperator:
-    z = tuple([ring.zero] * n)
-    return PauliOperator(ring, n, 0, z, z)
-
-
-def from_vector(v: SymplecticVector, phase_exp: int = 0) -> PauliOperator:
-    return PauliOperator(v.ring, v.n, phase_exp % omega_modulus(v.ring), v.x, v.y)
-
 
 def psi_map(P: PauliOperator) -> SymplecticVector:
     """Drop the phase: omega^l X(a)Z(b) -> (a, b)."""
@@ -114,33 +104,49 @@ def inverse(P: PauliOperator) -> PauliOperator:
     return PauliOperator(P.ring, P.n, (-R.phase_exp) % omega_modulus(P.ring), Q.a, Q.b)
 
 
-def operator_power(P: PauliOperator, e: int) -> PauliOperator:
-    out = identity_operator(P.ring, P.n)
-    for _ in range(e):
-        out = compose(out, P)
-    return out
-
-
 def _element_index(z: RingElement) -> int:
     return sum(c * z.ring.modulus ** j for j, c in enumerate(z.coeffs))
 
 
-class _Monomials:
+Triple = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+
+
+class _RingTables:
+    """omega^l X(a)Z(b) as the triple (l, a, b), with a and b tuples of
+    element indices sum_j c_j (p^b)^j over power-basis coordinates c_j.
+    ``elements`` lists the q ring elements by index; ``add`` and ``trace``
+    are the q x q tables of x + y (as an index) and of Tr(x*y), plain ints."""
+
+    def __init__(self, ring: GaloisRingSpec):
+        q, mod = ring.cardinality, ring.modulus
+        self.elements = elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
+                                 for i in range(q)]
+        self.add = [[_element_index(x + y) for y in elems] for x in elems]
+        self.trace = [[gen_trace(x * y) for y in elems] for x in elems]
+        self.modulus, self.N = mod, omega_modulus(ring)
+        self.chi_scale = self.N // mod
+
+    def multiply(self, P: Triple, Q: Triple) -> Triple:
+        """P*Q by the rule of ``compose``, in table lookups."""
+        (l, a, b), (l2, a2, b2) = P, Q
+        add, tr = self.add, self.trace
+        cross = sum(tr[y][x] for y, x in zip(b, a2))
+        return ((l + l2 + self.chi_scale * cross) % self.N,
+                tuple(add[x][y] for x, y in zip(a, a2)), tuple(add[x][y] for x, y in zip(b, b2)))
+
+
+class _Monomials(_RingTables):
     """Operators on n qudits as (rows, phase): column x of omega^l X(a)Z(b)
     holds omega^phase[x] in row rows[x], the state index of x + a.  State
     indices are big-endian in the element indices of the qudits."""
 
     def __init__(self, ring: GaloisRingSpec, n: int, max_dim: int):
         import numpy as np
-        q, mod = ring.cardinality, ring.modulus
+        q = ring.cardinality
         if q ** n > max_dim:
             raise DimensionTooLarge(f"q^n = {q ** n} exceeds the matrix cap {max_dim}")
-        self.elements = elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
-                                 for i in range(q)]
-        self.add = np.array([[_element_index(x + y) for y in elems] for x in elems])
-        self.trace = np.array([[gen_trace(x * y) for y in elems] for x in elems])
-        self.N = omega_modulus(ring)
-        self.chi_scale = self.N // mod
+        super().__init__(ring)
+        self.add_array, self.trace_array = np.array(self.add), np.array(self.trace)
         self.roots = np.exp(2j * np.pi * np.arange(self.N) / self.N)
         self.place = q ** np.arange(n - 1, -1, -1)
         self.states = np.arange(q ** n)
@@ -148,8 +154,8 @@ class _Monomials:
 
     def of(self, a: Sequence[int], b: Sequence[int], phase_exp: int):
         """(rows, phase) of omega^phase_exp X(a)Z(b), a and b as element indices."""
-        rows = self.add[self.digits, a] @ self.place
-        dots = self.trace[b, self.digits].sum(axis=1)
+        rows = self.add_array[self.digits, a] @ self.place
+        dots = self.trace_array[b, self.digits].sum(axis=1)
         return rows, (phase_exp + self.chi_scale * dots) % self.N
 
     def dense(self, operators: Sequence[PauliOperator]) -> np.ndarray:
@@ -185,77 +191,63 @@ def build_stabilizer(ext: SelfOrthogonalExtension,
                      max_dim: int = DEFAULT_MATRIX_DIM) -> StabilizerGroup:
     """Assemble A = { xi((X(v)Z(w))^{-1}) X(v)Z(w) : (v,w) in C' }.
 
-    The group generated by omega*I and phase-free lifts of a Smith minimal
-    generating set of C' has the diagonal relation lattice o_i g_i = phi_i
-    (scalars found by symbolic composition), so the character extension
-    with xi(omega*I) = omega reduces to one congruence o_i t_i = phi_i per
-    generator.
+    The group generated by omega*I and phase-free lifts g_i of a Smith
+    minimal generating set of C' has the diagonal relation lattice
+    o_i g_i = phi_i (the scalar g_i^{o_i}), so the character extension with
+    xi(omega*I) = omega reduces to one congruence o_i t_i = phi_i per
+    generator.  The elements are g_1^{c_1} ... g_k^{c_k}, c_k fastest, with
+    phase lowered by sum_i c_i t_i: each generator in turn multiplies every
+    prefix product by its powers, all as triples of element indices.
     """
     ring = ext.extended.ring
     ntot = ext.extended.n
     q = ring.cardinality
     if q ** ntot > max_dim:
         raise DimensionTooLarge(f"q^(n+c) = {q ** ntot} exceeds the matrix cap {max_dim}")
-    N = omega_modulus(ring)
+    T = _RingTables(ring)
     sd = smith_form(ext.extended.expanded_matrix)
-    p, b = ring.p, ring.b
-    gens: List[PauliOperator] = []
-    orders: List[int] = []
-    tees: List[int] = []
-    for i, e in enumerate(sd.diag_exponents):
-        row = tuple((p ** e * x) % ring.modulus for x in sd.right.row(i))
-        vec = SymplecticVector.from_components(ring, phi_contract(ring, row))
-        g = from_vector(vec)
-        o = p ** (b - e)
-        pw = operator_power(g, o)
-        if not pw.is_scalar():
-            raise InternalInvariantViolation("generator order does not annihilate support")
-        gens.append(g)
-        orders.append(o)
-        tees.append(solve_congruence(o, pw.phase_exp, N))
-    elements = []
-    k = len(gens)
-    counter = [0] * k
-    while True:
-        prod = identity_operator(ring, ntot)
-        for i in range(k):
-            for _ in range(counter[i]):
-                prod = compose(prod, gens[i])
-        xi_exp = (-prod.phase_exp + sum(c * t for c, t in zip(counter, tees))) % N
-        elements.append(PauliOperator(ring, ntot, (-xi_exp) % N, prod.a, prod.b))
-        i = k - 1
-        while i >= 0:
-            counter[i] += 1
-            if counter[i] < orders[i]:
-                break
-            counter[i] = 0
-            i -= 1
-        if i < 0:
-            break
-    group = StabilizerGroup(ring, ntot, tuple(elements))
-    _check_stabilizer(group, ext)
-    return group
+    rows = sd.minimal_generators()
+    elements: List[Triple] = [(0, (0,) * ntot, (0,) * ntot)]
+    for row, e in zip(rows, sd.diag_exponents):
+        idx = [_element_index(z) for z in phi_contract(ring, row)]
+        powers = _generator_powers(T, (0, tuple(idx[:ntot]), tuple(idx[ntot:])),
+                                   ring.p ** (ring.b - e))
+        elements = [T.multiply(P, g) for P in elements for g in powers]
+    _check_stabilizer(T, elements, rows)
+    E = T.elements
+    return StabilizerGroup(ring, ntot, tuple(
+        PauliOperator(ring, ntot, l, tuple(E[i] for i in a), tuple(E[i] for i in b))
+        for l, a, b in elements))
 
 
-def _check_stabilizer(group: StabilizerGroup, ext: SelfOrthogonalExtension) -> None:
-    from .galois import char_exponent
-    from .codes import symplectic_product
+def _generator_powers(T: _RingTables, g: Triple, o: int) -> List[Triple]:
+    """g^0, ..., g^{o-1}, with g^c's phase lowered by c t where omega^{o t}
+    is the scalar g^o; raises if g^o is not a scalar."""
+    powers = [(0, (0,) * len(g[1]), (0,) * len(g[2]))]
+    for _ in range(o):
+        powers.append(T.multiply(powers[-1], g))
+    phi, a, b = powers.pop()
+    if any(a) or any(b):
+        raise InternalInvariantViolation("generator order does not annihilate support")
+    t = solve_congruence(o, phi, T.N)
+    return [((l - c * t) % T.N, a, b) for c, (l, a, b) in enumerate(powers)]
 
-    for el in group.elements:
-        if el.is_scalar() and el.phase_exp != 0:
+
+def _check_stabilizer(T: _RingTables, elements: Sequence[Triple],
+                      gen_rows: Sequence[Sequence[int]]) -> None:
+    """No scalar but the identity; the phi-expanded generator rows of C'
+    pair trivially under the integer trace form, so the group they generate
+    is abelian; and, at most 64 elements, closure under composition."""
+    for l, a, b in elements:
+        if l and not any(a) and not any(b):
             raise InternalInvariantViolation("nontrivial scalar in the stabilizer")
-    # abelianness on the elements' supports
-    for i, eli in enumerate(group.elements):
-        for elj in group.elements[i + 1:]:
-            if char_exponent(symplectic_product(psi_map(eli), psi_map(elj))) != 0:
-                raise InternalInvariantViolation("stabilizer is not abelian")
-    # closure at small sizes
-    if group.size <= 64:
-        keys: Dict[tuple, int] = {el.key(): 1 for el in group.elements}
-        for eli in group.elements:
-            for elj in group.elements:
-                if compose(eli, elj).key() not in keys:
-                    raise InternalInvariantViolation("stabilizer is not closed")
+    for i, u in enumerate(gen_rows):
+        if any(_expanded_pairing(u, v, len(u) // 2, T.modulus) for v in gen_rows[i + 1:]):
+            raise InternalInvariantViolation("stabilizer is not abelian")
+    if len(elements) <= 64:
+        members = set(elements)
+        if any(T.multiply(P, Q) not in members for P in elements for Q in elements):
+            raise InternalInvariantViolation("stabilizer is not closed")
 
 
 def stabilizer_projector(group: StabilizerGroup,

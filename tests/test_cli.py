@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import eaqring
+from eaqring import pauli
 from eaqring.cli import (
     build_report,
     parse_code_file,
@@ -19,7 +20,7 @@ from eaqring.cli import (
     serialize_code,
 )
 from eaqring.codes import AdditiveCode, same_module
-from eaqring.errors import HPolyInvalid, ParseError, RangeError
+from eaqring.errors import HPolyInvalid, InternalInvariantViolation, ParseError, RangeError
 from eaqring.galois import make_ring
 
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
@@ -181,20 +182,38 @@ def test_verify_enum_cap_names_the_limit(tmp_path):
         "search set has 256 elements, over the --max-enum limit 16")
 
 
+def child_env():
+    """The environment of a child that imports the same package as this
+    process, however it was found."""
+    src = os.path.dirname(os.path.dirname(eaqring.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point(tmp_path):
     f = tmp_path / "code.txt"
     f.write_text(Z4_WORKED)
-    # the child imports the same package as this process, however it was found
-    src = os.path.dirname(os.path.dirname(eaqring.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "eaqring.cli", "params", str(f)],
-                          capture_output=True, timeout=120, env=env)
+                          capture_output=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["command"] == "params"
     assert rep["K_exact"] == 1 and rep["D"] == 1
     assert proc.stdout.decode() == render_report(rep)
+
+
+def test_survey_script_runs_from_a_checkout():
+    """The README form: ``PYTHONPATH=src python3 scripts/survey_random_codes.py``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "survey_random_codes.py"),
+         "--p", "2", "--b", "2", "--m", "1", "--n", "2", "--count", "3"],
+        capture_output=True, timeout=120, env=child_env(), text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "ring GR(2^2, 1), h = (3, 1), length n = 2"
+    assert lines[1].split() == ["|C|", "c", "K", "D", "rho", "case"]
+    assert len(lines) == 5
 
 
 def run_cli(argv):
@@ -245,3 +264,23 @@ def test_parse_code_file(tmp_path):
     f.write_text(F2_REP)
     ring, C = parse_code_file(str(f))
     assert ring.b == 1 and C.n == 1
+
+
+def test_invariant_failure_carries_a_reproducer(tmp_path, monkeypatch):
+    def broken(*args):
+        raise InternalInvariantViolation("stabilizer is not closed")
+
+    f = tmp_path / "code.txt"
+    f.write_text(Z4_WORKED)
+    code, plain = run_cli(["verify", str(f)])
+    assert code == 0 and "reproducer" not in plain
+    monkeypatch.setattr(pauli, "_check_stabilizer", broken)
+    code, out = run_cli(["verify", str(f)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "InternalInvariantViolation"
+    assert err["message"] == "stabilizer is not closed"
+    ring, C = parse_code_text(Z4_WORKED)
+    assert err["reproducer"] == serialize_code(ring, C)
+    ring2, C2 = parse_code_text(err["reproducer"])
+    assert ring2 == ring and same_module(C2, C)

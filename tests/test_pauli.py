@@ -1,7 +1,9 @@
 """Pauli verifier tests: explicit small matrices, the composition phase
 rule against matrix products, commutation vs the trace pairing, stabilizer
 assembly, projector dimension, and the exhaustive error search; the
-monomial verifier against an entry-by-entry dense oracle."""
+monomial verifier against an entry-by-entry dense oracle; the integer
+stabilizer assembly against one by ``compose``, and its invariant checks
+on broken groups."""
 
 import itertools
 import math
@@ -13,16 +15,19 @@ import pytest
 from eaqring import cli, pauli
 from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
 from eaqring.decompose import hyperbolic_decompose
-from eaqring.errors import DimensionTooLarge, NonProjector, SearchLimitExceeded
+from eaqring.errors import (
+    DimensionTooLarge,
+    InternalInvariantViolation,
+    NonProjector,
+    SearchLimitExceeded,
+)
 from eaqring.extension import build_extension, build_minimal_extension
-from eaqring.galois import char_exponent, gen_trace, make_ring, phi_expand
+from eaqring.galois import char_exponent, gen_trace, make_ring, phi_contract, phi_expand
 from eaqring.pauli import (
     PauliOperator,
     StabilizerGroup,
     build_stabilizer,
     compose,
-    from_vector,
-    identity_operator,
     inverse,
     omega_modulus,
     pauli_matrix,
@@ -31,6 +36,7 @@ from eaqring.pauli import (
     stabilizer_projector,
     undetectable_error_search,
 )
+from eaqring.zpblinalg import smith_form, solve_congruence
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +57,16 @@ def f4():
 @pytest.fixture(scope="module")
 def gr42():
     return make_ring(2, 2, 2)
+
+
+def identity_operator(ring, n):
+    z = (ring.zero,) * n
+    return PauliOperator(ring, n, 0, z, z)
+
+
+def from_vector(v, phase_exp=0):
+    """The inverse of psi_map, with a given phase."""
+    return PauliOperator(v.ring, v.n, phase_exp % omega_modulus(v.ring), v.x, v.y)
 
 
 def rand_op(ring, n, rng):
@@ -129,7 +145,7 @@ def test_weight_and_psi(z4):
     assert P.weight == 1
     v = psi_map(P)
     assert v.x == (z4.one, z4.zero)
-    assert from_vector(v, 3).key() == P.key()
+    assert from_vector(v, 3) == P
 
 
 def test_matrix_cap(z4):
@@ -335,10 +351,11 @@ def test_pauli_matrix_matches_dense_oracle(p, b, m):
     assert phases - {0}
 
 
-def random_verify_instances(count, seed):
-    """(C, ext, group) for seeded random codes with q^{n+c} <= 64."""
+def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4]):
+    """(C, ext, group) for seeded random codes over the given rings with
+    q^{n+c} <= 64."""
     rng = random.Random(seed)
-    rings = [make_ring(*spec) for spec in ORACLE_RINGS[:4]]
+    rings = [make_ring(*spec) for spec in specs]
     out = []
     while len(out) < count:
         ring = rng.choice(rings)
@@ -380,3 +397,76 @@ def test_verify_builds_no_dense_operator(monkeypatch):
         rep, code = cli.build_report("verify", ring, C, 1 << 22, 1024)
         assert code == 0
         assert rep["verification"]["projector_dimension"] == rep["K_exact"]
+
+
+# ------------------------------------------------ stabilizer assembly oracle
+
+def stabilizer_by_compose(ext):
+    """The group by symbolic composition: each element g_1^{c_1} ...
+    g_k^{c_k} (c_k fastest) multiplied out from the identity with
+    ``compose``, then its phase lowered by sum_i c_i t_i, with omega^{o_i
+    t_i} the scalar g_i^{o_i}."""
+    ring, ntot = ext.extended.ring, ext.extended.n
+    N = omega_modulus(ring)
+    sd = smith_form(ext.extended.expanded_matrix)
+    gens, orders, tees = [], [], []
+    for row, e in zip(sd.minimal_generators(), sd.diag_exponents):
+        g = from_vector(SymplecticVector.from_components(ring, phi_contract(ring, row)))
+        o = ring.p ** (ring.b - e)
+        pw = identity_operator(ring, ntot)
+        for _ in range(o):
+            pw = compose(pw, g)
+        assert pw.is_scalar()
+        gens.append(g)
+        orders.append(o)
+        tees.append(solve_congruence(o, pw.phase_exp, N))
+    elements = []
+    for counter in itertools.product(*(range(o) for o in orders)):
+        prod = identity_operator(ring, ntot)
+        for g, c in zip(gens, counter):
+            for _ in range(c):
+                prod = compose(prod, g)
+        phase = (prod.phase_exp - sum(c * t for c, t in zip(counter, tees))) % N
+        elements.append(PauliOperator(ring, ntot, phase, prod.a, prod.b))
+    return tuple(elements)
+
+
+def test_build_stabilizer_matches_compose_oracle():
+    sizes = {}
+    for C, ext, group in random_verify_instances(30, 53, ORACLE_RINGS):
+        assert group.elements == stabilizer_by_compose(ext)
+        assert group.size == ext.card_extended
+        key = (C.ring.p, C.ring.b, C.ring.m)
+        sizes[key] = max(sizes.get(key, 0), group.size)
+    # every ring contributes a group with more than two elements
+    assert len(sizes) == len(ORACLE_RINGS) and min(sizes.values()) > 2
+
+
+def test_build_stabilizer_matches_oracle_on_zero_code_and_large_group(z4):
+    zero = build_extension(hyperbolic_decompose(AdditiveCode(z4, 1, ())))
+    assert build_stabilizer(zero).elements == stabilizer_by_compose(zero)
+    ring, C = cli.parse_code_text(
+        "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n")
+    ext = build_minimal_extension(C)
+    got = build_stabilizer(ext).elements
+    assert len(got) == 256
+    assert got == stabilizer_by_compose(ext)
+
+
+def test_check_stabilizer_rejects_broken_groups(z4):
+    T = pauli._RingTables(z4)
+    I, X, Z = (0, (0,), (0,)), (0, (1,), (0,)), (0, (0,), (1,))
+    with pytest.raises(InternalInvariantViolation, match="nontrivial scalar"):
+        pauli._check_stabilizer(T, [I, (2, (0,), (0,))], [])
+    # phi-expanded rows (x | z) of X(1) and Z(1): pairing -1 mod 4
+    with pytest.raises(InternalInvariantViolation, match="not abelian"):
+        pauli._check_stabilizer(T, [I], [(1, 0), (0, 1)])
+    # X(1)^2 = X(2) is missing
+    with pytest.raises(InternalInvariantViolation, match="not closed"):
+        pauli._check_stabilizer(T, [I, X], [(1, 0)])
+    # a group of order 4 passes all three checks
+    pauli._check_stabilizer(T, [I, X, (0, (2,), (0,)), (0, (3,), (0,))], [(1, 0)])
+    # X(1) has order 4 on Z4, not 2
+    with pytest.raises(InternalInvariantViolation, match="order does not annihilate"):
+        pauli._generator_powers(T, X, 2)
+    assert [P[2] for P in pauli._generator_powers(T, Z, 4)] == [(0,), (1,), (2,), (3,)]
