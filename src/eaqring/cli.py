@@ -95,13 +95,14 @@ def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
         ln, col, s = toks[pos]
         pos += 1
         key, _, val = s.partition("=")
+        if key not in ("p", "b", "m", "h") or key in fields:
+            what = "repeated" if key in fields else "unknown"
+            raise ParseError(f"{what} ring header key {key!r}", ln, col)
         fields[key] = (ln, col, val)
     for key in ("p", "b", "m"):
         if key not in fields:
             raise ParseError(f"ring header is missing {key}=", t[0], t[1])
-    p = _int_token(fields["p"], "for p")
-    b = _int_token(fields["b"], "for b")
-    m = _int_token(fields["m"], "for m")
+    p, b, m = (_int_token(fields[key], f"for {key}") for key in ("p", "b", "m"))
     h = None
     if "h" in fields:
         ln, col, val = fields["h"]
@@ -249,8 +250,7 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         try:
             group = build_stabilizer(ext, max_dim=max_matrix_dim)
             dim = projector_dimension(group, max_dim=max_matrix_dim)
-            res = undetectable_error_search(C, ext, group, limit=max_enum,
-                                            max_dim=max_matrix_dim)
+            res = undetectable_error_search(C, group, limit=max_enum, max_dim=max_matrix_dim)
             report["verification"] = {
                 "stabilizer_size": group.size,
                 "matrix_dimension": ring.cardinality ** ext.extended.n,

@@ -8,8 +8,8 @@ down to Z_{p^b}^m.
 Construction, the trace, the dual basis, phi and the Frobenius never touch
 anything of size p^m: they are read off the power-basis coordinates of
 theta^k for k <= 2m - 2, and h is checked by square-and-multiply.  Only
-``GaloisRingSpec.teichmuller`` builds the p^m-element Teichmuller table, on
-a caller's first use of it or of ``teichmuller_decompose``.
+the p^m-element Teichmuller table is that large; it is built as integer
+coefficients on a first use of ``teichmuller`` or ``teichmuller_decompose``.
 """
 
 from __future__ import annotations
@@ -132,21 +132,23 @@ class GaloisRingSpec:
         return self.element(_x_mod(self.h_coeffs, self.modulus))
 
     @cached_property
-    def teichmuller(self) -> Tuple["RingElement", ...]:
-        """T = (0, 1, beta, beta^2, ..., beta^{p^m-2}) with beta = theta."""
-        out = [self.zero, self.one]
-        beta = self.theta
-        cur = beta
+    def _teich_mod_p(self) -> dict:
+        """T = (0, 1, beta, ..., beta^{p^m-2}), beta = theta, as coefficient
+        tuples keyed by their residues mod p: no reference back to the ring."""
+        h, N, beta = self.h_coeffs, self.modulus, self.theta.coeffs
+        out, cur = [self.zero.coeffs, self.one.coeffs], beta
         for _ in range(self.p ** self.m - 2):
             out.append(cur)
-            cur = cur * beta
-        if cur != self.one or len({e.coeffs for e in out}) != self.p ** self.m:
+            cur = _poly_mul_mod(cur, beta, h, N)
+        table = {tuple(c % self.p for c in t): t for t in out}
+        if cur != self.one.coeffs or len(table) != self.p ** self.m:
             raise InternalInvariantViolation("Teichmuller set is not p^m distinct roots of unity")
-        return tuple(out)
+        return table
 
-    @cached_property
-    def _teich_mod_p(self) -> dict:
-        return {tuple(c % self.p for c in t.coeffs): t for t in self.teichmuller}
+    @property
+    def teichmuller(self) -> Tuple["RingElement", ...]:
+        """T = (0, 1, beta, beta^2, ..., beta^{p^m-2}) with beta = theta."""
+        return tuple(RingElement(self, c) for c in self._teich_mod_p.values())
 
     @cached_property
     def _theta_powers(self) -> Tuple[Tuple[int, ...], ...]:
@@ -261,10 +263,10 @@ def teichmuller_decompose(z: RingElement) -> Tuple[RingElement, ...]:
     cur = list(z.coeffs)
     for t in range(b):
         d = lookup[tuple(c % p for c in cur)]
-        digits.append(d)
+        digits.append(RingElement(ring, d))
         # the tail after t digits only lives mod p^{b-t}
         Nt = p ** (b - t)
-        cur = [((c - dc) % Nt) // p for c, dc in zip(cur, d.coeffs)]
+        cur = [((c - dc) % Nt) // p for c, dc in zip(cur, d)]
     if any(cur):
         raise InternalInvariantViolation("Teichmuller decomposition did not terminate")
     acc = ring.zero

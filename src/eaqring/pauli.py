@@ -7,18 +7,18 @@ for p = 2; the additive character zeta = exp(2*pi*i/p^b) embeds via the
 exponent factor N/p^b.  omega^l X(a)Z(b) sends |x> to omega^{l + (N/p^b)
 Tr(b.x)} |x + a>, so with the ring elements numbered, everything is read
 off q x q tables of ring addition and of Tr(x*y).  The stabilizer group is
-built and checked as (l, a, b) triples of element indices.  As a matrix an
-operator is a row permutation and an integer omega exponent per column,
-and each error is applied to the code basis U as a row gather and a scale.
-Only the projector (the group's monomials summed into one array), its
-idempotence check and its eigendecomposition are dense, and
-``pauli_matrix`` for callers that ask for one operator as a matrix.
+built and checked as (l, a, b) triples of element indices; it keeps those
+tables and its projector (its monomials summed, checked idempotent once).
+As a matrix an operator is a row permutation and an omega exponent per
+column, and each error is applied to the code basis U as a row gather and
+a scale.  The undetectable set is cross-checked on integer rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import math
@@ -34,8 +34,8 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .extension import SelfOrthogonalExtension
-from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract, phi_expand
-from .zpblinalg import smith_form, solve_congruence
+from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace, phi_expand
+from .zpblinalg import howell_member, smith_form, solve_congruence
 
 # numpy is imported by the functions that use it: only `verify` needs it,
 # and importing it at start-up roughly doubles the start-up time and
@@ -86,45 +86,54 @@ def compose(P: PauliOperator, Q: PauliOperator) -> PauliOperator:
         raise DimensionMismatch("operands act on different spaces")
     ring = P.ring
     N = omega_modulus(ring)
-    cross = ring.zero
-    for i in range(P.n):
-        cross = cross + P.b[i] * Q.a[i]
+    cross = sum((y * x for y, x in zip(P.b, Q.a)), ring.zero)
     phase = (P.phase_exp + Q.phase_exp + (N // ring.modulus) * gen_trace(cross)) % N
     return PauliOperator(ring, P.n, phase,
                          tuple(x + y for x, y in zip(P.a, Q.a)),
                          tuple(x + y for x, y in zip(P.b, Q.b)))
 
 
-def inverse(P: PauliOperator) -> PauliOperator:
-    Q = PauliOperator(P.ring, P.n, 0, tuple(-x for x in P.a), tuple(-x for x in P.b))
-    R = compose(P, Q)
-    if not R.is_scalar():
-        raise InternalInvariantViolation("inverse support mismatch")
-    # R carries P's phase plus the cross term, so negating it cancels both
-    return PauliOperator(P.ring, P.n, (-R.phase_exp) % omega_modulus(P.ring), Q.a, Q.b)
-
-
-def _element_index(z: RingElement) -> int:
-    return sum(c * z.ring.modulus ** j for j, c in enumerate(z.coeffs))
-
-
 Triple = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
-class _RingTables:
-    """omega^l X(a)Z(b) as the triple (l, a, b), with a and b tuples of
-    element indices sum_j c_j (p^b)^j over power-basis coordinates c_j.
-    ``elements`` lists the q ring elements by index; ``add`` and ``trace``
-    are the q x q tables of x + y (as an index) and of Tr(x*y), plain ints."""
+def _check_dim(ring: GaloisRingSpec, n: int, max_dim: int, what: str = "q^n") -> None:
+    """Raise DimensionTooLarge, before any dense work, when q^n > max_dim."""
+    if ring.cardinality ** n > max_dim:
+        raise DimensionTooLarge(f"{what} = {ring.cardinality ** n} exceeds the matrix cap {max_dim}")
 
-    def __init__(self, ring: GaloisRingSpec):
+
+class _Monomials:
+    """Operators on n qudits, as triples and as matrices.  The triple
+    (l, a, b) is omega^l X(a)Z(b), a and b tuples of element indices
+    sum_j c_j (p^b)^j over power-basis coordinates c_j; ``add`` and
+    ``trace`` are the q x q tables of x + y (as an index) and of Tr(x*y),
+    as int lists and numpy copies.  As a matrix, column x holds
+    omega^phase[x] in row rows[x], the state index of x + a, big-endian in
+    the qudits' element indices."""
+
+    def __init__(self, ring: GaloisRingSpec, n: int):
+        import numpy as np
         q, mod = ring.cardinality, ring.modulus
         self.elements = elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
                                  for i in range(q)]
-        self.add = [[_element_index(x + y) for y in elems] for x in elems]
+        self.index = index = {e.coeffs: i for i, e in enumerate(elems)}
+        self.dual_index = {_dual_coords(e): i for i, e in enumerate(elems)}
+        self.add = [[index[(x + y).coeffs] for y in elems] for x in elems]
         self.trace = [[gen_trace(x * y) for y in elems] for x in elems]
-        self.modulus, self.N = mod, omega_modulus(ring)
+        self.m, self.modulus, self.N = ring.m, mod, omega_modulus(ring)
         self.chi_scale = self.N // mod
+        self.add_array, self.trace_array = np.array(self.add), np.array(self.trace)
+        self.roots = np.exp(2j * np.pi * np.arange(self.N) / self.N)
+        self.place = q ** np.arange(n - 1, -1, -1)
+        self.states = np.arange(q ** n)
+        self.digits = self.states[:, None] // self.place % q
+
+    def from_row(self, row: Sequence[int]) -> Triple:
+        """X(a)Z(b) of the phi-expanded row (a | b), as ``phi_expand`` writes it."""
+        cuts = [tuple(row[s:s + self.m]) for s in range(0, len(row), self.m)]
+        half = len(cuts) // 2
+        return (0, tuple(self.index[c] for c in cuts[:half]),
+                tuple(self.dual_index[c] for c in cuts[half:]))
 
     def multiply(self, P: Triple, Q: Triple) -> Triple:
         """P*Q by the rule of ``compose``, in table lookups."""
@@ -133,24 +142,6 @@ class _RingTables:
         cross = sum(tr[y][x] for y, x in zip(b, a2))
         return ((l + l2 + self.chi_scale * cross) % self.N,
                 tuple(add[x][y] for x, y in zip(a, a2)), tuple(add[x][y] for x, y in zip(b, b2)))
-
-
-class _Monomials(_RingTables):
-    """Operators on n qudits as (rows, phase): column x of omega^l X(a)Z(b)
-    holds omega^phase[x] in row rows[x], the state index of x + a.  State
-    indices are big-endian in the element indices of the qudits."""
-
-    def __init__(self, ring: GaloisRingSpec, n: int, max_dim: int):
-        import numpy as np
-        q = ring.cardinality
-        if q ** n > max_dim:
-            raise DimensionTooLarge(f"q^n = {q ** n} exceeds the matrix cap {max_dim}")
-        super().__init__(ring)
-        self.add_array, self.trace_array = np.array(self.add), np.array(self.trace)
-        self.roots = np.exp(2j * np.pi * np.arange(self.N) / self.N)
-        self.place = q ** np.arange(n - 1, -1, -1)
-        self.states = np.arange(q ** n)
-        self.digits = self.states[:, None] // self.place % q
 
     def of(self, a: Sequence[int], b: Sequence[int], phase_exp: int):
         """(rows, phase) of omega^phase_exp X(a)Z(b), a and b as element indices."""
@@ -163,20 +154,22 @@ class _Monomials(_RingTables):
         import numpy as np
         M = np.zeros((self.states.size, self.states.size), dtype=np.complex128)
         for P in operators:
-            rows, phase = self.of([_element_index(e) for e in P.a],
-                                  [_element_index(e) for e in P.b], P.phase_exp)
+            rows, phase = self.of([self.index[e.coeffs] for e in P.a],
+                                  [self.index[e.coeffs] for e in P.b], P.phase_exp)
             M[rows, self.states] += self.roots[phase]
         return M
 
 
 def pauli_matrix(P: PauliOperator, max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
     """Dense unitary: entry omega^l zeta^{Tr(b.x)} at (x+a, x)."""
-    return _Monomials(P.ring, P.n, max_dim).dense([P])
+    _check_dim(P.ring, P.n, max_dim)
+    return _Monomials(P.ring, P.n).dense([P])
 
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """One operator per codeword of a chi-self-orthogonal code."""
+    """One operator per codeword of a chi-self-orthogonal code, with its
+    monomial tables and checked projector, each built once per group."""
 
     ring: GaloisRingSpec
     n: int
@@ -185,6 +178,20 @@ class StabilizerGroup:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _tables(self) -> _Monomials:
+        return _Monomials(self.ring, self.n)
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        """The averaged monomial sum, checked idempotent, read-only."""
+        import numpy as np
+        P = self._tables.dense(self.elements) / self.size
+        if np.max(np.abs(P @ P - P)) > 1e-9:
+            raise NonProjector("averaged stabilizer sum is not idempotent")
+        P.flags.writeable = False
+        return P
 
 
 def build_stabilizer(ext: SelfOrthogonalExtension,
@@ -201,26 +208,24 @@ def build_stabilizer(ext: SelfOrthogonalExtension,
     """
     ring = ext.extended.ring
     ntot = ext.extended.n
-    q = ring.cardinality
-    if q ** ntot > max_dim:
-        raise DimensionTooLarge(f"q^(n+c) = {q ** ntot} exceeds the matrix cap {max_dim}")
-    T = _RingTables(ring)
+    _check_dim(ring, ntot, max_dim, "q^(n+c)")
+    T = _Monomials(ring, ntot)
     sd = smith_form(ext.extended.expanded_matrix)
     rows = sd.minimal_generators()
     elements: List[Triple] = [(0, (0,) * ntot, (0,) * ntot)]
     for row, e in zip(rows, sd.diag_exponents):
-        idx = [_element_index(z) for z in phi_contract(ring, row)]
-        powers = _generator_powers(T, (0, tuple(idx[:ntot]), tuple(idx[ntot:])),
-                                   ring.p ** (ring.b - e))
+        powers = _generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))
         elements = [T.multiply(P, g) for P in elements for g in powers]
     _check_stabilizer(T, elements, rows)
     E = T.elements
-    return StabilizerGroup(ring, ntot, tuple(
+    group = StabilizerGroup(ring, ntot, tuple(
         PauliOperator(ring, ntot, l, tuple(E[i] for i in a), tuple(E[i] for i in b))
         for l, a, b in elements))
+    group.__dict__["_tables"] = T
+    return group
 
 
-def _generator_powers(T: _RingTables, g: Triple, o: int) -> List[Triple]:
+def _generator_powers(T: _Monomials, g: Triple, o: int) -> List[Triple]:
     """g^0, ..., g^{o-1}, with g^c's phase lowered by c t where omega^{o t}
     is the scalar g^o; raises if g^o is not a scalar."""
     powers = [(0, (0,) * len(g[1]), (0,) * len(g[2]))]
@@ -233,7 +238,7 @@ def _generator_powers(T: _RingTables, g: Triple, o: int) -> List[Triple]:
     return [((l - c * t) % T.N, a, b) for c, (l, a, b) in enumerate(powers)]
 
 
-def _check_stabilizer(T: _RingTables, elements: Sequence[Triple],
+def _check_stabilizer(T: _Monomials, elements: Sequence[Triple],
                       gen_rows: Sequence[Sequence[int]]) -> None:
     """No scalar but the identity; the phi-expanded generator rows of C'
     pair trivially under the integer trace form, so the group they generate
@@ -252,17 +257,16 @@ def _check_stabilizer(T: _RingTables, elements: Sequence[Triple],
 
 def stabilizer_projector(group: StabilizerGroup,
                          max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
-    return _Monomials(group.ring, group.n, max_dim).dense(group.elements) / group.size
+    """The averaged stabilizer sum, checked idempotent, built once per group."""
+    _check_dim(group.ring, group.n, max_dim)
+    return group._projector
 
 
 def projector_dimension(group: StabilizerGroup,
                         max_dim: int = DEFAULT_MATRIX_DIM) -> int:
-    """Trace of the averaged stabilizer sum, asserted idempotent."""
+    """Trace of the checked projector, asserted an integer."""
     import numpy as np
-    P = stabilizer_projector(group, max_dim)
-    if np.max(np.abs(P @ P - P)) > 1e-9:
-        raise NonProjector("averaged stabilizer sum is not idempotent")
-    tr = np.trace(P)
+    tr = np.trace(stabilizer_projector(group, max_dim))
     k = round(tr.real)
     if abs(tr - k) > 1e-6:
         raise NonProjector(f"projector trace {tr} is not an integer")
@@ -278,8 +282,7 @@ class ErrorSearchResult:
     dim1_distance: object  # min weight with nonzero amplitude, when K = 1
 
 
-def undetectable_error_search(C: AdditiveCode, ext: SelfOrthogonalExtension,
-                              group: StabilizerGroup,
+def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                               limit: int = 1 << 22,
                               max_dim: int = DEFAULT_MATRIX_DIM) -> ErrorSearchResult:
     """Classify every error X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
@@ -287,15 +290,12 @@ def undetectable_error_search(C: AdditiveCode, ext: SelfOrthogonalExtension,
     the undetectable set against C^{chi-dual} minus C."""
     import numpy as np
     ring = C.ring
-    n, ntot = C.n, ext.extended.n
+    n, ntot = C.n, group.n
     q = ring.cardinality
     if q ** (2 * n) > limit:
         raise SearchLimitExceeded(q ** (2 * n), limit)
-    mono = _Monomials(ring, ntot, max_dim)
-    P = mono.dense(group.elements) / group.size
-    if np.max(np.abs(P @ P - P)) > 1e-9:
-        raise NonProjector("averaged stabilizer sum is not idempotent")
-    vals, vecs = np.linalg.eigh(P)
+    vals, vecs = np.linalg.eigh(stabilizer_projector(group, max_dim))
+    mono = group._tables
     U = vecs[:, vals > 0.5]
     K = U.shape[1]
     Uh, eye = U.conj().T, np.eye(K)
@@ -318,15 +318,12 @@ def undetectable_error_search(C: AdditiveCode, ext: SelfOrthogonalExtension,
             best = min(best, w)
         if K == 1 and abs(lam) > 1e-8:
             dim1_best = min(dim1_best, w)
-    dual = chi_dual_level(C, 0)
-    want = {flat for flat in iterate_codewords(dual, limit)
-            if any(flat) and not C.contains(
-                SymplecticVector.from_components(ring, phi_contract(ring, flat)))}
-    matches = set(undet) == want
+    want = {flat for flat in iterate_codewords(chi_dual_level(C, 0), limit)
+            if any(flat) and not howell_member(C.expanded_howell, flat)}
     return ErrorSearchResult(
         dimension=K,
         undetectable=tuple(sorted(undet)),
         min_weight=best,
-        set_matches_dual_minus_code=matches,
+        set_matches_dual_minus_code=set(undet) == want,
         dim1_distance=(dim1_best if K == 1 else None),
     )

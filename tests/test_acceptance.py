@@ -362,7 +362,7 @@ def test_criterion_8_pauli_ground_truth():
             group = build_stabilizer(ext)
             K = projector_dimension(group)
             assert K * ext.card_extended == ring.cardinality ** ext.extended.n
-            res = undetectable_error_search(C, ext, group)
+            res = undetectable_error_search(C, group)
             assert res.dimension == K
             assert res.set_matches_dual_minus_code
             P = eaqecc_params(C)

@@ -78,6 +78,14 @@ def test_parse_errors():
         parse_code_text("ring p=2 b=2 m=2\nn 1\ngen 1 0\n")  # 1 coord, need 2
     with pytest.raises(HPolyInvalid):
         parse_code_text("ring p=2 b=2 m=2 h=1,0,1\nn 1\ngen 1,0 0,0\n")
+    # a repeated or unknown header key is an error, not a silent last-wins
+    # or a dropped field
+    for text, col in (("ring p=2 p=3 b=2 m=1\nn 1\ngen 1 0\n", 10),
+                      ("ring p=2 b=2 m=2 H=3,1\nn 1\ngen 1,0 0,0\n", 18),
+                      ("ring p=2 b=2 m=1 foo=7\nn 1\ngen 1 0\n", 18)):
+        with pytest.raises(ParseError) as e:
+            parse_code_text(text)
+        assert (e.value.line, e.value.column) == (1, col)
 
 
 def test_params_report_worked():
@@ -150,7 +158,7 @@ def test_verify_matrix_cap():
     ring, C = parse_code_text(Z4_WORKED)
     rep, code = build_report("verify", ring, C, 1 << 22, 4)
     assert code == 2
-    assert "skipped" in rep["verification"]
+    assert rep["verification"] == {"skipped": "q^(n+c) = 16 exceeds the matrix cap 4"}
 
 
 def test_verify_z8_regression():

@@ -216,7 +216,7 @@ def test_ring_layer_allocates_nothing_of_size_p_to_the_m(spec):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert "teichmuller" not in ring.__dict__
+    assert "_teich_mod_p" not in ring.__dict__
 
 
 def test_gen_trace_examples(gr42):
@@ -332,6 +332,7 @@ def test_ring_is_freed_without_the_cyclic_collector():
         v = (ring.element([1, 2, 3]), ring.theta, ring.one, ring.zero)
         assert phi_contract(ring, phi_expand(ring, v)) == v
         assert len(dual_basis(ring)) == 3
+        assert len(teichmuller_decompose(ring.element([1, 2, 3]))) == 2
         ref = weakref.ref(ring)
         del ring, v
         assert ref() is None

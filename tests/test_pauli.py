@@ -3,7 +3,8 @@ rule against matrix products, commutation vs the trace pairing, stabilizer
 assembly, projector dimension, and the exhaustive error search; the
 monomial verifier against an entry-by-entry dense oracle; the integer
 stabilizer assembly against one by ``compose``, and its invariant checks
-on broken groups."""
+on broken groups; the cross-check set against a ``C.contains`` oracle, and
+the group's tables and projector, built once and capped."""
 
 import itertools
 import math
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 
 from eaqring import cli, pauli
-from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
+from eaqring.codes import (
+    AdditiveCode,
+    SymplecticVector,
+    chi_dual_level,
+    iterate_codewords,
+    symplectic_product,
+)
 from eaqring.decompose import hyperbolic_decompose
 from eaqring.errors import (
     DimensionTooLarge,
@@ -28,7 +35,6 @@ from eaqring.pauli import (
     StabilizerGroup,
     build_stabilizer,
     compose,
-    inverse,
     omega_modulus,
     pauli_matrix,
     projector_dimension,
@@ -120,15 +126,6 @@ def test_compose_matches_matrix_product(f2, z4, f4, gr42):
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
-def test_inverse(z4, gr42):
-    rng = random.Random(13)
-    for ring in (z4, gr42):
-        for _ in range(5):
-            P = rand_op(ring, 1, rng)
-            M = pauli_matrix(compose(P, inverse(P)))
-            assert np.allclose(M, np.eye(M.shape[0]))
-
-
 def test_commutation_matches_trace_pairing(f2, z4, f4, gr42):
     rng = random.Random(17)
     for ring, n in [(f2, 2), (z4, 1), (f4, 1), (gr42, 1)]:
@@ -214,7 +211,7 @@ def test_error_search_worked_instance(z4):
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
     ext = build_extension(hyperbolic_decompose(C))
     g = build_stabilizer(ext)
-    res = undetectable_error_search(C, ext, g)
+    res = undetectable_error_search(C, g)
     assert res.dimension == 1
     # the chi-dual {(0,0),(2,0)} sits inside C: nothing is undetectable
     assert res.undetectable == ()
@@ -229,7 +226,7 @@ def test_error_search_zero_code(z4):
     C = AdditiveCode(z4, 1, ())
     ext = build_extension(hyperbolic_decompose(C))
     g = build_stabilizer(ext)
-    res = undetectable_error_search(C, ext, g)
+    res = undetectable_error_search(C, g)
     assert res.dimension == 4
     assert len(res.undetectable) == 15
     assert res.min_weight == 1
@@ -241,7 +238,7 @@ def test_error_search_f2(f2):
     C = AdditiveCode.from_int_rows(f2, [[1, 1]])
     ext = build_extension(hyperbolic_decompose(C))
     g = build_stabilizer(ext)
-    res = undetectable_error_search(C, ext, g)
+    res = undetectable_error_search(C, g)
     assert res.dimension == 1
     assert res.undetectable == ()
     assert res.set_matches_dual_minus_code
@@ -254,7 +251,7 @@ def test_error_search_limit(z4):
     ext = build_extension(hyperbolic_decompose(C))
     g = build_stabilizer(ext)
     with pytest.raises(SearchLimitExceeded):
-        undetectable_error_search(C, ext, g, limit=4)
+        undetectable_error_search(C, g, limit=4)
 
 
 def test_stabilizer_randomized(z4, f4):
@@ -378,12 +375,71 @@ def test_projector_matches_dense_oracle():
 
 def test_error_search_matches_dense_oracle():
     for C, ext, group in random_verify_instances(20, 43):
-        res = undetectable_error_search(C, ext, group)
+        res = undetectable_error_search(C, group)
         K, undet, best, dim1 = dense_error_search(C, group)
         assert res.dimension == K
         assert set(res.undetectable) == undet
         assert res.min_weight == best
         assert res.dim1_distance == dim1
+
+
+def dual_minus_code_by_contains(C):
+    """C^chi minus C, each chi-dual codeword contracted to ring elements
+    and tested with ``C.contains``."""
+    ring = C.ring
+    return {flat for flat in iterate_codewords(chi_dual_level(C, 0))
+            if any(flat) and not C.contains(
+                SymplecticVector.from_components(ring, phi_contract(ring, flat)))}
+
+
+def test_set_matches_dual_minus_code_against_contains_oracle():
+    for C, ext, group in random_verify_instances(20, 47, ORACLE_RINGS):
+        res = undetectable_error_search(C, group)
+        want = dual_minus_code_by_contains(C)
+        assert res.set_matches_dual_minus_code == (set(res.undetectable) == want)
+    # the undetectable set is C^chi minus Z, not C^chi minus C: on this Z4
+    # code it has 14 vectors against 12, so the flag reads false
+    ring, C = cli.parse_code_text("ring p=2 b=2 m=1\nn 2\ngen 1 3 1 1\ngen 2 1 2 1\n")
+    res = undetectable_error_search(C, build_stabilizer(build_minimal_extension(C)))
+    assert (len(res.undetectable), len(dual_minus_code_by_contains(C))) == (14, 12)
+    assert not res.set_matches_dual_minus_code
+
+
+def test_verify_builds_tables_and_projector_once(monkeypatch):
+    counts = {"tables": 0, "sums": 0}
+    init, dense = pauli._Monomials.__init__, pauli._Monomials.dense
+
+    def counting_init(self, *args):
+        counts["tables"] += 1
+        init(self, *args)
+
+    def counting_dense(self, operators):
+        counts["sums"] += 1
+        return dense(self, operators)
+
+    monkeypatch.setattr(pauli._Monomials, "__init__", counting_init)
+    monkeypatch.setattr(pauli._Monomials, "dense", counting_dense)
+    ring, C = cli.parse_code_text("ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n")
+    rep, code = cli.build_report("verify", ring, C, 1 << 22, 1024)
+    assert code == 0
+    assert rep["verification"]["projector_dimension"] == rep["K_exact"] == 1
+    assert counts == {"tables": 1, "sums": 1}
+
+
+def test_hand_built_group_checks_the_cap_before_dense_work(z4):
+    group = StabilizerGroup(z4, 2, (identity_operator(z4, 2),))
+    C = AdditiveCode(z4, 1, ())
+    for call in (lambda: stabilizer_projector(group, max_dim=8),
+                 lambda: projector_dimension(group, max_dim=8),
+                 lambda: undetectable_error_search(C, group, max_dim=8)):
+        with pytest.raises(DimensionTooLarge):
+            call()
+    assert "_tables" not in group.__dict__ and "_projector" not in group.__dict__
+    # under the cap the group builds its own tables, and its projector once
+    assert projector_dimension(group, max_dim=16) == 16
+    P = stabilizer_projector(group, max_dim=16)
+    assert P is stabilizer_projector(group) and not P.flags.writeable
+    assert np.array_equal(P, np.eye(16))
 
 
 def test_verify_builds_no_dense_operator(monkeypatch):
@@ -454,7 +510,7 @@ def test_build_stabilizer_matches_oracle_on_zero_code_and_large_group(z4):
 
 
 def test_check_stabilizer_rejects_broken_groups(z4):
-    T = pauli._RingTables(z4)
+    T = pauli._Monomials(z4, 1)
     I, X, Z = (0, (0,), (0,)), (0, (1,), (0,)), (0, (0,), (1,))
     with pytest.raises(InternalInvariantViolation, match="nontrivial scalar"):
         pauli._check_stabilizer(T, [I, (2, (0,), (0,))], [])
