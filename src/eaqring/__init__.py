@@ -37,7 +37,6 @@ from .extension import (
     build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
-    extract_symplectic_subset,
     minimum_entanglement_degree,
     verify_quasi_symplectic,
 )
@@ -45,7 +44,6 @@ from .galois import (
     GaloisRingSpec,
     RingElement,
     char_exponent,
-    dual_basis,
     frobenius,
     gen_trace,
     make_ring,
@@ -87,9 +85,7 @@ __all__ = [
     "code_intersection",
     "compose",
     "construct_symplectic_subset",
-    "dual_basis",
     "eaqecc_params",
-    "extract_symplectic_subset",
     "frobenius",
     "gen_trace",
     "hyperbolic_decompose",

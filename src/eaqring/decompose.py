@@ -160,19 +160,24 @@ def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
     return d
 
 
-def _check_decomposition(d: HyperbolicDecomposition) -> None:
-    C = d.code
-    gens = d.all_generators()
-    k = len(d.isotropic)
+def _check_partner_pairings(gens: Sequence[SymplecticVector], k: int) -> None:
+    """Check, over every ordered pair of ``gens``, that the character
+    pairing is nontrivial exactly between partners.  The first k vectors
+    are isotropic; the rest are pairs listed member by member."""
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
             ell = char_exponent(symplectic_product(g, h))
-            in_pair = (i >= k and j >= k and i != j and (i - k) // 2 == (j - k) // 2)
-            if in_pair:
+            if i >= k and j >= k and i != j and (i - k) // 2 == (j - k) // 2:
                 if ell == 0:
-                    raise InternalInvariantViolation("hyperbolic pair with trivial character gram")
+                    raise InternalInvariantViolation("partners pair character-trivially")
             elif ell != 0:
-                raise InternalInvariantViolation("non-partner generators pair nontrivially")
+                raise InternalInvariantViolation("non-partners pair character-nontrivially")
+
+
+def _check_decomposition(d: HyperbolicDecomposition) -> None:
+    C = d.code
+    gens = d.all_generators()
+    _check_partner_pairings(gens, len(d.isotropic))
     rebuilt = AdditiveCode(C.ring, C.n, tuple(gens))
     if rebuilt.expanded_howell.matrix != C.expanded_howell.matrix:
         raise InternalInvariantViolation("decomposition does not span the code")

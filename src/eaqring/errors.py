@@ -9,17 +9,9 @@ class NoSolution(EaqringError):
     """A linear congruence has no solution."""
 
 
-class LimitExceeded(EaqringError):
-    """Module enumeration would exceed the configured limit."""
-
-    def __init__(self, cardinality: int, limit: int):
-        super().__init__(f"module has {cardinality} elements, over the --max-enum limit {limit}")
-        self.cardinality = cardinality
-        self.limit = limit
-
-
 class SearchLimitExceeded(EaqringError):
-    """Distance/error search set is too large to enumerate."""
+    """A module to enumerate (a distance or error search set) is over the
+    --max-enum limit."""
 
     def __init__(self, cardinality: int, limit: int):
         super().__init__(f"search set has {cardinality} elements, over the --max-enum limit {limit}")
@@ -43,20 +35,12 @@ class RingMismatch(EaqringError):
     """Operands belong to different rings."""
 
 
-class SingularTraceForm(EaqringError):
-    """The trace bilinear form is singular; indicates a ring-construction bug."""
-
-
 class CapacityExceeded(EaqringError):
     """Requested symplectic subset size exceeds the c*m capacity."""
 
 
 class ZeroTarget(EaqringError):
     """A symplectic-subset target exponent is zero."""
-
-
-class OddRank(EaqringError):
-    """rank(C/(C ∩ C^dual)) came out odd; indicates a bug."""
 
 
 class MismatchedExtension(EaqringError):

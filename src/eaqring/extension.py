@@ -1,6 +1,12 @@
 """Chi-self-orthogonal extensions, symplectic subsets, minimum entanglement
 degree, and the end-to-end parameter pipeline for entanglement-assisted
 codes built from additive codes over GR(p^b, m).
+
+Both extensions are one assembly from a symplectic subset of R^{2c}: pair j
+of the decomposition gets the tails (-a.x | a.y) of subset pair j, the
+isotropic generators get zero tails, and the subset is kept on the
+extension as ``ext.subset``.  ``build_extension`` gives each pair its own
+coordinate; the minimal extension packs up to m pairs into one.
 """
 
 from __future__ import annotations
@@ -22,17 +28,16 @@ from .codes import (
     same_module,
     symplectic_product,
 )
-from .decompose import HyperbolicDecomposition, rho_profile
+from .decompose import HyperbolicDecomposition, _check_partner_pairings
 from .errors import (
     CapacityExceeded,
     InternalInvariantViolation,
     MismatchedExtension,
-    OddRank,
     RingMismatch,
     SearchLimitExceeded,
     ZeroTarget,
 )
-from .galois import GaloisRingSpec, char_exponent
+from .galois import GaloisRingSpec, RingElement, char_exponent
 from .zpblinalg import ZpbMatrix, howell_member, smith_form
 
 
@@ -55,22 +60,20 @@ class SymplecticSubset:
     def verify(self) -> None:
         if self.e > self.c * self.ring.m:
             raise CapacityExceeded(f"e = {self.e} exceeds c*m = {self.c * self.ring.m}")
-        flat = [v for pair in self.pairs for v in pair]
-        for idx1, u in enumerate(flat):
-            for idx2, v in enumerate(flat):
-                i, s1 = divmod(idx1, 2)
-                k, s2 = divmod(idx2, 2)
-                ell = char_exponent(symplectic_product(u, v))
-                if i == k and s1 != s2:
-                    if ell == 0:
-                        raise InternalInvariantViolation("pair with trivial character pairing")
-                elif ell != 0:
-                    raise InternalInvariantViolation("cross pairing is character-nontrivial")
+        _check_partner_pairings([v for pair in self.pairs for v in pair], 0)
+
+
+def _rho_growth(C: AdditiveCode) -> int:
+    """prod_t p^{(b-t) rho_t}: the rho bound on |C'| / |C| for an extension
+    C' of C."""
+    ring = C.ring
+    return math.prod(ring.p ** ((ring.b - t) * r) for t, r in enumerate(C.analysis.rho, start=1))
 
 
 @dataclass(frozen=True)
 class SelfOrthogonalExtension:
-    """A chi-self-orthogonal code over R^{2(n+c)} puncturing back to base."""
+    """A chi-self-orthogonal code over R^{2(n+c)} puncturing back to base,
+    with the symplectic subset whose members are its pairs' tails."""
 
     base: AdditiveCode
     extended: AdditiveCode
@@ -78,6 +81,7 @@ class SelfOrthogonalExtension:
     card_extended: int
     pair_generators: Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
     isotropic_generators: Tuple[SymplecticVector, ...]
+    subset: SymplecticSubset
 
     def verify(self) -> None:
         if not is_chi_self_orthogonal(self.extended):
@@ -85,86 +89,75 @@ class SelfOrthogonalExtension:
         if not same_module(puncture(self.extended, self.base.n), self.base):
             raise InternalInvariantViolation("puncturing does not recover the base code")
         card_c = cardinality(self.base)
-        rho = rho_profile(self.base)
-        bound = card_c
-        for t, r in enumerate(rho, start=1):
-            bound *= self.base.ring.p ** ((self.base.ring.b - t) * r)
-        if not card_c <= self.card_extended <= bound:
+        if not card_c <= self.card_extended <= card_c * _rho_growth(self.base):
             raise InternalInvariantViolation("extension cardinality violates the rho sandwich")
         if is_free(self.base) and self.card_extended != card_c:
             raise InternalInvariantViolation("free base must extend without growth")
 
 
-def _extend_vector(g: SymplecticVector, c: int,
-                   x_tail: Sequence = (), y_tail: Sequence = ()) -> SymplecticVector:
-    ring = g.ring
-    zeros = [ring.zero] * c
-    xt = list(x_tail) if x_tail else list(zeros)
-    yt = list(y_tail) if y_tail else list(zeros)
-    return SymplecticVector(ring, g.x + tuple(xt), g.y + tuple(yt))
+def _extend(C: AdditiveCode, d: HyperbolicDecomposition,
+            subset: SymplecticSubset) -> SelfOrthogonalExtension:
+    """Append (-a.x | a.y) of subset pair j to each member of decomposition
+    pair j and zeros to each isotropic generator; build and check C'."""
+    ring, c = C.ring, subset.c
+    zeros = (ring.zero,) * c
+    iso = tuple(SymplecticVector(ring, g.x + zeros, g.y + zeros) for g in d.isotropic)
+    pairs = tuple(
+        tuple(SymplecticVector(ring, g.x + tuple(-v for v in a.x), g.y + a.y)
+              for g, a in zip(members, tails))
+        for members, tails in zip(d.pairs, subset.pairs))
+    gens = iso + tuple(v for pair in pairs for v in pair)
+    extended = AdditiveCode(ring, C.n + c, gens)
+    ext = SelfOrthogonalExtension(
+        base=C, extended=extended, c=c, card_extended=cardinality(extended),
+        pair_generators=pairs, isotropic_generators=iso, subset=subset)
+    ext.verify()
+    return ext
+
+
+def _at(ring: GaloisRingSpec, c: int, k: int, el: RingElement) -> Tuple[RingElement, ...]:
+    """The length-c vector with el at coordinate k and zeros elsewhere."""
+    return (ring.zero,) * k + (el,) + (ring.zero,) * (c - k - 1)
 
 
 def build_extension(d: HyperbolicDecomposition) -> SelfOrthogonalExtension:
-    """One fresh coordinate per hyperbolic pair: the first member gets its
-    gram gamma_i appended in the x half, the second member a unit in the y
-    half, killing the pairing; isotropic generators are zero-padded."""
-    C = d.code
-    ring = C.ring
-    c = d.c
-    iso = tuple(_extend_vector(g, c) for g in d.isotropic)
-    pairs = []
-    for i, ((g0, g1), gamma) in enumerate(zip(d.pairs, d.grams)):
-        x_tail = [ring.zero] * c
-        x_tail[i] = gamma
-        u1 = _extend_vector(g0, c, x_tail=x_tail)
-        y_tail = [ring.zero] * c
-        y_tail[i] = ring.one
-        u2 = _extend_vector(g1, c, y_tail=y_tail)
-        pairs.append((u1, u2))
-    gens = list(iso) + [v for pair in pairs for v in pair]
-    extended = AdditiveCode(ring, C.n + c, tuple(gens))
-    ext = SelfOrthogonalExtension(
-        base=C, extended=extended, c=c, card_extended=cardinality(extended),
-        pair_generators=tuple(pairs), isotropic_generators=iso)
-    ext.verify()
-    return ext
+    """One fresh coordinate per hyperbolic pair, from the subset
+    a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first member gets
+    gamma_j appended in the x half, the second a unit in the y half."""
+    ring, c = d.code.ring, d.c
+    zeros = (ring.zero,) * c
+    pairs = tuple((SymplecticVector(ring, _at(ring, c, j, -gamma), zeros),
+                   SymplecticVector(ring, zeros, _at(ring, c, j, ring.one)))
+                  for j, gamma in enumerate(d.grams))
+    return _extend(d.code, d, SymplecticSubset(ring, c, pairs))
 
 
 def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
                                 targets: Sequence[int]) -> SymplecticSubset:
     """Symplectic subset of R^{2c} with prescribed character exponents.
 
-    Pair j goes into ring coordinate j // m using the basis index j % m:
-    the first member carries z_j times the dual-basis vector, the second
-    the power-basis vector, so distinct pairs in one coordinate stay
-    character-orthogonal.  The first member's sign is fixed afterwards so
-    the measured exponent equals z_j exactly.
+    Pair j goes into ring coordinate k = j // m with basis index l = j % m:
+    a_{j1} = (-z_j dual_l e_k, 0) and a_{j2} = (0, theta^l e_k), so
+    <a_{j1}|a_{j2}>_s = z_j theta^l dual_l has exponent z_j, and distinct
+    pairs in one coordinate stay character-orthogonal.
     """
     N = ring.modulus
     e = len(targets)
     if e > c * ring.m:
         raise CapacityExceeded(f"e = {e} exceeds capacity c*m = {c * ring.m}")
-    zs = [z % N for z in targets]
-    if any(z == 0 for z in zs):
+    zs = tuple(z % N for z in targets)
+    if 0 in zs:
         raise ZeroTarget("target exponent 0 would make the pair character-trivial")
+    zeros = (ring.zero,) * c
+    dual = ring.dual
     pairs = []
     for j, z in enumerate(zs):
         k, ell = divmod(j, ring.m)
-        x1 = [ring.zero] * c
-        x1[k] = ring.dual[ell].scale(z)
-        a1 = SymplecticVector(ring, tuple(x1), tuple([ring.zero] * c))
-        y2 = [ring.zero] * c
-        y2[k] = ring.theta ** ell
-        a2 = SymplecticVector(ring, tuple([ring.zero] * c), tuple(y2))
-        got = char_exponent(symplectic_product(a1, a2))
-        if got != z:
-            if got != (-z) % N:
-                raise InternalInvariantViolation("constructed pair has unexpected exponent")
-            a1 = a1.scale(-1)
-        if char_exponent(symplectic_product(a1, a2)) != z:
-            raise InternalInvariantViolation("sign fix failed to hit the target exponent")
-        pairs.append((a1, a2))
+        pairs.append((SymplecticVector(ring, _at(ring, c, k, dual[ell].scale(-z)), zeros),
+                      SymplecticVector(ring, zeros, _at(ring, c, k, ring.theta ** ell))))
     subset = SymplecticSubset(ring, c, tuple(pairs))
+    if subset.exponents() != zs:
+        raise InternalInvariantViolation("a constructed pair misses its target exponent")
     subset.verify()
     return subset
 
@@ -173,7 +166,7 @@ def minimum_entanglement_degree(C: AdditiveCode) -> int:
     """ceil(r / 2m) with r = rank(C / (C cap C^{chi-dual}))."""
     r = C.analysis.rank(0)
     if r % 2:
-        raise OddRank(f"rank(C/(C cap dual)) = {r} is odd")
+        raise InternalInvariantViolation(f"rank(C/(C cap dual)) = {r} is odd")
     return -(-r // (2 * C.ring.m))
 
 
@@ -196,47 +189,11 @@ def build_minimal_extension(C: AdditiveCode,
 def _minimal_extension(C: AdditiveCode, d: HyperbolicDecomposition) -> SelfOrthogonalExtension:
     if d.code is not C and not same_module(d.code, C):
         raise MismatchedExtension("decomposition does not belong to this code")
-    ring = C.ring
-    c = -(-d.c // ring.m)
+    c = -(-d.c // C.ring.m)
     if c != minimum_entanglement_degree(C):
         raise InternalInvariantViolation("pair count disagrees with the degree formula")
-    targets = [char_exponent(g) for g in d.grams]
-    subset = construct_symplectic_subset(ring, c, targets) if targets else \
-        SymplecticSubset(ring, c, ())
-    iso = tuple(_extend_vector(g, c) for g in d.isotropic)
-    pairs = []
-    for (g0, g1), (a1, a2) in zip(d.pairs, subset.pairs):
-        u1 = _extend_vector(g0, c, x_tail=[-v for v in a1.x], y_tail=a1.y)
-        u2 = _extend_vector(g1, c, x_tail=[-v for v in a2.x], y_tail=a2.y)
-        pairs.append((u1, u2))
-    gens = list(iso) + [v for pair in pairs for v in pair]
-    extended = AdditiveCode(ring, C.n + c, tuple(gens))
-    ext = SelfOrthogonalExtension(
-        base=C, extended=extended, c=c, card_extended=cardinality(extended),
-        pair_generators=tuple(pairs), isotropic_generators=iso)
-    ext.verify()
-    return ext
-
-
-def extract_symplectic_subset(ext: SelfOrthogonalExtension,
-                              d: HyperbolicDecomposition) -> SymplecticSubset:
-    """Read the appended coordinates back off the extended pair generators:
-    a_{i1} = (-v_hat, w_hat), a_{i2} = (-x_hat, y_hat)."""
-    C = ext.base
-    if not same_module(d.code, C) or len(d.pairs) != len(ext.pair_generators):
-        raise MismatchedExtension("extension and decomposition disagree")
-    ring = C.ring
-    n = C.n
-    pairs = []
-    for (u1, u2), gamma in zip(ext.pair_generators, d.grams):
-        a1 = SymplecticVector(ring, tuple(-v for v in u1.x[n:]), u1.y[n:])
-        a2 = SymplecticVector(ring, tuple(-v for v in u2.x[n:]), u2.y[n:])
-        if char_exponent(symplectic_product(a1, a2)) != char_exponent(gamma):
-            raise MismatchedExtension("extracted pair exponent does not match the gram")
-        pairs.append((a1, a2))
-    subset = SymplecticSubset(ring, ext.c, tuple(pairs))
-    subset.verify()
-    return subset
+    subset = construct_symplectic_subset(C.ring, c, [char_exponent(g) for g in d.grams])
+    return _extend(C, d, subset)
 
 
 def verify_quasi_symplectic(ring: GaloisRingSpec,
@@ -309,10 +266,7 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     if rem:
         raise InternalInvariantViolation("q^{n+c} not divisible by |C'|")
     K_upper = total // card_code
-    growth = 1
-    for t, r in enumerate(rho, start=1):
-        growth *= ring.p ** ((ring.b - t) * r)
-    K_lower_raw = Fraction(total, card_code * growth)
+    K_lower_raw = Fraction(total, card_code * _rho_growth(C))
     K_lower = max(1, math.floor(K_lower_raw))
     dual = A.dual(0)
     dual_in_code = all(howell_member(C.expanded_howell, r) for r in dual.expanded_matrix.to_rows())

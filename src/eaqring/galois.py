@@ -24,7 +24,6 @@ from .errors import (
     InternalInvariantViolation,
     ParameterTooLarge,
     RingMismatch,
-    SingularTraceForm,
 )
 from .zpblinalg import _is_prime
 
@@ -188,7 +187,7 @@ class GaloisRingSpec:
         for col in range(m):
             piv = next((r for r in range(col, m) if aug[r][col] % self.p != 0), None)
             if piv is None:
-                raise SingularTraceForm("trace form has no unit pivot")
+                raise InternalInvariantViolation("trace form has no unit pivot")
             aug[col], aug[piv] = aug[piv], aug[col]
             inv = pow(aug[col][col], -1, N)
             aug[col] = [(inv * x) % N for x in aug[col]]
@@ -300,10 +299,6 @@ def gen_trace(z: RingElement) -> int:
 def char_exponent(z: RingElement) -> int:
     """Exponent k with chi(z) = zeta^k for the generating character chi."""
     return gen_trace(z)
-
-
-def dual_basis(ring: GaloisRingSpec) -> Tuple[RingElement, ...]:
-    return ring.dual
 
 
 def _dual_coords(z: RingElement) -> Tuple[int, ...]:

@@ -16,10 +16,10 @@ from typing import Iterator, List, Sequence, Tuple
 from .errors import (
     DimensionMismatch,
     InternalInvariantViolation,
-    LimitExceeded,
     NoSolution,
     NotContained,
     ParameterTooLarge,
+    SearchLimitExceeded,
 )
 
 
@@ -389,14 +389,14 @@ def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
     """Yield every element of the row module exactly once, in a fixed order.
 
     Iterates mixed-radix coefficients over the Smith factors (last index
-    fastest).  Raises LimitExceeded with the exact cardinality when the
-    module is too large.
+    fastest).  Raises SearchLimitExceeded with the exact cardinality when
+    the module is too large.
     """
     A = M.matrix
     p, b = A.p, A.b
     N = p ** b
     if M.cardinality > limit:
-        raise LimitExceeded(M.cardinality, limit)
+        raise SearchLimitExceeded(M.cardinality, limit)
     sd = smith_form(A)
     base = sd.minimal_generators()
     radix = [p ** (b - e) for e in sd.diag_exponents]

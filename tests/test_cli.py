@@ -1,6 +1,7 @@
 """CLI tests: file parsing round trips, report contents for the worked
 codes, error rendering, cap behavior, and byte-level determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -113,6 +114,38 @@ def test_decompose_and_extend_reports():
     ext = AdditiveCode.from_int_rows(make_ring(2, 2, 1), gens)
     want = AdditiveCode.from_int_rows(make_ring(2, 2, 1), [[1, 2, 0, 0], [0, 0, 2, 1]])
     assert same_module(ext, want)
+
+
+# "eaqring extend" reports recorded before the two extensions shared one
+# assembly: the extended generators and the SHA-256 of the full report
+EXTEND_PINS = {
+    # GR(4,2): two hyperbolic pairs packed into one fresh coordinate
+    "GR42-packed": (
+        "ring p=2 b=2 m=2\nn 1\ngen 1,0 0,0\ngen 0,0 1,0\ngen 0,1 0,0\ngen 0,1 0,1\n",
+        [[[1, 0], [1, 3], [0, 0], [0, 0]], [[0, 0], [0, 0], [3, 1], [1, 0]],
+         [[0, 0], [1, 2], [1, 2], [0, 0]], [[0, 1], [0, 0], [0, 0], [0, 1]]],
+        "b233a2a22350b237eaafe391be3a560d72fec62985956f8000483efe1b6983ca"),
+    "Z9": (
+        "ring p=3 b=2 m=1\nn 2\ngen 1 0 3 1\ngen 0 1 2 0\ngen 3 3 0 6\n",
+        [[[3], [6], [0], [6], [6], [0]], [[1], [0], [8], [3], [1], [0]],
+         [[0], [1], [0], [2], [0], [1]]],
+        "13db0ef1e852b9b5aa627bc39936c952ff9677547cc471e5da96492b58a2a5d6"),
+    "Z4-worked": (
+        Z4_WORKED,
+        [[[1], [2], [0], [0]], [[0], [0], [2], [1]]],
+        "8190be15b539da9648aed2203c063e21447c6b53f9ec88aa5c15458de75a2e43"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTEND_PINS))
+def test_extend_report_is_pinned(tmp_path, name):
+    text, extended, digest = EXTEND_PINS[name]
+    f = tmp_path / "code.txt"
+    f.write_text(text)
+    out = io.StringIO()
+    assert run(["extend", str(f)], out=out) == 0
+    assert json.loads(out.getvalue())["extended_generators"] == extended
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_dual_report():

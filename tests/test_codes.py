@@ -22,7 +22,6 @@ from eaqring.codes import (
     min_symplectic_distance,
     puncture,
     same_module,
-    symplectic_dual,
     symplectic_product,
     symplectic_weight,
 )
@@ -189,46 +188,6 @@ def test_bidual_and_nesting(z4, gr42):
                 upper = chi_dual_level(C, t + 1)
                 for g in lower.generators:
                     assert upper.contains(g)
-
-
-def test_symplectic_dual_examples(z4, gr42):
-    full = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])
-    assert cardinality(symplectic_dual(full)) == 1
-    zero = AdditiveCode(z4, 1, ())
-    assert cardinality(symplectic_dual(zero)) == 16
-    # GR(4,2): brute force over all 256 vectors
-    g = SymplecticVector(gr42, (gr42.one,), (gr42.zero,))
-    C = AdditiveCode(gr42, 1, (g,))
-    D = symplectic_dual(C)
-    want = set()
-    for v in all_vectors(gr42, 1):
-        if not symplectic_product(g, v):
-            want.add(tuple(phi_expand(gr42, v.components)))
-    assert {tuple(f) for f in iterate_codewords(D)} == want
-
-
-def test_symplectic_dual_m1_coincides_with_chi_dual(z4):
-    z9 = make_ring(3, 2, 1)
-    rng = random.Random(17)
-    for ring, n in [(z4, 1), (z4, 2), (z9, 1)]:
-        vecs = list(all_vectors(ring, n))
-        for _ in range(8):
-            gens = tuple(rng.choice(vecs) for _ in range(2))
-            C = AdditiveCode(ring, n, gens)
-            assert same_module(symplectic_dual(C), chi_dual_level(C, 0))
-
-
-def test_symplectic_dual_is_subset_of_chi_dual(gr42):
-    rng = random.Random(19)
-    vecs = list(all_vectors(gr42, 1))
-    for _ in range(8):
-        gens = tuple(rng.choice(vecs) for _ in range(2))
-        C = AdditiveCode(gr42, 1, gens)
-        D = symplectic_dual(C)
-        chi = chi_dual_level(C, 0)
-        for g in D.generators:
-            assert chi.contains(g)
-            assert all(not symplectic_product(c, g) for c in C.generators)
 
 
 def test_is_chi_self_orthogonal(z4):

@@ -1,7 +1,6 @@
 """Hyperbolic decomposition tests: worked instances plus randomized
 invariant checks over several chain rings."""
 
-import itertools
 import random
 
 import pytest
@@ -9,13 +8,19 @@ import pytest
 from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
-    cardinality,
     chi_dual_level,
     code_intersection,
     same_module,
     symplectic_product,
 )
-from eaqring.decompose import hyperbolic_decompose, rho_profile, verify_prop_count
+from eaqring.decompose import (
+    HyperbolicDecomposition,
+    _check_decomposition,
+    hyperbolic_decompose,
+    rho_profile,
+    verify_prop_count,
+)
+from eaqring.errors import InternalInvariantViolation
 from eaqring.galois import char_exponent, make_ring
 from eaqring.zpblinalg import quotient_rank
 
@@ -124,3 +129,14 @@ def test_randomized_invariants(ring, n, kmax):
         assert len(rho) == ring.b - 1
         assert all(r >= 0 and r % 2 == 0 for r in rho)
         assert sum(rho) <= 2 * d.c
+
+
+def test_check_rejects_a_split_pair():
+    """A hyperbolic pair listed as two isotropic generators pairs
+    nontrivially across non-partners."""
+    z4 = make_ring(2, 2, 1)
+    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    (g0, g1), = hyperbolic_decompose(C).pairs
+    split = HyperbolicDecomposition(code=C, isotropic=(g0, g1), pairs=(), grams=())
+    with pytest.raises(InternalInvariantViolation, match="non-partners"):
+        _check_decomposition(split)

@@ -1,8 +1,8 @@
 """Extension-builder tests: worked extensions, symplectic subsets, minimum
 entanglement degree, quasi-symplectic checks, and the parameter pipeline."""
 
-import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,6 @@ from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
     cardinality,
-    chi_dual_level,
     is_chi_self_orthogonal,
     is_free,
     puncture,
@@ -19,13 +18,13 @@ from eaqring.codes import (
     symplectic_product,
 )
 from eaqring.decompose import hyperbolic_decompose
-from eaqring.errors import CapacityExceeded, ZeroTarget
+from eaqring.errors import CapacityExceeded, InternalInvariantViolation, ZeroTarget
 from eaqring.extension import (
+    SymplecticSubset,
     build_extension,
     build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
-    extract_symplectic_subset,
     minimum_entanglement_degree,
     verify_quasi_symplectic,
 )
@@ -108,6 +107,50 @@ def test_construct_symplectic_subset_errors(z4, gr42):
         construct_symplectic_subset(gr42, 1, [1, 2, 3])
 
 
+@pytest.mark.parametrize("spec", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])
+def test_construct_symplectic_subset_formula(spec):
+    """Pair j sits in coordinate k = j // m with basis index l = j % m:
+    a_{j1} = (-z_j dual_l e_k, 0) and a_{j2} = (0, theta^l e_k)."""
+    ring = make_ring(*spec)
+    N, c = ring.modulus, 2
+    targets = [1 + j % (N - 1) for j in range(c * ring.m)]
+    s = construct_symplectic_subset(ring, c, targets)
+    for j, (z, (a1, a2)) in enumerate(zip(targets, s.pairs)):
+        k, ell = divmod(j, ring.m)
+        x1 = [ring.zero] * c
+        x1[k] = ring.dual[ell].scale(-z)
+        y2 = [ring.zero] * c
+        y2[k] = ring.theta ** ell
+        assert a1 == SymplecticVector(ring, tuple(x1), (ring.zero,) * c)
+        assert a2 == SymplecticVector(ring, (ring.zero,) * c, tuple(y2))
+    assert s.exponents() == tuple(targets)
+
+
+def test_subset_verify_rejects_a_trivial_pair(z4):
+    a1 = SymplecticVector.from_ints(z4, [2, 0])
+    a2 = SymplecticVector.from_ints(z4, [0, 2])
+    with pytest.raises(InternalInvariantViolation, match="partners pair character-trivially"):
+        SymplecticSubset(z4, 1, ((a1, a2),)).verify()
+
+
+def test_subset_verify_rejects_a_nontrivial_cross_pair(z4):
+    # each pair pairs to -1, but a_{11} also pairs to -1 with a_{22}
+    p1 = (SymplecticVector.from_ints(z4, [1, 0, 0, 0]), SymplecticVector.from_ints(z4, [0, 0, 1, 0]))
+    p2 = (SymplecticVector.from_ints(z4, [0, 1, 0, 0]), SymplecticVector.from_ints(z4, [0, 0, 1, 1]))
+    with pytest.raises(InternalInvariantViolation, match="non-partners"):
+        SymplecticSubset(z4, 2, (p1, p2)).verify()
+
+
+def test_extension_verify_rejects_a_broken_tail(z4, worked):
+    ext = build_extension(hyperbolic_decompose(worked))
+    (u1, u2), = ext.pair_generators
+    # without the gram in its tail, u1 still pairs nontrivially with u2
+    bad = SymplecticVector(z4, u1.x[:1] + (z4.zero,), u1.y)
+    broken = replace(ext, extended=AdditiveCode(z4, 2, (bad, u2)))
+    with pytest.raises(InternalInvariantViolation, match="not chi-self-orthogonal"):
+        broken.verify()
+
+
 def test_minimum_entanglement_degree(z4, gr42, worked):
     assert minimum_entanglement_degree(AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])) == 1
     assert minimum_entanglement_degree(AdditiveCode.from_int_rows(z4, [[2, 0]])) == 0
@@ -161,19 +204,21 @@ def test_extension_invariants_randomized(spec, n):
             assert card <= ext.card_extended
             if is_free(C):
                 assert ext.card_extended == card
-            # extraction round trip
-            sub = extract_symplectic_subset(ext, d)
-            assert sub.exponents() == tuple(char_exponent(g) for g in d.grams)
+            # the tails read off the pair generators are the kept subset
+            tails = tuple(
+                tuple(SymplecticVector(ring, tuple(-v for v in u.x[n:]), u.y[n:]) for u in pair)
+                for pair in ext.pair_generators)
+            assert tails == ext.subset.pairs
+            assert ext.subset.exponents() == tuple(char_exponent(g) for g in d.grams)
 
 
 def test_extract_worked_shape(z4, worked):
     d = hyperbolic_decompose(worked)
-    ext = build_extension(d)
-    sub = extract_symplectic_subset(ext, d)
+    sub = build_extension(d).subset
     assert sub.e == 1
     assert sub.exponents() == (2,)
     a1, a2 = sub.pairs[0]
-    # appended coordinates read back: (-gamma, 0) and (0, 1) up to the sign fix
+    # the one-pair-per-coordinate subset: (-gamma, 0) and (0, 1), gamma = 2
     assert (a1.x[0].coeffs[0], a1.y[0].coeffs[0]) == (2, 0)
     assert (a2.x[0].coeffs[0], a2.y[0].coeffs[0]) == (0, 1)
 

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from eaqring.errors import (
     DimensionMismatch,
-    LimitExceeded,
     NoSolution,
     NotContained,
     ParameterTooLarge,
+    SearchLimitExceeded,
 )
 from eaqring.zpblinalg import (
-    HowellBasis,
     _is_prime,
     ZpbMatrix,
     enumerate_module,
@@ -246,10 +245,10 @@ def test_enumerate_module(p, b, rows):
 
 def test_enumerate_module_limit():
     H = howell_form(mat(2, 2, [[1, 0], [0, 1]]))
-    with pytest.raises(LimitExceeded) as exc:
+    with pytest.raises(SearchLimitExceeded) as exc:
         list(enumerate_module(H, limit=15))
     assert exc.value.cardinality == 16
-    assert str(exc.value) == "module has 16 elements, over the --max-enum limit 15"
+    assert str(exc.value) == "search set has 16 elements, over the --max-enum limit 15"
 
 
 def test_is_prime_matches_trial_division():
