@@ -2,14 +2,16 @@
 chi-duals at every level, cardinalities, membership, puncturing, and
 exhaustive minimum symplectic distance.
 
-Internally every code is its phi-expanded row module over Z_{p^b}^{2nm};
-ring-level generators are reconstructed on demand.
+Internally every code is its phi-expanded row module over Z_{p^b}^{2nm}.
+A code also keeps its ring-level generators; a derived code built from a
+Howell basis contracts each basis row into one when it is made.
 
 Codes are immutable, so every object derived from one is computed once per
 code and kept on it: the expanded matrix and its Howell and Smith forms, and
-the ``CodeAnalysis`` tower (chi-dual levels, their intersections with C,
-quotient ranks, rho, the decomposition and the minimal extension).  The
-caches live and die with the code.
+the ``CodeAnalysis`` (the Smith exponents of C's integer Gram matrix, which
+give every quotient rank and rho; the chi-dual levels asked for; C cap
+C^chi; the decomposition and the minimal extension).  The caches live and
+die with the code.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .zpblinalg import (
     howell_member,
     intersect,
     kernel,
-    quotient_rank,
     smith_form,
 )
 
@@ -101,6 +102,11 @@ def symplectic_product(u: SymplecticVector, v: SymplecticVector) -> RingElement:
     for i in range(u.n):
         acc = acc + u.y[i] * v.x[i] - v.y[i] * u.x[i]
     return acc
+
+
+def _expanded_pairing(u, v, nm, N):
+    """Integer symplectic form on phi-expanded rows: equals Tr(<u|v>_s)."""
+    return sum(u[nm + i] * v[i] - v[nm + i] * u[i] for i in range(nm)) % N
 
 
 def symplectic_weight(v: SymplecticVector) -> int:
@@ -218,52 +224,62 @@ def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
 
 
 class CodeAnalysis:
-    """The tower every parameter of the construction is read off, built
+    """The objects every parameter of the construction is read off, built
     lazily and at most once per code (``AdditiveCode.analysis``).
 
-    For each level t: the chi-dual C^{chi,t} (``dual``), the intersection
-    C cap C^{chi,t} (``meet``) and rank(C / (C cap C^{chi,t})) (``rank``);
-    from these the checked rho profile, and on top the checked hyperbolic
-    decomposition and minimal extension.  Every invariant check runs when
-    its object is first built.
+    The ranks come from one small integer matrix: with G[i][j] =
+    Tr<c_i|c_j>_s over C's expanded rows, v -> (Tr<v|c_j>_s)_j maps C onto
+    the row module of G with kernel C cap C^{chi}, and mod p^{b-t} with
+    kernel C cap C^{chi,t}.  So rank(C / (C cap C^{chi,t})) counts the
+    Smith exponents of G below b - t, and rho_t counts those equal to
+    b - t.  The chi-dual levels (``dual``) are built only when asked for;
+    ``meet`` is C cap C^{chi}, which the decomposition lifts from.  On top
+    sit the checked hyperbolic decomposition and minimal extension.  Every
+    invariant check runs when its object is first built.
     """
 
     def __init__(self, code: AdditiveCode):
         self.code = code
-        self._levels: Dict[Tuple[str, int], object] = {}
-
-    def _level(self, kind: str, t: int, build):
-        key = (kind, t)
-        if key not in self._levels:
-            self._levels[key] = build()
-        return self._levels[key]
+        self._duals: Dict[int, AdditiveCode] = {}
 
     def dual(self, t: int) -> AdditiveCode:
         """C^{chi-dual, t}, for 0 <= t <= b."""
+        if t not in self._duals:
+            C = self.code
+            self._duals[t] = AdditiveCode.from_expanded(
+                C.ring, C.n, kernel(_pairing_columns(C, C.ring.p ** t)))
+        return self._duals[t]
+
+    @cached_property
+    def meet(self) -> AdditiveCode:
+        """C cap C^{chi-dual}."""
+        return code_intersection(self.code, self.dual(0))
+
+    @cached_property
+    def gram_exponents(self) -> Tuple[int, ...]:
+        """Smith exponents of the Gram matrix Tr<c_i|c_j>_s over the rows
+        c_i of C's expanded matrix."""
         C = self.code
-
-        return self._level("dual", t, lambda: AdditiveCode.from_expanded(
-            C.ring, C.n, kernel(_pairing_columns(C, C.ring.p ** t))))
-
-    def meet(self, t: int) -> AdditiveCode:
-        """C cap C^{chi-dual, t}."""
-        return self._level("meet", t, lambda: code_intersection(self.code, self.dual(t)))
+        p, b = C.ring.p, C.ring.b
+        nm, N = C.n * C.ring.m, p ** b
+        rows = C.expanded_matrix.to_rows()
+        gram = [[_expanded_pairing(u, v, nm, N) for v in rows] for u in rows]
+        return smith_form(ZpbMatrix.from_reduced(p, b, gram, len(rows))).diag_exponents
 
     def rank(self, t: int) -> int:
         """rank(C / (C cap C^{chi-dual, t})); at t = 0 this is twice the
         number of hyperbolic pairs."""
-        return self._level("rank", t, lambda: quotient_rank(
-            self.code.expanded_howell, self.meet(t).expanded_howell))
+        return sum(1 for e in self.gram_exponents if e < self.code.ring.b - t)
 
     @cached_property
     def rho(self) -> Tuple[int, ...]:
         """(rho_1, ..., rho_{b-1}), rho_t = rank(t-1) - rank(t); each is
-        checked to be even and non-negative."""
+        checked to be even."""
         out = []
         for t in range(1, self.code.ring.b):
             rho = self.rank(t - 1) - self.rank(t)
-            if rho < 0 or rho % 2:
-                raise InternalInvariantViolation(f"rho_{t} = {rho} is not even and non-negative")
+            if rho % 2:
+                raise InternalInvariantViolation(f"rho_{t} = {rho} is odd")
             out.append(rho)
         return tuple(out)
 
@@ -275,7 +291,7 @@ class CodeAnalysis:
     @cached_property
     def extension(self) -> "SelfOrthogonalExtension":
         from .extension import _minimal_extension
-        return _minimal_extension(self.code, self.decomposition)
+        return _minimal_extension(self.code)
 
 
 def is_chi_self_orthogonal(C: AdditiveCode) -> bool:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .codes import AdditiveCode, SymplecticVector, symplectic_product
+from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
 from .galois import RingElement, char_exponent, phi_contract
 from .zpblinalg import ZpbMatrix, howell_form, howell_member, solve_congruence
@@ -38,11 +38,6 @@ class HyperbolicDecomposition:
         for a, b in self.pairs:
             out.extend((a, b))
         return out
-
-
-def _expanded_pairing(u, v, nm, N):
-    """Integer symplectic form on phi-expanded rows: equals Tr(<u|v>_s)."""
-    return sum(u[nm + i] * v[i] - v[nm + i] * u[i] for i in range(nm)) % N
 
 
 def _greedy_extension(C: AdditiveCode, extra: Sequence[Sequence[int]],
@@ -74,7 +69,7 @@ def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     images generate the quotient minimally.
     """
     target = C.analysis.rank(0)
-    chosen = _greedy_extension(C, C.analysis.meet(0).expanded_matrix.to_rows(),
+    chosen = _greedy_extension(C, C.analysis.meet.expanded_matrix.to_rows(),
                                C.expanded_smith.minimal_generators(), target)
     if len(chosen) != target:
         raise InternalInvariantViolation("quotient basis lift fell short")
@@ -89,7 +84,7 @@ def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> 
     Keeping the full list minimal means it is a basis whenever C is free,
     which the extension's free-module cardinality equality relies on.
     """
-    return _greedy_extension(C, lifted, C.analysis.meet(0).expanded_smith.minimal_generators())
+    return _greedy_extension(C, lifted, C.analysis.meet.expanded_smith.minimal_generators())
 
 
 def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:

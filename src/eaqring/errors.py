@@ -43,16 +43,8 @@ class ZeroTarget(EaqringError):
     """A symplectic-subset target exponent is zero."""
 
 
-class MismatchedExtension(EaqringError):
-    """Extension does not correspond to the given decomposition."""
-
-
 class DimensionTooLarge(EaqringError):
     """Matrix dimension exceeds the configured cap."""
-
-
-class NonProjector(EaqringError):
-    """Averaged stabilizer sum failed the projector check; indicates a bug."""
 
 
 class InternalInvariantViolation(EaqringError):

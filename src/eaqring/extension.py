@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .codes import (
     DEFAULT_ENUM_LIMIT,
@@ -32,13 +32,12 @@ from .decompose import HyperbolicDecomposition, _check_partner_pairings
 from .errors import (
     CapacityExceeded,
     InternalInvariantViolation,
-    MismatchedExtension,
     RingMismatch,
     SearchLimitExceeded,
     ZeroTarget,
 )
 from .galois import GaloisRingSpec, RingElement, char_exponent
-from .zpblinalg import ZpbMatrix, howell_member, smith_form
+from .zpblinalg import ZpbMatrix, smith_form
 
 
 @dataclass(frozen=True)
@@ -170,25 +169,19 @@ def minimum_entanglement_degree(C: AdditiveCode) -> int:
     return -(-r // (2 * C.ring.m))
 
 
-def build_minimal_extension(C: AdditiveCode,
-                            decomposition: Optional[HyperbolicDecomposition] = None
-                            ) -> SelfOrthogonalExtension:
-    """Minimal-degree chi-self-orthogonal extension.
+def build_minimal_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
+    """Minimal-degree chi-self-orthogonal extension of C's decomposition.
 
     Appends only ceil(pairs / m) coordinates by packing up to m pairs into
     one fresh ring coordinate via a symplectic subset with the grams'
-    exponents as targets.  For C's own decomposition (the default) it is
-    built and checked once per code and read from ``C.analysis``.
+    exponents as targets.  Built and checked once per code; every call
+    returns that same object from ``C.analysis``.
     """
-    A = C.analysis
-    if decomposition is None or decomposition is A.decomposition:
-        return A.extension
-    return _minimal_extension(C, decomposition)
+    return C.analysis.extension
 
 
-def _minimal_extension(C: AdditiveCode, d: HyperbolicDecomposition) -> SelfOrthogonalExtension:
-    if d.code is not C and not same_module(d.code, C):
-        raise MismatchedExtension("decomposition does not belong to this code")
+def _minimal_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
+    d = C.analysis.decomposition
     c = -(-d.c // C.ring.m)
     if c != minimum_entanglement_degree(C):
         raise InternalInvariantViolation("pair count disagrees with the degree formula")
@@ -268,8 +261,8 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     K_upper = total // card_code
     K_lower_raw = Fraction(total, card_code * _rho_growth(C))
     K_lower = max(1, math.floor(K_lower_raw))
-    dual = A.dual(0)
-    dual_in_code = all(howell_member(C.expanded_howell, r) for r in dual.expanded_matrix.to_rows())
+    # C cap C^chi sits inside C^chi, so equal sizes mean C^chi is inside C
+    dual_in_code = cardinality(A.meet) == cardinality(A.dual(0))
     case = "dual_subset_of_code" if dual_in_code else "dual_minus_code"
     try:
         D = min_symplectic_distance(C, "dual" if dual_in_code else "dual_minus_code", limit)

@@ -23,13 +23,11 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import math
 
-from .codes import AdditiveCode, SymplecticVector, chi_dual_level, iterate_codewords
-from .decompose import _expanded_pairing
+from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, chi_dual_level, iterate_codewords
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     InternalInvariantViolation,
-    NonProjector,
     RingMismatch,
     SearchLimitExceeded,
 )
@@ -189,7 +187,7 @@ class StabilizerGroup:
         import numpy as np
         P = self._tables.dense(self.elements) / self.size
         if np.max(np.abs(P @ P - P)) > 1e-9:
-            raise NonProjector("averaged stabilizer sum is not idempotent")
+            raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
         P.flags.writeable = False
         return P
 
@@ -269,7 +267,7 @@ def projector_dimension(group: StabilizerGroup,
     tr = np.trace(stabilizer_projector(group, max_dim))
     k = round(tr.real)
     if abs(tr - k) > 1e-6:
-        raise NonProjector(f"projector trace {tr} is not an integer")
+        raise InternalInvariantViolation(f"projector trace {tr} is not an integer")
     return int(k)
 
 

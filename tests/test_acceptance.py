@@ -156,7 +156,7 @@ def test_criterion_3_extension(corpus, decomps):
             bound = card
             for t, r in enumerate(rho_profile(C), start=1):
                 bound *= C.ring.p ** ((C.ring.b - t) * r)
-            for ext in (build_extension(d), build_minimal_extension(C, d)):
+            for ext in (build_extension(d), build_minimal_extension(C)):
                 assert is_chi_self_orthogonal(ext.extended)
                 assert same_module(puncture(ext.extended, C.n), C)
                 assert card <= ext.card_extended <= bound
@@ -355,8 +355,7 @@ def test_criterion_8_pauli_ground_truth():
         for _ in range(6):
             n = rng.randint(1, nmax)
             C = random_code(ring, n, rng.randint(1, 2 * n * ring.m), rng)
-            d = hyperbolic_decompose(C)
-            ext = build_minimal_extension(C, d)
+            ext = build_minimal_extension(C)
             if ring.cardinality ** ext.extended.n > 256:
                 continue
             group = build_stabilizer(ext)

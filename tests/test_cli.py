@@ -325,3 +325,17 @@ def test_invariant_failure_carries_a_reproducer(tmp_path, monkeypatch):
     assert err["reproducer"] == serialize_code(ring, C)
     ring2, C2 = parse_code_text(err["reproducer"])
     assert ring2 == ring and same_module(C2, C)
+
+
+def test_failed_projector_check_carries_a_reproducer(tmp_path, monkeypatch):
+    dense = pauli._Monomials.dense
+    monkeypatch.setattr(pauli._Monomials, "dense", lambda self, ops: 2 * dense(self, ops))
+    f = tmp_path / "code.txt"
+    f.write_text(Z4_WORKED)
+    code, out = run_cli(["verify", str(f)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "InternalInvariantViolation"
+    assert err["message"] == "averaged stabilizer sum is not idempotent"
+    ring, C = parse_code_text(Z4_WORKED)
+    assert err["reproducer"] == serialize_code(ring, C)

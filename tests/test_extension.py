@@ -175,7 +175,7 @@ def test_build_minimal_extension_packs_pairs(gr42):
     ))
     d = hyperbolic_decompose(full)
     assert d.c == 2  # naive pair count
-    ext = build_minimal_extension(full, d)
+    ext = build_minimal_extension(full)
     assert ext.c == 1  # two pairs packed into one fresh coordinate
     assert is_chi_self_orthogonal(ext.extended)
     assert same_module(puncture(ext.extended, 1), full)
@@ -186,7 +186,7 @@ def test_minimal_extension_m1_matches_pair_count(z4):
     for _ in range(10):
         C = random_code(z4, 2, rng.randint(1, 3), rng)
         d = hyperbolic_decompose(C)
-        ext = build_minimal_extension(C, d)
+        ext = build_minimal_extension(C)
         assert ext.c == d.c == minimum_entanglement_degree(C)
 
 
@@ -197,7 +197,7 @@ def test_extension_invariants_randomized(spec, n):
     for _ in range(8):
         C = random_code(ring, n, rng.randint(1, 3), rng)
         d = hyperbolic_decompose(C)
-        for ext in (build_extension(d), build_minimal_extension(C, d)):
+        for ext in (build_extension(d), build_minimal_extension(C)):
             assert is_chi_self_orthogonal(ext.extended)
             assert same_module(puncture(ext.extended, n), C)
             card = cardinality(C)

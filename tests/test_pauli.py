@@ -25,7 +25,6 @@ from eaqring.decompose import hyperbolic_decompose
 from eaqring.errors import (
     DimensionTooLarge,
     InternalInvariantViolation,
-    NonProjector,
     SearchLimitExceeded,
 )
 from eaqring.extension import build_extension, build_minimal_extension
@@ -203,7 +202,7 @@ def test_non_projector_detected(z4):
         identity_operator(z4, 1),
         PauliOperator(z4, 1, 2, (z4.zero,), (z4.zero,)),
     ))
-    with pytest.raises(NonProjector):
+    with pytest.raises(InternalInvariantViolation, match="not idempotent"):
         projector_dimension(bad)
 
 

@@ -1,9 +1,13 @@
-"""Static checks on the package source, read with ``ast``: no bare
-``assert`` (a failed invariant raises InternalInvariantViolation), and no
-error class in errors.py that nothing in the package raises."""
+"""Checks on the package source: read with ``ast``, no bare ``assert`` (a
+failed invariant raises InternalInvariantViolation) and no error class in
+errors.py that nothing in the package raises; run in a fresh interpreter,
+no numpy import outside the verifier."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "eaqring"
 
@@ -29,3 +33,19 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(classes - raised - {"EaqringError"}) == []
+
+
+def test_params_runs_without_numpy(tmp_path):
+    """Only ``verify`` needs numpy: importing the CLI and running ``params``
+    leaves it unloaded, which keeps start-up time and resident memory low."""
+    f = tmp_path / "code.txt"
+    f.write_text("ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n")
+    script = ("import io, sys\n"
+              "import eaqring.cli\n"
+              "assert eaqring.cli.run(['params', sys.argv[1]], out=io.StringIO()) == 0\n"
+              "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script, str(f)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
