@@ -40,7 +40,7 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .extension import build_minimal_extension, eaqecc_params
-from .galois import GaloisRingSpec, char_exponent, make_ring, phi_contract
+from .galois import GaloisRingSpec, char_exponent, make_ring
 from .pauli import (
     DEFAULT_MATRIX_DIM,
     build_stabilizer,
@@ -223,10 +223,7 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         report["extended_generators"] = [_entry_lists(g) for g in ext.extended.generators]
     elif command == "dual":
         dual = chi_dual_level(C, 0)
-        rows = dual.expanded_howell.matrix.to_rows()
-        report["dual_generators"] = [
-            _entry_lists(SymplecticVector.from_components(ring, phi_contract(ring, r)))
-            for r in rows]
+        report["dual_generators"] = [_entry_lists(g) for g in dual.generators]
         report["card_code"] = cardinality(C)
         report["card_dual"] = cardinality(dual)
     elif command in ("params", "distance"):

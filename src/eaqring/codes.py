@@ -79,6 +79,8 @@ class SymplecticVector:
         return cls.from_components(ring, [ring.scalar(c) for c in flat])
 
     def __add__(self, other: "SymplecticVector") -> "SymplecticVector":
+        if self.n != other.n:
+            raise DimensionMismatch("operands of different length")
         return SymplecticVector(self.ring,
                                 tuple(a + b for a, b in zip(self.x, other.x)),
                                 tuple(a + b for a, b in zip(self.y, other.y)))
@@ -196,17 +198,12 @@ def _pairing_columns(C: AdditiveCode, scale: int) -> ZpbMatrix:
     """Matrix whose columns are scale * (-B_c, A_c) over the generator rows
     c; a vector v is chi-orthogonal (at the given scale) to all generators
     iff phi(v) lies in the kernel."""
-    p, b = C.ring.p, C.ring.b
-    N = p ** b
-    dim = C.ambient_cols
-    nm = C.n * C.ring.m
-    cols = []
-    for i in range(C.expanded_matrix.rows):
-        row = C.expanded_matrix.row(i)
-        A_c, B_c = row[:nm], row[nm:]
-        cols.append([(scale * (-x)) % N for x in B_c] + [(scale * x) % N for x in A_c])
-    flat = tuple(cols[j][i] for i in range(dim) for j in range(len(cols)))
-    return ZpbMatrix(p, b, dim, len(cols), flat)
+    G = C.expanded_matrix
+    N, nm = G.modulus, C.n * C.ring.m
+    gens = G.to_rows()
+    rows = [[(-scale * g[nm + i]) % N for g in gens] for i in range(nm)]
+    rows += [[(scale * g[i]) % N for g in gens] for i in range(nm)]
+    return ZpbMatrix.from_reduced(G.p, G.b, rows, G.rows)
 
 
 def chi_dual_level(C: AdditiveCode, t: int) -> AdditiveCode:

@@ -243,6 +243,8 @@ class RingElement:
         return RingElement(self.ring, tuple((c * a) % N for a in self.coeffs))
 
     def __pow__(self, e: int) -> "RingElement":
+        if e < 0:
+            raise ValueError(f"negative exponent {e}: ring elements are powered by e >= 0")
         return RingElement(self.ring, _poly_pow_mod(self.coeffs, e,
                                                     self.ring.h_coeffs, self.ring.modulus))
 

@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import math
 
-from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, chi_dual_level, iterate_codewords
+from .codes import (DEFAULT_ENUM_LIMIT, AdditiveCode, SymplecticVector, _expanded_pairing,
+                    chi_dual_level, iterate_codewords)
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .extension import SelfOrthogonalExtension
 from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace, phi_expand
-from .zpblinalg import howell_member, smith_form, solve_congruence
+from .zpblinalg import howell_member, solve_congruence
 
 # numpy is imported by the functions that use it: only `verify` needs it,
 # and importing it at start-up roughly doubles the start-up time and
@@ -208,7 +209,7 @@ def build_stabilizer(ext: SelfOrthogonalExtension,
     ntot = ext.extended.n
     _check_dim(ring, ntot, max_dim, "q^(n+c)")
     T = _Monomials(ring, ntot)
-    sd = smith_form(ext.extended.expanded_matrix)
+    sd = ext.extended.expanded_smith
     rows = sd.minimal_generators()
     elements: List[Triple] = [(0, (0,) * ntot, (0,) * ntot)]
     for row, e in zip(rows, sd.diag_exponents):
@@ -281,7 +282,7 @@ class ErrorSearchResult:
 
 
 def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
-                              limit: int = 1 << 22,
+                              limit: int = DEFAULT_ENUM_LIMIT,
                               max_dim: int = DEFAULT_MATRIX_DIM) -> ErrorSearchResult:
     """Classify every error X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
     criterion on an orthonormal basis of the code space, and cross-check

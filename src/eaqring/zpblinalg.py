@@ -1,6 +1,10 @@
 """Exact linear algebra over Z_{p^b}: Howell form, Smith form, kernels,
 intersections, quotient ranks, congruence solving and module enumeration.
 
+The Howell form does the module operations: membership, cardinality,
+kernel, intersection (both read off one Howell form of an augmented matrix)
+and enumeration.  The Smith form gives exponents and minimal generators.
+
 Everything here works on plain integer residues in [0, p^b).  Pivoting is
 always on entries of minimal p-valuation (every element of Z_{p^b} is
 unit * p^v), with lowest-index tie-breaks, so all outputs are reproducible
@@ -221,11 +225,11 @@ def howell_member(H: HowellBasis, vec: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Smith form over Z_{p^b}: left_inv * A = diag(p^{e_i}) * right, with
-    left_inv and right unimodular."""
+    """Smith form over Z_{p^b}: U * A = diag(p^{e_i}) * right with U and
+    right unimodular; U is not kept, as the rows p^{e_i} * right_i already
+    span the row module of A."""
 
     diag_exponents: Tuple[int, ...]
-    left_inv: ZpbMatrix
     right: ZpbMatrix
 
     @property
@@ -244,25 +248,20 @@ class SmithDecomposition:
                 for i, e in enumerate(self.diag_exponents)]
 
 
-def _identity_rows(n: int) -> List[List[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def smith_form(A: ZpbMatrix) -> SmithDecomposition:
     """Smith normal form by minimal-p-valuation pivoting.
 
-    Diagonal entries come out as p^{e_i} with e_i non-decreasing.  Row
-    operations accumulate into left_inv and the inverses of the column
-    operations into right, so left_inv * A = D * right mod p^b.  Once a
-    pivot has cleared its column, the rest of its row only feeds right:
-    later pivots search the rows and columns beyond it.
+    Diagonal entries come out as p^{e_i} with e_i non-decreasing.  The
+    inverses of the column operations accumulate into right; the row
+    operations act on A alone.  Once a pivot has cleared its column, the
+    rest of its row only feeds right: later pivots search the rows and
+    columns beyond it.
     """
     p, b = A.p, A.b
     N = p ** b
     nr, nc = A.rows, A.cols
     D = A.to_rows()
-    U = _identity_rows(nr)
-    Vinv = _identity_rows(nc)
+    Vinv = [[int(i == j) for j in range(nc)] for i in range(nc)]
     exps: List[int] = []
     for k in range(min(nr, nc)):
         best = None
@@ -277,9 +276,7 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
         if best is None:
             break
         bi, bj = best
-        if bi != k:
-            D[k], D[bi] = D[bi], D[k]
-            U[k], U[bi] = U[bi], U[k]
+        D[k], D[bi] = D[bi], D[k]
         if bj != k:
             for row in D:
                 row[k], row[bj] = row[bj], row[k]
@@ -288,62 +285,51 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
         pv = p ** v
         uinv = pow(D[k][k] // pv, -1, N)
         D[k] = [(uinv * x) % N for x in D[k]]
-        U[k] = [(uinv * x) % N for x in U[k]]
         for i in range(k + 1, nr):
             e = D[i][k]
             if e:
                 coef = e // pv
                 D[i] = [(D[i][j] - coef * D[k][j]) % N for j in range(nc)]
-                U[i] = [(U[i][j] - coef * U[k][j]) % N for j in range(nr)]
         for j in range(k + 1, nc):
             e = D[k][j]
             if e:
                 coef = e // pv
                 Vinv[k] = [(Vinv[k][t] + coef * Vinv[j][t]) % N for t in range(nc)]
         exps.append(v)
-    return SmithDecomposition(
-        diag_exponents=tuple(exps),
-        left_inv=ZpbMatrix.from_reduced(p, b, U, nr),
-        right=ZpbMatrix.from_reduced(p, b, Vinv, nc),
-    )
+    return SmithDecomposition(diag_exponents=tuple(exps),
+                              right=ZpbMatrix.from_reduced(p, b, Vinv, nc))
+
+
+def _trailing(H: HowellBasis, lead: int) -> HowellBasis:
+    """Howell basis of {y : (0 | y) in H}, with ``lead`` zero columns: by
+    the Howell property the rows whose pivot lies past ``lead``, cut to the
+    trailing block, are already its canonical Howell basis."""
+    A = H.matrix
+    keep = [i for i, col in enumerate(H.pivots) if col >= lead]
+    rows = [A.row(i)[lead:] for i in keep]
+    return HowellBasis(matrix=ZpbMatrix.from_reduced(A.p, A.b, rows, A.cols - lead),
+                       pivots=tuple(H.pivots[i] - lead for i in keep))
 
 
 def kernel(A: ZpbMatrix) -> HowellBasis:
-    """All row vectors x with x*A = 0 mod p^b, as a Howell basis.
-
-    In Smith coordinates the kernel is spanned by p^{b-e_i} e_i for e_i > 0
-    and by e_i beyond the diagonal; x = y * left_inv pulls it back.
-    """
-    p, b = A.p, A.b
-    N = p ** b
-    sd = smith_form(A)
-    U = sd.left_inv
-    nd = len(sd.diag_exponents)
-    xrows = [[(p ** (b - e) * x) % N for x in U.row(i)]
-             for i, e in enumerate(sd.diag_exponents) if e > 0]
-    xrows += [U.row(i) for i in range(nd, A.rows)]
-    return howell_form(ZpbMatrix.from_reduced(p, b, xrows, A.rows))
+    """All row vectors x with x*A = 0 mod p^b, as a Howell basis: the rows
+    (0 | x) of the Howell form of [A | I]."""
+    p, b, c = A.p, A.b, A.cols
+    aug = [list(A.row(i)) + [int(i == j) for j in range(A.rows)] for i in range(A.rows)]
+    return _trailing(howell_form(ZpbMatrix.from_reduced(p, b, aug, c + A.rows)), c)
 
 
 def intersect(M1: HowellBasis, M2: HowellBasis) -> HowellBasis:
-    """Howell basis of the intersection of two row modules."""
+    """Howell basis of the intersection of two row modules: the rows
+    (0 | y) of the Howell form of [M1 | M1 ; M2 | 0], since
+    (a + b | a) with a in M1, b in M2 has a zero lead iff a = -b."""
     A1, A2 = M1.matrix, M2.matrix
     if A1.cols != A2.cols or (A1.p, A1.b) != (A2.p, A2.b):
         raise DimensionMismatch("ambient dimensions differ")
-    p, b = A1.p, A1.b
-    N = p ** b
     cols = A1.cols
-    if A1.rows == 0 or A2.rows == 0:
-        return howell_form(ZpbMatrix.from_reduced(p, b, [], cols))
-    stacked = ZpbMatrix(p, b, A1.rows + A2.rows, cols, A1.entries + A2.entries)
-    K = kernel(stacked)
-    r1 = A1.rows
-    out = []
-    for i in range(K.rows):
-        k = K.matrix.row(i)
-        vec = [sum(k[t] * A1.entries[t * cols + j] for t in range(r1)) % N for j in range(cols)]
-        out.append(vec)
-    return howell_form(ZpbMatrix.from_reduced(p, b, out, cols))
+    aug = [A1.row(i) * 2 for i in range(A1.rows)]  # (a | a): the row repeated
+    aug += [A2.row(i) + (0,) * cols for i in range(A2.rows)]
+    return _trailing(howell_form(ZpbMatrix.from_reduced(A1.p, A1.b, aug, 2 * cols)), cols)
 
 
 def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:
@@ -388,22 +374,18 @@ def solve_congruence(lhs: int, rhs: int, modulus: int) -> int:
 def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
     """Yield every element of the row module exactly once, in a fixed order.
 
-    Iterates mixed-radix coefficients over the Smith factors (last index
-    fastest).  Raises SearchLimitExceeded with the exact cardinality when
-    the module is too large.
+    Iterates mixed-radix coefficients c_i in [0, N / pivot_i) over the
+    Howell rows (last index fastest); ``HowellBasis.cardinality`` is why
+    each element comes out exactly once.  Raises SearchLimitExceeded with
+    the exact cardinality when the module is too large.
     """
     A = M.matrix
-    p, b = A.p, A.b
-    N = p ** b
+    N = A.modulus
     if M.cardinality > limit:
         raise SearchLimitExceeded(M.cardinality, limit)
-    sd = smith_form(A)
-    base = sd.minimal_generators()
-    radix = [p ** (b - e) for e in sd.diag_exponents]
+    base = [A.row(i) for i in range(A.rows)]
+    radix = [N // row[col] for row, col in zip(base, M.pivots)]
     k = len(base)
-    if k == 0:
-        yield tuple([0] * A.cols)
-        return
     counter = [0] * k
     while True:
         vec = [0] * A.cols

@@ -13,6 +13,8 @@ import pytest
 
 import eaqring.codes as codes_mod
 import eaqring.decompose as decompose_mod
+import eaqring.extension as extension_mod
+import eaqring.pauli as pauli_mod
 import eaqring.zpblinalg as zpb_mod
 from eaqring.cli import build_report, parse_code_text
 from eaqring.codes import AdditiveCode, SymplecticVector, chi_dual_level, code_intersection
@@ -54,8 +56,9 @@ def counted(monkeypatch):
     count(decompose_mod, "_decompose")
     count(codes_mod, "kernel", key=lambda A: A)
     count(codes_mod, "intersect")
-    for module in (codes_mod, zpb_mod):
-        count(module, "smith_form")
+    for module in (codes_mod, extension_mod, pauli_mod, zpb_mod):
+        if hasattr(module, "smith_form"):
+            count(module, "smith_form")
         if hasattr(module, "quotient_rank"):
             count(module, "quotient_rank")
     for module in (codes_mod, decompose_mod, zpb_mod):
@@ -76,17 +79,15 @@ def test_report_builds_each_object_once(counted, label, command):
     assert dual_kernels == {codes_mod._pairing_columns(C, 1): 1}
     assert counted["intersect", None] == 1
     assert counted["quotient_rank", None] == 0
-    # Smith forms: the kernels of C^chi and of the intersection, the Gram
-    # matrix, the minimal generators of C and of C cap C^chi, and the
-    # enumerations of C^chi (distance, and once more for verify's
-    # cross-check)
-    enumerations = 1 if command == "params" else 2
-    assert counted["smith_form", None] <= 5 + enumerations
-    # Howell forms: the dual's kernel, the intersection's kernel and
-    # result, each derived code keeping the form it was built from; then at
-    # most eight for C itself, the decomposition and the extension of these
+    # Smith forms: the minimal generators of C and of C cap C^chi and the
+    # Gram matrix; verify adds the minimal generators of C'.  Kernels,
+    # intersections and enumerations read Howell forms only.
+    assert counted["smith_form", None] == (3 if command == "params" else 4)
+    # Howell forms: one each for the dual's kernel and the intersection,
+    # each derived code keeping the form it was built from; then at most
+    # eight for C itself, the decomposition and the extension of these
     # one-coordinate codes
-    assert counted["howell_form", None] <= 3 + 8
+    assert counted["howell_form", None] <= 2 + 8
 
 
 def test_repeated_calls_return_the_cached_objects():

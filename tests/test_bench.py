@@ -1,8 +1,9 @@
 """Benchmark smoke test: the traced pass of ``bench/run.py`` reads layer
-functions by name (``pauli.stabilizer_projector`` and the like), so a
-renamed or deleted one would stop it with a KeyError.  It runs here on a
-copy of the checkout, so nothing is written under the repository's
-``bench/``."""
+functions by name (``pauli.stabilizer_projector``, ``zpblinalg.kernel``
+and the like), so a renamed or deleted one would stop it with a KeyError.
+The params pass also checks the first block of seed-0 reports against
+their reference digests.  It runs here on a copy of the checkout, so
+nothing is written under the repository's ``bench/``."""
 
 import json
 import os
@@ -11,10 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_verify_small_runs_on_a_copy(tmp_path):
+@pytest.mark.parametrize("workload", ["verify-small", "params-mixed"])
+def test_traced_workload_runs_on_a_copy(tmp_path, workload):
     skip = shutil.ignore_patterns("out", "__pycache__")
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=skip)
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=skip)
@@ -23,7 +27,7 @@ def test_traced_verify_small_runs_on_a_copy(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     before = {p: p.stat().st_mtime_ns for p in (ROOT / "bench").rglob("*")}
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "verify-small",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--trace", "1", "--seconds", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -25,7 +25,7 @@ from eaqring.codes import (
     symplectic_product,
     symplectic_weight,
 )
-from eaqring.errors import SearchLimitExceeded
+from eaqring.errors import DimensionMismatch, SearchLimitExceeded
 from eaqring.galois import gen_trace, make_ring, phi_expand
 
 
@@ -107,6 +107,13 @@ def test_symplectic_product_antisymmetry(gr42):
         u, v = rng.choice(vecs), rng.choice(vecs)
         assert symplectic_product(u, v) == -symplectic_product(v, u)
         assert not symplectic_product(u, u)
+
+
+def test_symplectic_vector_sum_checks_lengths(z4):
+    u = SymplecticVector.from_ints(z4, [1, 2, 3, 1])
+    assert u + SymplecticVector.from_ints(z4, [1, 1, 1, 1]) == SymplecticVector.from_ints(z4, [2, 3, 0, 2])
+    with pytest.raises(DimensionMismatch):
+        u + SymplecticVector.from_ints(z4, [1, 1])
 
 
 def test_symplectic_weight(z4):

@@ -121,6 +121,13 @@ def test_ring_mul_examples(gr42):
         assert a + (-a) == gr42.zero
 
 
+def test_ring_power_rejects_negative_exponents(gr42):
+    th = gr42.theta
+    assert th ** 0 == gr42.one and th ** 3 == th * th * th
+    with pytest.raises(ValueError, match="negative"):
+        th ** -1
+
+
 def test_teichmuller_decompose_examples(gr42):
     assert teichmuller_decompose(gr42.zero) == (gr42.zero, gr42.zero)
     assert teichmuller_decompose(gr42.scalar(2)) == (gr42.zero, gr42.one)

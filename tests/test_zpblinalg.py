@@ -2,6 +2,8 @@
 
 Brute-force spans (additive closure of the generator rows) are the ground
 truth that Howell/Smith/kernel/intersection outputs are checked against.
+Kernels and intersections are also checked, basis for basis, against a
+second route through a Smith form with its left transform.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from eaqring.errors import (
     ParameterTooLarge,
     SearchLimitExceeded,
 )
+import eaqring.zpblinalg as zpb_mod
 from eaqring.zpblinalg import (
     _is_prime,
     ZpbMatrix,
@@ -63,6 +66,75 @@ def mat_mul(X, Y):
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def smith_left(A):
+    """Smith exponents of A with a unimodular U such that U * A is
+    diag(p^{e_i}) times a unimodular matrix: minimal-valuation pivoting
+    with every row operation applied to U as well."""
+    p, b, N = A.p, A.b, A.modulus
+    nr, nc = A.rows, A.cols
+    D, U = A.to_rows(), identity(nr)
+    exps = []
+    for k in range(min(nr, nc)):
+        cands = [(zpb_mod._val(D[i][j], p, b), i, j)
+                 for i in range(k, nr) for j in range(k, nc) if D[i][j]]
+        if not cands:
+            break
+        v, bi, bj = min(cands)
+        D[k], D[bi], U[k], U[bi] = D[bi], D[k], U[bi], U[k]
+        for row in D:
+            row[k], row[bj] = row[bj], row[k]
+        uinv = pow(D[k][k] // p ** v, -1, N)
+        D[k] = [uinv * x % N for x in D[k]]
+        U[k] = [uinv * x % N for x in U[k]]
+        for i in range(k + 1, nr):
+            coef = D[i][k] // p ** v
+            D[i] = [(x - coef * y) % N for x, y in zip(D[i], D[k])]
+            U[i] = [(x - coef * y) % N for x, y in zip(U[i], U[k])]
+        exps.append(v)
+    return exps, U
+
+
+def smith_kernel(A):
+    """Oracle kernel: in Smith coordinates it is spanned by p^{b-e_i} e_i
+    for e_i > 0 and by e_i beyond the diagonal; x = y * U pulls it back."""
+    p, b, N = A.p, A.b, A.modulus
+    exps, U = smith_left(A)
+    xrows = [[p ** (b - e) * x % N for x in U[i]] for i, e in enumerate(exps) if e > 0]
+    xrows += U[len(exps):]
+    return howell_form(mat(p, b, xrows, cols=A.rows))
+
+
+def smith_intersect(M1, M2):
+    """Oracle intersection: the kernel K of M1 stacked on M2 gives the
+    common elements k_1 * M1 = -k_2 * M2."""
+    A1, A2 = M1.matrix, M2.matrix
+    p, b, N, cols = A1.p, A1.b, A1.modulus, A1.cols
+    if A1.rows == 0 or A2.rows == 0:
+        return howell_form(mat(p, b, [], cols=cols))
+    K = smith_kernel(mat(p, b, A1.to_rows() + A2.to_rows(), cols=cols))
+    out = [[sum(k[t] * A1.row(t)[j] for t in range(A1.rows)) % N for j in range(cols)]
+           for k in K.matrix.to_rows()]
+    return howell_form(mat(p, b, out, cols=cols))
+
+
+ORACLE_RINGS = [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]  # F2 Z4 Z8 Z9 Z25 Z27
+
+
+def seeded_matrices(p, b, seed, count):
+    """Random matrices with up to 5 rows, some rows zero, some 0-row."""
+    N = p ** b
+    rng = random.Random(seed)
+    for _ in range(count):
+        nr, nc = rng.randint(0, 5), rng.randint(1, 4)
+        rows = [[rng.randrange(N) for _ in range(nc)] for _ in range(nr)]
+        for r in rows:
+            if rng.random() < 0.2:
+                r[:] = [0] * nc
+            elif rng.random() < 0.3:  # a non-unit row
+                r[:] = [p * x % N for x in r]
+        yield mat(p, b, rows, cols=nc)
 
 
 CASES = [
@@ -125,12 +197,12 @@ def test_smith_factorization(p, b, rows):
     sd = smith_form(A)
     exps = sd.diag_exponents
     D = mat(p, b, [[p ** exps[i] if i == j < len(exps) else 0 for j in range(A.cols)]
-                   for i in range(A.rows)], cols=A.cols)
-    assert mat_mul(sd.left_inv, A) == mat_mul(D, sd.right)
-    # both transforms are unimodular: each spans the whole free module
-    for T, n in ((sd.left_inv, A.rows), (sd.right, A.cols)):
-        assert (T.rows, T.cols) == (n, n)
-        assert howell_form(T).matrix.to_rows() == identity(n)
+                   for i in range(len(exps))], cols=A.cols)
+    # the rows p^{e_i} * right_i span the row module of A
+    assert howell_form(mat(p, b, mat_mul(D, sd.right), cols=A.cols)) == howell_form(A)
+    # right is unimodular: it spans the whole free module
+    assert (sd.right.rows, sd.right.cols) == (A.cols, A.cols)
+    assert howell_form(sd.right).matrix.to_rows() == identity(A.cols)
     assert list(sd.diag_exponents) == sorted(sd.diag_exponents)
     assert all(e < b for e in sd.diag_exponents)
     assert sd.cardinality == len(span_set(p, b, rows, cols))
@@ -187,6 +259,46 @@ def test_intersect_exact():
         assert span_set(p, b, H.matrix.to_rows(), cols) == truth
 
 
+@pytest.mark.parametrize("p,b", ORACLE_RINGS)
+def test_kernel_and_intersect_match_the_smith_route(p, b):
+    """kernel and intersect, read off one Howell form of an augmented
+    matrix, equal the Smith-route Howell bases exactly, matrix and pivots,
+    including zero rows, 0-row matrices and the zero module."""
+    mats = list(seeded_matrices(p, b, 10 * p + b, 60))
+    for A in mats:
+        assert kernel(A) == smith_kernel(A)
+    zero = howell_form(ZpbMatrix(p, b, 0, 3, ()))
+    by_cols = {}
+    for A in mats:
+        by_cols.setdefault(A.cols, []).append(howell_form(A))
+    N = p ** b
+    for group in by_cols.values():
+        for M1, M2 in zip(group, group[1:] + group[:1]):
+            assert intersect(M1, M2) == smith_intersect(M1, M2)
+            # M2 plus p * M1: a meet that is neither side nor zero
+            mixed = M2.matrix.to_rows() + [[p * x % N for x in r] for r in M1.matrix.to_rows()]
+            M3 = howell_form(mat(p, b, mixed, cols=M1.cols))
+            assert intersect(M1, M3) == smith_intersect(M1, M3)
+    for A in mats:
+        if A.cols == 3:
+            H = howell_form(A)
+            assert intersect(H, zero) == intersect(zero, H) == zero
+            assert intersect(H, H) == H
+
+
+def test_module_operations_make_no_smith_form(monkeypatch):
+    """kernel, intersect and enumerate_module run on Howell forms only."""
+    def refuse(A):
+        raise AssertionError("smith_form called")
+    monkeypatch.setattr(zpb_mod, "smith_form", refuse)
+    rows = [[2, 1, 0], [1, 3, 2], [3, 0, 2]]
+    A = mat(2, 2, rows)
+    H, H2 = howell_form(A), howell_form(mat(2, 2, [[2, 0, 0], [0, 2, 0]]))
+    assert kernel(A) == smith_kernel(A) and kernel(A).cardinality > 1
+    assert intersect(H, H2) == smith_intersect(H, H2) and intersect(H, H2).rows > 0
+    assert set(enumerate_module(H, limit=64)) == span_set(2, 2, rows, 3)
+
+
 def test_intersect_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         intersect(howell_form(mat(2, 2, [[1, 0]])), howell_form(mat(2, 2, [[1, 0, 0]])))
@@ -241,6 +353,23 @@ def test_enumerate_module(p, b, rows):
     elems = list(enumerate_module(H, limit=1 << 20))
     assert len(elems) == len(set(elems)) == len(truth)
     assert set(elems) == truth
+
+
+@pytest.mark.parametrize("p,b,rows", [
+    (2, 2, [[2, 1]]),
+    (2, 3, [[4, 2, 1]]),
+    (3, 2, [[3, 1]]),
+    (2, 2, [[2, 1, 0], [0, 2, 3]]),
+])
+def test_enumerate_module_with_annihilator_rows(p, b, rows):
+    """Howell forms with more rows than generators (Z4 [[2, 1]] gives
+    [[2, 1], [0, 2]]): every element still comes out exactly once."""
+    cols = len(rows[0])
+    H = howell_form(mat(p, b, rows))
+    assert H.rows > len(rows)
+    elems = list(enumerate_module(H, limit=1 << 20))
+    assert len(elems) == len(set(elems)) == H.cardinality
+    assert set(elems) == span_set(p, b, rows, cols)
 
 
 def test_enumerate_module_limit():
