@@ -226,42 +226,35 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         report["dual_generators"] = [_entry_lists(g) for g in dual.generators]
         report["card_code"] = cardinality(C)
         report["card_dual"] = cardinality(dual)
-    elif command in ("params", "distance"):
+    elif command in ("params", "distance", "verify"):
         P = eaqecc_params(C, limit=max_enum)
-        if command == "params":
+        if command == "distance":
+            report.update(D=_render_D(P.D), distance_case=P.distance_case,
+                          distance_convention="min_symplectic_weight")
+        else:
             report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
             report.update(_params_block(P))
-        else:
-            report["D"] = _render_D(P.D)
-            report["distance_case"] = P.distance_case
-            report["distance_convention"] = "min_symplectic_weight"
-        if P.D is None:
-            code = 2
-    elif command == "verify":
-        P = eaqecc_params(C, limit=max_enum)
-        report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
-        report.update(_params_block(P))
-        if P.D is None:
-            code = 2
-        ext = build_minimal_extension(C)
-        try:
-            group = build_stabilizer(ext, max_dim=max_matrix_dim)
-            dim = projector_dimension(group, max_dim=max_matrix_dim)
-            res = undetectable_error_search(C, group, limit=max_enum, max_dim=max_matrix_dim)
-            report["verification"] = {
-                "stabilizer_size": group.size,
-                "matrix_dimension": ring.cardinality ** ext.extended.n,
-                "projector_dimension": dim,
-                "undetectable_count": len(res.undetectable),
-                "undetectable_min_weight": _render_D(res.min_weight),
-                "set_matches_dual_minus_code": res.set_matches_dual_minus_code,
-                "dimension_one_convention": res.dimension == 1,
-                "D_matrix": _render_D(res.dim1_distance if res.dimension == 1
-                                      else res.min_weight),
-            }
-        except (DimensionTooLarge, SearchLimitExceeded) as e:
-            report["verification"] = {"skipped": str(e) or type(e).__name__}
-            code = 2
+        code = 2 if P.D is None else 0
+        if command == "verify":
+            ext = build_minimal_extension(C)
+            try:
+                group = build_stabilizer(ext, max_dim=max_matrix_dim)
+                dim = projector_dimension(group, max_dim=max_matrix_dim)
+                res = undetectable_error_search(C, group, limit=max_enum, max_dim=max_matrix_dim)
+                report["verification"] = {
+                    "stabilizer_size": group.size,
+                    "matrix_dimension": ring.cardinality ** ext.extended.n,
+                    "projector_dimension": dim,
+                    "undetectable_count": len(res.undetectable),
+                    "undetectable_min_weight": _render_D(res.min_weight),
+                    "set_matches_dual_minus_code": res.set_matches_dual_minus_code,
+                    "dimension_one_convention": res.dimension == 1,
+                    "D_matrix": _render_D(res.dim1_distance if res.dimension == 1
+                                          else res.min_weight),
+                }
+            except (DimensionTooLarge, SearchLimitExceeded) as e:
+                report["verification"] = {"skipped": str(e) or type(e).__name__}
+                code = 2
     else:
         raise ValueError(f"unknown command {command!r}")
     return report, code

@@ -2,16 +2,16 @@
 chi-duals at every level, cardinalities, membership, puncturing, and
 exhaustive minimum symplectic distance.
 
-Internally every code is its phi-expanded row module over Z_{p^b}^{2nm}.
-A code also keeps its ring-level generators; a derived code built from a
-Howell basis contracts each basis row into one when it is made.
+Internally every code is its phi-expanded row module over Z_{p^b}^{2nm},
+and it keeps its ring-level generators.  Derived modules (the chi-dual
+levels, C cap C^chi) stay Howell bases of expanded rows; only the public
+``chi_dual_level`` and ``code_intersection`` wrap one as a code.
 
 Codes are immutable, so every object derived from one is computed once per
 code and kept on it: the expanded matrix and its Howell and Smith forms, and
-the ``CodeAnalysis`` (the Smith exponents of C's integer Gram matrix, which
-give every quotient rank and rho; the chi-dual levels asked for; C cap
-C^chi; the decomposition and the minimal extension).  The caches live and
-die with the code.
+the ``CodeAnalysis``, built from C's expanded rows and their integer Gram
+matrix (rank, rho and C cap C^chi; a chi-dual level only when asked for).
+The caches live and die with the code.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     InternalInvariantViolation,
     RingMismatch,
+    SearchLimitExceeded,
 )
 from .galois import GaloisRingSpec, RingElement, char_exponent, phi_contract, phi_expand
 from .zpblinalg import (
@@ -164,9 +165,8 @@ class AdditiveCode:
     def from_expanded(cls, ring: GaloisRingSpec, n: int, H: HowellBasis) -> "AdditiveCode":
         """The code whose phi-expanded row module has Howell basis H; its
         generators are the basis rows, and H seeds the expanded caches."""
-        rows = H.matrix.to_rows()
         code = cls(ring, n, tuple(SymplecticVector.from_components(ring, phi_contract(ring, r))
-                                  for r in rows))
+                                  for r in H.matrix.to_rows()))
         code.__dict__.update(expanded_matrix=H.matrix, expanded_howell=H)
         return code
 
@@ -211,7 +211,7 @@ def chi_dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
     c in C.  t = 0 is the plain chi-dual; t = b is the full ambient space."""
     if not 0 <= t <= C.ring.b:
         raise ValueError("level t out of range")
-    return C.analysis.dual(t)
+    return AdditiveCode.from_expanded(C.ring, C.n, C.analysis.dual(t))
 
 
 def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
@@ -224,44 +224,59 @@ class CodeAnalysis:
     """The objects every parameter of the construction is read off, built
     lazily and at most once per code (``AdditiveCode.analysis``).
 
-    The ranks come from one small integer matrix: with G[i][j] =
-    Tr<c_i|c_j>_s over C's expanded rows, v -> (Tr<v|c_j>_s)_j maps C onto
-    the row module of G with kernel C cap C^{chi}, and mod p^{b-t} with
-    kernel C cap C^{chi,t}.  So rank(C / (C cap C^{chi,t})) counts the
-    Smith exponents of G below b - t, and rho_t counts those equal to
-    b - t.  The chi-dual levels (``dual``) are built only when asked for;
-    ``meet`` is C cap C^{chi}, which the decomposition lifts from.  On top
-    sit the checked hyperbolic decomposition and minimal extension.  Every
-    invariant check runs when its object is first built.
+    Most come from one small integer matrix, the Gram matrix G[i][j] =
+    Tr<c_i|c_j>_s over the rows c_i of C's expanded matrix A.  The map
+    x*A -> x*G takes C onto the row module of G with kernel C cap C^{chi},
+    and mod p^{b-t} with kernel C cap C^{chi,t}.  So rank(C / (C cap
+    C^{chi,t})) counts the Smith exponents of G below b - t, rho_t counts
+    those equal to b - t, and ``meet`` = C cap C^{chi} is {x*A : x*G = 0}.
+    The chi-dual levels (``dual``) are built only when asked for.  Both are
+    Howell bases of expanded rows.  On top sit the checked hyperbolic
+    decomposition and minimal extension.  Every invariant check runs when
+    its object is first built.
     """
 
     def __init__(self, code: AdditiveCode):
         self.code = code
-        self._duals: Dict[int, AdditiveCode] = {}
+        self._duals: Dict[int, HowellBasis] = {}
 
-    def dual(self, t: int) -> AdditiveCode:
-        """C^{chi-dual, t}, for 0 <= t <= b."""
+    def dual(self, t: int) -> HowellBasis:
+        """C^{chi-dual, t} = (p^t C)^{chi}, for 0 <= t <= b, checked against
+        |(p^t C)^{chi}| * |p^t C| = q^{2n}."""
         if t not in self._duals:
             C = self.code
-            self._duals[t] = AdditiveCode.from_expanded(
-                C.ring, C.n, kernel(_pairing_columns(C, C.ring.p ** t)))
+            p, b = C.ring.p, C.ring.b
+            H = kernel(_pairing_columns(C, p ** t))
+            scaled = math.prod(p ** max(0, b - t - e) for e in C.expanded_smith.diag_exponents)
+            if H.cardinality * scaled != C.ring.cardinality ** (2 * C.n):
+                raise InternalInvariantViolation(f"|C^(chi,{t})| * |p^{t} C| is not q^(2n)")
+            self._duals[t] = H
         return self._duals[t]
 
     @cached_property
-    def meet(self) -> AdditiveCode:
-        """C cap C^{chi-dual}."""
-        return code_intersection(self.code, self.dual(0))
+    def gram(self) -> ZpbMatrix:
+        """G[i][j] = Tr<c_i|c_j>_s over the rows c_i of C's expanded matrix."""
+        C = self.code
+        nm, N = C.n * C.ring.m, C.ring.modulus
+        rows = C.expanded_matrix.to_rows()
+        gram = [[_expanded_pairing(u, v, nm, N) for v in rows] for u in rows]
+        return ZpbMatrix.from_reduced(C.ring.p, C.ring.b, gram, len(rows))
+
+    @cached_property
+    def meet(self) -> HowellBasis:
+        """C cap C^{chi-dual}: the rows x*A over the Howell basis of the
+        kernel of G."""
+        A = self.code.expanded_matrix
+        N = A.modulus
+        cols = [A.entries[j::A.cols] for j in range(A.cols)]
+        rows = [[sum(a * c for a, c in zip(x, col)) % N for col in cols]
+                for x in kernel(self.gram).matrix.to_rows()]
+        return howell_form(ZpbMatrix.from_reduced(A.p, A.b, rows, A.cols))
 
     @cached_property
     def gram_exponents(self) -> Tuple[int, ...]:
-        """Smith exponents of the Gram matrix Tr<c_i|c_j>_s over the rows
-        c_i of C's expanded matrix."""
-        C = self.code
-        p, b = C.ring.p, C.ring.b
-        nm, N = C.n * C.ring.m, p ** b
-        rows = C.expanded_matrix.to_rows()
-        gram = [[_expanded_pairing(u, v, nm, N) for v in rows] for u in rows]
-        return smith_form(ZpbMatrix.from_reduced(p, b, gram, len(rows))).diag_exponents
+        """Smith exponents of the Gram matrix."""
+        return smith_form(self.gram).diag_exponents
 
     def rank(self, t: int) -> int:
         """rank(C / (C cap C^{chi-dual, t})); at t = 0 this is twice the
@@ -308,15 +323,19 @@ def min_symplectic_distance(C: AdditiveCode, mode: str = "code",
 
     mode 'code': C itself; 'dual': the chi-dual at level 0; 'dual_minus_code':
     the chi-dual with members of C skipped.  Returns math.inf when the set
-    minus {0} is empty.
+    minus {0} is empty.  The chi-dual's size q^{2n} / |C| is checked against
+    ``limit`` before the chi-dual is built.
     """
     if mode not in ("code", "dual", "dual_minus_code"):
         raise ValueError(f"unknown mode {mode!r}")
     n, m = C.n, C.ring.m
-    target = C if mode == "code" else chi_dual_level(C, 0)
+    size = C.ring.cardinality ** (2 * n) // cardinality(C)
+    if mode != "code" and size > limit:
+        raise SearchLimitExceeded(size, limit)
+    target = C.expanded_howell if mode == "code" else C.analysis.dual(0)
     skip = C.expanded_howell if mode == "dual_minus_code" else None
     best = math.inf
-    for flat in iterate_codewords(target, limit):
+    for flat in enumerate_module(target, limit):
         if not any(flat):
             continue
         if skip is not None and howell_member(skip, flat):

@@ -11,8 +11,8 @@ from typing import List, Sequence, Tuple
 
 from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
-from .galois import RingElement, char_exponent, phi_contract
-from .zpblinalg import ZpbMatrix, howell_form, howell_member, solve_congruence
+from .galois import RingElement, char_exponent, phi_contract, phi_expand
+from .zpblinalg import ZpbMatrix, howell_form, howell_member, smith_form, solve_congruence
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ def _greedy_extension(C: AdditiveCode, extra: Sequence[Sequence[int]],
                       candidates: Sequence[Tuple[int, ...]],
                       limit: int | None = None) -> List[Tuple[int, ...]]:
     """The candidates, in order, that each fall outside span(pC + extra +
-    those already chosen), stopping once ``limit`` are chosen."""
+    those already chosen), stopping once ``limit`` are chosen.  Each chosen
+    candidate joins the current Howell rows, which span the same module as
+    everything before them."""
     p, b = C.ring.p, C.ring.b
     N = p ** b
     rows = [[(p * x) % N for x in r] for r in C.expanded_matrix.to_rows()] + list(extra)
@@ -55,8 +57,8 @@ def _greedy_extension(C: AdditiveCode, extra: Sequence[Sequence[int]],
             break
         if not howell_member(H, cand):
             chosen.append(cand)
-            rows.append(cand)
-            H = howell_form(ZpbMatrix.from_reduced(p, b, rows, C.ambient_cols))
+            A = H.matrix
+            H = howell_form(ZpbMatrix(p, b, A.rows + 1, A.cols, A.entries + tuple(cand)))
     return chosen
 
 
@@ -69,7 +71,7 @@ def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     images generate the quotient minimally.
     """
     target = C.analysis.rank(0)
-    chosen = _greedy_extension(C, C.analysis.meet.expanded_matrix.to_rows(),
+    chosen = _greedy_extension(C, C.analysis.meet.matrix.to_rows(),
                                C.expanded_smith.minimal_generators(), target)
     if len(chosen) != target:
         raise InternalInvariantViolation("quotient basis lift fell short")
@@ -84,7 +86,7 @@ def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> 
     Keeping the full list minimal means it is a basis whenever C is free,
     which the extension's free-module cardinality equality relies on.
     """
-    return _greedy_extension(C, lifted, C.analysis.meet.expanded_smith.minimal_generators())
+    return _greedy_extension(C, lifted, smith_form(C.analysis.meet.matrix).minimal_generators())
 
 
 def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:
@@ -191,5 +193,6 @@ def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bo
     from level 0 to level t."""
     A = C.analysis
     dual_t = A.dual(t)
-    count = sum(1 for pair in d.pairs for member in pair if dual_t.contains(member))
+    count = sum(1 for pair in d.pairs for member in pair
+                if howell_member(dual_t, phi_expand(C.ring, member.components)))
     return count == A.rank(0) - A.rank(t)

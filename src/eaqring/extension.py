@@ -261,8 +261,9 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     K_upper = total // card_code
     K_lower_raw = Fraction(total, card_code * _rho_growth(C))
     K_lower = max(1, math.floor(K_lower_raw))
-    # C cap C^chi sits inside C^chi, so equal sizes mean C^chi is inside C
-    dual_in_code = cardinality(A.meet) == cardinality(A.dual(0))
+    # C cap C^chi sits inside C^chi, of size q^{2n} / |C|: equal sizes mean
+    # C^chi is inside C, and the chi-dual itself is built only to search D
+    dual_in_code = A.meet.cardinality * card_code == q ** (2 * n)
     case = "dual_subset_of_code" if dual_in_code else "dual_minus_code"
     try:
         D = min_symplectic_distance(C, "dual" if dual_in_code else "dual_minus_code", limit)

@@ -23,18 +23,18 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import math
 
-from .codes import (DEFAULT_ENUM_LIMIT, AdditiveCode, SymplecticVector, _expanded_pairing,
-                    chi_dual_level, iterate_codewords)
+from .codes import DEFAULT_ENUM_LIMIT, AdditiveCode, SymplecticVector, _expanded_pairing
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     InternalInvariantViolation,
+    NoSolution,
     RingMismatch,
     SearchLimitExceeded,
 )
 from .extension import SelfOrthogonalExtension
 from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace, phi_expand
-from .zpblinalg import howell_member, solve_congruence
+from .zpblinalg import enumerate_module, howell_member, solve_congruence
 
 # numpy is imported by the functions that use it: only `verify` needs it,
 # and importing it at start-up roughly doubles the start-up time and
@@ -233,7 +233,10 @@ def _generator_powers(T: _Monomials, g: Triple, o: int) -> List[Triple]:
     phi, a, b = powers.pop()
     if any(a) or any(b):
         raise InternalInvariantViolation("generator order does not annihilate support")
-    t = solve_congruence(o, phi, T.N)
+    try:
+        t = solve_congruence(o, phi, T.N)
+    except NoSolution:
+        raise InternalInvariantViolation(f"o t = {phi} (mod {T.N}) has no solution for o = {o}")
     return [((l - c * t) % T.N, a, b) for c, (l, a, b) in enumerate(powers)]
 
 
@@ -317,7 +320,7 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
             best = min(best, w)
         if K == 1 and abs(lam) > 1e-8:
             dim1_best = min(dim1_best, w)
-    want = {flat for flat in iterate_codewords(chi_dual_level(C, 0), limit)
+    want = {flat for flat in enumerate_module(C.analysis.dual(0), limit)
             if any(flat) and not howell_member(C.expanded_howell, flat)}
     return ErrorSearchResult(
         dimension=K,

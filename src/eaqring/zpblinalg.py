@@ -3,7 +3,8 @@ intersections, quotient ranks, congruence solving and module enumeration.
 
 The Howell form does the module operations: membership, cardinality,
 kernel, intersection (both read off one Howell form of an augmented matrix)
-and enumeration.  The Smith form gives exponents and minimal generators.
+and enumeration.  The Smith form gives exponents and minimal generators; it
+carries out row operations only, and keeps no column transform.
 
 Everything here works on plain integer residues in [0, p^b).  Pivoting is
 always on entries of minimal p-valuation (every element of Z_{p^b} is
@@ -225,79 +226,54 @@ def howell_member(H: HowellBasis, vec: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Smith form over Z_{p^b}: U * A = diag(p^{e_i}) * right with U and
-    right unimodular; U is not kept, as the rows p^{e_i} * right_i already
-    span the row module of A."""
+    """Smith form over Z_{p^b}: U * A * V = diag(p^{e_i}) with U and V
+    unimodular.  Only the exponents and the first r rows of U * A are kept:
+    row i is p^{e_i} times a row of V^{-1}, and together they span the row
+    module of A."""
 
     diag_exponents: Tuple[int, ...]
-    right: ZpbMatrix
-
-    @property
-    def cardinality(self) -> int:
-        """Number of elements in the row module of the input matrix."""
-        p, b = self.right.p, self.right.b
-        card = 1
-        for e in self.diag_exponents:
-            card *= p ** (b - e)
-        return card
+    generators: Tuple[Tuple[int, ...], ...]
 
     def minimal_generators(self) -> List[Tuple[int, ...]]:
         """A minimal generating set of the row module (rows p^{e_i} * R_i)."""
-        p, N = self.right.p, self.right.modulus
-        return [tuple((p ** e * x) % N for x in self.right.row(i))
-                for i, e in enumerate(self.diag_exponents)]
+        return list(self.generators)
 
 
 def smith_form(A: ZpbMatrix) -> SmithDecomposition:
     """Smith normal form by minimal-p-valuation pivoting.
 
-    Diagonal entries come out as p^{e_i} with e_i non-decreasing.  The
-    inverses of the column operations accumulate into right; the row
-    operations act on A alone.  Once a pivot has cleared its column, the
-    rest of its row only feeds right: later pivots search the rows and
-    columns beyond it.
+    Diagonal entries come out as p^{e_i} with e_i non-decreasing.  Only the
+    row operations are carried out, on A's rows; a column swap just
+    reorders the columns still to be searched, and the column eliminations
+    are skipped: once a pivot has cleared its column, later pivots search
+    only the rows and columns beyond it, so the pivot row is already p^{e_i}
+    times a row of the inverse column transform.
     """
-    p, b = A.p, A.b
-    N = p ** b
-    nr, nc = A.rows, A.cols
+    p, b, N, nr = A.p, A.b, A.modulus, A.rows
     D = A.to_rows()
-    Vinv = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    order = list(range(A.cols))  # the columns in pivot-search order
     exps: List[int] = []
-    for k in range(min(nr, nc)):
-        best = None
-        best_v = b + 1
-        for i in range(k, nr):
-            for j in range(k, nc):
-                e = D[i][j]
-                if e:
-                    v = _val(e, p, b)
-                    if v < best_v:
-                        best, best_v = (i, j), v
+    for k in range(min(nr, A.cols)):
+        # minimal valuation, then lowest row, then earliest column in order
+        best = min(((_val(D[i][j], p, b), i, jj) for i in range(k, nr)
+                    for jj, j in enumerate(order[k:], k) if D[i][j]), default=None)
         if best is None:
             break
-        bi, bj = best
+        v, bi, bj = best
         D[k], D[bi] = D[bi], D[k]
-        if bj != k:
-            for row in D:
-                row[k], row[bj] = row[bj], row[k]
-            Vinv[k], Vinv[bj] = Vinv[bj], Vinv[k]
-        v = best_v
+        order[k], order[bj] = order[bj], order[k]
+        col = order[k]
         pv = p ** v
-        uinv = pow(D[k][k] // pv, -1, N)
+        uinv = pow(D[k][col] // pv, -1, N)
         D[k] = [(uinv * x) % N for x in D[k]]
         for i in range(k + 1, nr):
-            e = D[i][k]
+            e = D[i][col]
             if e:
                 coef = e // pv
-                D[i] = [(D[i][j] - coef * D[k][j]) % N for j in range(nc)]
-        for j in range(k + 1, nc):
-            e = D[k][j]
-            if e:
-                coef = e // pv
-                Vinv[k] = [(Vinv[k][t] + coef * Vinv[j][t]) % N for t in range(nc)]
+                D[i] = [(x - coef * y) % N for x, y in zip(D[i], D[k])]
         exps.append(v)
     return SmithDecomposition(diag_exponents=tuple(exps),
-                              right=ZpbMatrix.from_reduced(p, b, Vinv, nc))
+                              generators=tuple(tuple(r) for r in D[:len(exps)]))
 
 
 def _trailing(H: HowellBasis, lead: int) -> HowellBasis:

@@ -1,6 +1,7 @@
 """The per-code analysis: every derived object of a code is built once,
-and the ranks read off the Gram matrix's Smith form agree with the
-quotient-rank oracle.
+the ranks read off the Gram matrix's Smith form agree with the
+quotient-rank oracle, and the meet read off the Gram matrix's kernel
+agrees with the intersection of C and its chi-dual.
 
 Counts calls through the module bindings the pipeline uses, on fresh codes
 parsed per report, so a second computation of the same object shows up.
@@ -18,10 +19,11 @@ import eaqring.pauli as pauli_mod
 import eaqring.zpblinalg as zpb_mod
 from eaqring.cli import build_report, parse_code_text
 from eaqring.codes import AdditiveCode, SymplecticVector, chi_dual_level, code_intersection
+from eaqring.errors import InternalInvariantViolation
 from eaqring.decompose import hyperbolic_decompose, rho_profile
 from eaqring.extension import build_minimal_extension
 from eaqring.galois import make_ring, phi_expand
-from eaqring.zpblinalg import howell_form, quotient_rank
+from eaqring.zpblinalg import ZpbMatrix, howell_form, quotient_rank
 
 CODES = {
     "Z4": "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n",
@@ -38,11 +40,26 @@ def random_code(ring, n, k, rng):
         for _ in range(k)))
 
 
+def sample_codes(ring, rng):
+    """The zero codes of length 1 and 2, then eight random codes, each
+    followed by itself stacked with sums and multiples of its rows (more
+    generators than its rank)."""
+    codes = [AdditiveCode(ring, 1, ()), AdditiveCode(ring, 2, ())]
+    for _ in range(8):
+        C = random_code(ring, rng.randint(1, 2), rng.randint(1, 4), rng)
+        codes.append(C)
+        g = C.generators
+        extra = (g[0] + g[-1], g[0].scale(ring.p), g[-1].scale(rng.randrange(ring.modulus)))
+        codes.append(AdditiveCode(ring, C.n, g + extra))
+    assert any(len(C.generators) > len(C.expanded_smith.diag_exponents) for C in codes)
+    return codes
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Counters for the decomposition body, the chi-dual kernels (keyed by
-    the pairing matrix, one per code and level), every Smith form, every
-    Howell form, every intersection and every quotient rank."""
+    """Counters for the decomposition body, the kernels (keyed by their
+    matrix), every Smith form, every Howell form, every intersection, every
+    quotient rank and every contraction of expanded rows into a code."""
     seen = collections.Counter()
 
     def count(module, name, key=lambda *args: None):
@@ -56,7 +73,8 @@ def counted(monkeypatch):
     count(decompose_mod, "_decompose")
     count(codes_mod, "kernel", key=lambda A: A)
     count(codes_mod, "intersect")
-    for module in (codes_mod, extension_mod, pauli_mod, zpb_mod):
+    count(codes_mod, "phi_contract")
+    for module in (codes_mod, decompose_mod, extension_mod, pauli_mod, zpb_mod):
         if hasattr(module, "smith_form"):
             count(module, "smith_form")
         if hasattr(module, "quotient_rank"):
@@ -66,28 +84,58 @@ def counted(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("label", sorted(CODES))
-@pytest.mark.parametrize("command", ["params", "verify"])
-def test_report_builds_each_object_once(counted, label, command):
+def check_built_once(counted, label, command, max_enum):
     ring, C = parse_code_text(CODES[label])
-    report, code = build_report(command, ring, C, 1 << 22, 1 << 10)
-    assert code == 0 and "error" not in report
+    report, code = build_report(command, ring, C, max_enum, 1 << 10)
+    assert "error" not in report
+    searched = report["D"] != "Unknown"
+    assert code == (0 if searched else 2)
     assert counted["_decompose", None] == 1
-    # the chi-dual is built at level 0 only, once, and met with C once;
-    # every rank comes from the Gram matrix, not from a quotient
-    dual_kernels = {k: v for (name, k), v in counted.items() if name == "kernel"}
-    assert dual_kernels == {codes_mod._pairing_columns(C, 1): 1}
-    assert counted["intersect", None] == 1
+    # one kernel of the Gram matrix gives C cap C^chi; the chi-dual (level
+    # 0 only) is built only when D is searched, and nothing intersects
+    kernels = {k: v for (name, k), v in counted.items() if name == "kernel"}
+    want = {C.analysis.gram: 1}
+    if searched:
+        want[codes_mod._pairing_columns(C, 1)] = 1
+    assert kernels == want
+    assert counted["intersect", None] == 0
     assert counted["quotient_rank", None] == 0
+    # no derived module is contracted into ring-level generators
+    assert counted["phi_contract", None] == 0
     # Smith forms: the minimal generators of C and of C cap C^chi and the
     # Gram matrix; verify adds the minimal generators of C'.  Kernels,
-    # intersections and enumerations read Howell forms only.
-    assert counted["smith_form", None] == (3 if command == "params" else 4)
-    # Howell forms: one each for the dual's kernel and the intersection,
-    # each derived code keeping the form it was built from; then at most
-    # eight for C itself, the decomposition and the extension of these
-    # one-coordinate codes
-    assert counted["howell_form", None] <= 2 + 8
+    # enumerations and the meet read Howell forms only.
+    assert counted["smith_form", None] == (4 if command == "verify" else 3)
+    # Howell forms: one each for the Gram kernel, the meet and (when D is
+    # searched) the chi-dual's kernel; then at most eight for C itself, the
+    # decomposition and the extension of these one-coordinate codes
+    assert counted["howell_form", None] <= (3 if searched else 2) + 8
+    return searched
+
+
+@pytest.mark.parametrize("label", sorted(CODES))
+@pytest.mark.parametrize("command", ["params", "distance", "verify"])
+def test_report_builds_each_object_once(counted, label, command):
+    assert check_built_once(counted, label, command, 1 << 22)
+
+
+@pytest.mark.parametrize("label", sorted(CODES))
+@pytest.mark.parametrize("command", ["params", "distance", "verify"])
+def test_capped_report_builds_no_chi_dual(counted, label, command):
+    """With --max-enum 1, D is capped from |C^chi| = q^{2n} / |C| before
+    the chi-dual is built."""
+    assert not check_built_once(counted, label, command, 1)
+
+
+def test_chi_dual_is_checked_against_its_size(monkeypatch):
+    """|C^chi| * |C| = q^{2n} over a Frobenius ring: a chi-dual of the
+    wrong size raises InternalInvariantViolation when it is built."""
+    ring, C = parse_code_text(CODES["Z4"])
+    # a pairing matrix with no columns: its kernel is all of Z4^2
+    monkeypatch.setattr(codes_mod, "_pairing_columns",
+                        lambda code, scale: ZpbMatrix.from_reduced(2, 2, [[], []], 0))
+    with pytest.raises(InternalInvariantViolation, match="is not q"):
+        C.analysis.dual(0)
 
 
 def test_repeated_calls_return_the_cached_objects():
@@ -96,26 +144,28 @@ def test_repeated_calls_return_the_cached_objects():
     assert hyperbolic_decompose(C) is d
     assert build_minimal_extension(C) is build_minimal_extension(C)
     assert build_minimal_extension(C).pair_generators[0][0].x[:C.n] == d.pairs[0][0].x
-    assert chi_dual_level(C, 1) is chi_dual_level(C, 1)
+    assert C.analysis.dual(1) is C.analysis.dual(1)
+    assert chi_dual_level(C, 1).expanded_howell is C.analysis.dual(1)
     assert C.analysis.meet is C.analysis.meet
+    assert C.analysis.gram is C.analysis.gram
     assert rho_profile(C) is rho_profile(C)
 
 
 @pytest.mark.parametrize("ring_args", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2)])
 def test_derived_codes_keep_consistent_howell_rows(ring_args):
-    """Every chi-dual level, the meet, and each C cap C^{chi,t} holds its
-    Howell rows as its expanded matrix: they are the phi expansion of its
-    generators and already in Howell form."""
+    """The meet read off the Gram kernel equals the intersection of C with
+    its chi-dual.  Every chi-dual level and each C cap C^{chi,t}, wrapped
+    as a code, holds its Howell rows as its expanded matrix: they are the
+    phi expansion of its generators and already in Howell form.  Over zero
+    codes, random codes and codes with redundant generators."""
     ring = make_ring(*ring_args)
     rng = random.Random(sum(x * 10 ** i for i, x in enumerate(ring_args)))
-    for _ in range(5):
-        n, k = rng.randint(1, 2), rng.randint(1, 3)
-        C = random_code(ring, n, k, rng)
-        derived = [C.analysis.meet]
+    for C in sample_codes(ring, rng):
+        assert C.analysis.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
+        derived = []
         for t in range(ring.b + 1):
-            derived.append(C.analysis.dual(t))
-            if t:
-                derived.append(code_intersection(C, C.analysis.dual(t)))
+            derived.append(chi_dual_level(C, t))
+            derived.append(code_intersection(C, derived[-1]))
         for D in derived:
             assert D.expanded_matrix.to_rows() == [
                 list(phi_expand(ring, g.components)) for g in D.generators]
@@ -131,15 +181,7 @@ def test_gram_ranks_match_the_quotient_rank_oracle(ring_args):
     ring = make_ring(*ring_args)
     b = ring.b
     rng = random.Random(1000 + sum(x * 10 ** i for i, x in enumerate(ring_args)))
-    codes = [AdditiveCode(ring, 1, ()), AdditiveCode(ring, 2, ())]
-    for _ in range(8):
-        C = random_code(ring, rng.randint(1, 2), rng.randint(1, 4), rng)
-        codes.append(C)
-        g = C.generators
-        extra = (g[0] + g[-1], g[0].scale(ring.p), g[-1].scale(rng.randrange(ring.modulus)))
-        codes.append(AdditiveCode(ring, C.n, g + extra))
-    assert any(len(C.generators) > len(C.expanded_smith.diag_exponents) for C in codes)
-    for C in codes:
+    for C in sample_codes(ring, rng):
         ranks = [C.analysis.rank(t) for t in range(b + 1)]
         assert ranks == [quotient_rank(C.expanded_howell,
                                        code_intersection(C, chi_dual_level(C, t)).expanded_howell)

@@ -1,8 +1,8 @@
 """Benchmark smoke test: the traced pass of ``bench/run.py`` reads layer
 functions by name (``pauli.stabilizer_projector``, ``zpblinalg.kernel``
 and the like), so a renamed or deleted one would stop it with a KeyError.
-The params pass also checks the first block of seed-0 reports against
-their reference digests.  It runs here on a copy of the checkout, so
+The params and distance passes also check the first block of seed-0
+reports against their reference digests.  It runs here on a copy of the checkout, so
 nothing is written under the repository's ``bench/``."""
 
 import json
@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["verify-small", "params-mixed"])
+@pytest.mark.parametrize("workload", ["verify-small", "params-mixed", "distance-deep"])
 def test_traced_workload_runs_on_a_copy(tmp_path, workload):
     skip = shutil.ignore_patterns("out", "__pycache__")
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=skip)

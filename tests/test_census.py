@@ -3,7 +3,8 @@ by breadth-first search over canonical Howell forms, one added ambient
 vector at a time.
 
 On every code the ranks read off the Gram matrix's Smith form equal the
-quotient-rank oracle at each level, and K_lower <= K_exact <= K_upper.
+quotient-rank oracle at each level, the meet read off the Gram matrix's
+kernel equals C cap C^chi, and K_lower <= K_exact <= K_upper.
 """
 
 import itertools
@@ -53,6 +54,7 @@ def test_census(ring_args, n, count):
     assert len(bases) == count
     for H in bases:
         C = AdditiveCode.from_expanded(ring, n, H)
+        assert C.analysis.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
         for t in range(ring.b + 1):
             meet = code_intersection(C, chi_dual_level(C, t))
             assert C.analysis.rank(t) == quotient_rank(H, meet.expanded_howell)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,13 @@ from eaqring.cli import (
     serialize_code,
 )
 from eaqring.codes import AdditiveCode, same_module
-from eaqring.errors import HPolyInvalid, InternalInvariantViolation, ParseError, RangeError
+from eaqring.errors import (
+    HPolyInvalid,
+    InternalInvariantViolation,
+    NoSolution,
+    ParseError,
+    RangeError,
+)
 from eaqring.galois import make_ring
 
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
@@ -339,3 +346,38 @@ def test_failed_projector_check_carries_a_reproducer(tmp_path, monkeypatch):
     assert err["message"] == "averaged stabilizer sum is not idempotent"
     ring, C = parse_code_text(Z4_WORKED)
     assert err["reproducer"] == serialize_code(ring, C)
+
+
+def test_unsolvable_generator_congruence_carries_a_reproducer(tmp_path, monkeypatch):
+    """An unsolvable o t = phi for a stabilizer generator is a theory
+    failure: the report names InternalInvariantViolation with the code."""
+    def unsolvable(lhs, rhs, modulus):
+        raise NoSolution(f"{lhs}*u = {rhs} (mod {modulus}) has no solution")
+
+    monkeypatch.setattr(pauli, "solve_congruence", unsolvable)
+    f = tmp_path / "code.txt"
+    f.write_text(Z4_WORKED)
+    code, out = run_cli(["verify", str(f)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "InternalInvariantViolation"
+    ring, C = parse_code_text(Z4_WORKED)
+    assert err["reproducer"] == serialize_code(ring, C)
+
+
+def test_params_on_a_long_zero_code_builds_no_chi_dual(tmp_path):
+    """The zero code of length 100 over F2 has a chi-dual of 2^200 vectors:
+    D is capped before that dual is built, so the report stays small."""
+    f = tmp_path / "zero.txt"
+    f.write_text("ring p=2 b=1 m=1\nn 100\n")
+    run_cli(["params", str(f)])  # warm the ring and parser caches
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["params", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(out)
+    assert code == 2 and rep["D"] == "Unknown" and rep["c_min"] == 0
+    assert rep["K_exact"] == 2 ** 100
+    assert peak < 1 << 20

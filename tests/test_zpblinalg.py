@@ -3,7 +3,8 @@
 Brute-force spans (additive closure of the generator rows) are the ground
 truth that Howell/Smith/kernel/intersection outputs are checked against.
 Kernels and intersections are also checked, basis for basis, against a
-second route through a Smith form with its left transform.
+second route through a Smith form with its left transform, and the Smith
+form's minimal generators, row for row, against its column transform.
 """
 
 import itertools
@@ -68,13 +69,14 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def smith_left(A):
-    """Smith exponents of A with a unimodular U such that U * A is
-    diag(p^{e_i}) times a unimodular matrix: minimal-valuation pivoting
-    with every row operation applied to U as well."""
+def smith_oracle(A):
+    """Smith exponents of A with both transforms, by minimal-valuation
+    pivoting: U carries every row operation and right accumulates the
+    inverse of every column operation, so U * A = diag(p^{e_i}) * right
+    with U and right unimodular."""
     p, b, N = A.p, A.b, A.modulus
     nr, nc = A.rows, A.cols
-    D, U = A.to_rows(), identity(nr)
+    D, U, right = A.to_rows(), identity(nr), identity(nc)
     exps = []
     for k in range(min(nr, nc)):
         cands = [(zpb_mod._val(D[i][j], p, b), i, j)
@@ -85,6 +87,7 @@ def smith_left(A):
         D[k], D[bi], U[k], U[bi] = D[bi], D[k], U[bi], U[k]
         for row in D:
             row[k], row[bj] = row[bj], row[k]
+        right[k], right[bj] = right[bj], right[k]
         uinv = pow(D[k][k] // p ** v, -1, N)
         D[k] = [uinv * x % N for x in D[k]]
         U[k] = [uinv * x % N for x in U[k]]
@@ -92,15 +95,23 @@ def smith_left(A):
             coef = D[i][k] // p ** v
             D[i] = [(x - coef * y) % N for x, y in zip(D[i], D[k])]
             U[i] = [(x - coef * y) % N for x, y in zip(U[i], U[k])]
+        for j in range(k + 1, nc):
+            coef = D[k][j] // p ** v
+            right[k] = [(x + coef * y) % N for x, y in zip(right[k], right[j])]
         exps.append(v)
-    return exps, U
+    return exps, U, mat(p, b, right, cols=nc)
+
+
+def smith_cardinality(A):
+    """|row module of A| = prod p^(b - e_i) over its Smith exponents."""
+    return math.prod(A.p ** (A.b - e) for e in smith_form(A).diag_exponents)
 
 
 def smith_kernel(A):
     """Oracle kernel: in Smith coordinates it is spanned by p^{b-e_i} e_i
     for e_i > 0 and by e_i beyond the diagonal; x = y * U pulls it back."""
     p, b, N = A.p, A.b, A.modulus
-    exps, U = smith_left(A)
+    exps, U, _ = smith_oracle(A)
     xrows = [[p ** (b - e) * x % N for x in U[i]] for i, e in enumerate(exps) if e > 0]
     xrows += U[len(exps):]
     return howell_form(mat(p, b, xrows, cols=A.rows))
@@ -195,17 +206,20 @@ def test_smith_factorization(p, b, rows):
     cols = len(rows[0])
     A = mat(p, b, rows)
     sd = smith_form(A)
-    exps = sd.diag_exponents
+    exps, _, right = smith_oracle(A)
+    assert list(sd.diag_exponents) == exps
     D = mat(p, b, [[p ** exps[i] if i == j < len(exps) else 0 for j in range(A.cols)]
                    for i in range(len(exps))], cols=A.cols)
-    # the rows p^{e_i} * right_i span the row module of A
-    assert howell_form(mat(p, b, mat_mul(D, sd.right), cols=A.cols)) == howell_form(A)
+    # the oracle's rows p^{e_i} * right_i span the row module of A, and so
+    # do the kept generators, which are those rows
+    assert howell_form(mat(p, b, mat_mul(D, right), cols=A.cols)) == howell_form(A)
+    assert howell_form(mat(p, b, sd.minimal_generators(), cols=A.cols)) == howell_form(A)
     # right is unimodular: it spans the whole free module
-    assert (sd.right.rows, sd.right.cols) == (A.cols, A.cols)
-    assert howell_form(sd.right).matrix.to_rows() == identity(A.cols)
+    assert (right.rows, right.cols) == (A.cols, A.cols)
+    assert howell_form(right).matrix.to_rows() == identity(A.cols)
     assert list(sd.diag_exponents) == sorted(sd.diag_exponents)
     assert all(e < b for e in sd.diag_exponents)
-    assert sd.cardinality == len(span_set(p, b, rows, cols))
+    assert smith_cardinality(A) == len(span_set(p, b, rows, cols))
 
 
 @pytest.mark.parametrize("p,b,rows", CASES)
@@ -215,6 +229,25 @@ def test_minimal_generators_span(p, b, rows):
     gens = sd.minimal_generators()
     assert span_set(p, b, gens, cols) == span_set(p, b, rows, cols)
     assert len(gens) == len(sd.diag_exponents)
+
+
+@pytest.mark.parametrize("p,b", ORACLE_RINGS)
+def test_minimal_generators_match_the_column_transform_oracle(p, b):
+    """The Smith form keeps only its row operations, yet its minimal
+    generators are, row for row, p^{e_i} * right_i of the Smith form with
+    the column transform: 60 seeded matrices per ring, with zero rows, 0-row
+    matrices and more rows than columns."""
+    N = p ** b
+    mats = list(seeded_matrices(p, b, 20 * p + b, 60))
+    assert any(A.rows > A.cols for A in mats)
+    assert any(A.rows == 0 for A in mats)
+    assert any(not any(A.row(i)) for A in mats for i in range(A.rows))
+    for A in mats:
+        exps, _, right = smith_oracle(A)
+        sd = smith_form(A)
+        assert list(sd.diag_exponents) == exps
+        assert sd.minimal_generators() == [tuple(p ** e * x % N for x in right.row(i))
+                                           for i, e in enumerate(exps)]
 
 
 def test_module_rank_examples():
@@ -460,12 +493,11 @@ def test_howell_cardinality_matches_smith(p, b):
             if rng.random() < 0.2:
                 r[:] = [0] * nc
         A = mat(p, b, rows, cols=nc)
-        want = smith_form(A).cardinality
-        assert howell_form(A).cardinality == want
+        assert howell_form(A).cardinality == smith_cardinality(A)
     # the multiples of one vector p^v * (1, 1): cardinality p^(b - v)
     for v in range(b + 1):
         A = mat(p, b, [[p ** v % N, p ** v % N]], cols=2)
-        assert howell_form(A).cardinality == smith_form(A).cardinality == p ** (b - v)
+        assert howell_form(A).cardinality == smith_cardinality(A) == p ** (b - v)
 
 
 def test_from_rows_checks_the_boundary():
