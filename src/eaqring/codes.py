@@ -17,6 +17,7 @@ The caches live and die with the code.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
@@ -119,13 +120,14 @@ def symplectic_weight(v: SymplecticVector) -> int:
 def _expanded_weight(flat: Sequence[int], n: int, m: int) -> int:
     """Symplectic weight read off the phi expansion: coordinate i is nonzero
     iff any of its m x-block or m y-block residues is (both halves are
-    expanded in bases, so zero blocks mean zero ring components)."""
+    expanded in bases, so zero blocks mean zero ring components).  Slot j
+    of every coordinate is the slice flat[j:nm:m] (x) or flat[nm+j::m] (y);
+    OR-ing the 2m slices leaves one entry per coordinate, zero iff it is."""
     nm = n * m
-    w = 0
-    for i in range(n):
-        if any(flat[i * m:(i + 1) * m]) or any(flat[nm + i * m:nm + (i + 1) * m]):
-            w += 1
-    return w
+    acc = map(operator.or_, flat[:nm:m], flat[nm::m])
+    for j in range(1, m):
+        acc = map(operator.or_, map(operator.or_, acc, flat[j:nm:m]), flat[nm + j::m])
+    return sum(map(bool, acc))
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,11 @@ def min_symplectic_distance(C: AdditiveCode, mode: str = "code",
     the chi-dual with members of C skipped.  Returns math.inf when the set
     minus {0} is empty.  The chi-dual's size q^{2n} / |C| is checked against
     ``limit`` before the chi-dual is built.
+
+    Every vector is enumerated and weighed first; only one that would lower
+    the running minimum (0 < w < best) is tested for membership in C, so the
+    result is the same minimum over the same set with a Howell reduction
+    for a handful of vectors rather than for each.
     """
     if mode not in ("code", "dual", "dual_minus_code"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -336,12 +343,8 @@ def min_symplectic_distance(C: AdditiveCode, mode: str = "code",
     skip = C.expanded_howell if mode == "dual_minus_code" else None
     best = math.inf
     for flat in enumerate_module(target, limit):
-        if not any(flat):
-            continue
-        if skip is not None and howell_member(skip, flat):
-            continue
         w = _expanded_weight(flat, n, m)
-        if w < best:
+        if 0 < w < best and (skip is None or not howell_member(skip, flat)):
             best = w
             if best == 1:
                 break

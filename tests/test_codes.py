@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import eaqring.codes as codes_mod
 from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
@@ -230,6 +231,120 @@ def test_min_distance_brute_force(z4, gr42):
             wts = [symplectic_weight(v) for v in members if v]
             want = min(wts) if wts else math.inf
             assert min_symplectic_distance(C, "code") == want
+
+
+def brute_distances(ring, n, gens):
+    """Minimum symplectic weight over C, C^chi and C^chi minus C, by ring
+    arithmetic alone: C is the additive closure of the generators, C^chi
+    every vector of R^{2n} whose traced pairing with each generator
+    vanishes (read off a table of Tr(a*b)), and weights are
+    ``symplectic_weight``.  Membership in C is the closure, checked against
+    ``contains`` on every chi-dual vector."""
+    N = ring.modulus
+    elems = [ring.element(c) for c in itertools.product(range(N), repeat=ring.m)]
+    tr = [[gen_trace(a * b) for b in elems] for a in elems]
+    index = {e.coeffs: i for i, e in enumerate(elems)}
+    gen_idx = [[index[e.coeffs] for e in g.components] for g in gens]
+    C = AdditiveCode(ring, n, tuple(gens))
+    code = closure(ring, n, gens)
+
+    def in_dual(v):
+        return all(sum(tr[v[n + i]][g[i]] - tr[g[n + i]][v[i]] for i in range(n)) % N == 0
+                   for g in gen_idx)
+
+    dual = [SymplecticVector.from_components(ring, [elems[i] for i in v])
+            for v in itertools.product(range(len(elems)), repeat=2 * n) if in_dual(v)]
+    outside = []
+    for v in dual:
+        member = tuple(e.coeffs for e in v.components) in code
+        assert C.contains(v) == member
+        if not member:
+            outside.append(v)
+
+    def lightest(vs):
+        return min((symplectic_weight(v) for v in vs if v), default=math.inf)
+    return C, {"code": lightest(code.values()), "dual": lightest(dual),
+               "dual_minus_code": lightest(outside)}
+
+
+RINGS = {"F2": (2, 1, 1), "F4": (2, 1, 2), "Z4": (2, 2, 1), "Z8": (2, 3, 1),
+         "Z9": (3, 2, 1), "GR42": (2, 2, 2)}
+
+
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_min_distance_all_modes_brute_force(label):
+    ring = make_ring(*RINGS[label])
+    rng = random.Random(29)
+    N, m = ring.modulus, ring.m
+    for n in (1, 2):
+        for _ in range(3):
+            gens = [SymplecticVector.from_components(
+                ring, [ring.element([rng.randrange(N) for _ in range(m)]) for _ in range(2 * n)])
+                for _ in range(rng.randint(1, 3))]
+            C, want = brute_distances(ring, n, gens)
+            for mode, d in want.items():
+                assert min_symplectic_distance(C, mode) == d, (n, mode)
+
+
+@pytest.mark.parametrize("params, rows", [
+    ((2, 2, 1), [[1, 0, 0, 1], [0, 1, 2, 0], [2, 0, 0, 0]]),
+    ((2, 3, 1), [[1, 0, 0, 1], [0, 1, 4, 0], [2, 0, 0, 0]]),
+    ((3, 2, 1), [[1, 0, 0, 1], [0, 1, 3, 0], [3, 0, 0, 0]]),
+], ids=["Z4", "Z8", "Z9"])
+def test_min_distance_skips_light_members_of_the_code(params, rows):
+    """Every weight-1 chi-dual vector of these codes lies in C, so the
+    search must test the lightest vectors for membership and reject them:
+    D is 1 over C^chi but 2 over C^chi minus C."""
+    ring = make_ring(*params)
+    C, want = brute_distances(ring, 2, [SymplecticVector.from_ints(ring, r) for r in rows])
+    assert want == {"code": 1, "dual": 1, "dual_minus_code": 2}
+    assert {mode: min_symplectic_distance(C, mode) for mode in want} == want
+
+
+@pytest.mark.parametrize("p, b, m", [(2, 1, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)])
+def test_expanded_weight_matches_symplectic_weight(p, b, m):
+    """The weight kernel of the distance search, read off phi-expanded
+    rows, against the ring-level weight; components are often zero, and
+    nonzero ones often have zero coefficients, so every slot is exercised."""
+    ring = make_ring(p, b, m)
+    rng = random.Random(31)
+    N = ring.modulus
+
+    def component():
+        if rng.random() < 0.5:
+            return ring.zero
+        return ring.element([rng.randrange(N) if rng.random() < 0.5 else 0 for _ in range(m)])
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        v = SymplecticVector.from_components(ring, [component() for _ in range(2 * n)])
+        assert codes_mod._expanded_weight(phi_expand(ring, v.components), n, m) == symplectic_weight(v)
+
+
+def test_distance_search_tests_membership_only_to_lower_the_minimum(monkeypatch):
+    """Weight before membership: on a code with |C^chi| = 4096 and D > 1 the
+    search enumerates every chi-dual vector but runs the Howell membership
+    test on under 1% of them."""
+    f2 = make_ring(2, 1, 1)
+    rng = random.Random(37)
+    C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(20)] for _ in range(8)])
+    size = 2 ** 20 // cardinality(C)
+    counts = {"member": 0, "enumerated": 0}
+    member, enumerate_module = codes_mod.howell_member, codes_mod.enumerate_module
+
+    def counted_member(*args):
+        counts["member"] += 1
+        return member(*args)
+
+    def counted_enumerate(*args):
+        for v in enumerate_module(*args):
+            counts["enumerated"] += 1
+            yield v
+    monkeypatch.setattr(codes_mod, "howell_member", counted_member)
+    monkeypatch.setattr(codes_mod, "enumerate_module", counted_enumerate)
+    D = min_symplectic_distance(C, "dual_minus_code")
+    assert size == 4096 and D > 1
+    assert counts["enumerated"] == size
+    assert 0 < counts["member"] < size / 100
 
 
 def test_puncture(z4, worked):
