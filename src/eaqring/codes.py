@@ -331,7 +331,9 @@ def min_symplectic_distance(C: AdditiveCode, mode: str = "code",
     Every vector is enumerated and weighed first; only one that would lower
     the running minimum (0 < w < best) is tested for membership in C, so the
     result is the same minimum over the same set with a Howell reduction
-    for a handful of vectors rather than for each.
+    for a handful of vectors rather than for each.  What remains is linear
+    in the set's size: ``enumerate_module`` makes each vector with one row
+    addition, then the vector is weighed; enumeration is the larger part.
     """
     if mode not in ("code", "dual", "dual_minus_code"):
         raise ValueError(f"unknown mode {mode!r}")

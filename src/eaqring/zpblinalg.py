@@ -352,32 +352,32 @@ def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
 
     Iterates mixed-radix coefficients c_i in [0, N / pivot_i) over the
     Howell rows (last index fastest); ``HowellBasis.cardinality`` is why
-    each element comes out exactly once.  Raises SearchLimitExceeded with
-    the exact cardinality when the module is too large.
+    each element comes out exactly once.  Each element costs one row
+    addition: the walk keeps the prefix sums partial[i] = sum_{j <= i}
+    c_j * row_j, the digit i that moves adds row_i to partial[i], and the
+    digits after it, now 0, share the result.  Raises SearchLimitExceeded
+    with the exact cardinality when the module is too large.
     """
     A = M.matrix
     N = A.modulus
-    if M.cardinality > limit:
-        raise SearchLimitExceeded(M.cardinality, limit)
+    card = M.cardinality
+    if card > limit:
+        raise SearchLimitExceeded(card, limit)
     base = [A.row(i) for i in range(A.rows)]
     radix = [N // row[col] for row, col in zip(base, M.pivots)]
     k = len(base)
     counter = [0] * k
+    vec = (0,) * A.cols
+    partial = [vec] * k
+    yield vec
     while True:
-        vec = [0] * A.cols
-        for i in range(k):
-            c = counter[i]
-            if c:
-                row = base[i]
-                for j in range(A.cols):
-                    vec[j] = (vec[j] + c * row[j]) % N
-        yield tuple(vec)
         i = k - 1
-        while i >= 0:
-            counter[i] += 1
-            if counter[i] < radix[i]:
-                break
+        while i >= 0 and counter[i] == radix[i] - 1:
             counter[i] = 0
             i -= 1
         if i < 0:
             return
+        counter[i] += 1
+        vec = tuple([(x + y) % N for x, y in zip(partial[i], base[i])])
+        partial[i:] = [vec] * (k - i)
+        yield vec

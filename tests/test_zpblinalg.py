@@ -388,12 +388,15 @@ def test_enumerate_module(p, b, rows):
     assert set(elems) == truth
 
 
-@pytest.mark.parametrize("p,b,rows", [
+ANNIHILATOR_CASES = [
     (2, 2, [[2, 1]]),
     (2, 3, [[4, 2, 1]]),
     (3, 2, [[3, 1]]),
     (2, 2, [[2, 1, 0], [0, 2, 3]]),
-])
+]
+
+
+@pytest.mark.parametrize("p,b,rows", ANNIHILATOR_CASES)
 def test_enumerate_module_with_annihilator_rows(p, b, rows):
     """Howell forms with more rows than generators (Z4 [[2, 1]] gives
     [[2, 1], [0, 2]]): every element still comes out exactly once."""
@@ -433,6 +436,61 @@ def test_enumerate_module_deterministic():
     assert a == b
 
 
+def full_rebuild_enumeration(M):
+    """Order oracle: the same mixed-radix counter over the Howell rows (last
+    index fastest), rebuilding each element from every row."""
+    A = M.matrix
+    N = A.modulus
+    base = [A.row(i) for i in range(A.rows)]
+    radix = [N // row[col] for row, col in zip(base, M.pivots)]
+    counter = [0] * len(base)
+    while True:
+        vec = [0] * A.cols
+        for c, row in zip(counter, base):
+            vec = [(x + c * y) % N for x, y in zip(vec, row)]
+        yield tuple(vec)
+        i = len(base) - 1
+        while i >= 0:
+            counter[i] += 1
+            if counter[i] < radix[i]:
+                break
+            counter[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
+@pytest.mark.parametrize("p,b,rows", CASES + ANNIHILATOR_CASES)
+def test_enumerate_module_order_matches_full_rebuild(p, b, rows):
+    """The prefix-sum walk yields the same elements in the same order as
+    rebuilding each one from every Howell row."""
+    H = howell_form(mat(p, b, rows))
+    assert list(enumerate_module(H, limit=H.cardinality)) == list(full_rebuild_enumeration(H))
+
+
+def test_enumerate_module_of_the_zero_module():
+    H = howell_form(ZpbMatrix(2, 2, 0, 3, ()))
+    assert H.rows == 0
+    assert list(enumerate_module(H, limit=1)) == [(0, 0, 0)]
+
+
+def test_enumerate_module_single_row_with_non_unit_pivot():
+    """Z8 row (2, 6): the annihilator multiple 4 * (2, 6) is zero, so the
+    Howell form is the one row, with pivot 2 and 8 / 2 = 4 multiples."""
+    H = howell_form(mat(2, 3, [[2, 6]]))
+    assert H.matrix.to_rows() == [[2, 6]] and H.pivots == (0,)
+    assert list(enumerate_module(H, limit=4)) == [(0, 0), (2, 6), (4, 4), (6, 2)]
+
+
+def test_enumerate_module_limit_is_inclusive():
+    H = howell_form(mat(3, 2, [[3, 1], [0, 3]]))
+    card = H.cardinality
+    assert len(list(enumerate_module(H, limit=card))) == card
+    with pytest.raises(SearchLimitExceeded) as exc:
+        next(enumerate_module(H, limit=card - 1))
+    assert exc.value.cardinality == card
+
+
 small_matrix = st.tuples(
     st.sampled_from([(2, 2), (3, 1), (2, 3), (3, 2), (5, 1)]),
     st.integers(1, 3),
@@ -456,6 +514,17 @@ def test_howell_properties(args):
     # every original generator reduces to zero against the Howell basis
     for r in rows:
         assert howell_member(H, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrix, st.tuples(st.sampled_from([(5, 2), (3, 3)]), st.integers(0, 3),
+                                         st.integers(1, 3), st.data())))
+def test_enumerate_module_order_matches_full_rebuild_on_random_matrices(args):
+    (p, b), nr, nc, data = args
+    N = p ** b
+    rows = [[data.draw(st.integers(0, N - 1)) for _ in range(nc)] for _ in range(nr)]
+    H = howell_form(mat(p, b, rows, cols=nc))
+    assert list(enumerate_module(H, limit=H.cardinality)) == list(full_rebuild_enumeration(H))
 
 
 @settings(max_examples=40, deadline=None)
