@@ -9,7 +9,7 @@ levels, C cap C^chi) stay Howell bases of expanded rows; only the public
 
 Codes are immutable, so every object derived from one is computed once per
 code and kept on it: the expanded matrix and its Howell and Smith forms, and
-the ``CodeAnalysis``, built from C's expanded rows and their integer Gram
+the ``CodeAnalysis``, built from C's Smith generators and their integer Gram
 matrix (rank, rho and C cap C^chi; a chi-dual level only when asked for).
 The caches live and die with the code.
 """
@@ -197,15 +197,14 @@ def same_module(C1: AdditiveCode, C2: AdditiveCode) -> bool:
 
 
 def _pairing_columns(C: AdditiveCode, scale: int) -> ZpbMatrix:
-    """Matrix whose columns are scale * (-B_c, A_c) over the generator rows
-    c; a vector v is chi-orthogonal (at the given scale) to all generators
+    """Matrix whose columns are scale * (-B_c, A_c) over C's Smith
+    generators c; a vector v is chi-orthogonal (at the given scale) to C
     iff phi(v) lies in the kernel."""
-    G = C.expanded_matrix
-    N, nm = G.modulus, C.n * C.ring.m
-    gens = G.to_rows()
+    gens = C.expanded_smith.generators
+    N, nm = C.ring.modulus, C.n * C.ring.m
     rows = [[(-scale * g[nm + i]) % N for g in gens] for i in range(nm)]
     rows += [[(scale * g[i]) % N for g in gens] for i in range(nm)]
-    return ZpbMatrix.from_reduced(G.p, G.b, rows, G.rows)
+    return ZpbMatrix.from_reduced(C.ring.p, C.ring.b, rows, len(gens))
 
 
 def chi_dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
@@ -227,11 +226,12 @@ class CodeAnalysis:
     lazily and at most once per code (``AdditiveCode.analysis``).
 
     Most come from one small integer matrix, the Gram matrix G[i][j] =
-    Tr<c_i|c_j>_s over the rows c_i of C's expanded matrix A.  The map
-    x*A -> x*G takes C onto the row module of G with kernel C cap C^{chi},
-    and mod p^{b-t} with kernel C cap C^{chi,t}.  So rank(C / (C cap
-    C^{chi,t})) counts the Smith exponents of G below b - t, rho_t counts
-    those equal to b - t, and ``meet`` = C cap C^{chi} is {x*A : x*G = 0}.
+    Tr<c_i|c_j>_s over the rows c_i of S, C's Smith generators: at most
+    2nm rows spanning C, however many rows the input has.  The map x*S ->
+    x*G takes C onto the row module of G with kernel C cap C^{chi}, and mod
+    p^{b-t} with kernel C cap C^{chi,t}.  So rank(C / (C cap C^{chi,t}))
+    counts the Smith exponents of G below b - t, rho_t counts those equal
+    to b - t, and ``meet`` = C cap C^{chi} is {x*S : x*G = 0}.
     The chi-dual levels (``dual``) are built only when asked for.  Both are
     Howell bases of expanded rows.  On top sit the checked hyperbolic
     decomposition and minimal extension.  Every invariant check runs when
@@ -257,23 +257,23 @@ class CodeAnalysis:
 
     @cached_property
     def gram(self) -> ZpbMatrix:
-        """G[i][j] = Tr<c_i|c_j>_s over the rows c_i of C's expanded matrix."""
+        """G[i][j] = Tr<c_i|c_j>_s over C's Smith generators c_i."""
         C = self.code
         nm, N = C.n * C.ring.m, C.ring.modulus
-        rows = C.expanded_matrix.to_rows()
+        rows = C.expanded_smith.generators
         gram = [[_expanded_pairing(u, v, nm, N) for v in rows] for u in rows]
         return ZpbMatrix.from_reduced(C.ring.p, C.ring.b, gram, len(rows))
 
     @cached_property
     def meet(self) -> HowellBasis:
-        """C cap C^{chi-dual}: the rows x*A over the Howell basis of the
-        kernel of G."""
-        A = self.code.expanded_matrix
-        N = A.modulus
-        cols = [A.entries[j::A.cols] for j in range(A.cols)]
+        """C cap C^{chi-dual}: the rows x*S over the Howell basis of the
+        kernel of G, S being C's Smith generators."""
+        C = self.code
+        N = C.ring.modulus
+        cols = list(zip(*C.expanded_smith.generators))
         rows = [[sum(a * c for a, c in zip(x, col)) % N for col in cols]
                 for x in kernel(self.gram).matrix.to_rows()]
-        return howell_form(ZpbMatrix.from_reduced(A.p, A.b, rows, A.cols))
+        return howell_form(ZpbMatrix.from_reduced(C.ring.p, C.ring.b, rows, C.ambient_cols))
 
     @cached_property
     def gram_exponents(self) -> Tuple[int, ...]:

@@ -49,7 +49,7 @@ def _greedy_extension(C: AdditiveCode, extra: Sequence[Sequence[int]],
     everything before them."""
     p, b = C.ring.p, C.ring.b
     N = p ** b
-    rows = [[(p * x) % N for x in r] for r in C.expanded_matrix.to_rows()] + list(extra)
+    rows = [[(p * x) % N for x in r] for r in C.expanded_smith.generators] + list(extra)
     chosen: List[Tuple[int, ...]] = []
     H = howell_form(ZpbMatrix.from_reduced(p, b, rows, C.ambient_cols))
     for cand in candidates:

@@ -14,7 +14,11 @@ class SearchLimitExceeded(EaqringError):
     --max-enum limit."""
 
     def __init__(self, cardinality: int, limit: int):
-        super().__init__(f"search set has {cardinality} elements, over the --max-enum limit {limit}")
+        try:
+            size = str(cardinality)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            size = f"at least 2^{cardinality.bit_length() - 1}"
+        super().__init__(f"search set has {size} elements, over the --max-enum limit {limit}")
         self.cardinality = cardinality
         self.limit = limit
 

@@ -1,9 +1,10 @@
 """Galois ring arithmetic: GR(p^b, m) = Z_{p^b}[x]/<h(x)>.
 
-Covers ring construction with a canonical defining polynomial, Teichmuller
-digits, the generalized Frobenius and trace, dual bases, the generating
-additive character chi(z) = zeta^{Tr z}, and the coordinate expansion phi
-down to Z_{p^b}^m.
+Covers ring construction with a canonical defining polynomial (one
+Teichmuller lift for every m), Teichmuller digits, the generalized Frobenius
+and trace, dual bases (read off a Howell form), the generating additive
+character chi(z) = zeta^{Tr z}, and the coordinate expansion phi down to
+Z_{p^b}^m.
 
 Construction, the trace, the dual basis, phi and the Frobenius never touch
 anything of size p^m: they are read off the power-basis coordinates of
@@ -25,7 +26,7 @@ from .errors import (
     ParameterTooLarge,
     RingMismatch,
 )
-from .zpblinalg import _is_prime
+from .zpblinalg import ZpbMatrix, _is_prime, howell_form
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -78,8 +79,9 @@ def _x_mod(h: Sequence[int], N: int) -> Tuple[int, ...]:
     return tuple([0, 1] + [0] * (m - 2)) if m >= 2 else ((-h[0]) % N,)
 
 
-def _is_primitive_mod_p(hbar: Sequence[int], p: int, m: int) -> bool:
-    """x generates the full cyclic group of order p^m - 1 mod (hbar, p)."""
+def _is_primitive_mod_p(hbar: Sequence[int], p: int, m: int, factors: Sequence[int]) -> bool:
+    """x generates the full cyclic group of order p^m - 1 mod (hbar, p);
+    ``factors`` are the prime factors of p^m - 1."""
     if hbar[0] % p == 0:
         return False
     order = p ** m - 1
@@ -87,7 +89,7 @@ def _is_primitive_mod_p(hbar: Sequence[int], p: int, m: int) -> bool:
     one = tuple([1] + [0] * (m - 1))
     if _poly_pow_mod(x, order, hbar, p) != one:
         return False
-    for ell in _prime_factors(order):
+    for ell in factors:
         if _poly_pow_mod(x, order // ell, hbar, p) == one:
             return False
     return True
@@ -180,23 +182,15 @@ class GaloisRingSpec:
     def _dual_coeffs(self) -> Tuple[Tuple[int, ...], ...]:
         """Power-basis coordinates of the dual basis of {1, theta, ...,
         theta^{m-1}}: plain integers, so the cache holds no reference back
-        to the ring."""
-        m, N = self.m, self.modulus
-        aug = [list(row) + [1 if i == j else 0 for j in range(m)]
-               for i, row in enumerate(self._gram)]
-        for col in range(m):
-            piv = next((r for r in range(col, m) if aug[r][col] % self.p != 0), None)
-            if piv is None:
-                raise InternalInvariantViolation("trace form has no unit pivot")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = pow(aug[col][col], -1, N)
-            aug[col] = [(inv * x) % N for x in aug[col]]
-            for r in range(m):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [(aug[r][j] - c * aug[col][j]) % N for j in range(2 * m)]
-        # column j of the inverse gram gives the theta-coordinates of gamma_j
-        return tuple(tuple(aug[i][m + j] for i in range(m)) for j in range(m))
+        to the ring.  The Howell form of [gram | I] is [I | gram^{-1}], and
+        column j of gram^{-1} gives the theta-coordinates of gamma_j."""
+        m = self.m
+        eye = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        aug = [row + e for row, e in zip(self._gram, eye)]
+        H = howell_form(ZpbMatrix.from_reduced(self.p, self.b, aug, 2 * m)).matrix
+        if [H.row(i)[:m] for i in range(H.rows)] != eye:
+            raise InternalInvariantViolation("the trace form is not invertible")
+        return tuple(tuple(H.row(i)[m + j] for i in range(m)) for j in range(m))
 
     @property
     def dual(self) -> Tuple["RingElement", ...]:
@@ -344,27 +338,6 @@ def phi_contract(ring: GaloisRingSpec, flat: Sequence[int]) -> Tuple[RingElement
     return tuple(out)
 
 
-def _teichmuller_lift_residue(a: int, p: int, N: int) -> int:
-    """Fixed point of z -> z^p starting from a, mod N (m = 1 case)."""
-    z = a % N
-    for _ in range(64):
-        z2 = pow(z, p, N)
-        if z2 == z:
-            return z
-        z = z2
-    raise InternalInvariantViolation("Teichmuller iteration did not converge")
-
-
-def _smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
-            return g
-    raise InternalInvariantViolation("no primitive root found")
-
-
 def _check_h_divides(h: Sequence[int], p: int, b: int, m: int) -> None:
     """Verify h | x^{p^m - 1} - 1 over Z_{p^b}: x^{p^m - 1} = 1 mod h."""
     N = p ** b
@@ -375,11 +348,13 @@ def _check_h_divides(h: Sequence[int], p: int, b: int, m: int) -> None:
 def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> GaloisRingSpec:
     """Construct GR(p^b, m) with a canonical defining polynomial.
 
-    Picks the lexicographically smallest primitive polynomial hbar over F_p
-    (most significant: constant term), then replaces it by the product of
-    (x - theta^{p^i}) over the Teichmuller conjugates, which is the unique
-    lift dividing x^{p^m-1} - 1 over Z_{p^b}.  A caller-supplied h is
-    validated against the same invariants instead.
+    Picks the first primitive polynomial hbar over F_p: for m = 1 the
+    first x - r over the roots r = 1, 2, ..., p - 1, that is x - g for the
+    smallest primitive root g mod p; for m >= 2 the lexicographically
+    smallest (most significant: constant term).  Then replaces hbar by the
+    product of (x - theta^{p^i}) over the Teichmuller conjugates, which is
+    the unique lift dividing x^{p^m-1} - 1 over Z_{p^b}.  A caller-supplied
+    h is validated against the same invariants instead.
     """
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -388,29 +363,20 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
     if p ** (b * m) > 2 ** 31:
         raise ParameterTooLarge(f"p^(b*m) = {p ** (b * m)} exceeds 2^31")
     N = p ** b
+    factors = _prime_factors(p ** m - 1)
 
     if h_coeffs is not None:
         h = tuple(c % N for c in h_coeffs)
         if len(h) != m + 1 or h[m] != 1:
             raise HPolyInvalid("h must be monic of degree m")
         hbar = tuple(c % p for c in h)
-        if not _is_primitive_mod_p(hbar, p, m):
+        if not _is_primitive_mod_p(hbar, p, m, factors):
             raise HPolyInvalid("h mod p is not primitive over F_p")
         _check_h_divides(h, p, b, m)
         return GaloisRingSpec(p, b, m, h)
 
-    if m == 1:
-        theta = _teichmuller_lift_residue(_smallest_primitive_root(p), p, N)
-        h = ((-theta) % N, 1)
-        _check_h_divides(h, p, b, m)
-        return GaloisRingSpec(p, b, m, h)
-
-    hbar = None
-    for tail in itertools.product(range(p), repeat=m):
-        cand = tuple(tail) + (1,)
-        if _is_primitive_mod_p(cand, p, m):
-            hbar = cand
-            break
+    tails = (((-r) % p,) for r in range(1, p)) if m == 1 else itertools.product(range(p), repeat=m)
+    hbar = next((h for h in (t + (1,) for t in tails) if _is_primitive_mod_p(h, p, m, factors)), None)
     if hbar is None:
         raise InternalInvariantViolation("no primitive polynomial found")
 

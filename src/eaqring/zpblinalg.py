@@ -148,6 +148,22 @@ class HowellBasis:
         return card
 
 
+def _pivot(work: List[List[int]], r: int, best: int, col: int, v: int, p: int, N: int) -> List[int]:
+    """The pivot step of ``howell_form`` and ``smith_form``: swap row
+    ``best`` into place r, scale its entry in ``col`` (of valuation v) to
+    p^v and clear the column below it.  Returns the new pivot row."""
+    work[r], work[best] = work[best], work[r]
+    pv = p ** v
+    uinv = pow(work[r][col] // pv, -1, N)
+    prow = work[r] = [(uinv * x) % N for x in work[r]]
+    for i in range(r + 1, len(work)):
+        e = work[i][col]
+        if e:
+            coef = e // pv  # exact: val(e) >= v by pivot minimality
+            work[i] = [(x - coef * y) % N for x, y in zip(work[i], prow)]
+    return prow
+
+
 def howell_form(gens: ZpbMatrix) -> HowellBasis:
     """Canonical Howell form of the row module spanned by ``gens``.
 
@@ -158,8 +174,7 @@ def howell_form(gens: ZpbMatrix) -> HowellBasis:
     preserved.  A final upward pass reduces entries above each pivot into
     [0, p^v).  Zero rows are dropped.
     """
-    p, b = gens.p, gens.b
-    N = p ** b
+    p, b, N = gens.p, gens.b, gens.modulus
     work = [list(r) for r in gens.to_rows() if any(r)]
     pivots: List[Tuple[int, int, int]] = []  # (row, col, valuation)
     r = 0
@@ -174,22 +189,12 @@ def howell_form(gens: ZpbMatrix) -> HowellBasis:
                     best, best_v = i, v
         if best < 0:
             continue
-        work[r], work[best] = work[best], work[r]
-        v = best_v
-        pv = p ** v
-        u = work[r][col] // pv
-        uinv = pow(u, -1, N)
-        work[r] = [(uinv * x) % N for x in work[r]]
-        for i in range(r + 1, len(work)):
-            e = work[i][col]
-            if e:
-                coef = e // pv  # exact: val(e) >= v by pivot minimality
-                work[i] = [(work[i][j] - coef * work[r][j]) % N for j in range(gens.cols)]
-        if v > 0:
-            ann = [((N // pv) * x) % N for x in work[r]]
+        row = _pivot(work, r, best, col, best_v, p, N)
+        if best_v > 0:
+            ann = [((N // p ** best_v) * x) % N for x in row]
             if any(ann):
                 work.append(ann)
-        pivots.append((r, col, v))
+        pivots.append((r, col, best_v))
         r += 1
     work = work[:r]
     # ascending column order: a reduction only touches columns right of its
@@ -199,15 +204,14 @@ def howell_form(gens: ZpbMatrix) -> HowellBasis:
         for i in range(r_i):
             coef = work[i][col] // pv  # reduce the entry into [0, p^v)
             if coef:
-                work[i] = [(work[i][j] - coef * work[r_i][j]) % N for j in range(gens.cols)]
+                work[i] = [(x - coef * y) % N for x, y in zip(work[i], work[r_i])]
     matrix = ZpbMatrix.from_reduced(p, b, work, gens.cols)
     return HowellBasis(matrix=matrix, pivots=tuple(col for _, col, _ in pivots))
 
 
 def howell_member(H: HowellBasis, vec: Sequence[int]) -> bool:
     """Membership test against a Howell basis by pivot-wise reduction."""
-    p, b = H.matrix.p, H.matrix.b
-    N = p ** b
+    N = H.matrix.modulus
     if len(vec) != H.cols:
         raise DimensionMismatch("vector length does not match ambient dimension")
     x = [e % N for e in vec]
@@ -260,17 +264,8 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
         if best is None:
             break
         v, bi, bj = best
-        D[k], D[bi] = D[bi], D[k]
         order[k], order[bj] = order[bj], order[k]
-        col = order[k]
-        pv = p ** v
-        uinv = pow(D[k][col] // pv, -1, N)
-        D[k] = [(uinv * x) % N for x in D[k]]
-        for i in range(k + 1, nr):
-            e = D[i][col]
-            if e:
-                coef = e // pv
-                D[i] = [(x - coef * y) % N for x, y in zip(D[i], D[k])]
+        _pivot(D, k, bi, order[k], v, p, N)
         exps.append(v)
     return SmithDecomposition(diag_exponents=tuple(exps),
                               generators=tuple(tuple(r) for r in D[:len(exps)]))
@@ -316,8 +311,7 @@ def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:
     for i in range(B.rows):
         if not howell_member(M, B.row(i)):
             raise NotContained("S is not a submodule of M")
-    p, b = A.p, A.b
-    N = p ** b
+    p, b, N = A.p, A.b, A.modulus
     sub = ZpbMatrix(p, b, A.rows + B.rows, A.cols, tuple((p * x) % N for x in A.entries) + B.entries)
     card_m, card_sub = M.cardinality, howell_form(sub).cardinality
     ratio, rem = divmod(card_m, card_sub)

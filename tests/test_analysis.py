@@ -188,3 +188,20 @@ def test_gram_ranks_match_the_quotient_rank_oracle(ring_args):
                          for t in range(b + 1)]
         assert ranks[b] == 0
         assert list(C.analysis.rho) == [ranks[t - 1] - ranks[t] for t in range(1, b)]
+
+
+def test_redundant_input_rows_keep_the_gram_matrix_small():
+    """A Z4 n = 1 code given by 300 random rows: the Gram matrix is built
+    over C's Smith generators (at most 2nm rows), not over the input rows,
+    and the params report equals that of the code with each distinct row
+    given once, apart from the echoed generators."""
+    rng = random.Random(300)
+    rows = [f"gen {rng.randrange(4)} {rng.randrange(4)}\n" for _ in range(300)]
+    reports = []
+    for gens in (rows, list(dict.fromkeys(rows))):
+        ring, C = parse_code_text("ring p=2 b=2 m=1\nn 1\n" + "".join(gens))
+        assert C.analysis.gram.rows <= 2 * C.n * ring.m
+        report, code = build_report("params", ring, C, 1 << 22, 1 << 10)
+        assert report.pop("generators") == [[[int(x)] for x in g.split()[1:]] for g in gens]
+        reports.append((report, code))
+    assert reports[0] == reports[1]

@@ -21,13 +21,14 @@ from eaqring.cli import (
     run,
     serialize_code,
 )
-from eaqring.codes import AdditiveCode, same_module
+from eaqring.codes import AdditiveCode, min_symplectic_distance, same_module
 from eaqring.errors import (
     HPolyInvalid,
     InternalInvariantViolation,
     NoSolution,
     ParseError,
     RangeError,
+    SearchLimitExceeded,
 )
 from eaqring.galois import make_ring
 
@@ -381,3 +382,25 @@ def test_params_on_a_long_zero_code_builds_no_chi_dual(tmp_path):
     assert code == 2 and rep["D"] == "Unknown" and rep["c_min"] == 0
     assert rep["K_exact"] == 2 ** 100
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("text, size, power", [
+    ("ring p=2 b=1 m=1\nn 7200\n", 2 ** 14400, 14400),
+    ("ring p=2147483647 b=1 m=1\nn 240\n", (2 ** 31 - 1) ** 480, 14879)], ids=["F2", "F2147483647"])
+def test_distance_over_a_search_set_past_the_decimal_digit_limit(tmp_path, text, size, power):
+    """Zero codes whose chi-dual has more elements than the interpreter
+    writes in decimal (past 4,300 digits on CPython 3.11): the cap gives
+    the size as a power of 2 and keeps it exact, and distance exits 2 with
+    D unknown."""
+    f = tmp_path / "zero.txt"
+    f.write_text(text)
+    code, out = run_cli(["distance", str(f)])
+    assert code == 2 and json.loads(out)["D"] == "Unknown"
+    with pytest.raises(SearchLimitExceeded) as exc:
+        min_symplectic_distance(parse_code_text(text)[1], "dual", limit=16)
+    try:  # an interpreter without the digit limit writes the decimal text
+        shown = str(size)
+    except ValueError:
+        shown = f"at least 2^{power}"
+    assert str(exc.value) == f"search set has {shown} elements, over the --max-enum limit 16"
+    assert exc.value.cardinality == size

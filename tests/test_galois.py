@@ -48,6 +48,38 @@ def trace_by_frobenius(z):
     return s.coeffs[0]
 
 
+def h_by_primitive_root(p, b):
+    """Oracle: the separate m = 1 construction, h = x - t with t the
+    Teichmuller lift (the fixed point of z -> z^p mod p^b) of the smallest
+    primitive root mod p."""
+    N = p ** b
+    factors = [ell for ell in range(2, p) if (p - 1) % ell == 0 and all(ell % d for d in range(2, ell))]
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors))
+    t = g
+    while pow(t, p, N) != t:
+        t = pow(t, p, N)
+    return ((-t) % N, 1)
+
+
+def dual_coeffs_by_gauss_jordan(ring):
+    """Oracle: Gauss-Jordan inversion of the trace form Tr(theta^{i+k}),
+    pivoting on units; column j of the inverse gives the theta-coordinates
+    of the j-th dual basis element."""
+    m, N = ring.m, ring.modulus
+    aug = [[gen_trace(ring.theta ** (i + k)) for k in range(m)] + [int(i == j) for j in range(m)]
+           for i in range(m)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if aug[r][col] % ring.p)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, N)
+        aug[col] = [(inv * x) % N for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [(x - c * y) % N for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(aug[i][m + j] for i in range(m)) for j in range(m))
+
+
 def h_divides_by_division(h, p, b, m):
     """Oracle: whether h | x^{p^m - 1} - 1 over Z_{p^b}, by long division."""
     N = p ** b
@@ -83,6 +115,25 @@ def test_make_ring_canonical_polynomials(gr42):
     assert f4.h_coeffs == (1, 1, 1)
     z9 = make_ring(3, 2, 1)
     assert z9.h_coeffs == (1, 1)  # x - 8: Teichmuller lift of the root 2
+
+
+M1_RINGS = [(p, b, 1) for p in range(2, 200) if all(p % d for d in range(2, p))
+            for b in range(1, 32) if p ** b <= 2 ** 31]
+M2_RINGS = [(2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (5, 1, 2), (5, 2, 2), (7, 1, 2),
+            (2, 1, 3), (2, 2, 3), (3, 1, 3), (2, 1, 4), (2, 2, 4), (3, 1, 4)]
+
+
+def test_one_construction_matches_the_oracles():
+    """Every ring, m = 1 included, comes from the one Teichmuller lift, and
+    its dual basis from one Howell form: the same h as the primitive-root
+    construction on every m = 1 ring with p < 200 and p^b <= 2^31, and the
+    same dual basis as Gauss-Jordan there and on rings with m = 2..4."""
+    assert len(M1_RINGS) == 272
+    for spec in M1_RINGS + M2_RINGS:
+        ring = make_ring(*spec)
+        if ring.m == 1:
+            assert ring.h_coeffs == h_by_primitive_root(ring.p, ring.b), spec
+        assert ring._dual_coeffs == dual_coeffs_by_gauss_jordan(ring), spec
 
 
 def test_make_ring_errors():

@@ -1,7 +1,8 @@
 """Checks on the package source: read with ``ast``, no bare ``assert`` (a
-failed invariant raises InternalInvariantViolation) and no error class in
-errors.py that nothing in the package raises; run in a fresh interpreter,
-no numpy import outside the verifier."""
+failed invariant raises InternalInvariantViolation), no error class in
+errors.py that nothing in the package raises and no modular inverse outside
+zpblinalg.py; run in a fresh interpreter, no numpy import outside the
+verifier."""
 
 import ast
 import os
@@ -51,3 +52,13 @@ def test_params_runs_without_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script, str(f)], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_modular_inverses_only_in_zpblinalg():
+    """pow(x, -1, N) appears in zpblinalg.py and nowhere else, so every row
+    reduction over Z_{p^b} goes through its pivot step."""
+    hits = {f"{name}:{node.lineno}" for name, tree in _trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3 and ast.unparse(node.args[1]) == "-1"}
+    assert {h for h in hits if not h.startswith("zpblinalg.py:")} == set()
+    assert hits
