@@ -33,6 +33,7 @@ from .zpblinalg import (
     HowellBasis,
     SmithDecomposition,
     ZpbMatrix,
+    _solve,
     enumerate_module,
     howell_form,
     howell_member,
@@ -231,8 +232,9 @@ class CodeAnalysis:
     x*G takes C onto the row module of G with kernel C cap C^{chi}, and mod
     p^{b-t} with kernel C cap C^{chi,t}.  So rank(C / (C cap C^{chi,t}))
     counts the Smith exponents of G below b - t, rho_t counts those equal
-    to b - t, and ``meet`` = C cap C^{chi} is {x*S : x*G = 0}.
-    The chi-dual levels (``dual``) are built only when asked for.  Both are
+    to b - t, and ``meet`` = C cap C^{chi} is {x*S : x*G = 0}, read off
+    one Howell form of [G | S] with no kernel and no intersection.  The
+    chi-dual levels (``dual``) are built only when asked for.  Both are
     Howell bases of expanded rows.  On top sit the checked hyperbolic
     decomposition and minimal extension.  Every invariant check runs when
     its object is first built.
@@ -266,14 +268,11 @@ class CodeAnalysis:
 
     @cached_property
     def meet(self) -> HowellBasis:
-        """C cap C^{chi-dual}: the rows x*S over the Howell basis of the
-        kernel of G, S being C's Smith generators."""
+        """C cap C^{chi-dual} = {x*S : x*G = 0}, S being C's Smith
+        generators: one Howell form of [G | S]."""
         C = self.code
-        N = C.ring.modulus
-        cols = list(zip(*C.expanded_smith.generators))
-        rows = [[sum(a * c for a, c in zip(x, col)) % N for col in cols]
-                for x in kernel(self.gram).matrix.to_rows()]
-        return howell_form(ZpbMatrix.from_reduced(C.ring.p, C.ring.b, rows, C.ambient_cols))
+        S = ZpbMatrix.from_reduced(C.ring.p, C.ring.b, C.expanded_smith.generators, C.ambient_cols)
+        return _solve(self.gram, S)
 
     @cached_property
     def gram_exponents(self) -> Tuple[int, ...]:

@@ -40,53 +40,53 @@ class HyperbolicDecomposition:
         return out
 
 
-def _greedy_extension(C: AdditiveCode, extra: Sequence[Sequence[int]],
-                      candidates: Sequence[Tuple[int, ...]],
-                      limit: int | None = None) -> List[Tuple[int, ...]]:
-    """The candidates, in order, that each fall outside span(pC + extra +
-    those already chosen), stopping once ``limit`` are chosen.  Each chosen
-    candidate joins the current Howell rows, which span the same module as
-    everything before them."""
-    p, b = C.ring.p, C.ring.b
-    N = p ** b
-    rows = [[(p * x) % N for x in r] for r in C.expanded_smith.generators] + list(extra)
-    chosen: List[Tuple[int, ...]] = []
-    H = howell_form(ZpbMatrix.from_reduced(p, b, rows, C.ambient_cols))
-    for cand in candidates:
+def _greedy_extension(base: ZpbMatrix, candidates: Sequence[Tuple[int, ...]],
+                      limit: int | None = None) -> List[int]:
+    """Indices of the candidates, in order, that each fall outside the span
+    of ``base``'s rows and the candidates already chosen, stopping once
+    ``limit`` are chosen.  Each chosen candidate joins the current Howell
+    rows, which span the same module as everything before them."""
+    chosen: List[int] = []
+    H = howell_form(base)
+    for i, cand in enumerate(candidates):
         if len(chosen) == limit:
             break
         if not howell_member(H, cand):
-            chosen.append(cand)
+            chosen.append(i)
             A = H.matrix
-            H = howell_form(ZpbMatrix(p, b, A.rows + 1, A.cols, A.entries + tuple(cand)))
+            H = howell_form(ZpbMatrix(A.p, A.b, A.rows + 1, A.cols, A.entries + tuple(cand)))
     return chosen
 
 
 def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     """Codewords projecting to a minimal generating set of C/D, with
-    D = C cap C^{chi-dual}.
-
-    Greedy over the Smith minimal generators of C: keep a candidate iff it
-    falls outside span(pC + D + already chosen); by Nakayama the chosen
-    images generate the quotient minimally.
-    """
-    target = C.analysis.rank(0)
-    chosen = _greedy_extension(C, C.analysis.meet.matrix.to_rows(),
-                               C.expanded_smith.minimal_generators(), target)
-    if len(chosen) != target:
+    D = C cap C^{chi-dual}: C's Smith generators s_i, each kept iff outside
+    span(pC + D + those already kept), so minimal by Nakayama.  As x*S ->
+    x*G maps C onto the rows of the Gram matrix G with kernel D, the test
+    runs on G's rows: G_i outside span(pG + the kept G_j), in k <= 2nm
+    columns."""
+    G, target = C.analysis.gram, C.analysis.rank(0)
+    pG = ZpbMatrix(G.p, G.b, G.rows, G.cols, tuple(G.p * x % G.modulus for x in G.entries))
+    picks = _greedy_extension(pG, [G.row(i) for i in range(G.rows)], target)
+    if len(picks) != target:
         raise InternalInvariantViolation("quotient basis lift fell short")
-    return chosen
+    return [C.expanded_smith.generators[i] for i in picks]
 
 
 def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     """Isotropic completion: extend the lifted quotient generators to a
     minimal generating set of C with candidates from the minimal generators
-    of D = C cap C^{chi-dual} (C = span(lifted) + D, so candidates suffice).
+    of D = C cap C^{chi-dual} (C = span(lifted) + D, so candidates suffice),
+    each kept iff outside span(pC + lifted + those already kept).
 
     Keeping the full list minimal means it is a basis whenever C is free,
     which the extension's free-module cardinality equality relies on.
     """
-    return _greedy_extension(C, lifted, smith_form(C.analysis.meet.matrix).minimal_generators())
+    p, N = C.ring.p, C.ring.modulus
+    rows = [[p * x % N for x in r] for r in C.expanded_smith.generators] + lifted
+    cands = smith_form(C.analysis.meet.matrix).minimal_generators()
+    base = ZpbMatrix.from_reduced(p, C.ring.b, rows, C.ambient_cols)
+    return [cands[i] for i in _greedy_extension(base, cands)]
 
 
 def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:
@@ -105,22 +105,17 @@ def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:
 def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
     """Build the decomposition of ``hyperbolic_decompose`` and check it."""
     ring = C.ring
-    p, b = ring.p, ring.b
-    N = p ** b
+    N = ring.modulus
     nm = C.n * ring.m
-    work = [list(r) for r in _lift_quotient_basis(C)]
-    lifted = [tuple(r) for r in work]
+    lifted = _lift_quotient_basis(C)
+    work = [list(r) for r in lifted]
     pairs: List[Tuple[SymplecticVector, SymplecticVector]] = []
-
-    def pairing(i, j):
-        return _expanded_pairing(work[i], work[j], nm, N)
-
     while True:
         best = None
         best_g = N + 1
         for i in range(len(work)):
             for j in range(i + 1, len(work)):
-                ell = pairing(i, j)
+                ell = _expanded_pairing(work[i], work[j], nm, N)
                 if ell:
                     g = math.gcd(ell, N)
                     if g < best_g:

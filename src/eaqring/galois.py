@@ -82,8 +82,6 @@ def _x_mod(h: Sequence[int], N: int) -> Tuple[int, ...]:
 def _is_primitive_mod_p(hbar: Sequence[int], p: int, m: int, factors: Sequence[int]) -> bool:
     """x generates the full cyclic group of order p^m - 1 mod (hbar, p);
     ``factors`` are the prime factors of p^m - 1."""
-    if hbar[0] % p == 0:
-        return False
     order = p ** m - 1
     x = _x_mod(hbar, p)
     one = tuple([1] + [0] * (m - 1))
@@ -348,13 +346,14 @@ def _check_h_divides(h: Sequence[int], p: int, b: int, m: int) -> None:
 def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> GaloisRingSpec:
     """Construct GR(p^b, m) with a canonical defining polynomial.
 
-    Picks the first primitive polynomial hbar over F_p: for m = 1 the
-    first x - r over the roots r = 1, 2, ..., p - 1, that is x - g for the
-    smallest primitive root g mod p; for m >= 2 the lexicographically
-    smallest (most significant: constant term).  Then replaces hbar by the
-    product of (x - theta^{p^i}) over the Teichmuller conjugates, which is
-    the unique lift dividing x^{p^m-1} - 1 over Z_{p^b}.  A caller-supplied
-    h is validated against the same invariants instead.
+    Picks the first primitive polynomial hbar over F_p: x - g for the
+    smallest primitive root g mod p when m = 1, else the lexicographically
+    smallest (constant term most significant).  Its constant term is (-1)^m
+    times the norm of a root, a primitive root mod p, so only those
+    constant terms are walked.  Then replaces hbar by the product of
+    (x - theta^{p^i}) over the Teichmuller conjugates, the unique lift
+    dividing x^{p^m-1} - 1 over Z_{p^b}.  A caller-supplied h is validated
+    against the same invariants instead.
     """
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -362,11 +361,10 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
         raise ValueError("b and m must be positive")
     if p ** (b * m) > 2 ** 31:
         raise ParameterTooLarge(f"p^(b*m) = {p ** (b * m)} exceeds 2^31")
-    N = p ** b
     factors = _prime_factors(p ** m - 1)
 
     if h_coeffs is not None:
-        h = tuple(c % N for c in h_coeffs)
+        h = tuple(c % p ** b for c in h_coeffs)
         if len(h) != m + 1 or h[m] != 1:
             raise HPolyInvalid("h must be monic of degree m")
         hbar = tuple(c % p for c in h)
@@ -375,8 +373,11 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
         _check_h_divides(h, p, b, m)
         return GaloisRingSpec(p, b, m, h)
 
-    tails = (((-r) % p,) for r in range(1, p)) if m == 1 else itertools.product(range(p), repeat=m)
-    hbar = next((h for h in (t + (1,) for t in tails) if _is_primitive_mod_p(h, p, m, factors)), None)
+    ells = _prime_factors(p - 1)  # keep c iff (-1)^m c is a primitive root mod p
+    consts = (c for c in (range(p - 1, 0, -1) if m == 1 else range(1, p))  # m = 1: x - r, r = 1, 2, ...
+              if all(pow((-1) ** m * c, (p - 1) // ell, p) != 1 for ell in ells))
+    cands = ((c,) + t + (1,) for c in consts for t in itertools.product(range(p), repeat=m - 1))
+    hbar = next((h for h in cands if _is_primitive_mod_p(h, p, m, factors)), None)
     if hbar is None:
         raise InternalInvariantViolation("no primitive polynomial found")
 

@@ -289,7 +289,12 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                               max_dim: int = DEFAULT_MATRIX_DIM) -> ErrorSearchResult:
     """Classify every error X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
     criterion on an orthonormal basis of the code space, and cross-check
-    the undetectable set against C^{chi-dual} minus C."""
+    the undetectable set against C^{chi-dual} minus C.  The group must be
+    over C's ring and act on at least C's n coordinates."""
+    if group.ring != C.ring:
+        raise RingMismatch("the stabilizer group is over a different ring than the code")
+    if group.n < C.n:
+        raise DimensionMismatch(f"the stabilizer group acts on n = {group.n} < {C.n} coordinates")
     import numpy as np
     ring = C.ring
     n, ntot = C.n, group.n

@@ -2,9 +2,10 @@
 intersections, quotient ranks, congruence solving and module enumeration.
 
 The Howell form does the module operations: membership, cardinality,
-kernel, intersection (both read off one Howell form of an augmented matrix)
-and enumeration.  The Smith form gives exponents and minimal generators; it
-carries out row operations only, and keeps no column transform.
+enumeration, and the solve {x*B : x*A = 0} read off one Howell form of
+[A | B], which gives the kernel and the intersection.  The Smith form gives
+exponents and minimal generators; it carries out row operations only, and
+keeps no column transform.
 
 Everything here works on plain integer residues in [0, p^b).  Pivoting is
 always on entries of minimal p-valuation (every element of Z_{p^b} is
@@ -271,36 +272,34 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
                               generators=tuple(tuple(r) for r in D[:len(exps)]))
 
 
-def _trailing(H: HowellBasis, lead: int) -> HowellBasis:
-    """Howell basis of {y : (0 | y) in H}, with ``lead`` zero columns: by
-    the Howell property the rows whose pivot lies past ``lead``, cut to the
-    trailing block, are already its canonical Howell basis."""
-    A = H.matrix
-    keep = [i for i, col in enumerate(H.pivots) if col >= lead]
-    rows = [A.row(i)[lead:] for i in keep]
-    return HowellBasis(matrix=ZpbMatrix.from_reduced(A.p, A.b, rows, A.cols - lead),
-                       pivots=tuple(H.pivots[i] - lead for i in keep))
+def _solve(A: ZpbMatrix, B: ZpbMatrix) -> HowellBasis:
+    """Howell basis of {x*B : x*A = 0}, for A and B with equal row counts:
+    the rows (0 | y) of one Howell form of [A | B], cut to the B block.  By
+    the Howell property they are already its canonical Howell basis."""
+    c = A.cols
+    aug = [A.row(i) + B.row(i) for i in range(A.rows)]
+    H = howell_form(ZpbMatrix.from_reduced(A.p, A.b, aug, c + B.cols))
+    keep = [i for i, col in enumerate(H.pivots) if col >= c]
+    return HowellBasis(matrix=ZpbMatrix.from_reduced(A.p, A.b, [H.matrix.row(i)[c:] for i in keep], B.cols),
+                       pivots=tuple(H.pivots[i] - c for i in keep))
 
 
 def kernel(A: ZpbMatrix) -> HowellBasis:
-    """All row vectors x with x*A = 0 mod p^b, as a Howell basis: the rows
-    (0 | x) of the Howell form of [A | I]."""
-    p, b, c = A.p, A.b, A.cols
-    aug = [list(A.row(i)) + [int(i == j) for j in range(A.rows)] for i in range(A.rows)]
-    return _trailing(howell_form(ZpbMatrix.from_reduced(p, b, aug, c + A.rows)), c)
+    """All row vectors x with x*A = 0 mod p^b, as a Howell basis: the
+    solve against the identity."""
+    eye = [[int(i == j) for j in range(A.rows)] for i in range(A.rows)]
+    return _solve(A, ZpbMatrix.from_reduced(A.p, A.b, eye, A.rows))
 
 
 def intersect(M1: HowellBasis, M2: HowellBasis) -> HowellBasis:
-    """Howell basis of the intersection of two row modules: the rows
-    (0 | y) of the Howell form of [M1 | M1 ; M2 | 0], since
-    (a + b | a) with a in M1, b in M2 has a zero lead iff a = -b."""
+    """Howell basis of the intersection of two row modules: the solve of
+    [M1 ; M2] against [M1 ; 0], since x = (a, b) with a*M1 + b*M2 = 0 gives
+    the common element a*M1 = -b*M2, and every common element arises so."""
     A1, A2 = M1.matrix, M2.matrix
     if A1.cols != A2.cols or (A1.p, A1.b) != (A2.p, A2.b):
         raise DimensionMismatch("ambient dimensions differ")
-    cols = A1.cols
-    aug = [A1.row(i) * 2 for i in range(A1.rows)]  # (a | a): the row repeated
-    aug += [A2.row(i) + (0,) * cols for i in range(A2.rows)]
-    return _trailing(howell_form(ZpbMatrix.from_reduced(A1.p, A1.b, aug, 2 * cols)), cols)
+    both = ZpbMatrix(A1.p, A1.b, A1.rows + A2.rows, A1.cols, A1.entries + A2.entries)
+    return _solve(both, ZpbMatrix(A1.p, A1.b, both.rows, A1.cols, A1.entries + (0,) * len(A2.entries)))
 
 
 def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:

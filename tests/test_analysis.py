@@ -1,7 +1,7 @@
 """The per-code analysis: every derived object of a code is built once,
 the ranks read off the Gram matrix's Smith form agree with the
-quotient-rank oracle, and the meet read off the Gram matrix's kernel
-agrees with the intersection of C and its chi-dual.
+quotient-rank oracle, and the meet {x*S : x*G = 0}, read off one Howell
+form of [G | S], agrees with the intersection of C and its chi-dual.
 
 Counts calls through the module bindings the pipeline uses, on fresh codes
 parsed per report, so a second computation of the same object shows up.
@@ -58,8 +58,9 @@ def sample_codes(ring, rng):
 @pytest.fixture
 def counted(monkeypatch):
     """Counters for the decomposition body, the kernels (keyed by their
-    matrix), every Smith form, every Howell form, every intersection, every
-    quotient rank and every contraction of expanded rows into a code."""
+    matrix), the solves, every Smith form, every Howell form, every
+    intersection, every quotient rank and every contraction of expanded
+    rows into a code."""
     seen = collections.Counter()
 
     def count(module, name, key=lambda *args: None):
@@ -72,6 +73,7 @@ def counted(monkeypatch):
 
     count(decompose_mod, "_decompose")
     count(codes_mod, "kernel", key=lambda A: A)
+    count(codes_mod, "_solve")
     count(codes_mod, "intersect")
     count(codes_mod, "phi_contract")
     for module in (codes_mod, decompose_mod, extension_mod, pauli_mod, zpb_mod):
@@ -91,13 +93,12 @@ def check_built_once(counted, label, command, max_enum):
     searched = report["D"] != "Unknown"
     assert code == (0 if searched else 2)
     assert counted["_decompose", None] == 1
-    # one kernel of the Gram matrix gives C cap C^chi; the chi-dual (level
-    # 0 only) is built only when D is searched, and nothing intersects
+    # one solve over [G | S] gives C cap C^chi; the only kernel is the
+    # chi-dual's (level 0 only), built only when D is searched, and
+    # nothing intersects
+    assert counted["_solve", None] == 1
     kernels = {k: v for (name, k), v in counted.items() if name == "kernel"}
-    want = {C.analysis.gram: 1}
-    if searched:
-        want[codes_mod._pairing_columns(C, 1)] = 1
-    assert kernels == want
+    assert kernels == ({codes_mod._pairing_columns(C, 1): 1} if searched else {})
     assert counted["intersect", None] == 0
     assert counted["quotient_rank", None] == 0
     # no derived module is contracted into ring-level generators
@@ -106,10 +107,10 @@ def check_built_once(counted, label, command, max_enum):
     # Gram matrix; verify adds the minimal generators of C'.  Kernels,
     # enumerations and the meet read Howell forms only.
     assert counted["smith_form", None] == (4 if command == "verify" else 3)
-    # Howell forms: one each for the Gram kernel, the meet and (when D is
-    # searched) the chi-dual's kernel; then at most eight for C itself, the
-    # decomposition and the extension of these one-coordinate codes
-    assert counted["howell_form", None] <= (3 if searched else 2) + 8
+    # Howell forms: one for the meet and (when D is searched) one for the
+    # chi-dual's kernel; then at most eight for C itself, the decomposition
+    # and the extension of these one-coordinate codes
+    assert counted["howell_form", None] <= (2 if searched else 1) + 8
     return searched
 
 
@@ -153,11 +154,11 @@ def test_repeated_calls_return_the_cached_objects():
 
 @pytest.mark.parametrize("ring_args", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2)])
 def test_derived_codes_keep_consistent_howell_rows(ring_args):
-    """The meet read off the Gram kernel equals the intersection of C with
-    its chi-dual.  Every chi-dual level and each C cap C^{chi,t}, wrapped
-    as a code, holds its Howell rows as its expanded matrix: they are the
-    phi expansion of its generators and already in Howell form.  Over zero
-    codes, random codes and codes with redundant generators."""
+    """The meet read off one Howell form of [G | S] equals the intersection
+    of C with its chi-dual.  Every chi-dual level and each C cap C^{chi,t},
+    wrapped as a code, holds its Howell rows as its expanded matrix: they
+    are the phi expansion of its generators and already in Howell form.
+    Over zero codes, random codes and codes with redundant generators."""
     ring = make_ring(*ring_args)
     rng = random.Random(sum(x * 10 ** i for i, x in enumerate(ring_args)))
     for C in sample_codes(ring, rng):

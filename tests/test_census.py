@@ -3,8 +3,8 @@ by breadth-first search over canonical Howell forms, one added ambient
 vector at a time.
 
 On every code the ranks read off the Gram matrix's Smith form equal the
-quotient-rank oracle at each level, the meet read off the Gram matrix's
-kernel equals C cap C^chi, and K_lower <= K_exact <= K_upper.
+quotient-rank oracle at each level, the meet read off one Howell form of
+[G | S] equals C cap C^chi, and K_lower <= K_exact <= K_upper.
 """
 
 import itertools

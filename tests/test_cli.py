@@ -165,6 +165,19 @@ def test_dual_report():
     assert rep["dual_generators"] == [[[2], [0]]]
 
 
+def test_params_on_a_ring_with_a_long_polynomial_search(tmp_path):
+    """GR(7, 6), whose search for a primitive polynomial once walked every
+    tail of each constant term in turn: ``params`` parses it at once and
+    reports its canonical h, with D capped by the default --max-enum."""
+    f = tmp_path / "gr76.txt"
+    f.write_text("ring p=7 b=1 m=6\nn 1\ngen 1,0,0,0,0,0 0,0,0,0,0,0\n")
+    code, out = run_cli(["params", str(f)])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["ring"] == {"p": 7, "b": 1, "m": 6, "h": [3, 0, 0, 0, 1, 1, 1]}
+    assert (rep["card_code"], rep["K_exact"], rep["D"]) == (7, 7 ** 5, "Unknown")
+
+
 def test_distance_cap_exit_2():
     ring, C = parse_code_text(Z4_WORKED)
     rep, code = build_report("distance", ring, C, 1, 1024)
@@ -252,7 +265,8 @@ def test_module_entry_point(tmp_path):
 
 
 def test_survey_script_runs_from_a_checkout():
-    """The README form: ``PYTHONPATH=src python3 scripts/survey_random_codes.py``."""
+    """The README form: ``PYTHONPATH=src python3 scripts/survey_random_codes.py``,
+    the one script on the public API.  Seed 0 pins every row."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "scripts", "survey_random_codes.py"),
@@ -262,7 +276,10 @@ def test_survey_script_runs_from_a_checkout():
     lines = proc.stdout.splitlines()
     assert lines[0] == "ring GR(2^2, 1), h = (3, 1), length n = 2"
     assert lines[1].split() == ["|C|", "c", "K", "D", "rho", "case"]
-    assert len(lines) == 5
+    assert [row.split() for row in lines[2:]] == [
+        ["256", "2", "1", "inf", "(0,)", "dual_subset_of_code"],
+        ["4", "0", "4", "1", "(0,)", "dual_minus_code"],
+        ["64", "1", "1", "2", "(0,)", "dual_subset_of_code"]]
 
 
 def run_cli(argv):

@@ -16,13 +16,15 @@ from eaqring.codes import (
 from eaqring.decompose import (
     HyperbolicDecomposition,
     _check_decomposition,
+    _lift_quotient_basis,
     hyperbolic_decompose,
     rho_profile,
     verify_prop_count,
 )
 from eaqring.errors import InternalInvariantViolation
 from eaqring.galois import char_exponent, make_ring
-from eaqring.zpblinalg import quotient_rank
+from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
+from test_census import all_codes
 
 
 def random_code(ring, n, k, rng):
@@ -140,3 +142,47 @@ def test_check_rejects_a_split_pair():
     split = HyperbolicDecomposition(code=C, isotropic=(g0, g1), pairs=(), grams=())
     with pytest.raises(InternalInvariantViolation, match="non-partners"):
         _check_decomposition(split)
+
+
+def lift_oracle(C):
+    """The quotient lift in 2nm columns: C's Smith generators, in order,
+    each kept iff it falls outside span(pC + D + those already kept), with
+    D = C cap C^chi taken from the intersection of C and its chi-dual."""
+    p, b, N = C.ring.p, C.ring.b, C.ring.modulus
+    D = code_intersection(C, chi_dual_level(C, 0)).expanded_howell
+    rows = [[p * x % N for x in r] for r in C.expanded_smith.generators] + D.matrix.to_rows()
+    chosen = []
+    for s in C.expanded_smith.generators:
+        H = howell_form(ZpbMatrix.from_reduced(p, b, rows + chosen, C.ambient_cols))
+        if not howell_member(H, s):
+            chosen.append(list(s))
+    return chosen
+
+
+@pytest.mark.parametrize("ring_args,n", [
+    ((2, 1, 1), 2), ((2, 1, 2), 1), ((2, 2, 1), 1), ((2, 3, 1), 1), ((3, 2, 1), 1),
+], ids=["F2-n2", "F4-n1", "Z4-n1", "Z8-n1", "Z9-n1"])
+def test_lift_on_the_gram_rows_matches_the_oracle_on_the_census(ring_args, n):
+    """The lift reads its greedy off the Gram matrix's rows; on every code
+    of the census it keeps the same Smith generators as the greedy over
+    pC + D in the ambient columns."""
+    ring = make_ring(*ring_args)
+    for H in all_codes(ring, n):
+        C = AdditiveCode.from_expanded(ring, n, H)
+        assert [list(r) for r in _lift_quotient_basis(C)] == lift_oracle(C)
+
+
+@pytest.mark.parametrize("ring_args", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)],
+                         ids=["F2", "F4", "Z4", "Z8", "Z9", "GR42"])
+def test_lift_on_the_gram_rows_matches_the_oracle_on_random_codes(ring_args):
+    """Seeded random codes of length 1 to 3, each also stacked with sums
+    and multiples of its rows, so that the input has redundant rows."""
+    ring = make_ring(*ring_args)
+    rng = random.Random(7 + sum(x * 10 ** i for i, x in enumerate(ring_args)))
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        C = random_code(ring, n, rng.randint(1, 2 * n * ring.m), rng)
+        g = C.generators
+        extra = (g[0] + g[-1], g[0].scale(ring.p), g[-1].scale(rng.randrange(ring.modulus)))
+        for code in (C, AdditiveCode(ring, n, g + extra)):
+            assert [list(r) for r in _lift_quotient_basis(code)] == lift_oracle(code)

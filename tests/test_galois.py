@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eaqring.galois as galois_mod
 from eaqring.errors import HPolyInvalid, ParameterTooLarge
 from eaqring.galois import (
     _check_h_divides,
+    _is_primitive_mod_p,
+    _prime_factors,
     char_exponent,
     frobenius,
     gen_trace,
@@ -134,6 +137,44 @@ def test_one_construction_matches_the_oracles():
         if ring.m == 1:
             assert ring.h_coeffs == h_by_primitive_root(ring.p, ring.b), spec
         assert ring._dual_coeffs == dual_coeffs_by_gauss_jordan(ring), spec
+
+
+def hbar_by_full_search(p, m):
+    """Oracle: the first primitive hbar over every constant term, with no
+    filter: x - r over r = 1, 2, ..., p - 1 for m = 1, and for m >= 2 the
+    lexicographic order with the constant term most significant."""
+    factors = _prime_factors(p ** m - 1)
+    tails = (((-r) % p,) for r in range(1, p)) if m == 1 else itertools.product(range(p), repeat=m)
+    return next(h for h in (t + (1,) for t in tails) if _is_primitive_mod_p(h, p, m, factors))
+
+
+SMALL_PRIMES = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+SEARCH_FIELDS = [(p, m) for p in SMALL_PRIMES for m in range(1, 11) if p ** m <= 2000]
+
+
+def test_candidate_filter_keeps_the_full_search_order():
+    """Walking only constant terms that are (-1)^m times a primitive root
+    mod p finds the same hbar as the unfiltered search, on every ring with
+    p <= 31, p^m <= 2000 and b in {1, 2}."""
+    assert len(SEARCH_FIELDS) == 38
+    for p, m in SEARCH_FIELDS:
+        hbar = hbar_by_full_search(p, m)
+        for b in (1, 2):
+            assert tuple(c % p for c in make_ring(p, b, m).h_coeffs) == hbar, (p, b, m)
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 10), (3, 1, 12), (3, 1, 19), (7, 1, 6), (2, 1, 31),
+                                  (46337, 1, 2), (1289, 1, 3)])
+def test_make_ring_tests_few_candidates(monkeypatch, spec):
+    """Rings whose unfiltered search tests tens of thousands of candidates
+    or more (every tail of constant term 0 first): the filtered one tests
+    at most 100."""
+    calls = []
+    orig = galois_mod._is_primitive_mod_p
+    monkeypatch.setattr(galois_mod, "_is_primitive_mod_p", lambda *a: calls.append(a) or orig(*a))
+    ring = make_ring(*spec)
+    assert (ring.p, ring.b, ring.m) == spec
+    assert 0 < len(calls) <= 100
 
 
 def test_make_ring_errors():

@@ -23,8 +23,10 @@ from eaqring.codes import (
 )
 from eaqring.decompose import hyperbolic_decompose
 from eaqring.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     InternalInvariantViolation,
+    RingMismatch,
     SearchLimitExceeded,
 )
 from eaqring.extension import build_extension, build_minimal_extension
@@ -251,6 +253,26 @@ def test_error_search_limit(z4):
     g = build_stabilizer(ext)
     with pytest.raises(SearchLimitExceeded):
         undetectable_error_search(C, g, limit=4)
+
+
+def test_error_search_rejects_a_group_over_another_ring(z4, f4):
+    """A Z4 code and the group of an F4 code: both have q = 4, so the
+    search would run, on the wrong code space."""
+    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    other = AdditiveCode(f4, 1, (SymplecticVector(f4, (f4.one,), (f4.zero,)),))
+    group = build_stabilizer(build_minimal_extension(other))
+    with pytest.raises(RingMismatch):
+        undetectable_error_search(C, group)
+
+
+def test_error_search_rejects_a_group_on_fewer_coordinates(z4, monkeypatch):
+    """A Z4 n = 2 code and the group of an n = 1 code, rejected before the
+    projector is built."""
+    C = AdditiveCode.from_int_rows(z4, [[1, 0, 0, 0], [0, 0, 2, 0]])
+    group = build_stabilizer(build_minimal_extension(AdditiveCode.from_int_rows(z4, [[1, 0]])))
+    monkeypatch.setattr(pauli, "stabilizer_projector", None)
+    with pytest.raises(DimensionMismatch):
+        undetectable_error_search(C, group)
 
 
 def test_stabilizer_randomized(z4, f4):
