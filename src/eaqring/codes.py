@@ -185,8 +185,8 @@ class AdditiveCode:
         return howell_member(self.expanded_howell, phi_expand(self.ring, v.components))
 
     def minimal_generating_vectors(self) -> List[SymplecticVector]:
-        rows = self.expanded_smith.minimal_generators()
-        return [SymplecticVector.from_components(self.ring, phi_contract(self.ring, r)) for r in rows]
+        return [SymplecticVector.from_components(self.ring, phi_contract(self.ring, r))
+                for r in self.expanded_smith.generators]
 
 
 def cardinality(C: AdditiveCode) -> int:
@@ -235,9 +235,9 @@ class CodeAnalysis:
     to b - t, and ``meet`` = C cap C^{chi} is {x*S : x*G = 0}, read off
     one Howell form of [G | S] with no kernel and no intersection.  The
     chi-dual levels (``dual``) are built only when asked for.  Both are
-    Howell bases of expanded rows.  On top sit the checked hyperbolic
-    decomposition and minimal extension.  Every invariant check runs when
-    its object is first built.
+    Howell bases of expanded rows.  ``dual_in_code`` picks D's search set.
+    On top sit the checked hyperbolic decomposition and minimal extension.
+    Every invariant check runs when its object is first built.
     """
 
     def __init__(self, code: AdditiveCode):
@@ -273,6 +273,13 @@ class CodeAnalysis:
         C = self.code
         S = ZpbMatrix.from_reduced(C.ring.p, C.ring.b, C.expanded_smith.generators, C.ambient_cols)
         return _solve(self.gram, S)
+
+    @cached_property
+    def dual_in_code(self) -> bool:
+        """The case that picks D's search set, C^{chi} inside C: C cap C^{chi}
+        sits in C^{chi}, of size q^{2n} / |C|, so iff |C cap C^{chi}| |C| = q^{2n}."""
+        C = self.code
+        return self.meet.cardinality * cardinality(C) == C.ring.cardinality ** (2 * C.n)
 
     @cached_property
     def gram_exponents(self) -> Tuple[int, ...]:
@@ -318,32 +325,24 @@ def iterate_codewords(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> Itera
     yield from enumerate_module(C.expanded_howell, limit)
 
 
-def min_symplectic_distance(C: AdditiveCode, mode: str = "code",
-                            limit: int = DEFAULT_ENUM_LIMIT) -> float:
-    """Exhaustive minimum symplectic weight over the chosen set.
-
-    mode 'code': C itself; 'dual': the chi-dual at level 0; 'dual_minus_code':
-    the chi-dual with members of C skipped.  Returns math.inf when the set
-    minus {0} is empty.  The chi-dual's size q^{2n} / |C| is checked against
-    ``limit`` before the chi-dual is built.
+def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> float:
+    """D: the exhaustive minimum symplectic weight over C^{chi-dual} if it is
+    inside C (``CodeAnalysis.dual_in_code``), else over C^{chi-dual} minus C;
+    math.inf when that set minus {0} is empty.  |C^{chi-dual}| = q^{2n} / |C|
+    is checked against ``limit`` before the case is read or the dual is built.
 
     Every vector is enumerated and weighed first; only one that would lower
-    the running minimum (0 < w < best) is tested for membership in C, so the
-    result is the same minimum over the same set with a Howell reduction
-    for a handful of vectors rather than for each.  What remains is linear
-    in the set's size: ``enumerate_module`` makes each vector with one row
-    addition, then the vector is weighed; enumeration is the larger part.
+    the running minimum (0 < w < best) is tested for membership in C.  The
+    rest is linear in the set's size: ``enumerate_module`` makes each vector
+    with one row addition, then it is weighed; enumeration is the larger part.
     """
-    if mode not in ("code", "dual", "dual_minus_code"):
-        raise ValueError(f"unknown mode {mode!r}")
     n, m = C.n, C.ring.m
     size = C.ring.cardinality ** (2 * n) // cardinality(C)
-    if mode != "code" and size > limit:
+    if size > limit:
         raise SearchLimitExceeded(size, limit)
-    target = C.expanded_howell if mode == "code" else C.analysis.dual(0)
-    skip = C.expanded_howell if mode == "dual_minus_code" else None
+    skip = None if C.analysis.dual_in_code else C.expanded_howell
     best = math.inf
-    for flat in enumerate_module(target, limit):
+    for flat in enumerate_module(C.analysis.dual(0), limit):
         w = _expanded_weight(flat, n, m)
         if 0 < w < best and (skip is None or not howell_member(skip, flat)):
             best = w

@@ -84,7 +84,7 @@ def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> 
     """
     p, N = C.ring.p, C.ring.modulus
     rows = [[p * x % N for x in r] for r in C.expanded_smith.generators] + lifted
-    cands = smith_form(C.analysis.meet.matrix).minimal_generators()
+    cands = smith_form(C.analysis.meet.matrix).generators
     base = ZpbMatrix.from_reduced(p, C.ring.b, rows, C.ambient_cols)
     return [cands[i] for i in _greedy_extension(base, cands)]
 

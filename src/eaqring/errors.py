@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a message writes a size."""
+
+
+def size_text(n: int) -> str:
+    """A size n >= 0 as every message writes it: in decimal, or as "at least
+    2^k", k = floor(log2 n), past the interpreter's limit on decimal digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
 
 
 class EaqringError(Exception):
@@ -14,11 +23,8 @@ class SearchLimitExceeded(EaqringError):
     --max-enum limit."""
 
     def __init__(self, cardinality: int, limit: int):
-        try:
-            size = str(cardinality)
-        except ValueError:  # past the interpreter's limit on decimal digits
-            size = f"at least 2^{cardinality.bit_length() - 1}"
-        super().__init__(f"search set has {size} elements, over the --max-enum limit {limit}")
+        super().__init__(f"search set has {size_text(cardinality)} elements, "
+                         f"over the --max-enum limit {limit}")
         self.cardinality = cardinality
         self.limit = limit
 
@@ -32,7 +38,7 @@ class NotContained(EaqringError):
 
 
 class ParameterTooLarge(EaqringError):
-    """Ring parameters exceed the 2^31 residue cap."""
+    """Ring parameters exceed the 2^31 cap on p^(b*m)."""
 
 
 class RingMismatch(EaqringError):

@@ -244,32 +244,27 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     """Decompose, minimally extend, and read off ((n, K, D; c)).
 
     K = q^{n+c}/|C'| exactly; the lower/upper bounds come from the rho
-    profile; D follows the case split on whether the chi-dual sits inside
-    C, and becomes None (unknown) when the dual is too large to enumerate.
+    profile; D and its case come from ``codes``, D being None (unknown)
+    when the chi-dual is too large to enumerate.
     """
     ring = C.ring
-    q = ring.cardinality
     A = C.analysis
     ext = A.extension
     n, c = C.n, ext.c
     card_code = cardinality(C)
-    rho = A.rho
-    total = q ** (n + c)
+    total = ring.cardinality ** (n + c)
     K_exact, rem = divmod(total, ext.card_extended)
     if rem:
         raise InternalInvariantViolation("q^{n+c} not divisible by |C'|")
     K_upper = total // card_code
     K_lower_raw = Fraction(total, card_code * _rho_growth(C))
     K_lower = max(1, math.floor(K_lower_raw))
-    # C cap C^chi sits inside C^chi, of size q^{2n} / |C|: equal sizes mean
-    # C^chi is inside C, and the chi-dual itself is built only to search D
-    dual_in_code = A.meet.cardinality * card_code == q ** (2 * n)
-    case = "dual_subset_of_code" if dual_in_code else "dual_minus_code"
     try:
-        D = min_symplectic_distance(C, "dual" if dual_in_code else "dual_minus_code", limit)
+        D = min_symplectic_distance(C, limit)
     except SearchLimitExceeded:
         D = None
     return EaqeccParams(
         n=n, c=c, K_exact=K_exact, K_lower=K_lower, K_upper=K_upper,
-        K_lower_raw=K_lower_raw, D=D, distance_case=case, rho=rho,
+        K_lower_raw=K_lower_raw, D=D, rho=A.rho,
+        distance_case="dual_subset_of_code" if A.dual_in_code else "dual_minus_code",
         card_code=card_code, card_extended=ext.card_extended, ring=ring)

@@ -23,10 +23,9 @@ from typing import List, Sequence, Tuple
 from .errors import (
     HPolyInvalid,
     InternalInvariantViolation,
-    ParameterTooLarge,
     RingMismatch,
 )
-from .zpblinalg import ZpbMatrix, _is_prime, howell_form
+from .zpblinalg import ZpbMatrix, check_ring_size, howell_form
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -355,12 +354,7 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
     dividing x^{p^m-1} - 1 over Z_{p^b}.  A caller-supplied h is validated
     against the same invariants instead.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if b < 1 or m < 1:
-        raise ValueError("b and m must be positive")
-    if p ** (b * m) > 2 ** 31:
-        raise ParameterTooLarge(f"p^(b*m) = {p ** (b * m)} exceeds 2^31")
+    check_ring_size(p, b, m)
     factors = _prime_factors(p ** m - 1)
 
     if h_coeffs is not None:

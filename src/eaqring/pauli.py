@@ -31,6 +31,7 @@ from .errors import (
     NoSolution,
     RingMismatch,
     SearchLimitExceeded,
+    size_text,
 )
 from .extension import SelfOrthogonalExtension
 from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace, phi_expand
@@ -97,8 +98,8 @@ Triple = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 def _check_dim(ring: GaloisRingSpec, n: int, max_dim: int, what: str = "q^n") -> None:
     """Raise DimensionTooLarge, before any dense work, when q^n > max_dim."""
-    if ring.cardinality ** n > max_dim:
-        raise DimensionTooLarge(f"{what} = {ring.cardinality ** n} exceeds the matrix cap {max_dim}")
+    if (size := ring.cardinality ** n) > max_dim:
+        raise DimensionTooLarge(f"{what} = {size_text(size)} exceeds the matrix cap {max_dim}")
 
 
 class _Monomials:
@@ -210,12 +211,11 @@ def build_stabilizer(ext: SelfOrthogonalExtension,
     _check_dim(ring, ntot, max_dim, "q^(n+c)")
     T = _Monomials(ring, ntot)
     sd = ext.extended.expanded_smith
-    rows = sd.minimal_generators()
     elements: List[Triple] = [(0, (0,) * ntot, (0,) * ntot)]
-    for row, e in zip(rows, sd.diag_exponents):
+    for row, e in zip(sd.generators, sd.diag_exponents):
         powers = _generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))
         elements = [T.multiply(P, g) for P in elements for g in powers]
-    _check_stabilizer(T, elements, rows)
+    _check_stabilizer(T, elements, sd.generators)
     E = T.elements
     group = StabilizerGroup(ring, ntot, tuple(
         PauliOperator(ring, ntot, l, tuple(E[i] for i in a), tuple(E[i] for i in b))

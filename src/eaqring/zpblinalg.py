@@ -26,6 +26,7 @@ from .errors import (
     NotContained,
     ParameterTooLarge,
     SearchLimitExceeded,
+    size_text,
 )
 
 
@@ -46,6 +47,18 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def check_ring_size(p: int, b: int, m: int = 1) -> None:
+    """The one ring-parameter check (m = 1 for Z_{p^b}), in order: p prime, b, m >= 1, p^(b*m) <= 2^31."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {size_text(p)} is not prime")
+    if b < 1 or m < 1:
+        raise ValueError("b and m must be positive")
+    if b * m > 31:  # p >= 2, so this is over the cap: the power is not formed
+        raise ParameterTooLarge(f"p^(b*m) exceeds 2^31: b*m = {b * m} > 31")
+    if p ** (b * m) > 2 ** 31:
+        raise ParameterTooLarge(f"p^(b*m) = {size_text(p ** (b * m))} exceeds 2^31")
 
 
 @dataclass(frozen=True)
@@ -70,15 +83,9 @@ class ZpbMatrix:
 
     @classmethod
     def from_rows(cls, p: int, b: int, rows: Sequence[Sequence[int]], cols: int | None = None) -> "ZpbMatrix":
-        """Checked constructor: p prime, b >= 1, p^b <= 2^31 and rectangular
-        rows (``cols`` is required when there are none); entries are reduced
-        into [0, p^b)."""
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if b < 1:
-            raise ValueError("b must be positive")
-        if p ** b > 2 ** 31:
-            raise ParameterTooLarge(f"p^b = {p ** b} exceeds 2^31")
+        """Checked constructor: ``check_ring_size(p, b)`` and rectangular rows
+        (``cols`` is required when there are none), reduced into [0, p^b)."""
+        check_ring_size(p, b)
         N = p ** b
         row_list = [[x % N for x in r] for r in rows]
         if cols is None:
@@ -179,7 +186,7 @@ def howell_form(gens: ZpbMatrix) -> HowellBasis:
     work = [list(r) for r in gens.to_rows() if any(r)]
     pivots: List[Tuple[int, int, int]] = []  # (row, col, valuation)
     r = 0
-    for col in range(gens.cols):
+    for col in range(gens.cols if work else 0):  # a zero matrix needs no column sweep
         best = -1
         best_v = b + 1
         for i in range(r, len(work)):
@@ -239,10 +246,6 @@ class SmithDecomposition:
     diag_exponents: Tuple[int, ...]
     generators: Tuple[Tuple[int, ...], ...]
 
-    def minimal_generators(self) -> List[Tuple[int, ...]]:
-        """A minimal generating set of the row module (rows p^{e_i} * R_i)."""
-        return list(self.generators)
-
 
 def smith_form(A: ZpbMatrix) -> SmithDecomposition:
     """Smith normal form by minimal-p-valuation pivoting.
@@ -255,6 +258,8 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
     times a row of the inverse column transform.
     """
     p, b, N, nr = A.p, A.b, A.modulus, A.rows
+    if not any(A.entries):  # a zero matrix needs no column order
+        return SmithDecomposition(diag_exponents=(), generators=())
     D = A.to_rows()
     order = list(range(A.cols))  # the columns in pivot-search order
     exps: List[int] = []
@@ -316,13 +321,13 @@ def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:
     ratio, rem = divmod(card_m, card_sub)
     if rem:
         raise InternalInvariantViolation(
-            f"|pM + S| = {card_sub} does not divide |M| = {card_m}")
+            f"|pM + S| = {size_text(card_sub)} does not divide |M| = {size_text(card_m)}")
     rank = 0
     while ratio > 1:
         ratio, rem = divmod(ratio, p)
         if rem:
             raise InternalInvariantViolation(
-                f"|M / (pM + S)| = {card_m // card_sub} is not a power of p = {p}")
+                f"|M / (pM + S)| = {size_text(card_m // card_sub)} is not a power of p = {p}")
         rank += 1
     return rank
 

@@ -1,12 +1,14 @@
 """CLI tests: file parsing round trips, report contents for the worked
 codes, error rendering, cap behavior, and byte-level determinism."""
 
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -29,6 +31,7 @@ from eaqring.errors import (
     ParseError,
     RangeError,
     SearchLimitExceeded,
+    size_text,
 )
 from eaqring.galois import make_ring
 
@@ -414,10 +417,65 @@ def test_distance_over_a_search_set_past_the_decimal_digit_limit(tmp_path, text,
     code, out = run_cli(["distance", str(f)])
     assert code == 2 and json.loads(out)["D"] == "Unknown"
     with pytest.raises(SearchLimitExceeded) as exc:
-        min_symplectic_distance(parse_code_text(text)[1], "dual", limit=16)
+        min_symplectic_distance(parse_code_text(text)[1], limit=16)
     try:  # an interpreter without the digit limit writes the decimal text
         shown = str(size)
     except ValueError:
         shown = f"at least 2^{power}"
     assert str(exc.value) == f"search set has {shown} elements, over the --max-enum limit 16"
     assert exc.value.cardinality == size
+
+
+def test_size_text_writes_decimal_or_a_power_of_two():
+    assert size_text(0) == "0" and size_text(2 ** 31) == "2147483648"
+    big = 3 ** 20000  # 9,543 decimal digits, 31,700 bits
+    try:  # an interpreter without the digit limit writes the decimal text
+        shown = str(big)
+    except ValueError:
+        shown = "at least 2^31699"
+    assert size_text(big) == shown
+
+
+def test_params_on_a_ring_past_the_size_cap_fails_at_once(tmp_path):
+    """m = 2 * 10^8 puts p^(b*m) past 2^31 without forming the power: the
+    report names ParameterTooLarge at once (forming 2^(2 * 10^8) would take
+    seconds and end in the interpreter's own digit-limit ValueError)."""
+    f = tmp_path / "ring.txt"
+    f.write_text("ring p=2 b=1 m=200000000\nn 1\n")
+    t0 = time.perf_counter()
+    code, out = run_cli(["params", str(f)])
+    assert time.perf_counter() - t0 < 0.1
+    err = json.loads(out)["error"]
+    assert code == 1 and err["type"] == "ParameterTooLarge"
+    assert err["message"] == "p^(b*m) exceeds 2^31: b*m = 200000000 > 31"
+
+
+CORPUS = {"z4": Z4_WORKED, "f2": F2_REP, "gr42": GR42, "z9": "ring p=3 b=2 m=1\nn 1\ngen 1 3\n",
+          "f4": "ring p=2 b=1 m=2\nn 2\ngen 1,0 0,1 1,1 0,0\n"}
+
+
+def test_cli_keeps_nothing_from_one_file_to_the_next(tmp_path):
+    """After one warm pass, three more passes of params, distance and verify
+    over a fixed corpus leave traced memory within 64 KB of where it was:
+    whatever the library caches per code goes with the code."""
+    files = []
+    for name, text in CORPUS.items():
+        files.append(tmp_path / f"{name}.txt")
+        files[-1].write_text(text)
+
+    def one_pass():
+        for command in ("params", "distance", "verify"):
+            for f in files:
+                assert run_cli([command, str(f)])[0] == 0, (command, f.name)
+    one_pass()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            one_pass()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 64 * 1024

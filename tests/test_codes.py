@@ -206,40 +206,28 @@ def test_is_chi_self_orthogonal(z4):
 
 
 def test_min_symplectic_distance(z4, worked):
-    assert min_symplectic_distance(worked, "dual") == 1
-    zero = AdditiveCode(z4, 1, ())
-    assert min_symplectic_distance(zero, "code") == math.inf
-    # C^{chi-dual} subset of C here, so dual_minus_code is empty
-    assert min_symplectic_distance(worked, "dual_minus_code") == math.inf
-    # a code whose dual-minus-code is nonempty
+    # C^{chi-dual} is inside C: D is read off all of it
+    assert worked.analysis.dual_in_code
+    assert min_symplectic_distance(worked) == 1
+    # the whole space: its chi-dual {0} is inside it, and D is infinite
+    assert min_symplectic_distance(chi_dual_level(AdditiveCode(z4, 1, ()), 0)) == math.inf
+    # a code whose chi-dual is not inside it: members of C are skipped
     C = AdditiveCode.from_int_rows(z4, [[2, 0]])
-    d = min_symplectic_distance(C, "dual_minus_code")
-    assert d == 1
+    assert not C.analysis.dual_in_code
+    assert min_symplectic_distance(C) == 1
     with pytest.raises(SearchLimitExceeded) as exc:
-        min_symplectic_distance(chi_dual_level(AdditiveCode(z4, 3, ()), 2), "code", limit=100)
+        min_symplectic_distance(AdditiveCode(z4, 3, ()), limit=100)
     assert exc.value.cardinality == 4 ** 6
 
 
-def test_min_distance_brute_force(z4, gr42):
-    rng = random.Random(23)
-    for ring, n in [(z4, 1), (z4, 2), (gr42, 1)]:
-        vecs = list(all_vectors(ring, n))
-        for _ in range(6):
-            gens = tuple(rng.choice(vecs) for _ in range(2))
-            C = AdditiveCode(ring, n, gens)
-            members = closure(ring, n, gens).values()
-            wts = [symplectic_weight(v) for v in members if v]
-            want = min(wts) if wts else math.inf
-            assert min_symplectic_distance(C, "code") == want
-
-
 def brute_distances(ring, n, gens):
-    """Minimum symplectic weight over C, C^chi and C^chi minus C, by ring
-    arithmetic alone: C is the additive closure of the generators, C^chi
-    every vector of R^{2n} whose traced pairing with each generator
-    vanishes (read off a table of Tr(a*b)), and weights are
-    ``symplectic_weight``.  Membership in C is the closure, checked against
-    ``contains`` on every chi-dual vector."""
+    """Minimum symplectic weight over C, C^chi and C^chi minus C, and D
+    under the paper's convention (over C^chi when C^chi is inside C, else
+    over C^chi minus C), by ring arithmetic alone: C is the additive
+    closure of the generators, C^chi every vector of R^{2n} whose traced
+    pairing with each generator vanishes (read off a table of Tr(a*b)), and
+    weights are ``symplectic_weight``.  Membership in C is the closure,
+    checked against ``contains`` on every chi-dual vector."""
     N = ring.modulus
     elems = [ring.element(c) for c in itertools.product(range(N), repeat=ring.m)]
     tr = [[gen_trace(a * b) for b in elems] for a in elems]
@@ -264,7 +252,8 @@ def brute_distances(ring, n, gens):
     def lightest(vs):
         return min((symplectic_weight(v) for v in vs if v), default=math.inf)
     return C, {"code": lightest(code.values()), "dual": lightest(dual),
-               "dual_minus_code": lightest(outside)}
+               "dual_minus_code": lightest(outside),
+               "D": lightest(outside if outside else dual), "dual_in_code": not outside}
 
 
 RINGS = {"F2": (2, 1, 1), "F4": (2, 1, 2), "Z4": (2, 2, 1), "Z8": (2, 3, 1),
@@ -276,14 +265,17 @@ def test_min_distance_all_modes_brute_force(label):
     ring = make_ring(*RINGS[label])
     rng = random.Random(29)
     N, m = ring.modulus, ring.m
+    cases = set()
     for n in (1, 2):
         for _ in range(3):
             gens = [SymplecticVector.from_components(
                 ring, [ring.element([rng.randrange(N) for _ in range(m)]) for _ in range(2 * n)])
                 for _ in range(rng.randint(1, 3))]
             C, want = brute_distances(ring, n, gens)
-            for mode, d in want.items():
-                assert min_symplectic_distance(C, mode) == d, (n, mode)
+            assert C.analysis.dual_in_code == want["dual_in_code"], n
+            assert min_symplectic_distance(C) == want["D"], n
+            cases.add(want["dual_in_code"])
+    assert cases == {True, False}
 
 
 @pytest.mark.parametrize("params, rows", [
@@ -292,13 +284,14 @@ def test_min_distance_all_modes_brute_force(label):
     ((3, 2, 1), [[1, 0, 0, 1], [0, 1, 3, 0], [3, 0, 0, 0]]),
 ], ids=["Z4", "Z8", "Z9"])
 def test_min_distance_skips_light_members_of_the_code(params, rows):
-    """Every weight-1 chi-dual vector of these codes lies in C, so the
-    search must test the lightest vectors for membership and reject them:
-    D is 1 over C^chi but 2 over C^chi minus C."""
+    """Every weight-1 chi-dual vector of these codes lies in C, and C^chi is
+    not inside C, so the search must test the lightest vectors for
+    membership and reject them: the weight is 1 over C^chi but D = 2."""
     ring = make_ring(*params)
     C, want = brute_distances(ring, 2, [SymplecticVector.from_ints(ring, r) for r in rows])
-    assert want == {"code": 1, "dual": 1, "dual_minus_code": 2}
-    assert {mode: min_symplectic_distance(C, mode) for mode in want} == want
+    assert want == {"code": 1, "dual": 1, "dual_minus_code": 2, "D": 2, "dual_in_code": False}
+    assert not C.analysis.dual_in_code
+    assert min_symplectic_distance(C) == 2
 
 
 @pytest.mark.parametrize("p, b, m", [(2, 1, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)])
@@ -341,8 +334,8 @@ def test_distance_search_tests_membership_only_to_lower_the_minimum(monkeypatch)
             yield v
     monkeypatch.setattr(codes_mod, "howell_member", counted_member)
     monkeypatch.setattr(codes_mod, "enumerate_module", counted_enumerate)
-    D = min_symplectic_distance(C, "dual_minus_code")
-    assert size == 4096 and D > 1
+    D = min_symplectic_distance(C)
+    assert size == 4096 and D > 1 and not C.analysis.dual_in_code
     assert counts["enumerated"] == size
     assert 0 < counts["member"] < size / 100
 

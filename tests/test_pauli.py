@@ -487,7 +487,7 @@ def stabilizer_by_compose(ext):
     N = omega_modulus(ring)
     sd = smith_form(ext.extended.expanded_matrix)
     gens, orders, tees = [], [], []
-    for row, e in zip(sd.minimal_generators(), sd.diag_exponents):
+    for row, e in zip(sd.generators, sd.diag_exponents):
         g = from_vector(SymplecticVector.from_components(ring, phi_contract(ring, row)))
         o = ring.p ** (ring.b - e)
         pw = identity_operator(ring, ntot)
@@ -547,3 +547,19 @@ def test_check_stabilizer_rejects_broken_groups(z4):
     with pytest.raises(InternalInvariantViolation, match="order does not annihilate"):
         pauli._generator_powers(T, X, 2)
     assert [P[2] for P in pauli._generator_powers(T, Z, 4)] == [(0,), (1,), (2,), (3,)]
+
+
+def test_matrix_cap_message_past_the_decimal_digit_limit():
+    """q^n = 2^14300 has more digits than the interpreter writes in decimal
+    (4,300 on CPython 3.11): the cap still raises DimensionTooLarge, with
+    the size written as a power of 2, not a ValueError from formatting the
+    message."""
+    f2 = make_ring(2, 1, 1)
+    zeros = (f2.zero,) * 14300
+    with pytest.raises(DimensionTooLarge) as exc:
+        pauli_matrix(PauliOperator(f2, 14300, 0, zeros, zeros))
+    try:  # an interpreter without the digit limit writes the decimal text
+        shown = str(2 ** 14300)
+    except ValueError:
+        shown = "at least 2^14300"
+    assert str(exc.value) == f"q^n = {shown} exceeds the matrix cap 1024"

@@ -2,11 +2,14 @@
 failed invariant raises InternalInvariantViolation), no error class in
 errors.py that nothing in the package raises and no modular inverse outside
 zpblinalg.py; run in a fresh interpreter, no numpy import outside the
-verifier."""
+verifier; and the README's library example runs as printed."""
 
 import ast
+import contextlib
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -62,3 +65,16 @@ def test_modular_inverses_only_in_zpblinalg():
             and node.func.id == "pow" and len(node.args) == 3 and ast.unparse(node.args[1]) == "-1"}
     assert {h for h in hits if not h.startswith("zpblinalg.py:")} == set()
     assert hits
+
+
+def test_readme_library_example_prints_its_comment():
+    """The README's one ``python`` block runs and prints what its comment
+    says."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue() == "1 1 1 1 (2,)\n"
+    assert "# 1 1 1 1 (2,)" in blocks[0]

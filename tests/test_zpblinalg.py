@@ -10,6 +10,7 @@ form's minimal generators, row for row, against its column transform.
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from eaqring.errors import (
     ParameterTooLarge,
     SearchLimitExceeded,
 )
+from eaqring.galois import make_ring
 import eaqring.zpblinalg as zpb_mod
 from eaqring.zpblinalg import (
     _is_prime,
@@ -213,7 +215,7 @@ def test_smith_factorization(p, b, rows):
     # the oracle's rows p^{e_i} * right_i span the row module of A, and so
     # do the kept generators, which are those rows
     assert howell_form(mat(p, b, mat_mul(D, right), cols=A.cols)) == howell_form(A)
-    assert howell_form(mat(p, b, sd.minimal_generators(), cols=A.cols)) == howell_form(A)
+    assert howell_form(mat(p, b, sd.generators, cols=A.cols)) == howell_form(A)
     # right is unimodular: it spans the whole free module
     assert (right.rows, right.cols) == (A.cols, A.cols)
     assert howell_form(right).matrix.to_rows() == identity(A.cols)
@@ -226,7 +228,7 @@ def test_smith_factorization(p, b, rows):
 def test_minimal_generators_span(p, b, rows):
     cols = len(rows[0])
     sd = smith_form(mat(p, b, rows))
-    gens = sd.minimal_generators()
+    gens = sd.generators
     assert span_set(p, b, gens, cols) == span_set(p, b, rows, cols)
     assert len(gens) == len(sd.diag_exponents)
 
@@ -246,8 +248,8 @@ def test_minimal_generators_match_the_column_transform_oracle(p, b):
         exps, _, right = smith_oracle(A)
         sd = smith_form(A)
         assert list(sd.diag_exponents) == exps
-        assert sd.minimal_generators() == [tuple(p ** e * x % N for x in right.row(i))
-                                           for i, e in enumerate(exps)]
+        assert list(sd.generators) == [tuple(p ** e * x % N for x in right.row(i))
+                                       for i, e in enumerate(exps)]
 
 
 def test_module_rank_examples():
@@ -583,6 +585,40 @@ def test_from_rows_checks_the_boundary():
     # inside the boundary: entries are reduced, an empty matrix takes cols
     assert ZpbMatrix.from_rows(2, 31, [[-1, 2 ** 31]]).entries == (2 ** 31 - 1, 0)
     assert ZpbMatrix.from_rows(3, 2, [], cols=3) == ZpbMatrix(3, 2, 0, 3, ())
+
+
+def test_one_ring_size_check_for_rings_and_matrices():
+    """``make_ring`` and ``ZpbMatrix.from_rows`` share one check, in order:
+    p prime, then b and m positive, then p^(b*m) <= 2^31.  Past b*m = 31
+    it fails without forming the power; forming 2^(10^8) would take about
+    a second and end in the interpreter's own digit-limit ValueError."""
+    def message(call):
+        with pytest.raises((ValueError, ParameterTooLarge)) as exc:
+            call()
+        return type(exc.value).__name__, str(exc.value)
+    for p, b in [(4, 1), (4, 0), (2, 0), (2, 32), (3, 20), (65537, 2)]:
+        assert message(lambda: make_ring(p, b, 1)) == message(lambda: ZpbMatrix.from_rows(p, b, [[1]]))
+    assert message(lambda: make_ring(4, 0, 0)) == ("ValueError", "p = 4 is not prime")
+    assert message(lambda: make_ring(2, 1, 0)) == ("ValueError", "b and m must be positive")
+    assert message(lambda: make_ring(65537, 1, 2)) == ("ParameterTooLarge", "p^(b*m) = 4295098369 exceeds 2^31")
+    for call in (lambda: make_ring(2, 1, 10 ** 8), lambda: ZpbMatrix.from_rows(2, 10 ** 8, [[1]])):
+        t0 = time.perf_counter()
+        assert message(call) == ("ParameterTooLarge", "p^(b*m) exceeds 2^31: b*m = 100000000 > 31")
+        assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_zero_matrix_forms_cost_nothing_per_column(rows):
+    """A matrix with no nonzero entry has the empty Howell and Smith forms,
+    returned without a sweep over its columns (10^7 here, where a sweep
+    takes about 2 s for Howell and 0.8 s for Smith)."""
+    cols = 10 ** 7 if rows == 0 else 5
+    A = ZpbMatrix(2, 2, rows, cols, (0,) * (rows * cols))
+    t0 = time.perf_counter()
+    H, sd = howell_form(A), smith_form(A)
+    assert time.perf_counter() - t0 < 0.1
+    assert H == zpb_mod.HowellBasis(matrix=ZpbMatrix(2, 2, 0, cols, ()), pivots=())
+    assert sd == zpb_mod.SmithDecomposition(diag_exponents=(), generators=())
 
 
 @pytest.mark.parametrize("p,b", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
