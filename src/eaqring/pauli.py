@@ -1,17 +1,17 @@
-"""Brute-force Pauli verifier: X(a)Z(b) as monomial matrices, stabilizer-group
-assembly through an effective character xi, projector dimension, and
-exhaustive undetectable-error search.
+"""Exact Pauli verifier: X(a)Z(b) as monomial operators on integer states,
+stabilizer-group assembly through an effective character xi, the code space
+as orbit sums, and exhaustive undetectable-error search.
 
 The phase scale is omega = exp(2*pi*i/N) with N = p^b for odd p and 2p^b
 for p = 2; the additive character zeta = exp(2*pi*i/p^b) embeds via the
 exponent factor N/p^b.  omega^l X(a)Z(b) sends |x> to omega^{l + (N/p^b)
-Tr(b.x)} |x + a>, so with the ring elements numbered, everything is read
-off q x q tables of ring addition and of Tr(x*y).  The stabilizer group is
-built and checked as (l, a, b) triples of element indices; it keeps those
-tables and its projector (its monomials summed, checked idempotent once).
-As a matrix an operator is a row permutation and an omega exponent per
-column, and each error is applied to the code basis U as a row gather and
-a scale.  The undetectable set is cross-checked on integer rows.
+Tr(b.x)} |x + a>, read off q x q tables of ring addition and of Tr(x*y)
+over numbered ring elements.  The group is built and checked as (l, a, b)
+triples of element indices.  Its code space is spanned by the orbit sums
+v_x = sum_g g|x> that do not vanish, one per orbit x + A, and an error
+maps each orbit onto one orbit, so U^H E U = lambda I is decided entry by
+entry, each entry a sum of powers of omega held as exponent counts
+(``_canonical``): no decision is made in floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
 
 import math
 
@@ -37,9 +38,6 @@ from .extension import SelfOrthogonalExtension
 from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace, phi_expand
 from .zpblinalg import enumerate_module, howell_member, solve_congruence
 
-# numpy is imported by the functions that use it: only `verify` needs it,
-# and importing it at start-up roughly doubles the start-up time and
-# resident memory of every other command.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -49,6 +47,16 @@ DEFAULT_MATRIX_DIM = 1024
 def omega_modulus(ring: GaloisRingSpec) -> int:
     """N: the order of the phase root of unity omega."""
     return ring.modulus * (2 if ring.p == 2 else 1)
+
+
+def _canonical(counts: Sequence[int], p: int) -> Tuple[int, ...]:
+    """sum_k counts[k] omega^k, omega of order N = len(counts) a power of p,
+    with each class {r + t N/p : t < p} lowered to minimum 0.  The classes'
+    sums span the relations among the powers of omega (Phi_N is the sum of
+    one), so two sums are equal iff their forms are, and zero iff all zero."""
+    step = len(counts) // p
+    low = [min(counts[r::step]) for r in range(step)]
+    return tuple(c - low[k % step] for k, c in enumerate(counts))
 
 
 @dataclass(frozen=True)
@@ -103,16 +111,13 @@ def _check_dim(ring: GaloisRingSpec, n: int, max_dim: int, what: str = "q^n") ->
 
 
 class _Monomials:
-    """Operators on n qudits, as triples and as matrices.  The triple
-    (l, a, b) is omega^l X(a)Z(b), a and b tuples of element indices
-    sum_j c_j (p^b)^j over power-basis coordinates c_j; ``add`` and
-    ``trace`` are the q x q tables of x + y (as an index) and of Tr(x*y),
-    as int lists and numpy copies.  As a matrix, column x holds
-    omega^phase[x] in row rows[x], the state index of x + a, big-endian in
-    the qudits' element indices."""
+    """Operators on n qudits as triples (l, a, b): omega^l X(a)Z(b), a and b
+    tuples of element indices sum_j c_j (p^b)^j over power-basis coordinates
+    c_j.  ``add`` and ``trace`` are the q x q tables of x + y (as an index)
+    and of Tr(x*y), as int lists.  A state is an int, big-endian in the
+    qudits' element indices; there are ``states`` = q^n of them."""
 
     def __init__(self, ring: GaloisRingSpec, n: int):
-        import numpy as np
         q, mod = ring.cardinality, ring.modulus
         self.elements = elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
                                  for i in range(q)]
@@ -120,13 +125,9 @@ class _Monomials:
         self.dual_index = {_dual_coords(e): i for i, e in enumerate(elems)}
         self.add = [[index[(x + y).coeffs] for y in elems] for x in elems]
         self.trace = [[gen_trace(x * y) for y in elems] for x in elems]
-        self.m, self.modulus, self.N = ring.m, mod, omega_modulus(ring)
+        self.p, self.m, self.modulus, self.N = ring.p, ring.m, mod, omega_modulus(ring)
         self.chi_scale = self.N // mod
-        self.add_array, self.trace_array = np.array(self.add), np.array(self.trace)
-        self.roots = np.exp(2j * np.pi * np.arange(self.N) / self.N)
-        self.place = q ** np.arange(n - 1, -1, -1)
-        self.states = np.arange(q ** n)
-        self.digits = self.states[:, None] // self.place % q
+        self.states = q ** n
 
     def from_row(self, row: Sequence[int]) -> Triple:
         """X(a)Z(b) of the phi-expanded row (a | b), as ``phi_expand`` writes it."""
@@ -134,6 +135,11 @@ class _Monomials:
         half = len(cuts) // 2
         return (0, tuple(self.index[c] for c in cuts[:half]),
                 tuple(self.dual_index[c] for c in cuts[half:]))
+
+    def from_operator(self, P: PauliOperator) -> Triple:
+        """omega^l X(a)Z(b) of a ``PauliOperator``, as a triple."""
+        return (P.phase_exp, tuple(self.index[e.coeffs] for e in P.a),
+                tuple(self.index[e.coeffs] for e in P.b))
 
     def multiply(self, P: Triple, Q: Triple) -> Triple:
         """P*Q by the rule of ``compose``, in table lookups."""
@@ -143,33 +149,30 @@ class _Monomials:
         return ((l + l2 + self.chi_scale * cross) % self.N,
                 tuple(add[x][y] for x, y in zip(a, a2)), tuple(add[x][y] for x, y in zip(b, b2)))
 
-    def of(self, a: Sequence[int], b: Sequence[int], phase_exp: int):
-        """(rows, phase) of omega^phase_exp X(a)Z(b), a and b as element indices."""
-        rows = self.add_array[self.digits, a] @ self.place
-        dots = self.trace_array[b, self.digits].sum(axis=1)
-        return rows, (phase_exp + self.chi_scale * dots) % self.N
-
-    def dense(self, operators: Sequence[PauliOperator]) -> np.ndarray:
-        """The sum of the operators as one dense matrix."""
-        import numpy as np
-        M = np.zeros((self.states.size, self.states.size), dtype=np.complex128)
-        for P in operators:
-            rows, phase = self.of([self.index[e.coeffs] for e in P.a],
-                                  [self.index[e.coeffs] for e in P.b], P.phase_exp)
-            M[rows, self.states] += self.roots[phase]
-        return M
+    def of(self, l: int, a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """(rows, phase): omega^l X(a)Z(b) sends state x to omega^phase[x] |rows[x]>."""
+        q, rows, dots = len(self.add), [0], [0]
+        for x, z in zip(a, b):
+            rows = [r * q + y for r in rows for y in self.add[x]]
+            dots = [f + t for f in dots for t in self.trace[z]]
+        return rows, [(l + self.chi_scale * f) % self.N for f in dots]
 
 
 def pauli_matrix(P: PauliOperator, max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
     """Dense unitary: entry omega^l zeta^{Tr(b.x)} at (x+a, x)."""
+    import numpy as np
     _check_dim(P.ring, P.n, max_dim)
-    return _Monomials(P.ring, P.n).dense([P])
+    T = _Monomials(P.ring, P.n)
+    rows, phase = T.of(*T.from_operator(P))
+    M = np.zeros((T.states, T.states), dtype=np.complex128)
+    M[rows, range(T.states)] = np.exp(2j * np.pi * np.array(phase) / T.N)
+    return M
 
 
 @dataclass(frozen=True)
 class StabilizerGroup:
     """One operator per codeword of a chi-self-orthogonal code, with its
-    monomial tables and checked projector, each built once per group."""
+    monomial tables and checked code-space basis, each built once per group."""
 
     ring: GaloisRingSpec
     n: int
@@ -184,14 +187,35 @@ class StabilizerGroup:
         return _Monomials(self.ring, self.n)
 
     @cached_property
-    def _projector(self) -> np.ndarray:
-        """The averaged monomial sum, checked idempotent, read-only."""
-        import numpy as np
-        P = self._tables.dense(self.elements) / self.size
-        if np.max(np.abs(P @ P - P)) > 1e-9:
+    def _basis(self) -> Tuple[Mapping[int, int], ...]:
+        """The code space: one read-only {state: omega exponent} per orbit sum
+        v_x = sum_g g|x> that does not vanish, each entry a single power of
+        omega once divided by its count, and sum_g g v = |S| v checked on
+        each, the exact form of P^2 = P for P = sum_g g / |S|."""
+        T, N = self._tables, self._tables.N
+        ops = [T.of(*T.from_operator(g)) for g in self.elements]
+
+        def group_sum(v: Mapping[int, int]) -> dict:
+            sums: dict = {}
+            for rows, phase in ops:
+                for y, e in v.items():
+                    sums.setdefault(rows[y], [0] * N)[(e + phase[y]) % N] += 1
+            return {y: _canonical(counts, T.p) for y, counts in sums.items()}
+
+        basis, seen = [], set()
+        for x in range(T.states):
+            if x not in seen:
+                powers = {y: [k for k, c in enumerate(form) if c]
+                          for y, form in group_sum({x: 0}).items()}
+                seen.update(powers)
+                if any(powers.values()):
+                    if any(len(ks) != 1 for ks in powers.values()):
+                        raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
+                    basis.append(MappingProxyType({y: ks[0] for y, ks in powers.items()}))
+        if any(form != tuple(len(ops) if k == v.get(y) else 0 for k in range(N))
+               for v in basis for y, form in group_sum(v).items()):
             raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
-        P.flags.writeable = False
-        return P
+        return tuple(basis)
 
 
 def build_stabilizer(ext: SelfOrthogonalExtension,
@@ -258,21 +282,17 @@ def _check_stabilizer(T: _Monomials, elements: Sequence[Triple],
 
 
 def stabilizer_projector(group: StabilizerGroup,
-                         max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
-    """The averaged stabilizer sum, checked idempotent, built once per group."""
+                         max_dim: int = DEFAULT_MATRIX_DIM) -> Tuple[Mapping[int, int], ...]:
+    """The projector's exact basis, P = sum_v |v><v| / <v|v>: the group's
+    nonvanishing orbit sums as {state: omega exponent}, built once per group."""
     _check_dim(group.ring, group.n, max_dim)
-    return group._projector
+    return group._basis
 
 
 def projector_dimension(group: StabilizerGroup,
                         max_dim: int = DEFAULT_MATRIX_DIM) -> int:
-    """Trace of the checked projector, asserted an integer."""
-    import numpy as np
-    tr = np.trace(stabilizer_projector(group, max_dim))
-    k = round(tr.real)
-    if abs(tr - k) > 1e-6:
-        raise InternalInvariantViolation(f"projector trace {tr} is not an integer")
-    return int(k)
+    """The rank of the checked projector: the number of its basis vectors."""
+    return len(stabilizer_projector(group, max_dim))
 
 
 @dataclass(frozen=True)
@@ -287,50 +307,53 @@ class ErrorSearchResult:
 def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                               limit: int = DEFAULT_ENUM_LIMIT,
                               max_dim: int = DEFAULT_MATRIX_DIM) -> ErrorSearchResult:
-    """Classify every error X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
-    criterion on an orthonormal basis of the code space, and cross-check
-    the undetectable set against C^{chi-dual} minus C.  The group must be
-    over C's ring and act on at least C's n coordinates."""
+    """Classify every error E = X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
+    criterion U^H E U = lambda I on the orbit-sum basis, exactly, and
+    cross-check the undetectable set against C^{chi-dual} minus C.  E sends
+    orbit i onto one orbit j, so the only entry of column i is <v_j|E|v_i>.
+    X(a) and Z(b) act apart: one row map per a and one phase list per b.
+    The group must be over C's ring and act on at least C's n coordinates."""
     if group.ring != C.ring:
         raise RingMismatch("the stabilizer group is over a different ring than the code")
     if group.n < C.n:
         raise DimensionMismatch(f"the stabilizer group acts on n = {group.n} < {C.n} coordinates")
-    import numpy as np
-    ring = C.ring
-    n, ntot = C.n, group.n
+    ring, n, ntot = C.ring, C.n, group.n
     q = ring.cardinality
     if q ** (2 * n) > limit:
         raise SearchLimitExceeded(q ** (2 * n), limit)
-    vals, vecs = np.linalg.eigh(stabilizer_projector(group, max_dim))
-    mono = group._tables
-    U = vecs[:, vals > 0.5]
-    K = U.shape[1]
-    Uh, eye = U.conj().T, np.eye(K)
-    pad = (0,) * (ntot - n)
+    basis = stabilizer_projector(group, max_dim)
+    T = group._tables
+    N, K, zero = T.N, len(basis), (0,) * T.N
+    orbit = {y: (i, e) for i, v in enumerate(basis) for y, e in v.items()}
+    pad, idle = (0,) * (ntot - n), (0,) * ntot
+    halves = list(itertools.product(range(q), repeat=n))
+    phases = [T.of(0, idle, b + pad)[1] for b in halves]
     undet: List[Tuple[int, ...]] = []
-    best = math.inf
-    dim1_best = math.inf
-    for ab in itertools.product(range(q), repeat=2 * n):
-        if not any(ab):
-            continue
-        a, b = ab[:n], ab[n:]
-        rows, phase = mono.of(a + pad, b + pad, 0)
-        EU = np.empty_like(U)
-        EU[rows] = mono.roots[phase][:, None] * U
-        M = Uh @ EU
-        lam = M[0, 0]
-        w = sum(1 for x, z in zip(a, b) if x or z)
-        if np.max(np.abs(M - lam * eye)) > 1e-8:
-            undet.append(phi_expand(ring, [mono.elements[i] for i in ab]))
-            best = min(best, w)
-        if K == 1 and abs(lam) > 1e-8:
-            dim1_best = min(dim1_best, w)
+    best = dim1_best = math.inf
+    for a in halves:
+        rows = T.of(0, a + pad, idle)[0]
+        # (i, j, [(y, e_y - e_{Ey})]) for each orbit i that X(a) sends onto basis orbit j
+        moved = [(i, orbit[rows[y0]][0], [(y, e - orbit[rows[y]][1]) for y, e in v.items()])
+                 for i, v in enumerate(basis) if rows[y0 := next(iter(v))] in orbit]
+        for b, phase in zip(halves, phases):
+            if not any(a) and not any(b):
+                continue
+            entries = {}
+            for i, j, terms in moved:
+                counts = [0] * N
+                for y, e in terms:
+                    counts[(e + phase[y]) % N] += 1
+                entries[i, j] = _canonical(counts, T.p)
+            lam = entries.get((0, 0), zero)
+            w = sum(1 for x, z in zip(a, b) if x or z)
+            if any(entries.get((i, i), zero) != lam for i in range(K)) or any(
+                    form != zero for (i, j), form in entries.items() if i != j):
+                undet.append(phi_expand(ring, [T.elements[i] for i in a + b]))
+                best = min(best, w)
+            if K == 1 and lam != zero:
+                dim1_best = min(dim1_best, w)
     want = {flat for flat in enumerate_module(C.analysis.dual(0), limit)
             if any(flat) and not howell_member(C.expanded_howell, flat)}
-    return ErrorSearchResult(
-        dimension=K,
-        undetectable=tuple(sorted(undet)),
-        min_weight=best,
-        set_matches_dual_minus_code=set(undet) == want,
-        dim1_distance=(dim1_best if K == 1 else None),
-    )
+    return ErrorSearchResult(dimension=K, undetectable=tuple(sorted(undet)), min_weight=best,
+                             set_matches_dual_minus_code=set(undet) == want,
+                             dim1_distance=(dim1_best if K == 1 else None))

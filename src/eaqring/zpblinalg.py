@@ -50,7 +50,9 @@ def _is_prime(p: int) -> bool:
 
 
 def check_ring_size(p: int, b: int, m: int = 1) -> None:
-    """The one ring-parameter check (m = 1 for Z_{p^b}), in order: p prime, b, m >= 1, p^(b*m) <= 2^31."""
+    """The one ring-parameter check (m = 1 for Z_{p^b}), in order: p <= 2^31, p prime, b, m >= 1, p^(b*m) <= 2^31."""
+    if p > 2 ** 31:
+        raise ParameterTooLarge(f"p = {size_text(p)} exceeds 2^31")
     if not _is_prime(p):
         raise ValueError(f"p = {size_text(p)} is not prime")
     if b < 1 or m < 1:

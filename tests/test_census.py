@@ -4,7 +4,10 @@ vector at a time.
 
 On every code the ranks read off the Gram matrix's Smith form equal the
 quotient-rank oracle at each level, the meet read off one Howell form of
-[G | S] equals C cap C^chi, and K_lower <= K_exact <= K_upper.
+[G | S] equals C cap C^chi, and K_lower <= K_exact <= K_upper.  The exact
+Pauli verifier runs on every code: its projector dimension is K_exact, and
+its undetectable set equals the cross-check set C^chi minus C on all codes
+but one.
 """
 
 import itertools
@@ -12,7 +15,8 @@ import itertools
 import pytest
 
 from eaqring.codes import AdditiveCode, chi_dual_level, code_intersection
-from eaqring.extension import eaqecc_params
+from eaqring.extension import build_minimal_extension, eaqecc_params
+from eaqring.pauli import build_stabilizer, projector_dimension, undetectable_error_search
 from eaqring.galois import make_ring
 from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
 
@@ -41,6 +45,12 @@ def all_codes(ring, n):
     return list(seen.values())
 
 
+# The one census code whose undetectable set C^chi minus Z, Z = {v : (v, 0)
+# in C'}, differs from the cross-check set C^chi minus C: Z8, n = 1, Howell
+# rows (2 | 0) and (0 | 2).  Reading D off C^chi minus Z changes this pin.
+FLAG_FALSE = {(2, 3, 1): [[[2, 0], [0, 2]]]}
+
+
 @pytest.mark.parametrize("ring_args,n,count", [
     ((2, 1, 1), 2, 67),
     ((2, 1, 2), 1, 67),
@@ -52,6 +62,7 @@ def test_census(ring_args, n, count):
     ring = make_ring(*ring_args)
     bases = all_codes(ring, n)
     assert len(bases) == count
+    flag_false = []
     for H in bases:
         C = AdditiveCode.from_expanded(ring, n, H)
         assert C.analysis.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
@@ -60,3 +71,8 @@ def test_census(ring_args, n, count):
             assert C.analysis.rank(t) == quotient_rank(H, meet.expanded_howell)
         P = eaqecc_params(C)
         assert P.K_lower <= P.K_exact <= P.K_upper
+        group = build_stabilizer(build_minimal_extension(C))
+        assert projector_dimension(group) == P.K_exact
+        if not undetectable_error_search(C, group).set_matches_dual_minus_code:
+            flag_false.append(H.matrix.to_rows())
+    assert flag_false == FLAG_FALSE.get(ring_args, [])

@@ -356,8 +356,15 @@ def test_invariant_failure_carries_a_reproducer(tmp_path, monkeypatch):
 
 
 def test_failed_projector_check_carries_a_reproducer(tmp_path, monkeypatch):
-    dense = pauli._Monomials.dense
-    monkeypatch.setattr(pauli._Monomials, "dense", lambda self, ops: 2 * dense(self, ops))
+    """Every operator's phase on state 0 is raised by one power of omega, so
+    the exact check sum_g g v = |S| v fails."""
+    of = pauli._Monomials.of
+
+    def corrupted(self, l, a, b):
+        rows, phase = of(self, l, a, b)
+        return rows, [phase[0] + 1] + phase[1:]
+
+    monkeypatch.setattr(pauli._Monomials, "of", corrupted)
     f = tmp_path / "code.txt"
     f.write_text(Z4_WORKED)
     code, out = run_cli(["verify", str(f)])

@@ -1,11 +1,14 @@
 """Pauli verifier tests: explicit small matrices, the composition phase
 rule against matrix products, commutation vs the trace pairing, stabilizer
-assembly, projector dimension, and the exhaustive error search; the
-monomial verifier against an entry-by-entry dense oracle; the integer
-stabilizer assembly against one by ``compose``, and its invariant checks
-on broken groups; the cross-check set against a ``C.contains`` oracle, and
-the group's tables and projector, built once and capped."""
+assembly, projector dimension, and the exhaustive error search; the exact
+zero rule in Z[omega] against complex sums; the exact verifier against an
+entry-by-entry dense float oracle; the integer stabilizer assembly against
+one by ``compose``, and its invariant checks on broken groups; the
+cross-check set against a ``C.contains`` oracle, and the group's tables
+and basis, built once and capped."""
 
+import cmath
+import functools
 import itertools
 import math
 import random
@@ -183,7 +186,7 @@ def test_stabilizer_worked_instance(z4):
     ext = build_extension(hyperbolic_decompose(C))
     g = build_stabilizer(ext)
     assert g.size == 16
-    P = stabilizer_projector(g)
+    P = dense_projector(g)
     assert P.shape == (16, 16)
     assert projector_dimension(g) == 1
     # every stabilizer element fixes the projector
@@ -203,6 +206,16 @@ def test_non_projector_detected(z4):
     bad = StabilizerGroup(z4, 1, (
         identity_operator(z4, 1),
         PauliOperator(z4, 1, 2, (z4.zero,), (z4.zero,)),
+    ))
+    with pytest.raises(InternalInvariantViolation, match="not idempotent"):
+        projector_dimension(bad)
+    # I, X(2) and -X(2): the orbit sum of |0> is |0> + 0|2>, an entry that
+    # is not a single power of omega
+    two = z4.element([2])
+    bad = StabilizerGroup(z4, 1, (
+        identity_operator(z4, 1),
+        PauliOperator(z4, 1, 0, (two,), (z4.zero,)),
+        PauliOperator(z4, 1, 4, (two,), (z4.zero,)),
     ))
     with pytest.raises(InternalInvariantViolation, match="not idempotent"):
         projector_dimension(bad)
@@ -328,6 +341,19 @@ def dense_oracle(P):
     return M
 
 
+def dense_projector(group):
+    """The exact basis {state: omega exponent} as the dense projector
+    sum_v |v><v| / <v|v>."""
+    d, N = group.ring.cardinality ** group.n, omega_modulus(group.ring)
+    P = np.zeros((d, d), dtype=np.complex128)
+    for v in stabilizer_projector(group):
+        u = np.zeros(d, dtype=np.complex128)
+        for y, e in v.items():
+            u[y] = np.exp(2j * np.pi * e / N)
+        P += np.outer(u, u.conj()) / len(v)
+    return P
+
+
 def dense_error_search(C, group):
     """Every error X(a,0)Z(b,0) classified by the dense U^dagger E U."""
     ring, n, ntot = C.ring, C.n, group.n
@@ -369,9 +395,9 @@ def test_pauli_matrix_matches_dense_oracle(p, b, m):
     assert phases - {0}
 
 
-def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4]):
+def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4], dims=range(65)):
     """(C, ext, group) for seeded random codes over the given rings with
-    q^{n+c} <= 64."""
+    q^{n+c} in ``dims``."""
     rng = random.Random(seed)
     rings = [make_ring(*spec) for spec in specs]
     out = []
@@ -383,7 +409,7 @@ def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4]):
             for _ in range(2 * n)]) for _ in range(rng.randint(1, 2 * n * ring.m)))
         C = AdditiveCode(ring, n, gens)
         ext = build_minimal_extension(C)
-        if ring.cardinality ** ext.extended.n <= 64:
+        if ring.cardinality ** ext.extended.n in dims:
             out.append((C, ext, build_stabilizer(ext)))
     return out
 
@@ -391,17 +417,55 @@ def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4]):
 def test_projector_matches_dense_oracle():
     for C, ext, group in random_verify_instances(8, 41):
         want = sum(dense_oracle(el) for el in group.elements) / group.size
-        assert np.allclose(stabilizer_projector(group), want, rtol=0, atol=1e-12)
+        assert np.allclose(dense_projector(group), want, rtol=0, atol=1e-12)
 
 
-def test_error_search_matches_dense_oracle():
-    for C, ext, group in random_verify_instances(20, 43):
+def assert_search_matches_dense_oracle(instances):
+    for C, ext, group in instances:
         res = undetectable_error_search(C, group)
         K, undet, best, dim1 = dense_error_search(C, group)
         assert res.dimension == K
         assert set(res.undetectable) == undet
         assert res.min_weight == best
         assert res.dim1_distance == dim1
+
+
+def test_error_search_matches_dense_oracle():
+    """F2, F4, Z4, Z8 and Z9: over Z9, N = 9 and the zero rule groups
+    exponents mod 3."""
+    instances = random_verify_instances(30, 43, ORACLE_RINGS[:5])
+    assert {C.ring.p for C, ext, group in instances} == {2, 3}
+    assert_search_matches_dense_oracle(instances)
+
+
+def test_error_search_matches_dense_oracle_on_gr42():
+    """GR(4, 2), m = 2, on q^{n+c} = 256 states."""
+    assert_search_matches_dense_oracle(random_verify_instances(2, 59, [(2, 2, 2)], {256}))
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16, 3, 9, 27])
+def test_canonical_form_decides_zero_and_equality(N):
+    """Two exponent-count vectors have the same canonical form iff their
+    sums of powers of omega agree as complex numbers, and the form is zero
+    iff the sum is; checked on random counts and on counts shifted by
+    random class constants (equal sums by construction)."""
+    p = 3 if N % 3 == 0 else 2
+    omega, rng = cmath.exp(2j * cmath.pi / N), random.Random(N)
+    value = lambda c: sum(ck * omega ** k for k, ck in enumerate(c))
+    seen = set()
+    for _ in range(300):
+        c = [rng.randrange(2) for _ in range(N)]
+        shift = [rng.randrange(3) for _ in range(N // p)]
+        for d in (c, [rng.randrange(2) for _ in range(N)],
+                  [ck + shift[k % (N // p)] for k, ck in enumerate(c)],
+                  [shift[k % (N // p)] for k in range(N)]):
+            equal = pauli._canonical(c, p) == pauli._canonical(d, p)
+            assert equal == (abs(value(c) - value(d)) < 1e-9)
+            zero = not any(pauli._canonical(d, p))
+            assert zero == (abs(value(d)) < 1e-9)
+            seen.add((equal, zero))
+    assert {eq for eq, zero in seen} == {True, False}
+    assert {zero for eq, zero in seen} == {True, False}
 
 
 def dual_minus_code_by_contains(C):
@@ -427,24 +491,26 @@ def test_set_matches_dual_minus_code_against_contains_oracle():
 
 
 def test_verify_builds_tables_and_projector_once(monkeypatch):
-    counts = {"tables": 0, "sums": 0}
-    init, dense = pauli._Monomials.__init__, pauli._Monomials.dense
+    counts = {"tables": 0, "bases": 0}
+    init, basis = pauli._Monomials.__init__, pauli.StabilizerGroup._basis.func
 
     def counting_init(self, *args):
         counts["tables"] += 1
         init(self, *args)
 
-    def counting_dense(self, operators):
-        counts["sums"] += 1
-        return dense(self, operators)
+    def counting_basis(self):
+        counts["bases"] += 1
+        return basis(self)
 
+    prop = functools.cached_property(counting_basis)
+    prop.__set_name__(pauli.StabilizerGroup, "_basis")
     monkeypatch.setattr(pauli._Monomials, "__init__", counting_init)
-    monkeypatch.setattr(pauli._Monomials, "dense", counting_dense)
+    monkeypatch.setattr(pauli.StabilizerGroup, "_basis", prop)
     ring, C = cli.parse_code_text("ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n")
     rep, code = cli.build_report("verify", ring, C, 1 << 22, 1024)
     assert code == 0
     assert rep["verification"]["projector_dimension"] == rep["K_exact"] == 1
-    assert counts == {"tables": 1, "sums": 1}
+    assert counts == {"tables": 1, "bases": 1}
 
 
 def test_hand_built_group_checks_the_cap_before_dense_work(z4):
@@ -455,12 +521,14 @@ def test_hand_built_group_checks_the_cap_before_dense_work(z4):
                  lambda: undetectable_error_search(C, group, max_dim=8)):
         with pytest.raises(DimensionTooLarge):
             call()
-    assert "_tables" not in group.__dict__ and "_projector" not in group.__dict__
-    # under the cap the group builds its own tables, and its projector once
+    assert "_tables" not in group.__dict__ and "_basis" not in group.__dict__
+    # under the cap the group builds its own tables, and its basis once
     assert projector_dimension(group, max_dim=16) == 16
-    P = stabilizer_projector(group, max_dim=16)
-    assert P is stabilizer_projector(group) and not P.flags.writeable
-    assert np.array_equal(P, np.eye(16))
+    B = stabilizer_projector(group, max_dim=16)
+    assert B is stabilizer_projector(group) and isinstance(B, tuple)
+    with pytest.raises(TypeError):
+        B[0][0] = 1
+    assert np.array_equal(dense_projector(group), np.eye(16))
 
 
 def test_verify_builds_no_dense_operator(monkeypatch):

@@ -39,15 +39,15 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised - {"EaqringError"}) == []
 
 
-def test_params_runs_without_numpy(tmp_path):
-    """Only ``verify`` needs numpy: importing the CLI and running ``params``
-    and ``distance`` leaves it unloaded, which keeps start-up time and
-    resident memory low."""
+def test_no_command_imports_numpy(tmp_path):
+    """Only ``pauli_matrix`` needs numpy: importing the CLI and running all
+    six commands, ``verify`` included, leaves it unloaded, which keeps
+    start-up time and resident memory low."""
     f = tmp_path / "code.txt"
     f.write_text("ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n")
     script = ("import io, sys\n"
               "import eaqring.cli\n"
-              "for command in ('params', 'distance'):\n"
+              "for command in ('params', 'decompose', 'extend', 'dual', 'distance', 'verify'):\n"
               "    assert eaqring.cli.run([command, sys.argv[1]], out=io.StringIO()) == 0\n"
               "print('numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

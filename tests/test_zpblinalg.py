@@ -589,9 +589,11 @@ def test_from_rows_checks_the_boundary():
 
 def test_one_ring_size_check_for_rings_and_matrices():
     """``make_ring`` and ``ZpbMatrix.from_rows`` share one check, in order:
-    p prime, then b and m positive, then p^(b*m) <= 2^31.  Past b*m = 31
-    it fails without forming the power; forming 2^(10^8) would take about
-    a second and end in the interpreter's own digit-limit ValueError."""
+    p <= 2^31, then p prime, then b and m positive, then p^(b*m) <= 2^31.
+    So a composite p > 2^31 raises ParameterTooLarge, not ValueError.  Past
+    b*m = 31 it fails without forming the power; forming 2^(10^8) would
+    take about a second and end in the interpreter's own digit-limit
+    ValueError."""
     def message(call):
         with pytest.raises((ValueError, ParameterTooLarge)) as exc:
             call()
@@ -605,6 +607,19 @@ def test_one_ring_size_check_for_rings_and_matrices():
         t0 = time.perf_counter()
         assert message(call) == ("ParameterTooLarge", "p^(b*m) exceeds 2^31: b*m = 100000000 > 31")
         assert time.perf_counter() - t0 < 0.1
+
+
+def test_huge_p_is_rejected_before_primality():
+    """p = 2^11213 - 1 is a 3,376-digit prime: Miller-Rabin at that size
+    takes tens of seconds, and the size check runs first."""
+    p = 2 ** 11213 - 1
+    for call in (lambda: make_ring(p, 1, 1), lambda: ZpbMatrix.from_rows(p, 1, [[1]])):
+        t0 = time.perf_counter()
+        with pytest.raises(ParameterTooLarge, match=r"^p = \d+ exceeds 2\^31$"):
+            call()
+        assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ParameterTooLarge, match=r"^p = 2147483649 exceeds 2\^31$"):
+        make_ring(2 ** 31 + 1, 1, 1)
 
 
 @pytest.mark.parametrize("rows", [0, 3])
