@@ -1,6 +1,6 @@
 """Additive codes C over GR(p^b,m)^{2n}: symplectic products and weights,
-chi-duals at every level, cardinalities, membership, puncturing, and
-exhaustive minimum symplectic distance.
+chi-duals at every level, cardinalities, membership, puncturing, and the
+exhaustive minimum symplectic distance, walked and weighed on packed ints.
 
 Internally every code is its phi-expanded row module over Z_{p^b}^{2nm},
 and it keeps its ring-level generators.  Derived modules (the chi-dual
@@ -17,10 +17,9 @@ The caches live and die with the code.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -39,7 +38,10 @@ from .zpblinalg import (
     howell_member,
     intersect,
     kernel,
+    lane_width,
     smith_form,
+    unpack,
+    walk_packed,
 )
 
 if TYPE_CHECKING:
@@ -118,17 +120,22 @@ def symplectic_weight(v: SymplecticVector) -> int:
     return sum(1 for a, b in zip(v.x, v.y) if a or b)
 
 
-def _expanded_weight(flat: Sequence[int], n: int, m: int) -> int:
-    """Symplectic weight read off the phi expansion: coordinate i is nonzero
-    iff any of its m x-block or m y-block residues is (both halves are
-    expanded in bases, so zero blocks mean zero ring components).  Slot j
-    of every coordinate is the slice flat[j:nm:m] (x) or flat[nm+j::m] (y);
-    OR-ing the 2m slices leaves one entry per coordinate, zero iff it is."""
-    nm = n * m
-    acc = map(operator.or_, flat[:nm:m], flat[nm::m])
-    for j in range(1, m):
-        acc = map(operator.or_, map(operator.or_, acc, flat[j:nm:m]), flat[nm + j::m])
-    return sum(map(bool, acc))
+def packed_weight(n: int, m: int, N: int) -> Callable[[int], int]:
+    """The symplectic weight of a packed phi-expanded vector (``walk_packed``):
+    coordinate i is nonzero iff a residue of its m x- or y-slots is.  The y
+    half folds onto the x half, then bit 0 of lane m*i ORs in bit t of lane
+    m*i + j for each slot j < m and value bit t < (N - 1).bit_length()."""
+    L = lane_width(N)
+    half = L * n * m
+    shifts = [L * j + t for j in range(m) for t in range((N - 1).bit_length())][1:]
+    coord = sum(1 << s for s in range(0, half, L * m))
+
+    def weight(v: int) -> int:
+        acc = u = v | v >> half
+        for s in shifts:
+            acc |= u >> s
+        return (acc & coord).bit_count()
+    return weight
 
 
 @dataclass(frozen=True)
@@ -331,20 +338,21 @@ def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) ->
     math.inf when that set minus {0} is empty.  |C^{chi-dual}| = q^{2n} / |C|
     is checked against ``limit`` before the case is read or the dual is built.
 
-    Every vector is enumerated and weighed first; only one that would lower
-    the running minimum (0 < w < best) is tested for membership in C.  The
-    rest is linear in the set's size: ``enumerate_module`` makes each vector
-    with one row addition, then it is weighed; enumeration is the larger part.
+    Every vector is walked packed (``walk_packed``: one int addition and a
+    lane-wise reduction each) and weighed first (``packed_weight``: a few
+    shifts and one popcount); only one that would lower the running minimum
+    (0 < w < best) is unpacked and tested for membership in C.
     """
-    n, m = C.n, C.ring.m
+    n, m, N = C.n, C.ring.m, C.ring.modulus
     size = C.ring.cardinality ** (2 * n) // cardinality(C)
     if size > limit:
         raise SearchLimitExceeded(size, limit)
     skip = None if C.analysis.dual_in_code else C.expanded_howell
+    weight = packed_weight(n, m, N)
     best = math.inf
-    for flat in enumerate_module(C.analysis.dual(0), limit):
-        w = _expanded_weight(flat, n, m)
-        if 0 < w < best and (skip is None or not howell_member(skip, flat)):
+    for v in walk_packed(C.analysis.dual(0), limit):
+        w = weight(v)
+        if 0 < w < best and (skip is None or not howell_member(skip, unpack(v, lane_width(N), 2 * n * m))):
             best = w
             if best == 1:
                 break

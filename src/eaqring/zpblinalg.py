@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -347,29 +347,45 @@ def solve_congruence(lhs: int, rhs: int, modulus: int) -> int:
     return (r // g) * pow(a // g, -1, n2) % n2
 
 
-def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
-    """Yield every element of the row module exactly once, in a fixed order.
+def lane_width(N: int) -> int:
+    """Bits L per lane of a vector over Z_N packed in one int, coordinate j
+    in bits [jL, (j+1)L), with 2^(L-1) > 2N - 2 (see ``lane_adder``)."""
+    return (4 * N).bit_length()
 
-    Iterates mixed-radix coefficients c_i in [0, N / pivot_i) over the
-    Howell rows (last index fastest); ``HowellBasis.cardinality`` is why
-    each element comes out exactly once.  Each element costs one row
-    addition: the walk keeps the prefix sums partial[i] = sum_{j <= i}
-    c_j * row_j, the digit i that moves adds row_i to partial[i], and the
-    digits after it, now 0, share the result.  Raises SearchLimitExceeded
-    with the exact cardinality when the module is too large.
-    """
-    A = M.matrix
-    N = A.modulus
-    card = M.cardinality
-    if card > limit:
-        raise SearchLimitExceeded(card, limit)
-    base = [A.row(i) for i in range(A.rows)]
-    radix = [N // row[col] for row, col in zip(base, M.pivots)]
+
+def unpack(v: int, L: int, cols: int) -> Tuple[int, ...]:
+    return tuple([v >> s & (1 << L) - 1 for s in range(0, L * cols, L)])
+
+
+def lane_adder(N: int, cols: int) -> Callable[[int, int], int]:
+    """Lane-wise a + b mod N on packed vectors with lanes in [0, N): the bias
+    2^(L-1) - N sets the top bit of each lane >= N, and N comes off those."""
+    L = lane_width(N)
+    top = sum(1 << s for s in range(L - 1, L * cols, L))
+    bias = (top >> (L - 1)) * ((1 << (L - 1)) - N)
+
+    def add(a: int, b: int) -> int:
+        s = a + b
+        return s - (((s + bias) & top) >> (L - 1)) * N
+    return add
+
+
+def walk_packed(M: HowellBasis, limit: int) -> Iterator[int]:
+    """Every element of the row module once (``HowellBasis.cardinality``),
+    packed (``lane_width``): mixed-radix coefficients c_i in [0, N / pivot_i)
+    over the Howell rows, last index fastest.  With prefix sums partial[i] =
+    sum_{j <= i} c_j * row_j, the digit i that moves adds row_i to partial[i]
+    (one ``lane_adder`` call), and the digits after it, now 0, share the
+    result.  Raises SearchLimitExceeded with |M| when |M| > limit."""
+    A, N = M.matrix, M.matrix.modulus
+    if M.cardinality > limit:
+        raise SearchLimitExceeded(M.cardinality, limit)
+    add, L = lane_adder(N, A.cols), lane_width(N)
+    base = [sum(x << (L * j) for j, x in enumerate(A.row(i))) for i in range(A.rows)]
+    radix = [N // A.row(i)[col] for i, col in enumerate(M.pivots)]
     k = len(base)
-    counter = [0] * k
-    vec = (0,) * A.cols
-    partial = [vec] * k
-    yield vec
+    counter, partial = [0] * k, [0] * k
+    yield 0
     while True:
         i = k - 1
         while i >= 0 and counter[i] == radix[i] - 1:
@@ -378,6 +394,12 @@ def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
         if i < 0:
             return
         counter[i] += 1
-        vec = tuple([(x + y) % N for x, y in zip(partial[i], base[i])])
+        vec = add(partial[i], base[i])
         partial[i:] = [vec] * (k - i)
         yield vec
+
+
+def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
+    """``walk_packed`` unpacked: each element as a tuple of residues."""
+    L = lane_width(M.matrix.modulus)
+    return (unpack(v, L, M.cols) for v in walk_packed(M, limit))

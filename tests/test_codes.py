@@ -21,6 +21,7 @@ from eaqring.codes import (
     is_free,
     iterate_codewords,
     min_symplectic_distance,
+    packed_weight,
     puncture,
     same_module,
     symplectic_product,
@@ -28,6 +29,7 @@ from eaqring.codes import (
 )
 from eaqring.errors import DimensionMismatch, SearchLimitExceeded
 from eaqring.galois import gen_trace, make_ring, phi_expand
+from eaqring.zpblinalg import enumerate_module, howell_member, lane_width
 
 
 def all_vectors(ring, n):
@@ -294,14 +296,21 @@ def test_min_distance_skips_light_members_of_the_code(params, rows):
     assert min_symplectic_distance(C) == 2
 
 
+def pack(row, L):
+    """Lane j of the int holds row[j] (``zpblinalg.lane_width``)."""
+    return sum(x << (L * j) for j, x in enumerate(row))
+
+
 @pytest.mark.parametrize("p, b, m", [(2, 1, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)])
 def test_expanded_weight_matches_symplectic_weight(p, b, m):
     """The weight kernel of the distance search, read off phi-expanded
-    rows, against the ring-level weight; components are often zero, and
-    nonzero ones often have zero coefficients, so every slot is exercised."""
+    rows packed in lanes (L = 5 for Z4 and GR(4, 2)), against the
+    ring-level weight; components are often zero, and nonzero ones often
+    have zero coefficients, so every slot is exercised."""
     ring = make_ring(p, b, m)
     rng = random.Random(31)
     N = ring.modulus
+    L = lane_width(N)
 
     def component():
         if rng.random() < 0.5:
@@ -310,34 +319,120 @@ def test_expanded_weight_matches_symplectic_weight(p, b, m):
     for _ in range(300):
         n = rng.randint(1, 5)
         v = SymplecticVector.from_components(ring, [component() for _ in range(2 * n)])
-        assert codes_mod._expanded_weight(phi_expand(ring, v.components), n, m) == symplectic_weight(v)
+        weight = packed_weight(n, m, N)
+        assert weight(pack(phi_expand(ring, v.components), L)) == symplectic_weight(v)
 
 
 def test_distance_search_tests_membership_only_to_lower_the_minimum(monkeypatch):
     """Weight before membership: on a code with |C^chi| = 4096 and D > 1 the
-    search enumerates every chi-dual vector but runs the Howell membership
-    test on under 1% of them."""
+    search walks every chi-dual vector but runs the Howell membership test
+    on under 1% of them."""
     f2 = make_ring(2, 1, 1)
     rng = random.Random(37)
     C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(20)] for _ in range(8)])
     size = 2 ** 20 // cardinality(C)
-    counts = {"member": 0, "enumerated": 0}
-    member, enumerate_module = codes_mod.howell_member, codes_mod.enumerate_module
+    counts = {"member": 0, "walked": 0}
+    member, walk_packed = codes_mod.howell_member, codes_mod.walk_packed
 
     def counted_member(*args):
         counts["member"] += 1
         return member(*args)
 
-    def counted_enumerate(*args):
-        for v in enumerate_module(*args):
-            counts["enumerated"] += 1
+    def counted_walk(*args):
+        for v in walk_packed(*args):
+            counts["walked"] += 1
             yield v
     monkeypatch.setattr(codes_mod, "howell_member", counted_member)
-    monkeypatch.setattr(codes_mod, "enumerate_module", counted_enumerate)
+    monkeypatch.setattr(codes_mod, "walk_packed", counted_walk)
     D = min_symplectic_distance(C)
     assert size == 4096 and D > 1 and not C.analysis.dual_in_code
-    assert counts["enumerated"] == size
+    assert counts["walked"] == size
     assert 0 < counts["member"] < size / 100
+
+
+def tuple_search_distance(C):
+    """Reference D: the search on tuples, as it ran before the packed walk.
+    Every chi-dual vector from ``enumerate_module`` is weighed by OR-ing its
+    2m slices flat[j:nm:m] and flat[nm+j::m], one entry per coordinate, and
+    tested for membership in C only when it would lower the minimum."""
+    n, m = C.n, C.ring.m
+    nm = n * m
+    skip = None if C.analysis.dual_in_code else C.expanded_howell
+    best = math.inf
+    for flat in enumerate_module(C.analysis.dual(0), 1 << 22):
+        coords = [0] * n
+        for j in range(m):
+            coords = [c | x | y for c, x, y in zip(coords, flat[j:nm:m], flat[nm + j::m])]
+        w = sum(map(bool, coords))
+        if 0 < w < best and (skip is None or not howell_member(skip, flat)):
+            best = w
+            if best == 1:
+                break
+    return best
+
+
+def _random_vector(ring, n, rng):
+    return SymplecticVector.from_components(
+        ring, [ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)]) for _ in range(2 * n)])
+
+
+def _random_isotropic(ring, n, rng, lo):
+    """A chi-self-orthogonal code of size >= lo: each generator is a random
+    combination of the Howell rows of the chi-dual of those before it."""
+    gens = []
+    while cardinality(AdditiveCode(ring, n, tuple(gens))) < lo:
+        dual = chi_dual_level(AdditiveCode(ring, n, tuple(gens)), 0).generators
+        v = SymplecticVector.from_components(ring, [ring.zero] * (2 * n))
+        for g in dual:
+            v = v + g.scale(rng.randrange(ring.modulus))
+        gens.append(v)
+    return AdditiveCode(ring, n, tuple(gens))
+
+
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_min_distance_matches_the_tuple_search(label):
+    """The packed search against the tuple search on seeded random codes
+    with chi-duals of 2^8 to 2^14 vectors, in both cases of ``dual_in_code``
+    (the chi-dual of a chi-self-orthogonal code contains its own chi-dual),
+    and over F2 up to n = 12: 24 lanes of 4 bits, an int of 4 digits."""
+    ring = make_ring(*RINGS[label])
+    q = ring.cardinality
+    lengths = {"F2": (8, 10, 12), "F4": (4, 5, 6), "Z4": (4, 5, 6), "Z8": (3, 4), "Z9": (3, 4),
+               "GR42": (2, 3, 4)}[label]
+    rng = random.Random(41)
+    found = []
+    for n in lengths:
+        for case in (False, True):
+            while True:
+                if case:
+                    A = _random_isotropic(ring, n, rng, min(2 ** rng.randint(8, 12), q ** n))
+                    C = chi_dual_level(A, 0)
+                else:
+                    C = AdditiveCode(ring, n, tuple(_random_vector(ring, n, rng)
+                                                    for _ in range(rng.randint(1, 2 * n * ring.m))))
+                size = q ** (2 * n) // cardinality(C)
+                if 2 ** 8 <= size <= 2 ** 14 and C.analysis.dual_in_code == case:
+                    break
+            D = min_symplectic_distance(C)
+            assert D == tuple_search_distance(C), (n, case)
+            found.append(D)
+    assert max(found) > 1
+
+
+def test_min_distance_early_exit_and_infinite_against_the_tuple_search(z4):
+    """D = 1 stops both searches at the first weight-1 vector outside C: C
+    is zero on coordinate 0, so (e_0, 0) is in C^chi but not in C.  The
+    whole space has chi-dual {0}, so there D is infinite."""
+    f2 = make_ring(2, 1, 1)
+    rng = random.Random(43)
+    rows = [[0] + [rng.randrange(2) for _ in range(11)] + [0] + [rng.randrange(2) for _ in range(11)]
+            for _ in range(14)]
+    C = AdditiveCode.from_int_rows(f2, rows)
+    assert not C.analysis.dual_in_code and 2 ** 24 // cardinality(C) <= 2 ** 14
+    assert min_symplectic_distance(C) == tuple_search_distance(C) == 1
+    whole = chi_dual_level(AdditiveCode(z4, 4, ()), 0)
+    assert whole.analysis.dual_in_code
+    assert min_symplectic_distance(whole) == tuple_search_distance(whole) == math.inf
 
 
 def test_puncture(z4, worked):

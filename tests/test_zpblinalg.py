@@ -33,9 +33,13 @@ from eaqring.zpblinalg import (
     howell_member,
     intersect,
     kernel,
+    lane_adder,
+    lane_width,
     quotient_rank,
     smith_form,
     solve_congruence,
+    unpack,
+    walk_packed,
 )
 
 
@@ -468,6 +472,37 @@ def test_enumerate_module_order_matches_full_rebuild(p, b, rows):
     rebuilding each one from every Howell row."""
     H = howell_form(mat(p, b, rows))
     assert list(enumerate_module(H, limit=H.cardinality)) == list(full_rebuild_enumeration(H))
+
+
+def pack(row, L):
+    return sum(x << (L * j) for j, x in enumerate(row))
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16, 3, 9, 27, 25])
+def test_lane_adder_is_addition_mod_n_in_every_lane(N):
+    """The walk's step: for every pair of residues (x, y), placed in the
+    lowest, a middle and the top of 7 lanes, the lane-wise sum is
+    (x + y) mod N there, and the other lanes, holding their own residues,
+    are untouched by any carry or borrow (N = 4 gives L = 5)."""
+    cols, L = 7, lane_width(N)
+    assert 2 ** (L - 1) > 2 * N - 2
+    add = lane_adder(N, cols)
+    rng = random.Random(N)
+    for x in range(N):
+        for y in range(N):
+            a = [rng.randrange(N) for _ in range(cols)]
+            b = [rng.randrange(N) for _ in range(cols)]
+            for lane in (0, cols // 2, cols - 1):
+                a[lane], b[lane] = x, y
+            got = add(pack(a, L), pack(b, L))
+            assert got < 1 << (L * cols)
+            assert unpack(got, L, cols) == tuple((u + v) % N for u, v in zip(a, b))
+
+
+def test_walk_packed_yields_the_full_rebuild_packed():
+    H = howell_form(mat(3, 2, [[1, 4, 8], [0, 3, 6]]))
+    L = lane_width(9)
+    assert list(walk_packed(H, H.cardinality)) == [pack(v, L) for v in full_rebuild_enumeration(H)]
 
 
 def test_enumerate_module_of_the_zero_module():
