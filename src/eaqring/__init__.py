@@ -4,7 +4,9 @@ chain rings Z_{p^b} and Galois rings GR(p^b, m).
 The pipeline: hyperbolically decompose an additive code under the trace
 symplectic pairing, append entanglement coordinates until the result is
 chi-self-orthogonal, and read off the ((n, K, D; c)) parameters.  A
-brute-force Pauli-matrix verifier checks small instances exactly.
+brute-force Pauli-matrix verifier checks small instances exactly; its names
+are loaded from ``pauli`` on first use, so importing the package or running
+any other command does not load it.
 """
 
 from .codes import (
@@ -50,16 +52,6 @@ from .galois import (
     phi_contract,
     phi_expand,
     teichmuller_decompose,
-)
-from .pauli import (
-    PauliOperator,
-    StabilizerGroup,
-    build_stabilizer,
-    compose,
-    pauli_matrix,
-    projector_dimension,
-    psi_map,
-    undetectable_error_search,
 )
 
 __version__ = "0.1.0"
@@ -110,3 +102,14 @@ __all__ = [
     "verify_prop_count",
     "verify_quasi_symplectic",
 ]
+
+_VERIFIER_NAMES = {"PauliOperator", "StabilizerGroup", "build_stabilizer", "compose",
+                   "pauli_matrix", "projector_dimension", "psi_map", "undetectable_error_search"}
+
+
+def __getattr__(name: str):
+    """The verifier's names, read off ``pauli`` once something asks for them."""
+    if name in _VERIFIER_NAMES:
+        from . import pauli
+        return getattr(pauli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Tuple
 
 from .codes import (
     DEFAULT_ENUM_LIMIT,
+    DEFAULT_MATRIX_DIM,
     AdditiveCode,
     SymplecticVector,
     cardinality,
@@ -41,12 +42,6 @@ from .errors import (
 )
 from .extension import build_minimal_extension, eaqecc_params
 from .galois import GaloisRingSpec, char_exponent, make_ring
-from .pauli import (
-    DEFAULT_MATRIX_DIM,
-    build_stabilizer,
-    projector_dimension,
-    undetectable_error_search,
-)
 
 SCHEMA_VERSION = 1
 
@@ -182,13 +177,14 @@ def _echo_block(ring: GaloisRingSpec, C: AdditiveCode) -> Dict:
 
 
 def _params_block(P) -> Dict:
+    raw = P.K_lower_raw
     return {
         "c_min": P.c,
         "rho": list(P.rho),
         "K_exact": P.K_exact,
         "K_lower": P.K_lower,
         "K_upper": P.K_upper,
-        "K_lower_raw": f"{P.K_lower_raw.numerator}/{P.K_lower_raw.denominator}",
+        "K_lower_raw": f"{_int_text(raw.numerator)}/{_int_text(raw.denominator)}",
         "D": _render_D(P.D),
         "distance_case": P.distance_case,
         "distance_convention": "min_symplectic_weight",
@@ -236,11 +232,13 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
             report.update(_params_block(P))
         code = 2 if P.D is None else 0
         if command == "verify":
+            from . import pauli  # imported here: no other command loads the verifier
             ext = build_minimal_extension(C)
             try:
-                group = build_stabilizer(ext, max_dim=max_matrix_dim)
-                dim = projector_dimension(group, max_dim=max_matrix_dim)
-                res = undetectable_error_search(C, group, limit=max_enum, max_dim=max_matrix_dim)
+                group = pauli.build_stabilizer(ext, max_dim=max_matrix_dim)
+                dim = pauli.projector_dimension(group, max_dim=max_matrix_dim)
+                res = pauli.undetectable_error_search(C, group, limit=max_enum,
+                                                      max_dim=max_matrix_dim)
                 report["verification"] = {
                     "stabilizer_size": group.size,
                     "matrix_dimension": ring.cardinality ** ext.extended.n,
@@ -260,8 +258,52 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
     return report, code
 
 
+# a chunk below 10^512 has fewer digits than the smallest limit that
+# sys.set_int_max_str_digits accepts (640)
+_DIGIT_CHUNK = 10 ** 512
+
+
+def _int_text(v: int) -> str:
+    """v in decimal, exactly, also past the interpreter's limit on the
+    digits of an int-to-str conversion."""
+    if -_DIGIT_CHUNK < v < _DIGIT_CHUNK:
+        return int.__repr__(v)
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    chunks = []
+    while v >= _DIGIT_CHUNK:
+        v, low = divmod(v, _DIGIT_CHUNK)
+        chunks.append(f"{low:0512d}")
+    return sign + int.__repr__(v) + "".join(reversed(chunks))
+
+
+def _json(value, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``indent``,
+    for the report schema: dicts with string keys, lists, strings, ints and
+    bools.  A module-level function, so a call leaves no closure cycle."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        opening, closing = "{", "}"
+    elif isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not in the report schema")
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def render_report(report: Dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as key-sorted JSON with an indent of 2, every int exact."""
+    return _json(report, "") + "\n"
 
 
 # ---------------------------------------------------------------- driver

@@ -17,7 +17,6 @@ The caches live and die with the code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Tuple
 
@@ -27,6 +26,7 @@ from .errors import (
     RingMismatch,
     SearchLimitExceeded,
 )
+from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, char_exponent, phi_contract, phi_expand
 from .zpblinalg import (
     HowellBasis,
@@ -49,20 +49,20 @@ if TYPE_CHECKING:
     from .extension import SelfOrthogonalExtension
 
 DEFAULT_ENUM_LIMIT = 1 << 22
+# the verifier's cap on q^(n+c), kept here so that the CLI's parser needs no pauli
+DEFAULT_MATRIX_DIM = 1024
 
 
-@dataclass(frozen=True)
-class SymplecticVector:
+class SymplecticVector(Frozen):
     """A tuple (x, y) in R^n x R^n."""
 
-    ring: GaloisRingSpec
-    x: Tuple[RingElement, ...]
-    y: Tuple[RingElement, ...]
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
+    def __init__(self, ring: GaloisRingSpec, x: Tuple[RingElement, ...], y: Tuple[RingElement, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        if len(x) != len(y):
             raise DimensionMismatch("x and y halves differ in length")
-        if any(e.ring != self.ring for e in self.x + self.y):
+        if any(e.ring != ring for e in x + y):
             raise RingMismatch("component from a different ring")
 
     @property
@@ -138,16 +138,14 @@ def packed_weight(n: int, m: int, N: int) -> Callable[[int], int]:
     return weight
 
 
-@dataclass(frozen=True)
-class AdditiveCode:
+class AdditiveCode(Frozen):
     """Z_{p^b}-submodule of GR(p^b,m)^{2n}."""
 
-    ring: GaloisRingSpec
-    n: int
-    generators: Tuple[SymplecticVector, ...]
-
-    def __post_init__(self):
-        if any(g.ring != self.ring or g.n != self.n for g in self.generators):
+    def __init__(self, ring: GaloisRingSpec, n: int, generators: Tuple[SymplecticVector, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generators", generators)
+        if any(g.ring != ring or g.n != n for g in generators):
             raise RingMismatch("generator does not match the code's ring or length")
 
     @property

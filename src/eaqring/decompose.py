@@ -6,17 +6,16 @@ tracking how pair pivots degrade across the chi-dual levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
+from .frozen import Frozen
 from .galois import RingElement, char_exponent, phi_contract, phi_expand
 from .zpblinalg import ZpbMatrix, howell_form, howell_member, smith_form, solve_congruence
 
 
-@dataclass(frozen=True)
-class HyperbolicDecomposition:
+class HyperbolicDecomposition(Frozen):
     """Generators of C split into isotropic vectors and hyperbolic pairs.
 
     Each pair ((v_i,w_i),(x_i,y_i)) has character-nontrivial gram
@@ -24,10 +23,13 @@ class HyperbolicDecomposition:
     listed generators is character-trivial.
     """
 
-    code: AdditiveCode
-    isotropic: Tuple[SymplecticVector, ...]
-    pairs: Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
-    grams: Tuple[RingElement, ...]
+    def __init__(self, code: AdditiveCode, isotropic: Tuple[SymplecticVector, ...],
+                 pairs: Tuple[Tuple[SymplecticVector, SymplecticVector], ...],
+                 grams: Tuple[RingElement, ...]):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "isotropic", isotropic)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "grams", grams)
 
     @property
     def c(self) -> int:

@@ -12,7 +12,6 @@ coordinate; the minimal extension packs up to m pairs into one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -36,18 +35,20 @@ from .errors import (
     SearchLimitExceeded,
     ZeroTarget,
 )
+from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, char_exponent
 from .zpblinalg import ZpbMatrix, smith_form
 
 
-@dataclass(frozen=True)
-class SymplecticSubset:
+class SymplecticSubset(Frozen):
     """Pairs (a_{i1}, a_{i2}) in R^{2c} with character-trivial pairings
     everywhere except within each pair."""
 
-    ring: GaloisRingSpec
-    c: int
-    pairs: Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
+    def __init__(self, ring: GaloisRingSpec, c: int,
+                 pairs: Tuple[Tuple[SymplecticVector, SymplecticVector], ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def e(self) -> int:
@@ -69,18 +70,20 @@ def _rho_growth(C: AdditiveCode) -> int:
     return math.prod(ring.p ** ((ring.b - t) * r) for t, r in enumerate(C.analysis.rho, start=1))
 
 
-@dataclass(frozen=True)
-class SelfOrthogonalExtension:
+class SelfOrthogonalExtension(Frozen):
     """A chi-self-orthogonal code over R^{2(n+c)} puncturing back to base,
     with the symplectic subset whose members are its pairs' tails."""
 
-    base: AdditiveCode
-    extended: AdditiveCode
-    c: int
-    card_extended: int
-    pair_generators: Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
-    isotropic_generators: Tuple[SymplecticVector, ...]
-    subset: SymplecticSubset
+    def __init__(self, base: AdditiveCode, extended: AdditiveCode, c: int, card_extended: int,
+                 pair_generators: Tuple[Tuple[SymplecticVector, SymplecticVector], ...],
+                 isotropic_generators: Tuple[SymplecticVector, ...], subset: SymplecticSubset):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "extended", extended)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "card_extended", card_extended)
+        object.__setattr__(self, "pair_generators", pair_generators)
+        object.__setattr__(self, "isotropic_generators", isotropic_generators)
+        object.__setattr__(self, "subset", subset)
 
     def verify(self) -> None:
         if not is_chi_self_orthogonal(self.extended):
@@ -222,22 +225,26 @@ def verify_quasi_symplectic(ring: GaloisRingSpec,
     return True
 
 
-@dataclass(frozen=True)
-class EaqeccParams:
-    """((n, K, D; c)) parameters of the code built from C."""
+class EaqeccParams(Frozen):
+    """((n, K, D; c)) parameters of the code built from C.  D is an int,
+    math.inf, or None for Unknown; distance_case is 'dual_subset_of_code'
+    or 'dual_minus_code'."""
 
-    n: int
-    c: int
-    K_exact: int
-    K_lower: int
-    K_upper: int
-    K_lower_raw: Fraction
-    D: object  # int, math.inf, or None for Unknown
-    distance_case: str  # 'dual_subset_of_code' or 'dual_minus_code'
-    rho: Tuple[int, ...]
-    card_code: int
-    card_extended: int
-    ring: GaloisRingSpec
+    def __init__(self, n: int, c: int, K_exact: int, K_lower: int, K_upper: int,
+                 K_lower_raw: Fraction, D: object, distance_case: str, rho: Tuple[int, ...],
+                 card_code: int, card_extended: int, ring: GaloisRingSpec):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "K_exact", K_exact)
+        object.__setattr__(self, "K_lower", K_lower)
+        object.__setattr__(self, "K_upper", K_upper)
+        object.__setattr__(self, "K_lower_raw", K_lower_raw)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "distance_case", distance_case)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "card_code", card_code)
+        object.__setattr__(self, "card_extended", card_extended)
+        object.__setattr__(self, "ring", ring)
 
 
 def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccParams:

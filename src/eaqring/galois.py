@@ -16,7 +16,6 @@ coefficients on a first use of ``teichmuller`` or ``teichmuller_decompose``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
@@ -25,6 +24,7 @@ from .errors import (
     InternalInvariantViolation,
     RingMismatch,
 )
+from .frozen import Frozen
 from .zpblinalg import ZpbMatrix, check_ring_size, howell_form
 
 
@@ -92,14 +92,15 @@ def _is_primitive_mod_p(hbar: Sequence[int], p: int, m: int, factors: Sequence[i
     return True
 
 
-@dataclass(frozen=True)
-class GaloisRingSpec:
-    """Immutable description of GR(p^b, m) with arithmetic caches."""
+class GaloisRingSpec(Frozen):
+    """Immutable description of GR(p^b, m) with arithmetic caches.  h_coeffs
+    holds m+1 residues mod p^b, low-to-high, monic."""
 
-    p: int
-    b: int
-    m: int
-    h_coeffs: Tuple[int, ...]  # m+1 residues mod p^b, low-to-high, monic
+    def __init__(self, p: int, b: int, m: int, h_coeffs: Tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h_coeffs", h_coeffs)
 
     @property
     def modulus(self) -> int:
@@ -195,15 +196,13 @@ class GaloisRingSpec:
         return tuple(RingElement(self, c) for c in self._dual_coeffs)
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Frozen):
     """Element of GR(p^b, m) in power-basis coordinates (1, theta, ...)."""
 
-    ring: GaloisRingSpec
-    coeffs: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.ring.m:
+    def __init__(self, ring: GaloisRingSpec, coeffs: Tuple[int, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != ring.m:
             raise RingMismatch("coefficient count does not match the ring degree")
 
     def _check(self, other: "RingElement"):

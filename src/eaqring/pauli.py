@@ -17,14 +17,19 @@ entry, each entry a sum of powers of omega held as exponent counts
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
 
 import math
 
-from .codes import DEFAULT_ENUM_LIMIT, AdditiveCode, SymplecticVector, _expanded_pairing
+from .codes import (
+    DEFAULT_ENUM_LIMIT,
+    DEFAULT_MATRIX_DIM,
+    AdditiveCode,
+    SymplecticVector,
+    _expanded_pairing,
+)
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -35,13 +40,12 @@ from .errors import (
     size_text,
 )
 from .extension import SelfOrthogonalExtension
+from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace, phi_expand
 from .zpblinalg import enumerate_module, howell_member, solve_congruence
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_MATRIX_DIM = 1024
 
 
 def omega_modulus(ring: GaloisRingSpec) -> int:
@@ -59,20 +63,19 @@ def _canonical(counts: Sequence[int], p: int) -> Tuple[int, ...]:
     return tuple(c - low[k % step] for k, c in enumerate(counts))
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class PauliOperator(Frozen):
     """omega^phase_exp * X(a) Z(b) acting on n qudits of dimension q."""
 
-    ring: GaloisRingSpec
-    n: int
-    phase_exp: int
-    a: Tuple[RingElement, ...]
-    b: Tuple[RingElement, ...]
-
-    def __post_init__(self):
-        if len(self.a) != self.n or len(self.b) != self.n:
+    def __init__(self, ring: GaloisRingSpec, n: int, phase_exp: int,
+                 a: Tuple[RingElement, ...], b: Tuple[RingElement, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "phase_exp", phase_exp)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if len(a) != n or len(b) != n:
             raise DimensionMismatch("support length does not match n")
-        if any(e.ring != self.ring for e in self.a + self.b):
+        if any(e.ring != ring for e in a + b):
             raise RingMismatch("component from a different ring")
 
     @property
@@ -169,14 +172,14 @@ def pauli_matrix(P: PauliOperator, max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndar
     return M
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
+class StabilizerGroup(Frozen):
     """One operator per codeword of a chi-self-orthogonal code, with its
     monomial tables and checked code-space basis, each built once per group."""
 
-    ring: GaloisRingSpec
-    n: int
-    elements: Tuple[PauliOperator, ...]
+    def __init__(self, ring: GaloisRingSpec, n: int, elements: Tuple[PauliOperator, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def size(self) -> int:
@@ -295,13 +298,18 @@ def projector_dimension(group: StabilizerGroup,
     return len(stabilizer_projector(group, max_dim))
 
 
-@dataclass(frozen=True)
-class ErrorSearchResult:
-    dimension: int
-    undetectable: Tuple[Tuple[int, ...], ...]  # phi-expanded (a,b) over R^{2n}
-    min_weight: float
-    set_matches_dual_minus_code: bool
-    dim1_distance: object  # min weight with nonzero amplitude, when K = 1
+class ErrorSearchResult(Frozen):
+    """What ``undetectable_error_search`` found: the undetectable errors as
+    phi-expanded (a,b) over R^{2n}, and dim1_distance, the min weight with
+    nonzero amplitude when K = 1."""
+
+    def __init__(self, dimension: int, undetectable: Tuple[Tuple[int, ...], ...],
+                 min_weight: float, set_matches_dual_minus_code: bool, dim1_distance: object):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "undetectable", undetectable)
+        object.__setattr__(self, "min_weight", min_weight)
+        object.__setattr__(self, "set_matches_dual_minus_code", set_matches_dual_minus_code)
+        object.__setattr__(self, "dim1_distance", dim1_distance)
 
 
 def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,

@@ -16,7 +16,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     SearchLimitExceeded,
     size_text,
 )
+from .frozen import Frozen
 
 
 def _is_prime(p: int) -> bool:
@@ -63,8 +63,7 @@ def check_ring_size(p: int, b: int, m: int = 1) -> None:
         raise ParameterTooLarge(f"p^(b*m) = {size_text(p ** (b * m))} exceeds 2^31")
 
 
-@dataclass(frozen=True)
-class ZpbMatrix:
+class ZpbMatrix(Frozen):
     """Dense matrix over Z_{p^b}, entries stored row-major in [0, p^b).
 
     The constructor trusts its arguments.  Rows from outside the library go
@@ -73,11 +72,12 @@ class ZpbMatrix:
     the constructor itself.
     """
 
-    p: int
-    b: int
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
+    def __init__(self, p: int, b: int, rows: int, cols: int, entries: Tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def modulus(self) -> int:
@@ -122,8 +122,7 @@ def _val(x: int, p: int, b: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class HowellBasis:
+class HowellBasis(Frozen):
     """Howell canonical form of a row module over Z_{p^b}.
 
     The Howell form is the unique canonical basis of a row module over a
@@ -132,8 +131,9 @@ class HowellBasis:
     multiples of every row are again spanned by later rows.
     """
 
-    matrix: ZpbMatrix
-    pivots: Tuple[int, ...]
+    def __init__(self, matrix: ZpbMatrix, pivots: Tuple[int, ...]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def rows(self) -> int:
@@ -238,15 +238,15 @@ def howell_member(H: HowellBasis, vec: Sequence[int]) -> bool:
     return not any(x)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Frozen):
     """Smith form over Z_{p^b}: U * A * V = diag(p^{e_i}) with U and V
     unimodular.  Only the exponents and the first r rows of U * A are kept:
     row i is p^{e_i} times a row of V^{-1}, and together they span the row
     module of A."""
 
-    diag_exponents: Tuple[int, ...]
-    generators: Tuple[Tuple[int, ...], ...]
+    def __init__(self, diag_exponents: Tuple[int, ...], generators: Tuple[Tuple[int, ...], ...]):
+        object.__setattr__(self, "diag_exponents", diag_exponents)
+        object.__setattr__(self, "generators", generators)
 
 
 def smith_form(A: ZpbMatrix) -> SmithDecomposition:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -486,3 +487,87 @@ def test_cli_keeps_nothing_from_one_file_to_the_next(tmp_path):
     finally:
         tracemalloc.stop()
     assert grown <= 64 * 1024
+
+
+def test_cli_run_leaves_no_cyclic_garbage(tmp_path):
+    """Every command, run again on warm caches, frees what it built by
+    reference counting alone: under ``gc.DEBUG_SAVEALL`` a collection after
+    three passes over the corpus finds nothing (the pure-Python JSON
+    encoder left a closure cycle per report)."""
+    files = []
+    for name, text in CORPUS.items():
+        files.append(tmp_path / f"{name}.txt")
+        files[-1].write_text(text)
+
+    def one_pass():
+        for command in ("params", "decompose", "extend", "dual", "distance", "verify"):
+            for f in files:
+                assert run_cli([command, str(f)])[0] == 0, (command, f.name)
+    one_pass()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            one_pass()
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
+def _random_text(rng):
+    """Up to five characters: escapes, control and non-ASCII text included."""
+    return "".join(rng.choice('ab "\\/\n\t\x00\x1f\x7fé€\U0001f600') for _ in range(rng.randrange(6)))
+
+
+def _random_report_value(rng, depth):
+    """A random value of the report schema: dicts with string keys, lists,
+    strings, ints and bools, empty containers included."""
+    kind = rng.randrange(6 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([True, False])
+    if kind == 1:
+        return rng.choice([0, 1, -1, rng.randrange(-10 ** 30, 10 ** 30), -rng.randrange(1, 100)])
+    if kind in (2, 3):
+        return _random_text(rng)
+    if kind == 4:
+        return [_random_report_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {_random_text(rng): _random_report_value(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_render_report_matches_json_dumps():
+    """On random values of the report schema the renderer writes the bytes
+    of ``json.dumps(..., sort_keys=True, indent=2)``, and it refuses any
+    other type."""
+    rng = random.Random(0)
+    for _ in range(2000):
+        report = {"value": _random_report_value(rng, 0), "d": _random_report_value(rng, 3)}
+        assert render_report(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert render_report({}) == "{}\n"
+    for bad in (1.5, None, (1, 2), {1: 2}, b"x"):
+        with pytest.raises(TypeError):
+            render_report({"value": bad})
+
+
+def test_params_writes_integers_past_the_decimal_digit_limit(tmp_path):
+    """q^n = 2^14285 has 4,301 decimal digits, one past CPython's default
+    limit on int-to-str conversion: params still writes K_exact and
+    K_lower_raw exactly, K_exact as a JSON integer, and exits 2 because D is
+    over the cap."""
+    f = tmp_path / "zero.txt"
+    f.write_text("ring p=2 b=1 m=1\nn 14285\n")
+    code, out = run_cli(["params", str(f)])
+    assert code == 2
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # Python 3.10 before 3.10.7 has no limit to lift
+        sys.set_int_max_str_digits(0)
+    try:
+        rep = json.loads(out)
+        assert rep["K_exact"] == rep["K_upper"] == 2 ** 14285
+        assert rep["K_lower_raw"] == f"{2 ** 14285}/1"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert rep["D"] == "Unknown" and rep["c_min"] == 0

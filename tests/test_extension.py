@@ -2,7 +2,6 @@
 entanglement degree, quasi-symplectic checks, and the parameter pipeline."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from eaqring.codes import (
 from eaqring.decompose import hyperbolic_decompose
 from eaqring.errors import CapacityExceeded, InternalInvariantViolation, ZeroTarget
 from eaqring.extension import (
+    SelfOrthogonalExtension,
     SymplecticSubset,
     build_extension,
     build_minimal_extension,
@@ -146,7 +146,10 @@ def test_extension_verify_rejects_a_broken_tail(z4, worked):
     (u1, u2), = ext.pair_generators
     # without the gram in its tail, u1 still pairs nontrivially with u2
     bad = SymplecticVector(z4, u1.x[:1] + (z4.zero,), u1.y)
-    broken = replace(ext, extended=AdditiveCode(z4, 2, (bad, u2)))
+    broken = SelfOrthogonalExtension(
+        base=ext.base, extended=AdditiveCode(z4, 2, (bad, u2)), c=ext.c,
+        card_extended=ext.card_extended, pair_generators=ext.pair_generators,
+        isotropic_generators=ext.isotropic_generators, subset=ext.subset)
     with pytest.raises(InternalInvariantViolation, match="not chi-self-orthogonal"):
         broken.verify()
 

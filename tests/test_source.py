@@ -1,8 +1,10 @@
 """Checks on the package source: read with ``ast``, no bare ``assert`` (a
 failed invariant raises InternalInvariantViolation), no error class in
-errors.py that nothing in the package raises and no modular inverse outside
-zpblinalg.py; run in a fresh interpreter, no numpy import outside the
-verifier; and the README's library example runs as printed."""
+errors.py that nothing in the package raises, no modular inverse outside
+zpblinalg.py and no ``dataclasses`` or generated code; run in a fresh
+interpreter, no ``dataclasses`` and no verifier outside ``verify`` and no
+numpy at all; the value classes compare, hash and refuse assignment as
+frozen dataclasses did; and the README's library example runs as printed."""
 
 import ast
 import contextlib
@@ -12,6 +14,16 @@ import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
+
+import eaqring
+from eaqring import pauli
+from eaqring.codes import AdditiveCode, SymplecticVector
+from eaqring.decompose import hyperbolic_decompose
+from eaqring.errors import DimensionMismatch, RingMismatch
+from eaqring.extension import build_minimal_extension, eaqecc_params
+from eaqring.galois import RingElement, make_ring
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "eaqring"
 
@@ -42,19 +54,123 @@ def test_every_error_class_is_raised():
 def test_no_command_imports_numpy(tmp_path):
     """Only ``pauli_matrix`` needs numpy: importing the CLI and running all
     six commands, ``verify`` included, leaves it unloaded, which keeps
-    start-up time and resident memory low."""
+    start-up time and resident memory low.  The five commands before
+    ``verify`` load neither ``dataclasses`` nor the verifier, ``pauli``."""
     f = tmp_path / "code.txt"
     f.write_text("ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n")
     script = ("import io, sys\n"
               "import eaqring.cli\n"
-              "for command in ('params', 'decompose', 'extend', 'dual', 'distance', 'verify'):\n"
+              "def loaded():\n"
+              "    return [m in sys.modules for m in ('dataclasses', 'eaqring.pauli', 'numpy')]\n"
+              "for command in ('params', 'distance', 'dual', 'decompose', 'extend'):\n"
               "    assert eaqring.cli.run([command, sys.argv[1]], out=io.StringIO()) == 0\n"
-              "print('numpy' in sys.modules)\n")
+              "print(loaded())\n"
+              "assert eaqring.cli.run(['verify', sys.argv[1]], out=io.StringIO()) == 0\n"
+              "print(loaded())\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", script, str(f)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split("\n")[:2] == ["[False, False, False]", "[False, True, False]"]
+
+
+def test_verifier_names_load_on_first_use():
+    """The package serves the verifier's names from ``pauli`` on demand,
+    and a star import binds exactly ``__all__``."""
+    assert eaqring.build_stabilizer is pauli.build_stabilizer
+    assert eaqring.StabilizerGroup is pauli.StabilizerGroup
+    namespace: dict = {}
+    exec("from eaqring import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(eaqring.__all__)
+    with pytest.raises(AttributeError):
+        eaqring.no_such_name
+
+
+def test_no_dataclasses_and_no_generated_code():
+    """No module imports ``dataclasses`` or calls exec, eval or compile:
+    defining a class compiles nothing at start-up."""
+    hits = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(m.split(".")[0] == "dataclasses" for m in imported) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                hits.append(f"{name}:{node.lineno}")
+    assert hits == []
+
+
+def _value_objects():
+    """One instance of each value class, built by the pipeline."""
+    ring = make_ring(2, 2, 1)
+    C = AdditiveCode.from_int_rows(ring, [[1, 0], [0, 2]])
+    ext = build_minimal_extension(C)
+    group = pauli.build_stabilizer(ext)
+    return [C.expanded_matrix, C.expanded_howell, C.expanded_smith, ring, ring.one,
+            C.generators[0], C, hyperbolic_decompose(C), ext.subset, ext, eaqecc_params(C),
+            group.elements[1], group, pauli.undetectable_error_search(C, group)]
+
+
+FIELDS = {
+    "ZpbMatrix": ("p", "b", "rows", "cols", "entries"),
+    "HowellBasis": ("matrix", "pivots"),
+    "SmithDecomposition": ("diag_exponents", "generators"),
+    "GaloisRingSpec": ("p", "b", "m", "h_coeffs"),
+    "RingElement": ("ring", "coeffs"),
+    "SymplecticVector": ("ring", "x", "y"),
+    "AdditiveCode": ("ring", "n", "generators"),
+    "HyperbolicDecomposition": ("code", "isotropic", "pairs", "grams"),
+    "SymplecticSubset": ("ring", "c", "pairs"),
+    "SelfOrthogonalExtension": ("base", "extended", "c", "card_extended", "pair_generators",
+                                "isotropic_generators", "subset"),
+    "EaqeccParams": ("n", "c", "K_exact", "K_lower", "K_upper", "K_lower_raw", "D",
+                     "distance_case", "rho", "card_code", "card_extended", "ring"),
+    "PauliOperator": ("ring", "n", "phase_exp", "a", "b"),
+    "StabilizerGroup": ("ring", "n", "elements"),
+    "ErrorSearchResult": ("dimension", "undetectable", "min_weight",
+                          "set_matches_dual_minus_code", "dim1_distance"),
+}
+
+
+def test_value_classes_behave_as_frozen_dataclasses():
+    """Each class takes its fields in order, by position or keyword; equal
+    fields give == and an equal hash, and a field cannot be assigned or
+    deleted."""
+    objects = _value_objects()
+    assert sorted(type(obj).__name__ for obj in objects) == sorted(FIELDS)
+    for obj in objects:
+        cls, fields = type(obj), FIELDS[type(obj).__name__]
+        values = [getattr(obj, f) for f in fields]
+        by_position, by_keyword = cls(*values), cls(**dict(zip(fields, values)))
+        assert by_position == obj == by_keyword and by_position is not obj
+        assert hash(by_position) == hash(obj) == hash(by_keyword)
+        assert obj != object() and obj != tuple(values)
+        assert repr(obj).startswith(f"{cls.__name__}({fields[0]}={values[0]!r}, ")
+        for name in (fields[0], fields[-1], "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(obj, fields[-1])
+        assert [getattr(obj, f) for f in fields] == values
+    ring = objects[3]
+    assert ring.one != ring.zero and hash(ring.one) == hash(ring.scalar(1))
+
+
+def test_value_class_constructors_check_as_before():
+    z4, f2 = make_ring(2, 2, 1), make_ring(2, 1, 1)
+    with pytest.raises(RingMismatch, match="coefficient count"):
+        RingElement(z4, (1, 0))
+    with pytest.raises(DimensionMismatch, match="halves differ"):
+        SymplecticVector(z4, (z4.one,), ())
+    with pytest.raises(RingMismatch, match="different ring"):
+        SymplecticVector(z4, (z4.one,), (f2.one,))
+    with pytest.raises(RingMismatch, match="code's ring or length"):
+        AdditiveCode(z4, 2, (SymplecticVector.from_ints(z4, [1, 0]),))
+    with pytest.raises(DimensionMismatch, match="support length"):
+        pauli.PauliOperator(z4, 2, 0, (z4.one,), (z4.one, z4.zero))
+    with pytest.raises(RingMismatch, match="different ring"):
+        pauli.PauliOperator(z4, 1, 0, (f2.one,), (z4.one,))
 
 
 def test_modular_inverses_only_in_zpblinalg():
