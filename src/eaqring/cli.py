@@ -258,22 +258,33 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
     return report, code
 
 
-# a chunk below 10^512 has fewer digits than the smallest limit that
+# below 10^512 an int has fewer digits than the smallest limit that
 # sys.set_int_max_str_digits accepts (640)
-_DIGIT_CHUNK = 10 ** 512
+_DIGIT_LIMIT = 10 ** 512
 
 
 def _int_text(v: int) -> str:
     """v in decimal, exactly, also past the interpreter's limit on the
-    digits of an int-to-str conversion."""
-    if -_DIGIT_CHUNK < v < _DIGIT_CHUNK:
+    digits of an int-to-str conversion (from 10^512 on, by ``_rebuilt``)."""
+    if -_DIGIT_LIMIT < v < _DIGIT_LIMIT:
         return int.__repr__(v)
-    sign, v = ("-", -v) if v < 0 else ("", v)
-    chunks = []
-    while v >= _DIGIT_CHUNK:
-        v, low = divmod(v, _DIGIT_CHUNK)
-        chunks.append(f"{low:0512d}")
-    return sign + int.__repr__(v) + "".join(reversed(chunks))
+    import decimal
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    return ("-" if v < 0 else "") + str(_rebuilt(abs(v), abs(v).bit_length(), ctx, {}))
+
+
+def _rebuilt(x: int, bits: int, ctx, powers: Dict[int, object]):
+    """0 <= x < 2^bits as an exact integer of ``decimal``, which has no digit
+    limit: hi * 2^k + lo, k = bits // 2, both rebuilt alike (as CPython 3.12's
+    ``_pylong``), in near-linear time; module-level, so no closure cycle."""
+    if bits <= 1024:
+        return ctx.create_decimal(x)
+    k = bits >> 1
+    if k not in powers:
+        powers[k] = ctx.power(2, k)
+    hi = x >> k
+    return ctx.add(ctx.multiply(_rebuilt(hi, bits - k, ctx, powers), powers[k]),
+                   _rebuilt(x - (hi << k), k, ctx, powers))
 
 
 def _json(value, indent: str) -> str:

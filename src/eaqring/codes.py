@@ -1,6 +1,6 @@
 """Additive codes C over GR(p^b,m)^{2n}: symplectic products and weights,
 chi-duals at every level, cardinalities, membership, puncturing, and the
-exhaustive minimum symplectic distance, walked and weighed on packed ints.
+exhaustive minimum symplectic distance, weighed a block of packed ints at a time.
 
 Internally every code is its phi-expanded row module over Z_{p^b}^{2nm},
 and it keeps its ring-level generators.  Derived modules (the chi-dual
@@ -39,9 +39,9 @@ from .zpblinalg import (
     intersect,
     kernel,
     lane_width,
+    packed_blocks,
     smith_form,
     unpack,
-    walk_packed,
 )
 
 if TYPE_CHECKING:
@@ -120,22 +120,19 @@ def symplectic_weight(v: SymplecticVector) -> int:
     return sum(1 for a, b in zip(v.x, v.y) if a or b)
 
 
-def packed_weight(n: int, m: int, N: int) -> Callable[[int], int]:
-    """The symplectic weight of a packed phi-expanded vector (``walk_packed``):
-    coordinate i is nonzero iff a residue of its m x- or y-slots is.  The y
-    half folds onto the x half, then bit 0 of lane m*i ORs in bit t of lane
-    m*i + j for each slot j < m and value bit t < (N - 1).bit_length()."""
+def block_weights(n: int, m: int, N: int) -> Callable[[int, Sequence[int]], List[int]]:
+    """The weight kernel of the distance search: for packed phi-expanded
+    vectors h and t (``packed_blocks``), the symplectic weight of h - t for
+    each t of a table.  A lane of h - t is zero iff h and t agree there, so
+    h ^ t has nonzero lanes where h - t does, each below 2^(L-2).  The y
+    half folds onto the x half by OR; then each coordinate's m lanes, read
+    as one number g < 2^(mL-2), set bit mL - 1 of g + 2^(mL-1) - 1 iff
+    g > 0, with no carry out, and those bits are counted."""
     L = lane_width(N)
-    half = L * n * m
-    shifts = [L * j + t for j in range(m) for t in range((N - 1).bit_length())][1:]
-    coord = sum(1 << s for s in range(0, half, L * m))
-
-    def weight(v: int) -> int:
-        acc = u = v | v >> half
-        for s in shifts:
-            acc |= u >> s
-        return (acc & coord).bit_count()
-    return weight
+    half, w = L * n * m, L * m
+    top = sum(1 << s for s in range(w - 1, half, w))
+    fill = (top >> (w - 1)) * ((1 << (w - 1)) - 1)
+    return lambda h, table: [(((s := h ^ t) | s >> half) + fill & top).bit_count() for t in table]
 
 
 class AdditiveCode(Frozen):
@@ -336,24 +333,35 @@ def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) ->
     math.inf when that set minus {0} is empty.  |C^{chi-dual}| = q^{2n} / |C|
     is checked against ``limit`` before the case is read or the dual is built.
 
-    Every vector is walked packed (``walk_packed``: one int addition and a
-    lane-wise reduction each) and weighed first (``packed_weight``: a few
-    shifts and one popcount); only one that would lower the running minimum
-    (0 < w < best) is unpacked and tested for membership in C.
+    The dual is walked packed, a block at a time (``packed_blocks``): for
+    each high vector h one list of ``block_weights`` weighs h - t for every
+    table entry t, which runs over the same table as -t does, so the blocks
+    cover the dual once.  Only a block's lightest vector, while it would
+    lower the running minimum, is unpacked and tested for membership in C.
     """
     n, m, N = C.n, C.ring.m, C.ring.modulus
     size = C.ring.cardinality ** (2 * n) // cardinality(C)
     if size > limit:
         raise SearchLimitExceeded(size, limit)
     skip = None if C.analysis.dual_in_code else C.expanded_howell
-    weight = packed_weight(n, m, N)
+    table, highs = packed_blocks(C.analysis.dual(0), limit)
+    weights, L, cols = block_weights(n, m, N), lane_width(N), 2 * n * m
     best = math.inf
-    for v in walk_packed(C.analysis.dual(0), limit):
-        w = weight(v)
-        if 0 < w < best and (skip is None or not howell_member(skip, unpack(v, lane_width(N), 2 * n * m))):
-            best = w
-            if best == 1:
-                break
+    for h in highs:
+        ws = weights(h, table)
+        if not h:  # the first block, whose entry 0 is the zero vector
+            ws[0] = best
+        w = min(ws)
+        while w < best:
+            i = ws.index(w)
+            if skip is None or not howell_member(
+                    skip, [(a - b) % N for a, b in zip(unpack(h, L, cols), unpack(table[i], L, cols))]):
+                best = w
+            else:
+                ws[i] = best  # in C: out of the running
+                w = min(ws)
+        if best == 1:
+            break
     return best
 
 

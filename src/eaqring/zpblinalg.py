@@ -370,19 +370,13 @@ def lane_adder(N: int, cols: int) -> Callable[[int, int], int]:
     return add
 
 
-def walk_packed(M: HowellBasis, limit: int) -> Iterator[int]:
-    """Every element of the row module once (``HowellBasis.cardinality``),
-    packed (``lane_width``): mixed-radix coefficients c_i in [0, N / pivot_i)
-    over the Howell rows, last index fastest.  With prefix sums partial[i] =
-    sum_{j <= i} c_j * row_j, the digit i that moves adds row_i to partial[i]
-    (one ``lane_adder`` call), and the digits after it, now 0, share the
-    result.  Raises SearchLimitExceeded with |M| when |M| > limit."""
-    A, N = M.matrix, M.matrix.modulus
-    if M.cardinality > limit:
-        raise SearchLimitExceeded(M.cardinality, limit)
-    add, L = lane_adder(N, A.cols), lane_width(N)
-    base = [sum(x << (L * j) for j, x in enumerate(A.row(i))) for i in range(A.rows)]
-    radix = [N // A.row(i)[col] for i, col in enumerate(M.pivots)]
+BLOCK = 64  # most entries of a ``packed_blocks`` table; a larger one delays the D = 1 exit
+
+
+def _prefix_walk(base: List[int], radix: List[int], add: Callable[[int, int], int]) -> Iterator[int]:
+    """Every sum of c_i * base[i], c_i in [0, radix[i]), last index fastest,
+    by prefix sums: the digit i that moves adds base[i] to partial[i] (one
+    ``add`` call), and the digits after it, now 0, share the result."""
     k = len(base)
     counter, partial = [0] * k, [0] * k
     yield 0
@@ -397,6 +391,32 @@ def walk_packed(M: HowellBasis, limit: int) -> Iterator[int]:
         vec = add(partial[i], base[i])
         partial[i:] = [vec] * (k - i)
         yield vec
+
+
+def packed_blocks(M: HowellBasis, limit: int) -> Tuple[List[int], Iterator[int]]:
+    """Every element of the row module once (``HowellBasis.cardinality``),
+    packed (``lane_width``), in blocks: mixed-radix coefficients c_i in
+    [0, N / pivot_i) over the Howell rows, last index fastest.  Block j is
+    the table, the span of the most last rows with at most BLOCK elements,
+    plus the j-th high vector, of the span of the other rows (walked
+    lazily).  Raises SearchLimitExceeded with |M| when |M| > limit."""
+    A, N = M.matrix, M.matrix.modulus
+    if M.cardinality > limit:
+        raise SearchLimitExceeded(M.cardinality, limit)
+    add, L = lane_adder(N, A.cols), lane_width(N)
+    base = [sum(x << (L * j) for j, x in enumerate(A.row(i))) for i in range(A.rows)]
+    radix = [N // A.row(i)[col] for i, col in enumerate(M.pivots)]
+    k = min(i for i in range(len(base) + 1) if math.prod(radix[i:]) <= BLOCK)
+    return list(_prefix_walk(base[k:], radix[k:], add)), _prefix_walk(base[:k], radix[:k], add)
+
+
+def walk_packed(M: HowellBasis, limit: int) -> Iterator[int]:
+    """The blocks of ``packed_blocks`` flattened: every element once, in
+    their order."""
+    table, highs = packed_blocks(M, limit)
+    add = lane_adder(M.matrix.modulus, M.cols)
+    for h in highs:
+        yield from [add(h, t) for t in table]
 
 
 def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:

@@ -458,6 +458,34 @@ def test_params_on_a_ring_past_the_size_cap_fails_at_once(tmp_path):
     assert err["message"] == "p^(b*m) exceeds 2^31: b*m = 200000000 > 31"
 
 
+def test_render_report_writes_integers_past_the_digit_limit_as_str_does():
+    """From 10^512 on the renderer rebuilds an integer in ``decimal`` (see
+    ``cli._int_text``): its text is ``str()``'s with the digit limit lifted,
+    at 10^512 and 10^512 +- 1, at powers of ten and of two, on seeded
+    random integers of 1,700 to 70,000 bits, and on the negatives of all
+    these.  2^(10^6), 301,030 digits, takes well under a second and ends
+    in the right 18 digits."""
+    rng = random.Random(61)
+    values = [10 ** 512 - 1, 10 ** 512, 10 ** 512 + 1, 10 ** 4300, 2 ** 14285, 2 ** 65536 - 1]
+    values += [rng.getrandbits(rng.randint(1700, 70000)) for _ in range(20)]
+    values += [-v for v in values]
+    texts = [render_report({"value": v}) for v in values]
+    t0 = time.perf_counter()
+    big = render_report({"value": 2 ** 10 ** 6})
+    assert time.perf_counter() - t0 < 1.0
+    digits = big[len('{\n  "value": '):-len('\n}\n')]
+    assert len(digits) == 301030 and digits[-18:] == f"{pow(2, 10 ** 6, 10 ** 18):018d}"
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # Python 3.10 before 3.10.7 has no limit to lift
+        sys.set_int_max_str_digits(0)
+    try:
+        for v, text in zip(values, texts):
+            assert text == f'{{\n  "value": {v}\n}}\n', v.bit_length()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 CORPUS = {"z4": Z4_WORKED, "f2": F2_REP, "gr42": GR42, "z9": "ring p=3 b=2 m=1\nn 1\ngen 1 3\n",
           "f4": "ring p=2 b=1 m=2\nn 2\ngen 1,0 0,1 1,1 0,0\n"}
 

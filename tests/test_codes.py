@@ -8,6 +8,7 @@ and compare element sets.
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,21 +16,21 @@ import eaqring.codes as codes_mod
 from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
+    block_weights,
     cardinality,
     chi_dual_level,
     is_chi_self_orthogonal,
     is_free,
     iterate_codewords,
     min_symplectic_distance,
-    packed_weight,
     puncture,
     same_module,
     symplectic_product,
     symplectic_weight,
 )
 from eaqring.errors import DimensionMismatch, SearchLimitExceeded
-from eaqring.galois import gen_trace, make_ring, phi_expand
-from eaqring.zpblinalg import enumerate_module, howell_member, lane_width
+from eaqring.galois import gen_trace, make_ring, phi_contract, phi_expand
+from eaqring.zpblinalg import BLOCK, enumerate_module, howell_member, lane_adder, lane_width, packed_blocks, unpack
 
 
 def all_vectors(ring, n):
@@ -288,12 +289,25 @@ def test_min_distance_all_modes_brute_force(label):
 def test_min_distance_skips_light_members_of_the_code(params, rows):
     """Every weight-1 chi-dual vector of these codes lies in C, and C^chi is
     not inside C, so the search must test the lightest vectors for
-    membership and reject them: the weight is 1 over C^chi but D = 2."""
+    membership and reject them: the weight is 1 over C^chi but D = 2.
+    Padded with copies of the self-dual pair {(1, 1 | 0, 0), (0, 0 | 1, -1)}
+    on two new coordinates each, which has no weight-1 vector, C^chi spans
+    several blocks, so those members come as h - t with h != 0; D stays 2."""
     ring = make_ring(*params)
     C, want = brute_distances(ring, 2, [SymplecticVector.from_ints(ring, r) for r in rows])
     assert want == {"code": 1, "dual": 1, "dual_minus_code": 2, "D": 2, "dual_in_code": False}
     assert not C.analysis.dual_in_code
     assert min_symplectic_distance(C) == 2
+    pairs = 2 if params == (2, 2, 1) else 1
+    n = 2 + 2 * pairs
+    padded = [r[:2] + [0] * (n - 2) + r[2:] + [0] * (n - 2) for r in rows]
+    for j in range(2, n, 2):
+        padded.append([int(i in (j, j + 1)) for i in range(n)] + [0] * n)
+        padded.append([0] * n + [{j: 1, j + 1: ring.modulus - 1}.get(i, 0) for i in range(n)])
+    C = AdditiveCode.from_int_rows(ring, padded)
+    table, highs = packed_blocks(C.analysis.dual(0), 1 << 22)
+    assert len(table) < C.analysis.dual(0).cardinality and not C.analysis.dual_in_code
+    assert min_symplectic_distance(C) == tuple_search_distance(C) == 2
 
 
 def pack(row, L):
@@ -303,10 +317,12 @@ def pack(row, L):
 
 @pytest.mark.parametrize("p, b, m", [(2, 1, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)])
 def test_expanded_weight_matches_symplectic_weight(p, b, m):
-    """The weight kernel of the distance search, read off phi-expanded
-    rows packed in lanes (L = 5 for Z4 and GR(4, 2)), against the
-    ring-level weight; components are often zero, and nonzero ones often
-    have zero coefficients, so every slot is exercised."""
+    """The weight kernel of the distance search (``block_weights``), read
+    off phi-expanded rows packed in lanes (L = 5 for Z4 and GR(4, 2)),
+    against the ring-level weight, as the high vector against a zero table
+    entry and as a table entry against a zero high vector; components are
+    often zero, and nonzero ones often have zero coefficients, so every
+    slot is exercised."""
     ring = make_ring(p, b, m)
     rng = random.Random(31)
     N = ring.modulus
@@ -319,35 +335,86 @@ def test_expanded_weight_matches_symplectic_weight(p, b, m):
     for _ in range(300):
         n = rng.randint(1, 5)
         v = SymplecticVector.from_components(ring, [component() for _ in range(2 * n)])
-        weight = packed_weight(n, m, N)
-        assert weight(pack(phi_expand(ring, v.components), L)) == symplectic_weight(v)
+        weights = block_weights(n, m, N)
+        packed = pack(phi_expand(ring, v.components), L)
+        assert weights(packed, [0, packed]) == weights(0, [packed, 0]) == [symplectic_weight(v), 0]
 
 
 def test_distance_search_tests_membership_only_to_lower_the_minimum(monkeypatch):
     """Weight before membership: on a code with |C^chi| = 4096 and D > 1 the
-    search walks every chi-dual vector but runs the Howell membership test
+    search weighs every chi-dual vector but runs the Howell membership test
     on under 1% of them."""
     f2 = make_ring(2, 1, 1)
     rng = random.Random(37)
     C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(20)] for _ in range(8)])
     size = 2 ** 20 // cardinality(C)
-    counts = {"member": 0, "walked": 0}
-    member, walk_packed = codes_mod.howell_member, codes_mod.walk_packed
+    counts = {"member": 0, "weighed": 0}
+    member, weights = codes_mod.howell_member, codes_mod.block_weights
 
     def counted_member(*args):
         counts["member"] += 1
         return member(*args)
 
-    def counted_walk(*args):
-        for v in walk_packed(*args):
-            counts["walked"] += 1
-            yield v
+    def counted_weights(*args):
+        weigh = weights(*args)
+
+        def counted(h, table):
+            counts["weighed"] += len(table)
+            return weigh(h, table)
+        return counted
     monkeypatch.setattr(codes_mod, "howell_member", counted_member)
-    monkeypatch.setattr(codes_mod, "walk_packed", counted_walk)
+    monkeypatch.setattr(codes_mod, "block_weights", counted_weights)
     D = min_symplectic_distance(C)
     assert size == 4096 and D > 1 and not C.analysis.dual_in_code
-    assert counts["walked"] == size
+    assert counts["weighed"] == size
     assert 0 < counts["member"] < size / 100
+
+
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_block_weights_match_the_lane_formula(label):
+    """Blocks of a chi-dual with several high vectors, weighed by XOR
+    (``block_weights``), against the same vectors h - t built by the lane
+    formula (``lane_adder`` on h and -t) and weighed at the ring level.
+    For N = 2 (F2 and F4), h ^ t is the lane formula's h + t itself."""
+    ring = make_ring(*RINGS[label])
+    n, m, N = 6 if label == "F2" else 3, ring.m, ring.modulus
+    cols, L = 2 * n * m, lane_width(N)
+    C = AdditiveCode(ring, n, (_random_vector(ring, n, random.Random(53)),))
+    table, highs = packed_blocks(C.analysis.dual(0), 1 << 22)
+    assert len(table) < C.analysis.dual(0).cardinality
+    add, weights = lane_adder(N, cols), block_weights(n, m, N)
+    negated = [pack([(-x) % N for x in unpack(t, L, cols)], L) for t in table]
+    for h in itertools.islice(highs, 4):
+        block = [add(h, t) for t in negated]
+        if N == 2:
+            assert block == [h ^ t for t in table] == [add(h, t) for t in table]
+        assert weights(h, table) == [
+            symplectic_weight(SymplecticVector.from_components(ring, phi_contract(ring, unpack(v, L, cols))))
+            for v in block]
+
+
+def test_distance_search_memory_does_not_grow_with_the_dual():
+    """The search keeps one block table and one block of weights, whatever
+    |C^chi| is: traced memory peaks under 16 KB on F2 codes with D > 1 and
+    chi-duals of 2^10 and 2^16 vectors (about 5.6 and 7 KB; a search that
+    kept its vectors would hold 2^16 ints of 56 bits, over 2 MB).  The
+    dual, the case and C's Howell form are built before tracing starts."""
+    f2 = make_ring(2, 1, 1)
+    rng = random.Random(47)
+    for n, k in ((8, 6), (14, 12)):
+        while True:
+            C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(2 * n)] for _ in range(k)])
+            if cardinality(C) == 2 ** k:
+                break
+        C.analysis.dual(0), C.analysis.dual_in_code, C.expanded_howell
+        tracemalloc.start()
+        try:
+            D = min_symplectic_distance(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D > 1 and 2 ** (2 * n - k) == cardinality(chi_dual_level(C, 0))
+        assert peak < 16 * 1024, (n, peak)
 
 
 def tuple_search_distance(C):
@@ -389,12 +456,31 @@ def _random_isotropic(ring, n, rng, lo):
     return AdditiveCode(ring, n, tuple(gens))
 
 
+def _blocks_class(C):
+    """Where C's chi-dual falls against the block table (``packed_blocks``):
+    inside one table of BLOCK entries, or of over BLOCK / 4 and fewer, or
+    past it by at most N blocks or by more (then by two high rows or more)."""
+    table, highs = packed_blocks(C.analysis.dual(0), 1 << 22)
+    blocks = sum(1 for _ in highs)
+    if blocks > 1:
+        return "a few blocks" if blocks <= C.ring.modulus else "many blocks"
+    if len(table) == BLOCK:
+        return "full table"
+    return "below the table" if 4 * len(table) > BLOCK else "small"
+
+
 @pytest.mark.parametrize("label", sorted(RINGS))
-def test_min_distance_matches_the_tuple_search(label):
+def test_min_distance_matches_the_tuple_search(label, monkeypatch):
     """The packed search against the tuple search on seeded random codes
     with chi-duals of 2^8 to 2^14 vectors, in both cases of ``dual_in_code``
     (the chi-dual of a chi-self-orthogonal code contains its own chi-dual),
-    and over F2 up to n = 12: 24 lanes of 4 bits, an int of 4 digits."""
+    and over F2 up to n = 12: 24 lanes of 4 bits, an int of 4 digits.
+    Then at the block boundaries (``_blocks_class``; a full table needs p = 2),
+    each with D = 1 and with D > 1, on codes with some generators scaled
+    by p so that they need not be free; and D = inf on the whole space,
+    whose chi-dual {0} is a one-entry table.  On every code drawn there, D
+    outside the case C^chi inside C is the weight of a vector that the
+    search tested for membership in C and found outside it."""
     ring = make_ring(*RINGS[label])
     q = ring.cardinality
     lengths = {"F2": (8, 10, 12), "F4": (4, 5, 6), "Z4": (4, 5, 6), "Z8": (3, 4), "Z9": (3, 4),
@@ -417,6 +503,31 @@ def test_min_distance_matches_the_tuple_search(label):
             assert D == tuple_search_distance(C), (n, case)
             found.append(D)
     assert max(found) > 1
+    wanted = {(where, one) for where in ("below the table", "full table", "a few blocks", "many blocks")
+              for one in (True, False) if ring.p == 2 or where != "full table"}
+    lengths = {"F2": (6, 8, 10), "F4": (3, 4, 5), "Z4": (3, 4, 5), "Z8": (2, 3, 4), "Z9": (3, 4, 5),
+               "GR42": (2, 3)}[label]
+    tested, member = [], codes_mod.howell_member
+    monkeypatch.setattr(codes_mod, "howell_member", lambda H, vec: tested.append(vec) or member(H, vec))
+    for _ in range(1000):
+        if not wanted:
+            break
+        n = rng.choice(lengths)
+        C = AdditiveCode(ring, n, tuple(_random_vector(ring, n, rng).scale(ring.p ** rng.randrange(ring.b))
+                                        for _ in range(rng.randint(1, 2 * n * ring.m))))
+        if q ** (2 * n) // cardinality(C) > 2 ** 14:
+            continue
+        tested.clear()
+        D = min_symplectic_distance(C)
+        assert C.analysis.dual_in_code or D == min(
+            symplectic_weight(SymplecticVector.from_components(ring, phi_contract(ring, v)))
+            for v in tested if not member(C.expanded_howell, v))
+        if (_blocks_class(C), D == 1) in wanted:
+            assert D == tuple_search_distance(C), n
+            wanted.remove((_blocks_class(C), D == 1))
+    assert not wanted
+    whole = chi_dual_level(AdditiveCode(ring, 2, ()), 0)
+    assert min_symplectic_distance(whole) == tuple_search_distance(whole) == math.inf
 
 
 def test_min_distance_early_exit_and_infinite_against_the_tuple_search(z4):

@@ -27,6 +27,7 @@ from eaqring.galois import make_ring
 import eaqring.zpblinalg as zpb_mod
 from eaqring.zpblinalg import (
     _is_prime,
+    BLOCK,
     ZpbMatrix,
     enumerate_module,
     howell_form,
@@ -35,6 +36,7 @@ from eaqring.zpblinalg import (
     kernel,
     lane_adder,
     lane_width,
+    packed_blocks,
     quotient_rank,
     smith_form,
     solve_congruence,
@@ -500,9 +502,21 @@ def test_lane_adder_is_addition_mod_n_in_every_lane(N):
 
 
 def test_walk_packed_yields_the_full_rebuild_packed():
-    H = howell_form(mat(3, 2, [[1, 4, 8], [0, 3, 6]]))
-    L = lane_width(9)
-    assert list(walk_packed(H, H.cardinality)) == [pack(v, L) for v in full_rebuild_enumeration(H)]
+    """The walk is the rebuild order, packed: on one block, and on modules
+    of 3^9 and 2^11 elements over Z9 and Z8 that span 729 and 64 blocks
+    (``packed_blocks``).  The table is the walk's first block, and taking
+    one more row would put it past BLOCK entries."""
+    rng = random.Random(59)
+    for p, b, rows in ((3, 2, [[1, 4, 8], [0, 3, 6]]),
+                       (3, 2, [[rng.randrange(9) for _ in range(6)] for _ in range(4)] + [[3, 0, 0, 0, 0, 3]]),
+                       (2, 3, [[rng.randrange(8) for _ in range(5)] for _ in range(4)])):
+        H = howell_form(mat(p, b, rows))
+        L = lane_width(p ** b)
+        table, _ = packed_blocks(H, H.cardinality)
+        walk = list(walk_packed(H, H.cardinality))
+        assert walk == [pack(v, L) for v in full_rebuild_enumeration(H)]
+        assert len(table) <= BLOCK and walk[:len(table)] == table and H.cardinality % len(table) == 0
+        assert H.cardinality == len(table) or len(table) * p ** b > BLOCK
 
 
 def test_enumerate_module_of_the_zero_module():
