@@ -21,7 +21,7 @@ import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .codes import (
     DEFAULT_ENUM_LIMIT,
@@ -176,7 +176,7 @@ def _echo_block(ring: GaloisRingSpec, C: AdditiveCode) -> Dict:
     }
 
 
-def _params_block(P) -> Dict:
+def _params_block(P, int_text: _IntTexts) -> Dict:
     raw = P.K_lower_raw
     return {
         "c_min": P.c,
@@ -184,7 +184,7 @@ def _params_block(P) -> Dict:
         "K_exact": P.K_exact,
         "K_lower": P.K_lower,
         "K_upper": P.K_upper,
-        "K_lower_raw": f"{_int_text(raw.numerator)}/{_int_text(raw.denominator)}",
+        "K_lower_raw": f"{int_text(raw.numerator)}/{int_text(raw.denominator)}",
         "D": _render_D(P.D),
         "distance_case": P.distance_case,
         "distance_convention": "min_symplectic_weight",
@@ -204,7 +204,11 @@ def _decomposition_block(d) -> Dict:
 
 
 def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
-                 max_enum: int, max_matrix_dim: int) -> Tuple[Dict, int]:
+                 max_enum: int, max_matrix_dim: int,
+                 int_text: Optional[_IntTexts] = None) -> Tuple[Dict, int]:
+    """The report of ``command`` and its exit code.  The K_lower_raw text is
+    written by ``int_text``; pass the one that renders the report, so that
+    an int past the digit limit is converted once."""
     report: Dict = {"schema": SCHEMA_VERSION, "command": command}
     report.update(_echo_block(ring, C))
     code = 0
@@ -229,7 +233,7 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
                           distance_convention="min_symplectic_weight")
         else:
             report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
-            report.update(_params_block(P))
+            report.update(_params_block(P, int_text or _IntTexts()))
         code = 2 if P.D is None else 0
         if command == "verify":
             from . import pauli  # imported here: no other command loads the verifier
@@ -263,14 +267,26 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
 _DIGIT_LIMIT = 10 ** 512
 
 
-def _int_text(v: int) -> str:
-    """v in decimal, exactly, also past the interpreter's limit on the
-    digits of an int-to-str conversion (from 10^512 on, by ``_rebuilt``)."""
-    if -_DIGIT_LIMIT < v < _DIGIT_LIMIT:
-        return int.__repr__(v)
-    import decimal
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    return ("-" if v < 0 else "") + str(_rebuilt(abs(v), abs(v).bit_length(), ctx, {}))
+class _IntTexts:
+    """Decimal texts of one report's ints, exact also past the interpreter's
+    limit on the digits of an int-to-str conversion (from 10^512 on, by
+    ``_rebuilt``).  Such an int is converted once per report, and each power
+    2^k that ``_rebuilt`` splits at is built once, shared by all of them."""
+
+    def __init__(self):
+        self.texts: Dict[int, str] = {}
+        self.powers: Dict[int, object] = {}
+
+    def __call__(self, v: int) -> str:
+        if -_DIGIT_LIMIT < v < _DIGIT_LIMIT:
+            return int.__repr__(v)
+        if v not in self.texts:
+            import decimal
+            ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                  traps=[decimal.Inexact])
+            self.texts[v] = ("-" if v < 0 else "") + str(
+                _rebuilt(abs(v), abs(v).bit_length(), ctx, self.powers))
+        return self.texts[v]
 
 
 def _rebuilt(x: int, bits: int, ctx, powers: Dict[int, object]):
@@ -287,7 +303,7 @@ def _rebuilt(x: int, bits: int, ctx, powers: Dict[int, object]):
                    _rebuilt(x - (hi << k), k, ctx, powers))
 
 
-def _json(value, indent: str) -> str:
+def _json(value, indent: str, int_text: _IntTexts) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``indent``,
     for the report schema: dicts with string keys, lists, strings, ints and
     bools.  A module-level function, so a call leaves no closure cycle."""
@@ -296,14 +312,14 @@ def _json(value, indent: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return _int_text(value)
+        return int_text(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner, int_text)}"
                  for k, v in sorted(value.items())]
         opening, closing = "{", "}"
     elif isinstance(value, list):
-        items = [_json(v, inner) for v in value]
+        items = [_json(v, inner, int_text) for v in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"{type(value).__name__} is not in the report schema")
@@ -312,9 +328,10 @@ def _json(value, indent: str) -> str:
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
-def render_report(report: Dict) -> str:
-    """The report as key-sorted JSON with an indent of 2, every int exact."""
-    return _json(report, "") + "\n"
+def render_report(report: Dict, int_text: Optional[_IntTexts] = None) -> str:
+    """The report as key-sorted JSON with an indent of 2, every int exact,
+    written by ``int_text`` (a fresh one if none is given)."""
+    return _json(report, "", int_text or _IntTexts()) + "\n"
 
 
 # ---------------------------------------------------------------- driver
@@ -336,11 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: List[str], out=None) -> int:
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
-    C = None
+    C, int_text = None, _IntTexts()
     try:
         ring, C = parse_code_file(args.file)
         report, code = build_report(args.command, ring, C,
-                                    args.max_enum, args.max_matrix_dim)
+                                    args.max_enum, args.max_matrix_dim, int_text)
         # C's analysis refers back to C: dropping it frees the per-code
         # objects now, not at the next full cyclic garbage collection
         vars(C).pop("analysis", None)
@@ -358,7 +375,7 @@ def run(argv: List[str], out=None) -> int:
             err["reproducer"] = serialize_code(ring, C)
         out.write(render_report({"schema": SCHEMA_VERSION, "error": err}))
         return 1
-    out.write(render_report(report))
+    out.write(render_report(report, int_text))
     return code
 
 

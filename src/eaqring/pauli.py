@@ -8,10 +8,11 @@ exponent factor N/p^b.  omega^l X(a)Z(b) sends |x> to omega^{l + (N/p^b)
 Tr(b.x)} |x + a>, read off q x q tables of ring addition and of Tr(x*y)
 over numbered ring elements.  The group is built and checked as (l, a, b)
 triples of element indices.  Its code space is spanned by the orbit sums
-v_x = sum_g g|x> that do not vanish, one per orbit x + A, and an error
-maps each orbit onto one orbit, so U^H E U = lambda I is decided entry by
-entry, each entry a sum of powers of omega held as exponent counts
-(``_canonical``): no decision is made in floating point.
+v_x = sum_g g|x> that do not vanish, one per orbit x + A, checked with
+sums of powers of omega lowered to a canonical form (``_canonical``).  An
+error maps each orbit onto one orbit, so U^H E U = lambda I is decided
+entry by entry, each entry one int packing its coordinates in Z[omega]'s
+power basis (``_packing``): no decision is made in floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
+from operator import add
+from typing import TYPE_CHECKING, Callable, List, Mapping, Sequence, Tuple
 
 import math
 
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .extension import SelfOrthogonalExtension
 from .frozen import Frozen
-from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace, phi_expand
+from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace
 from .zpblinalg import enumerate_module, howell_member, solve_congruence
 
 if TYPE_CHECKING:
@@ -61,6 +63,23 @@ def _canonical(counts: Sequence[int], p: int) -> Tuple[int, ...]:
     step = len(counts) // p
     low = [min(counts[r::step]) for r in range(step)]
     return tuple(c - low[k % step] for k, c in enumerate(counts))
+
+
+def _packing(N: int, p: int, most: int) -> Tuple[List[int], Callable[[int], int]]:
+    """(unit, lower) for sums of powers of omega, omega of order N a power
+    of p, in which no power occurs more than ``most`` times.  Such a sum is
+    the int sum_y unit[k_y], k_y < 2N: N lanes of W = bit_length(most) + 2
+    bits, lane k counting omega^k.  ``lower`` takes it to Z[omega]'s power
+    basis {omega^k : k < N - N/p} in one step, by omega^(N - N/p + r) =
+    -sum_{t<p-1} omega^(r + t N/p) (Phi_N = sum_{t<p} x^(t N/p)).  Each
+    lowered lane lies in (-2^(W-2), 2^(W-2)), so the lowered int is 0 iff
+    the sum is, and two are equal iff their sums are: the lanes of a
+    difference of two still fit."""
+    W, step = most.bit_length() + 2, N // p
+    shift = W * (N - step)
+    unit = [1 << W * (k % N) for k in range(2 * N)]
+    low, rep = (1 << shift) - 1, sum(1 << W * t * step for t in range(p - 1))
+    return unit, lambda acc: (acc & low) - (acc >> shift) * rep
 
 
 class PauliOperator(Frozen):
@@ -116,8 +135,9 @@ def _check_dim(ring: GaloisRingSpec, n: int, max_dim: int, what: str = "q^n") ->
 class _Monomials:
     """Operators on n qudits as triples (l, a, b): omega^l X(a)Z(b), a and b
     tuples of element indices sum_j c_j (p^b)^j over power-basis coordinates
-    c_j.  ``add`` and ``trace`` are the q x q tables of x + y (as an index)
-    and of Tr(x*y), as int lists.  A state is an int, big-endian in the
+    c_j, and ``duals`` holds each element's dual-basis coordinates.  ``add``
+    and ``trace`` are the q x q tables of x + y (as an index) and of
+    Tr(x*y), as int lists.  A state is an int, big-endian in the
     qudits' element indices; there are ``states`` = q^n of them."""
 
     def __init__(self, ring: GaloisRingSpec, n: int):
@@ -125,7 +145,8 @@ class _Monomials:
         self.elements = elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
                                  for i in range(q)]
         self.index = index = {e.coeffs: i for i, e in enumerate(elems)}
-        self.dual_index = {_dual_coords(e): i for i, e in enumerate(elems)}
+        self.duals = [_dual_coords(e) for e in elems]
+        self.dual_index = {d: i for i, d in enumerate(self.duals)}
         self.add = [[index[(x + y).coeffs] for y in elems] for x in elems]
         self.trace = [[gen_trace(x * y) for y in elems] for x in elems]
         self.p, self.m, self.modulus, self.N = ring.p, ring.m, mod, omega_modulus(ring)
@@ -318,9 +339,11 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
     """Classify every error E = X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
     criterion U^H E U = lambda I on the orbit-sum basis, exactly, and
     cross-check the undetectable set against C^{chi-dual} minus C.  E sends
-    orbit i onto one orbit j, so the only entry of column i is <v_j|E|v_i>.
-    X(a) and Z(b) act apart: one row map per a and one phase list per b.
-    The group must be over C's ring and act on at least C's n coordinates."""
+    orbit i onto one orbit j, so the only entry of column i is <v_j|E|v_i>,
+    a sum over y in orbit i of omega^(e_y - e_{Ey} + phase[y]), packed by
+    ``_packing``.  X(a) and Z(b) act apart: one row map per a and one phase
+    list per b.  The group must be over C's ring and act on at least C's n
+    coordinates."""
     if group.ring != C.ring:
         raise RingMismatch("the stabilizer group is over a different ring than the code")
     if group.n < C.n:
@@ -331,34 +354,42 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
         raise SearchLimitExceeded(q ** (2 * n), limit)
     basis = stabilizer_projector(group, max_dim)
     T = group._tables
-    N, K, zero = T.N, len(basis), (0,) * T.N
+    N, K = T.N, len(basis)
+    unit, lower = _packing(N, T.p, max(map(len, basis)))
+
+    def entry(phase: List[int], ys: Tuple[int, ...], ds: Tuple[int, ...]) -> int:
+        return lower(sum(map(unit.__getitem__, map(add, ds, map(phase.__getitem__, ys)))))
+
     orbit = {y: (i, e) for i, v in enumerate(basis) for y, e in v.items()}
     pad, idle = (0,) * (ntot - n), (0,) * ntot
     halves = list(itertools.product(range(q), repeat=n))
     phases = [T.of(0, idle, b + pad)[1] for b in halves]
+    coords = [e.coeffs for e in T.elements]
+    z_flats = [tuple(itertools.chain.from_iterable(map(T.duals.__getitem__, b))) for b in halves]
     undet: List[Tuple[int, ...]] = []
     best = dim1_best = math.inf
     for a in halves:
         rows = T.of(0, a + pad, idle)[0]
-        # (i, j, [(y, e_y - e_{Ey})]) for each orbit i that X(a) sends onto basis orbit j
-        moved = [(i, orbit[rows[y0]][0], [(y, e - orbit[rows[y]][1]) for y, e in v.items()])
-                 for i, v in enumerate(basis) if rows[y0 := next(iter(v))] in orbit]
-        for b, phase in zip(halves, phases):
+        # (i, j, ys, ds): X(a) sends orbit i onto basis orbit j, ds[t] = e_y - e_{Ey} mod N
+        moved = [(i, orbit[rows[ys[0]]][0], ys,
+                  tuple((e - orbit[rows[y]][1]) % N for y, e in v.items()))
+                 for i, v in enumerate(basis) if rows[(ys := tuple(v))[0]] in orbit]
+        diag = [(ys, ds) for i, j, ys, ds in moved if i == j]
+        off = [(ys, ds) for i, j, ys, ds in moved if i != j]
+        # lambda is entry (0, 0), and a diagonal entry that is missing is zero
+        fixes_0, short = bool(moved) and moved[0][:2] == (0, 0), len(diag) < K
+        x_flat = tuple(itertools.chain.from_iterable(map(coords.__getitem__, a)))
+        for b, phase, z_flat in zip(halves, phases, z_flats):
             if not any(a) and not any(b):
                 continue
-            entries = {}
-            for i, j, terms in moved:
-                counts = [0] * N
-                for y, e in terms:
-                    counts[(e + phase[y]) % N] += 1
-                entries[i, j] = _canonical(counts, T.p)
-            lam = entries.get((0, 0), zero)
+            diagonal = [entry(phase, ys, ds) for ys, ds in diag]
+            lam = diagonal[0] if fixes_0 else 0
             w = sum(1 for x, z in zip(a, b) if x or z)
-            if any(entries.get((i, i), zero) != lam for i in range(K)) or any(
-                    form != zero for (i, j), form in entries.items() if i != j):
-                undet.append(phi_expand(ring, [T.elements[i] for i in a + b]))
+            if (lam and short) or diagonal.count(lam) < len(diagonal) or any(
+                    entry(phase, ys, ds) for ys, ds in off):
+                undet.append(x_flat + z_flat)
                 best = min(best, w)
-            if K == 1 and lam != zero:
+            if K == 1 and lam:
                 dim1_best = min(dim1_best, w)
     want = {flat for flat in enumerate_module(C.analysis.dual(0), limit)
             if any(flat) and not howell_member(C.expanded_howell, flat)}

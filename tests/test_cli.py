@@ -460,7 +460,7 @@ def test_params_on_a_ring_past_the_size_cap_fails_at_once(tmp_path):
 
 def test_render_report_writes_integers_past_the_digit_limit_as_str_does():
     """From 10^512 on the renderer rebuilds an integer in ``decimal`` (see
-    ``cli._int_text``): its text is ``str()``'s with the digit limit lifted,
+    ``cli._IntTexts``): its text is ``str()``'s with the digit limit lifted,
     at 10^512 and 10^512 +- 1, at powers of ten and of two, on seeded
     random integers of 1,700 to 70,000 bits, and on the negatives of all
     these.  2^(10^6), 301,030 digits, takes well under a second and ends
@@ -484,6 +484,33 @@ def test_render_report_writes_integers_past_the_digit_limit_as_str_does():
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def test_params_report_converts_each_large_integer_once(tmp_path, monkeypatch):
+    """params on the F2 zero code at n = 10^6, where K_exact, K_upper,
+    K_lower and K_lower_raw's numerator are all 2^(10^6) (301,030 digits),
+    writes the bytes it wrote when each of them was converted on its own
+    (their SHA-256 below), and the report builds each power 2^k that
+    ``cli._rebuilt`` splits at once: one memo serves the whole report."""
+    import decimal
+
+    built = []
+
+    class Counting(decimal.Context):
+        def power(self, a, b, modulo=None):
+            built.append(b)
+            return super().power(a, b, modulo)
+
+    monkeypatch.setattr(decimal, "Context", Counting)
+    f = tmp_path / "zero.txt"
+    f.write_text("ring p=2 b=1 m=1\nn 1000000\n")
+    code, out = run_cli(["params", str(f)])
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "59c72406edad5b330fdd5f76f0ae430c62425e00f2c89e8ae0712d10a7782bad")
+    digits = f"{pow(2, 10 ** 6, 10 ** 18):018d}"
+    assert out.count(digits + ",\n") == 3 and out.count(digits + '/1",\n') == 1
+    assert built and len(built) == len(set(built))
 
 
 CORPUS = {"z4": Z4_WORKED, "f2": F2_REP, "gr42": GR42, "z9": "ring p=3 b=2 m=1\nn 1\ngen 1 3\n",

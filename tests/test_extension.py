@@ -1,6 +1,7 @@
 """Extension-builder tests: worked extensions, symplectic subsets, minimum
 entanglement degree, quasi-symplectic checks, and the parameter pipeline."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -294,3 +295,59 @@ def test_eaqecc_params_distance_uses_extended_code():
     z8 = make_ring(2, 3, 1)
     C = AdditiveCode.from_int_rows(z8, [[3, 4, 7, 1], [3, 6, 5, 6]])
     assert eaqecc_params(C).D == 1
+
+
+def largest_K_over_all_tails(ring, rows, c):
+    """The brute-force maximum of K = q^{n+c} / |C'| over every chi-self-
+    orthogonal C' spanned by C's generator rows, each with its own tail
+    in R^{2c}: rows are (x | z) over a ring with m = 1, so the pairing is
+    the symplectic form itself, and C' is enumerated as all combinations."""
+    q, n = ring.modulus, len(rows[0]) // 2
+    best = 0
+    for tails in itertools.product(itertools.product(range(q), repeat=2 * c), repeat=len(rows)):
+        ext = [(*r[:n], *t[:c], *r[n:], *t[c:]) for r, t in zip(rows, tails)]
+        if any(sum(u[i] * v[n + c + i] - u[n + c + i] * v[i] for i in range(n + c)) % q
+               for u in ext for v in ext):
+            continue
+        span = {tuple(sum(a * u[i] for a, u in zip(coef, ext)) % q for i in range(2 * (n + c)))
+                for coef in itertools.product(range(q), repeat=len(ext))}
+        best = max(best, q ** (n + c) // len(span))
+    return best
+
+
+def test_tail_oracle_reaches_K_exact_where_the_tails_keep_the_orders(z4):
+    """The brute-force oracle agrees with ``eaqecc_params`` on codes whose
+    generators all have full order, and reaches K_upper on item 16's
+    reproducer (16^2 tails at c = 1), where it finds |C'| = 8."""
+    for rows in ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 2, 0, 1], [0, 1, 1, 3]]):
+        P = eaqecc_params(AdditiveCode.from_int_rows(z4, rows))
+        assert largest_K_over_all_tails(z4, rows, P.c) == P.K_exact
+    P = eaqecc_params(AdditiveCode.from_int_rows(z4, [[2, 0], [0, 1]]))
+    assert (P.c, P.card_code) == (1, 8)
+    assert largest_K_over_all_tails(z4, [[2, 0], [0, 1]], 1) == P.K_upper == 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the minimal extension gives the order-2 generator "
+                   "a unit-order tail, so C' grows past |C| (ROADMAP item 16)")
+def test_minimal_extension_reaches_the_largest_K_over_all_tails(z4):
+    """Z4, n = 1, gen 2 0 / gen 0 1: params reports c = 1, K_exact = 1 and
+    |C'| = 16, yet a chi-self-orthogonal C' with |C'| = 8, so K = 2, exists
+    among the 16^2 tails at c = 1."""
+    rows = [[2, 0], [0, 1]]
+    P = eaqecc_params(AdditiveCode.from_int_rows(z4, rows))
+    assert P.c == 1
+    assert P.K_exact == largest_K_over_all_tails(z4, rows, 1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="K_exact depends on the order of the generator "
+                   "lines (ROADMAP items 15 and 16)")
+def test_K_exact_does_not_depend_on_the_order_of_the_generators(z4):
+    """params-mixed seed-0 file 0000-059 (Z4, n = 3): as given, K_exact = 1
+    with |C'| = 1024; with the second line moved last, K_exact = 2 with
+    |C'| = 512.  Reordering the rows does not change the code."""
+    rows = [[0, 3, 0, 1, 3, 1], [2, 1, 0, 0, 2, 3], [0, 1, 2, 3, 1, 1],
+            [0, 1, 1, 2, 1, 1], [2, 1, 1, 3, 1, 1]]
+    as_given = eaqecc_params(AdditiveCode.from_int_rows(z4, rows))
+    moved = eaqecc_params(AdditiveCode.from_int_rows(z4, rows[:1] + rows[2:] + rows[1:2]))
+    assert (as_given.c, as_given.card_code) == (moved.c, moved.card_code)
+    assert (as_given.K_exact, as_given.card_extended) == (moved.K_exact, moved.card_extended)

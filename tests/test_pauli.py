@@ -468,6 +468,71 @@ def test_canonical_form_decides_zero_and_equality(N):
     assert {zero for eq, zero in seen} == {True, False}
 
 
+def signed_lanes(x, W, count):
+    """The ``count`` lanes of W bits of x, each read as a signed digit in
+    [-2^(W-1), 2^(W-1)); raises if x has more."""
+    lanes = []
+    for _ in range(count):
+        d = x & ((1 << W) - 1)
+        d -= (d >> (W - 1)) << W
+        lanes.append(d)
+        x = (x - d) >> W
+    assert x == 0
+    return lanes
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16, 3, 9, 27])
+def test_packed_entry_decides_zero_and_equality(N):
+    """``pauli._packing``: a sum of powers of omega with no power more than
+    ``most`` times, packed as the sum of its unit[k], k < 2N, and lowered,
+    is 0 iff the sum is 0 and equal to another iff the sums are equal, as
+    the complex sums decide.  Read back as signed W-bit digits, its lanes
+    are the sum's coordinates in the power basis {omega^k : k < N - N/p},
+    each inside (-2^(W-2), 2^(W-2)), and those of a difference of two are
+    the differences of theirs.  Checked on random counts up to ``most``,
+    on counts shifted by random class constants (equal sums), and on class
+    constants alone (zero sums), for several ``most``."""
+    p = 3 if N % 3 == 0 else 2
+    top, step = N - N // p, N // p
+    omega, rng = cmath.exp(2j * cmath.pi / N), random.Random(N)
+    value = lambda lanes: sum(c * omega ** k for k, c in enumerate(lanes))
+    seen = set()
+    for most in (1, 2, 7, 63, 100):
+        unit, lower = pauli._packing(N, p, most)
+        W = unit[1].bit_length() - 1
+        assert len(unit) == 2 * N
+
+        def packed(counts):
+            assert max(counts) <= most
+            # each omega^k once as unit[k] and once as unit[k + N], at random
+            ks = [k + N * rng.randrange(2) for k, c in enumerate(counts) for _ in range(c)]
+            rng.shuffle(ks)
+            x = lower(sum(unit[k] for k in ks))
+            lanes = signed_lanes(x, W, N)
+            assert not any(lanes[top:])
+            assert all(abs(c) < 1 << (W - 2) for c in lanes)
+            assert abs(value(lanes) - value(counts)) < 1e-6 * (1 + most)
+            return x, lanes
+
+        for _ in range(60):
+            shift = [rng.randrange(most // 2 + 1) for _ in range(step)]
+            c = [rng.randrange(most - shift[k % step] + 1) for k in range(N)]
+            x, lanes = packed(c)
+            for d in ([rng.randrange(most + 1) for _ in range(N)],
+                      [ck + shift[k % step] for k, ck in enumerate(c)],
+                      [rng.randrange(most + 1) for _ in range(step)] * p,
+                      [most * rng.randrange(2) for _ in range(N)]):
+                y, d_lanes = packed(d)
+                equal = x == y
+                assert equal == (abs(value(c) - value(d)) < 1e-6)
+                assert signed_lanes(x - y, W, N) == [u - v for u, v in zip(lanes, d_lanes)]
+                zero = y == 0
+                assert zero == (abs(value(d)) < 1e-6)
+                seen.add((equal, zero))
+    assert {eq for eq, zero in seen} == {True, False}
+    assert {zero for eq, zero in seen} == {True, False}
+
+
 def dual_minus_code_by_contains(C):
     """C^chi minus C, each chi-dual codeword contracted to ring elements
     and tested with ``C.contains``."""
