@@ -358,9 +358,6 @@ def run(argv: List[str], out=None) -> int:
         ring, C = parse_code_file(args.file)
         report, code = build_report(args.command, ring, C,
                                     args.max_enum, args.max_matrix_dim, int_text)
-        # C's analysis refers back to C: dropping it frees the per-code
-        # objects now, not at the next full cyclic garbage collection
-        vars(C).pop("analysis", None)
     except OSError as e:
         out.write(render_report({
             "schema": SCHEMA_VERSION,
@@ -375,6 +372,10 @@ def run(argv: List[str], out=None) -> int:
             err["reproducer"] = serialize_code(ring, C)
         out.write(render_report({"schema": SCHEMA_VERSION, "error": err}))
         return 1
+    finally:
+        # C's analysis refers back to C: free it now, not at a full collection
+        if C is not None:
+            vars(C).pop("analysis", None)
     out.write(render_report(report, int_text))
     return code
 

@@ -7,12 +7,12 @@ for p = 2; the additive character zeta = exp(2*pi*i/p^b) embeds via the
 exponent factor N/p^b.  omega^l X(a)Z(b) sends |x> to omega^{l + (N/p^b)
 Tr(b.x)} |x + a>, read off q x q tables of ring addition and of Tr(x*y)
 over numbered ring elements.  The group is built and checked as (l, a, b)
-triples of element indices.  Its code space is spanned by the orbit sums
-v_x = sum_g g|x> that do not vanish, one per orbit x + A, checked with
-sums of powers of omega lowered to a canonical form (``_canonical``).  An
-error maps each orbit onto one orbit, so U^H E U = lambda I is decided
-entry by entry, each entry one int packing its coordinates in Z[omega]'s
-power basis (``_packing``): no decision is made in floating point.
+triples of element indices, closure as S g in S for each generator g.  Its
+code space is spanned by the orbit sums v_x = sum_g g|x> that do not
+vanish, one per orbit x + A.  Each sum of powers of omega the verifier
+decides, in the basis check and in each entry of U^H E U = lambda I, is
+one int packing its coordinates in Z[omega]'s power basis (``_packing``):
+no decision is made in floating point.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
 from .extension import SelfOrthogonalExtension
 from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace
-from .zpblinalg import enumerate_module, howell_member, solve_congruence
+from .zpblinalg import enumerate_module, solve_congruence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,16 +53,6 @@ if TYPE_CHECKING:
 def omega_modulus(ring: GaloisRingSpec) -> int:
     """N: the order of the phase root of unity omega."""
     return ring.modulus * (2 if ring.p == 2 else 1)
-
-
-def _canonical(counts: Sequence[int], p: int) -> Tuple[int, ...]:
-    """sum_k counts[k] omega^k, omega of order N = len(counts) a power of p,
-    with each class {r + t N/p : t < p} lowered to minimum 0.  The classes'
-    sums span the relations among the powers of omega (Phi_N is the sum of
-    one), so two sums are equal iff their forms are, and zero iff all zero."""
-    step = len(counts) // p
-    low = [min(counts[r::step]) for r in range(step)]
-    return tuple(c - low[k % step] for k, c in enumerate(counts))
 
 
 def _packing(N: int, p: int, most: int) -> Tuple[List[int], Callable[[int], int]]:
@@ -211,34 +201,42 @@ class StabilizerGroup(Frozen):
         return _Monomials(self.ring, self.n)
 
     @cached_property
+    def _triples(self) -> Tuple[Triple, ...]:
+        """The elements as (l, a, b) triples of element indices."""
+        return tuple(map(self._tables.from_operator, self.elements))
+
+    @cached_property
     def _basis(self) -> Tuple[Mapping[int, int], ...]:
         """The code space: one read-only {state: omega exponent} per orbit sum
-        v_x = sum_g g|x> that does not vanish, each entry a single power of
-        omega once divided by its count, and sum_g g v = |S| v checked on
-        each, the exact form of P^2 = P for P = sum_g g / |S|."""
-        T, N = self._tables, self._tables.N
-        ops = [T.of(*T.from_operator(g)) for g in self.elements]
-
-        def group_sum(v: Mapping[int, int]) -> dict:
-            sums: dict = {}
-            for rows, phase in ops:
-                for y, e in v.items():
-                    sums.setdefault(rows[y], [0] * N)[(e + phase[y]) % N] += 1
-            return {y: _canonical(counts, T.p) for y, counts in sums.items()}
-
+        v_x = sum_g g|x> that does not vanish.  An orbit sum either lowers to
+        0 at every state, or equals at each its term count times omega to
+        the exponent of its first term; and sum_g g v = |S| v is checked on
+        each, the exact form of P^2 = P for P = sum_g g / |S|.  Every sum is
+        decided as one packed int (``_packing``)."""
+        T = self._tables
+        ops = [T.of(*g) for g in self._triples]
+        unit, lower = _packing(T.N, T.p, len(ops))
         basis, seen = [], set()
         for x in range(T.states):
             if x not in seen:
-                powers = {y: [k for k, c in enumerate(form) if c]
-                          for y, form in group_sum({x: 0}).items()}
-                seen.update(powers)
-                if any(powers.values()):
-                    if any(len(ks) != 1 for ks in powers.values()):
+                terms: dict = {}
+                for rows, phase in ops:
+                    terms.setdefault(rows[x], []).append(phase[x])
+                seen.update(terms)
+                sums = [lower(sum(map(unit.__getitem__, ks))) for ks in terms.values()]
+                if any(sums):
+                    if sums != [lower(len(ks) * unit[ks[0]]) for ks in terms.values()]:
                         raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
-                    basis.append(MappingProxyType({y: ks[0] for y, ks in powers.items()}))
-        if any(form != tuple(len(ops) if k == v.get(y) else 0 for k in range(N))
-               for v in basis for y, form in group_sum(v).items()):
-            raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
+                    basis.append(MappingProxyType({y: ks[0] for y, ks in terms.items()}))
+        full = [lower(len(ops) * u) for u in unit[:T.N]]
+        for v in basis:
+            acc: dict = {}
+            for rows, phase in ops:
+                for y, e in v.items():
+                    acc[rows[y]] = acc.get(rows[y], 0) + unit[e + phase[y]]
+            got = {y: s for y, s in zip(acc, map(lower, acc.values())) if s}
+            if got != {y: full[e] for y, e in v.items()}:
+                raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
         return tuple(basis)
 
 
@@ -260,15 +258,17 @@ def build_stabilizer(ext: SelfOrthogonalExtension,
     T = _Monomials(ring, ntot)
     sd = ext.extended.expanded_smith
     elements: List[Triple] = [(0, (0,) * ntot, (0,) * ntot)]
+    gens: List[Triple] = []
     for row, e in zip(sd.generators, sd.diag_exponents):
         powers = _generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))
         elements = [T.multiply(P, g) for P in elements for g in powers]
-    _check_stabilizer(T, elements, sd.generators)
+        gens.append(powers[1])
+    _check_stabilizer(T, elements, sd.generators, gens)
     E = T.elements
     group = StabilizerGroup(ring, ntot, tuple(
         PauliOperator(ring, ntot, l, tuple(E[i] for i in a), tuple(E[i] for i in b))
         for l, a, b in elements))
-    group.__dict__["_tables"] = T
+    group.__dict__.update(_tables=T, _triples=tuple(elements))
     return group
 
 
@@ -289,20 +289,19 @@ def _generator_powers(T: _Monomials, g: Triple, o: int) -> List[Triple]:
 
 
 def _check_stabilizer(T: _Monomials, elements: Sequence[Triple],
-                      gen_rows: Sequence[Sequence[int]]) -> None:
+                      gen_rows: Sequence[Sequence[int]], gens: Sequence[Triple]) -> None:
     """No scalar but the identity; the phi-expanded generator rows of C'
     pair trivially under the integer trace form, so the group they generate
-    is abelian; and, at most 64 elements, closure under composition."""
+    is abelian; and P*g in S for each element P and xi-corrected generator
+    g, which makes S, a set of products of powers of the g, the group <g>."""
     for l, a, b in elements:
         if l and not any(a) and not any(b):
             raise InternalInvariantViolation("nontrivial scalar in the stabilizer")
     for i, u in enumerate(gen_rows):
         if any(_expanded_pairing(u, v, len(u) // 2, T.modulus) for v in gen_rows[i + 1:]):
             raise InternalInvariantViolation("stabilizer is not abelian")
-    if len(elements) <= 64:
-        members = set(elements)
-        if any(T.multiply(P, Q) not in members for P in elements for Q in elements):
-            raise InternalInvariantViolation("stabilizer is not closed")
+    if not set(elements).issuperset(T.multiply(P, g) for g in gens for P in elements):
+        raise InternalInvariantViolation("stabilizer is not closed")
 
 
 def stabilizer_projector(group: StabilizerGroup,
@@ -391,8 +390,8 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                 best = min(best, w)
             if K == 1 and lam:
                 dim1_best = min(dim1_best, w)
-    want = {flat for flat in enumerate_module(C.analysis.dual(0), limit)
-            if any(flat) and not howell_member(C.expanded_howell, flat)}
+    want = set(enumerate_module(C.analysis.dual(0), limit))
+    want -= set(enumerate_module(C.analysis.meet, limit))  # C^chi \ C = C^chi \ (C cap C^chi)
     return ErrorSearchResult(dimension=K, undetectable=tuple(sorted(undet)), min_weight=best,
                              set_matches_dual_minus_code=set(undet) == want,
                              dim1_distance=(dim1_best if K == 1 else None))

@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 import eaqring
-from eaqring import pauli
+from eaqring import decompose, pauli
 from eaqring.cli import (
     build_report,
     parse_code_file,
@@ -564,6 +564,32 @@ def test_cli_run_leaves_no_cyclic_garbage(tmp_path):
     try:
         for _ in range(3):
             one_pass()
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
+@pytest.mark.parametrize("error", [InternalInvariantViolation, ValueError])
+def test_cli_run_error_leaves_no_cyclic_garbage(tmp_path, monkeypatch, error):
+    """A command that raises after parsing frees what it built by reference
+    counting alone, as a successful one does: the code's analysis, which
+    refers back to the code, is dropped on the error path too."""
+    def broken(d):
+        raise error("decomposition check forced to fail")
+
+    f = tmp_path / "code.txt"
+    f.write_text(Z4_WORKED)
+    monkeypatch.setattr(decompose, "_check_decomposition", broken)
+    assert run_cli(["params", str(f)])[0] == 1
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            code, out = run_cli(["params", str(f)])
+            assert code == 1 and json.loads(out)["error"]["type"] == error.__name__
         gc.collect()
         garbage = [type(obj).__name__ for obj in gc.garbage]
     finally:

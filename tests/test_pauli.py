@@ -219,6 +219,14 @@ def test_non_projector_detected(z4):
     ))
     with pytest.raises(InternalInvariantViolation, match="not idempotent"):
         projector_dimension(bad)
+    # I and X(1): each orbit sum is a single power of omega at every state,
+    # but X(1) moves |0> + |1> to |1> + |2>, so sum_g g v is not 2 v
+    bad = StabilizerGroup(z4, 1, (
+        identity_operator(z4, 1),
+        PauliOperator(z4, 1, 0, (z4.element([1]),), (z4.zero,)),
+    ))
+    with pytest.raises(InternalInvariantViolation, match="not idempotent"):
+        projector_dimension(bad)
 
 
 def test_error_search_worked_instance(z4):
@@ -443,31 +451,6 @@ def test_error_search_matches_dense_oracle_on_gr42():
     assert_search_matches_dense_oracle(random_verify_instances(2, 59, [(2, 2, 2)], {256}))
 
 
-@pytest.mark.parametrize("N", [2, 4, 8, 16, 3, 9, 27])
-def test_canonical_form_decides_zero_and_equality(N):
-    """Two exponent-count vectors have the same canonical form iff their
-    sums of powers of omega agree as complex numbers, and the form is zero
-    iff the sum is; checked on random counts and on counts shifted by
-    random class constants (equal sums by construction)."""
-    p = 3 if N % 3 == 0 else 2
-    omega, rng = cmath.exp(2j * cmath.pi / N), random.Random(N)
-    value = lambda c: sum(ck * omega ** k for k, ck in enumerate(c))
-    seen = set()
-    for _ in range(300):
-        c = [rng.randrange(2) for _ in range(N)]
-        shift = [rng.randrange(3) for _ in range(N // p)]
-        for d in (c, [rng.randrange(2) for _ in range(N)],
-                  [ck + shift[k % (N // p)] for k, ck in enumerate(c)],
-                  [shift[k % (N // p)] for k in range(N)]):
-            equal = pauli._canonical(c, p) == pauli._canonical(d, p)
-            assert equal == (abs(value(c) - value(d)) < 1e-9)
-            zero = not any(pauli._canonical(d, p))
-            assert zero == (abs(value(d)) < 1e-9)
-            seen.add((equal, zero))
-    assert {eq for eq, zero in seen} == {True, False}
-    assert {zero for eq, zero in seen} == {True, False}
-
-
 def signed_lanes(x, W, count):
     """The ``count`` lanes of W bits of x, each read as a signed digit in
     [-2^(W-1), 2^(W-1)); raises if x has more."""
@@ -667,19 +650,54 @@ def test_check_stabilizer_rejects_broken_groups(z4):
     T = pauli._Monomials(z4, 1)
     I, X, Z = (0, (0,), (0,)), (0, (1,), (0,)), (0, (0,), (1,))
     with pytest.raises(InternalInvariantViolation, match="nontrivial scalar"):
-        pauli._check_stabilizer(T, [I, (2, (0,), (0,))], [])
+        pauli._check_stabilizer(T, [I, (2, (0,), (0,))], [], [])
     # phi-expanded rows (x | z) of X(1) and Z(1): pairing -1 mod 4
     with pytest.raises(InternalInvariantViolation, match="not abelian"):
-        pauli._check_stabilizer(T, [I], [(1, 0), (0, 1)])
+        pauli._check_stabilizer(T, [I], [(1, 0), (0, 1)], [])
     # X(1)^2 = X(2) is missing
     with pytest.raises(InternalInvariantViolation, match="not closed"):
-        pauli._check_stabilizer(T, [I, X], [(1, 0)])
+        pauli._check_stabilizer(T, [I, X], [(1, 0)], [X])
     # a group of order 4 passes all three checks
-    pauli._check_stabilizer(T, [I, X, (0, (2,), (0,)), (0, (3,), (0,))], [(1, 0)])
+    pauli._check_stabilizer(T, [I, X, (0, (2,), (0,)), (0, (3,), (0,))], [(1, 0)], [X])
     # X(1) has order 4 on Z4, not 2
     with pytest.raises(InternalInvariantViolation, match="order does not annihilate"):
         pauli._generator_powers(T, X, 2)
     assert [P[2] for P in pauli._generator_powers(T, Z, 4)] == [(0,), (1,), (2,), (3,)]
+
+
+def test_check_stabilizer_decides_closure_past_64_elements():
+    """Closure is checked at every group size: the 256-element group of a
+    Z8 code passes, and fails with any one element dropped."""
+    ring, C = cli.parse_code_text(
+        "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n")
+    ext = build_minimal_extension(C)
+    group = build_stabilizer(ext)
+    T, sd = group._tables, ext.extended.expanded_smith
+    gens = [pauli._generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))[1]
+            for row, e in zip(sd.generators, sd.diag_exponents)]
+    elements = list(map(T.from_operator, group.elements))
+    assert len(elements) == 256
+    pauli._check_stabilizer(T, elements, sd.generators, gens)
+    for drop in (1, 100, 255):
+        with pytest.raises(InternalInvariantViolation, match="not closed"):
+            pauli._check_stabilizer(T, elements[:drop] + elements[drop + 1:], sd.generators, gens)
+    # the group keeps the triples it was built from
+    assert group._triples == tuple(elements)
+
+
+@pytest.mark.parametrize("p, b, m", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])
+def test_monomial_multiply_is_associative_and_matches_compose(p, b, m):
+    """``_Monomials.multiply`` on seeded random triples over F2, F4, Z4, Z8,
+    Z9 and GR(4, 2): associative, and the triple of ``compose`` on the
+    operators.  Closure under each generator then equals closure under
+    every product of elements."""
+    ring, n, rng = make_ring(p, b, m), 2, random.Random(61 + 7 * p + b + m)
+    T = pauli._Monomials(ring, n)
+    for _ in range(40):
+        P, Q, R = (rand_op(ring, n, rng) for _ in range(3))
+        tP, tQ, tR = map(T.from_operator, (P, Q, R))
+        assert T.multiply(tP, tQ) == T.from_operator(compose(P, Q))
+        assert T.multiply(T.multiply(tP, tQ), tR) == T.multiply(tP, T.multiply(tQ, tR))
 
 
 def test_matrix_cap_message_past_the_decimal_digit_limit():
