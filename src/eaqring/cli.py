@@ -372,10 +372,6 @@ def run(argv: List[str], out=None) -> int:
             err["reproducer"] = serialize_code(ring, C)
         out.write(render_report({"schema": SCHEMA_VERSION, "error": err}))
         return 1
-    finally:
-        # C's analysis refers back to C: free it now, not at a full collection
-        if C is not None:
-            vars(C).pop("analysis", None)
     out.write(render_report(report, int_text))
     return code
 

@@ -8,10 +8,11 @@ levels, C cap C^chi) stay Howell bases of expanded rows; only the public
 ``chi_dual_level`` and ``code_intersection`` wrap one as a code.
 
 Codes are immutable, so every object derived from one is computed once per
-code and kept on it: the expanded matrix and its Howell and Smith forms, and
-the ``CodeAnalysis``, built from C's Smith generators and their integer Gram
-matrix (rank, rho and C cap C^chi; a chi-dual level only when asked for).
-The caches live and die with the code.
+code and kept on it: the expanded matrix and its Howell and Smith forms, the
+objects read off C's Smith generators and their integer Gram matrix (rank,
+rho and C cap C^chi; a chi-dual level only when asked for), and the checked
+decomposition and minimal extension.  None of them refers back to the code,
+so the caches live and die with it, freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -136,7 +137,22 @@ def block_weights(n: int, m: int, N: int) -> Callable[[int, Sequence[int]], List
 
 
 class AdditiveCode(Frozen):
-    """Z_{p^b}-submodule of GR(p^b,m)^{2n}."""
+    """Z_{p^b}-submodule of GR(p^b,m)^{2n}, with the objects every parameter
+    of the construction is read off, each built lazily and at most once.
+
+    Most come from one small integer matrix, the Gram matrix G[i][j] =
+    Tr<c_i|c_j>_s over the rows c_i of S, C's Smith generators: at most
+    2nm rows spanning C, however many rows the input has.  The map x*S ->
+    x*G takes C onto the row module of G with kernel C cap C^{chi}, and mod
+    p^{b-t} with kernel C cap C^{chi,t}.  So rank(C / (C cap C^{chi,t}))
+    counts the Smith exponents of G below b - t, rho_t counts those equal
+    to b - t, and ``meet`` = C cap C^{chi} is {x*S : x*G = 0}, read off
+    one Howell form of [G | S] with no kernel and no intersection.  The
+    chi-dual levels (``dual``) are built only when asked for.  Both are
+    Howell bases of expanded rows.  ``dual_in_code`` picks D's search set.
+    On top sit the checked hyperbolic decomposition and minimal extension.
+    Every invariant check runs when its object is first built.
+    """
 
     def __init__(self, ring: GaloisRingSpec, n: int, generators: Tuple[SymplecticVector, ...]):
         object.__setattr__(self, "ring", ring)
@@ -162,10 +178,6 @@ class AdditiveCode(Frozen):
     def expanded_smith(self) -> SmithDecomposition:
         return smith_form(self.expanded_matrix)
 
-    @cached_property
-    def analysis(self) -> "CodeAnalysis":
-        return CodeAnalysis(self)
-
     @classmethod
     def from_expanded(cls, ring: GaloisRingSpec, n: int, H: HowellBasis) -> "AdditiveCode":
         """The code whose phi-expanded row module has Howell basis H; its
@@ -190,6 +202,82 @@ class AdditiveCode(Frozen):
         return [SymplecticVector.from_components(self.ring, phi_contract(self.ring, r))
                 for r in self.expanded_smith.generators]
 
+    def _check_level(self, t: int) -> None:
+        if not 0 <= t <= self.ring.b:
+            raise ValueError(f"level t = {t} out of range 0..{self.ring.b}")
+
+    @cached_property
+    def _duals(self) -> Dict[int, HowellBasis]:
+        return {}
+
+    def dual(self, t: int) -> HowellBasis:
+        """C^{chi-dual, t} = (p^t C)^{chi}, for 0 <= t <= b, checked against
+        |(p^t C)^{chi}| * |p^t C| = q^{2n}."""
+        self._check_level(t)
+        if t not in self._duals:
+            p, b = self.ring.p, self.ring.b
+            H = kernel(_pairing_columns(self, p ** t))
+            scaled = math.prod(p ** max(0, b - t - e) for e in self.expanded_smith.diag_exponents)
+            if H.cardinality * scaled != self.ring.cardinality ** (2 * self.n):
+                raise InternalInvariantViolation(f"|C^(chi,{t})| * |p^{t} C| is not q^(2n)")
+            self._duals[t] = H
+        return self._duals[t]
+
+    @cached_property
+    def gram(self) -> ZpbMatrix:
+        """G[i][j] = Tr<c_i|c_j>_s over C's Smith generators c_i."""
+        nm, N = self.n * self.ring.m, self.ring.modulus
+        rows = self.expanded_smith.generators
+        gram = [[_expanded_pairing(u, v, nm, N) for v in rows] for u in rows]
+        return ZpbMatrix.from_reduced(self.ring.p, self.ring.b, gram, len(rows))
+
+    @cached_property
+    def meet(self) -> HowellBasis:
+        """C cap C^{chi-dual} = {x*S : x*G = 0}, S being C's Smith
+        generators: one Howell form of [G | S]."""
+        S = ZpbMatrix.from_reduced(self.ring.p, self.ring.b, self.expanded_smith.generators,
+                                   self.ambient_cols)
+        return _solve(self.gram, S)
+
+    @cached_property
+    def dual_in_code(self) -> bool:
+        """The case that picks D's search set, C^{chi} inside C: C cap C^{chi}
+        sits in C^{chi}, of size q^{2n} / |C|, so iff |C cap C^{chi}| |C| = q^{2n}."""
+        return self.meet.cardinality * cardinality(self) == self.ring.cardinality ** (2 * self.n)
+
+    @cached_property
+    def gram_exponents(self) -> Tuple[int, ...]:
+        """Smith exponents of the Gram matrix."""
+        return smith_form(self.gram).diag_exponents
+
+    def rank(self, t: int) -> int:
+        """rank(C / (C cap C^{chi-dual, t})), for 0 <= t <= b; at t = 0 this
+        is twice the number of hyperbolic pairs."""
+        self._check_level(t)
+        return sum(1 for e in self.gram_exponents if e < self.ring.b - t)
+
+    @cached_property
+    def rho(self) -> Tuple[int, ...]:
+        """(rho_1, ..., rho_{b-1}), rho_t = rank(t-1) - rank(t); each is
+        checked to be even."""
+        out = []
+        for t in range(1, self.ring.b):
+            rho = self.rank(t - 1) - self.rank(t)
+            if rho % 2:
+                raise InternalInvariantViolation(f"rho_{t} = {rho} is odd")
+            out.append(rho)
+        return tuple(out)
+
+    @cached_property
+    def decomposition(self) -> "HyperbolicDecomposition":
+        from .decompose import _decompose
+        return _decompose(self)
+
+    @cached_property
+    def extension(self) -> "SelfOrthogonalExtension":
+        from .extension import _minimal_extension
+        return _minimal_extension(self)
+
 
 def cardinality(C: AdditiveCode) -> int:
     return C.expanded_howell.cardinality
@@ -213,107 +301,13 @@ def _pairing_columns(C: AdditiveCode, scale: int) -> ZpbMatrix:
 def chi_dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
     """C^{chi-dual, t}: vectors v with Tr(<v|c>_s) = 0 mod p^{b-t} for all
     c in C.  t = 0 is the plain chi-dual; t = b is the full ambient space."""
-    if not 0 <= t <= C.ring.b:
-        raise ValueError("level t out of range")
-    return AdditiveCode.from_expanded(C.ring, C.n, C.analysis.dual(t))
+    return AdditiveCode.from_expanded(C.ring, C.n, C.dual(t))
 
 
 def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
     if C1.ring != C2.ring or C1.n != C2.n:
         raise DimensionMismatch("codes live in different ambient spaces")
     return AdditiveCode.from_expanded(C1.ring, C1.n, intersect(C1.expanded_howell, C2.expanded_howell))
-
-
-class CodeAnalysis:
-    """The objects every parameter of the construction is read off, built
-    lazily and at most once per code (``AdditiveCode.analysis``).
-
-    Most come from one small integer matrix, the Gram matrix G[i][j] =
-    Tr<c_i|c_j>_s over the rows c_i of S, C's Smith generators: at most
-    2nm rows spanning C, however many rows the input has.  The map x*S ->
-    x*G takes C onto the row module of G with kernel C cap C^{chi}, and mod
-    p^{b-t} with kernel C cap C^{chi,t}.  So rank(C / (C cap C^{chi,t}))
-    counts the Smith exponents of G below b - t, rho_t counts those equal
-    to b - t, and ``meet`` = C cap C^{chi} is {x*S : x*G = 0}, read off
-    one Howell form of [G | S] with no kernel and no intersection.  The
-    chi-dual levels (``dual``) are built only when asked for.  Both are
-    Howell bases of expanded rows.  ``dual_in_code`` picks D's search set.
-    On top sit the checked hyperbolic decomposition and minimal extension.
-    Every invariant check runs when its object is first built.
-    """
-
-    def __init__(self, code: AdditiveCode):
-        self.code = code
-        self._duals: Dict[int, HowellBasis] = {}
-
-    def dual(self, t: int) -> HowellBasis:
-        """C^{chi-dual, t} = (p^t C)^{chi}, for 0 <= t <= b, checked against
-        |(p^t C)^{chi}| * |p^t C| = q^{2n}."""
-        if t not in self._duals:
-            C = self.code
-            p, b = C.ring.p, C.ring.b
-            H = kernel(_pairing_columns(C, p ** t))
-            scaled = math.prod(p ** max(0, b - t - e) for e in C.expanded_smith.diag_exponents)
-            if H.cardinality * scaled != C.ring.cardinality ** (2 * C.n):
-                raise InternalInvariantViolation(f"|C^(chi,{t})| * |p^{t} C| is not q^(2n)")
-            self._duals[t] = H
-        return self._duals[t]
-
-    @cached_property
-    def gram(self) -> ZpbMatrix:
-        """G[i][j] = Tr<c_i|c_j>_s over C's Smith generators c_i."""
-        C = self.code
-        nm, N = C.n * C.ring.m, C.ring.modulus
-        rows = C.expanded_smith.generators
-        gram = [[_expanded_pairing(u, v, nm, N) for v in rows] for u in rows]
-        return ZpbMatrix.from_reduced(C.ring.p, C.ring.b, gram, len(rows))
-
-    @cached_property
-    def meet(self) -> HowellBasis:
-        """C cap C^{chi-dual} = {x*S : x*G = 0}, S being C's Smith
-        generators: one Howell form of [G | S]."""
-        C = self.code
-        S = ZpbMatrix.from_reduced(C.ring.p, C.ring.b, C.expanded_smith.generators, C.ambient_cols)
-        return _solve(self.gram, S)
-
-    @cached_property
-    def dual_in_code(self) -> bool:
-        """The case that picks D's search set, C^{chi} inside C: C cap C^{chi}
-        sits in C^{chi}, of size q^{2n} / |C|, so iff |C cap C^{chi}| |C| = q^{2n}."""
-        C = self.code
-        return self.meet.cardinality * cardinality(C) == C.ring.cardinality ** (2 * C.n)
-
-    @cached_property
-    def gram_exponents(self) -> Tuple[int, ...]:
-        """Smith exponents of the Gram matrix."""
-        return smith_form(self.gram).diag_exponents
-
-    def rank(self, t: int) -> int:
-        """rank(C / (C cap C^{chi-dual, t})); at t = 0 this is twice the
-        number of hyperbolic pairs."""
-        return sum(1 for e in self.gram_exponents if e < self.code.ring.b - t)
-
-    @cached_property
-    def rho(self) -> Tuple[int, ...]:
-        """(rho_1, ..., rho_{b-1}), rho_t = rank(t-1) - rank(t); each is
-        checked to be even."""
-        out = []
-        for t in range(1, self.code.ring.b):
-            rho = self.rank(t - 1) - self.rank(t)
-            if rho % 2:
-                raise InternalInvariantViolation(f"rho_{t} = {rho} is odd")
-            out.append(rho)
-        return tuple(out)
-
-    @cached_property
-    def decomposition(self) -> "HyperbolicDecomposition":
-        from .decompose import _decompose
-        return _decompose(self.code)
-
-    @cached_property
-    def extension(self) -> "SelfOrthogonalExtension":
-        from .extension import _minimal_extension
-        return _minimal_extension(self.code)
 
 
 def is_chi_self_orthogonal(C: AdditiveCode) -> bool:
@@ -329,7 +323,7 @@ def iterate_codewords(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> Itera
 
 def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> float:
     """D: the exhaustive minimum symplectic weight over C^{chi-dual} if it is
-    inside C (``CodeAnalysis.dual_in_code``), else over C^{chi-dual} minus C;
+    inside C (``AdditiveCode.dual_in_code``), else over C^{chi-dual} minus C;
     math.inf when that set minus {0} is empty.  |C^{chi-dual}| = q^{2n} / |C|
     is checked against ``limit`` before the case is read or the dual is built.
 
@@ -343,8 +337,8 @@ def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) ->
     size = C.ring.cardinality ** (2 * n) // cardinality(C)
     if size > limit:
         raise SearchLimitExceeded(size, limit)
-    skip = None if C.analysis.dual_in_code else C.expanded_howell
-    table, highs = packed_blocks(C.analysis.dual(0), limit)
+    skip = None if C.dual_in_code else C.expanded_howell
+    table, highs = packed_blocks(C.dual(0), limit)
     weights, L, cols = block_weights(n, m, N), lane_width(N), 2 * n * m
     best = math.inf
     for h in highs:

@@ -23,10 +23,9 @@ class HyperbolicDecomposition(Frozen):
     listed generators is character-trivial.
     """
 
-    def __init__(self, code: AdditiveCode, isotropic: Tuple[SymplecticVector, ...],
+    def __init__(self, isotropic: Tuple[SymplecticVector, ...],
                  pairs: Tuple[Tuple[SymplecticVector, SymplecticVector], ...],
                  grams: Tuple[RingElement, ...]):
-        object.__setattr__(self, "code", code)
         object.__setattr__(self, "isotropic", isotropic)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "grams", grams)
@@ -67,7 +66,7 @@ def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     x*G maps C onto the rows of the Gram matrix G with kernel D, the test
     runs on G's rows: G_i outside span(pG + the kept G_j), in k <= 2nm
     columns."""
-    G, target = C.analysis.gram, C.analysis.rank(0)
+    G, target = C.gram, C.rank(0)
     pG = ZpbMatrix(G.p, G.b, G.rows, G.cols, tuple(G.p * x % G.modulus for x in G.entries))
     picks = _greedy_extension(pG, [G.row(i) for i in range(G.rows)], target)
     if len(picks) != target:
@@ -86,7 +85,7 @@ def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> 
     """
     p, N = C.ring.p, C.ring.modulus
     rows = [[p * x % N for x in r] for r in C.expanded_smith.generators] + lifted
-    cands = smith_form(C.analysis.meet.matrix).generators
+    cands = smith_form(C.meet.matrix).generators
     base = ZpbMatrix.from_reduced(p, C.ring.b, rows, C.ambient_cols)
     return [cands[i] for i in _greedy_extension(base, cands)]
 
@@ -99,9 +98,9 @@ def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:
     congruences; leftover generators with all-trivial pairings join the
     isotropic set alongside an isotropic completion drawn from C's
     intersection with its chi-dual.  Built and checked once per code;
-    every call returns that same object from ``C.analysis``.
+    every call returns that same object, ``C.decomposition``.
     """
-    return C.analysis.decomposition
+    return C.decomposition
 
 
 def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
@@ -149,8 +148,8 @@ def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
         for r in iso_rows + work)
     grams = tuple(symplectic_product(a, bb) for a, bb in pairs)
 
-    d = HyperbolicDecomposition(code=C, isotropic=isotropic, pairs=tuple(pairs), grams=grams)
-    _check_decomposition(d)
+    d = HyperbolicDecomposition(isotropic=isotropic, pairs=tuple(pairs), grams=grams)
+    _check_decomposition(d, C)
     return d
 
 
@@ -168,28 +167,26 @@ def _check_partner_pairings(gens: Sequence[SymplecticVector], k: int) -> None:
                 raise InternalInvariantViolation("non-partners pair character-nontrivially")
 
 
-def _check_decomposition(d: HyperbolicDecomposition) -> None:
-    C = d.code
+def _check_decomposition(d: HyperbolicDecomposition, C: AdditiveCode) -> None:
     gens = d.all_generators()
     _check_partner_pairings(gens, len(d.isotropic))
     rebuilt = AdditiveCode(C.ring, C.n, tuple(gens))
     if rebuilt.expanded_howell.matrix != C.expanded_howell.matrix:
         raise InternalInvariantViolation("decomposition does not span the code")
-    if 2 * d.c != C.analysis.rank(0):
+    if 2 * d.c != C.rank(0):
         raise InternalInvariantViolation("pair count does not match rank(C/(C cap C-dual))")
 
 
 def rho_profile(C: AdditiveCode) -> Tuple[int, ...]:
     """(rho_1, ..., rho_{b-1}) with rho_t the drop in rank(C/(C cap
     C^{chi-dual,t})) from level t-1 to t; each entry is even and >= 0."""
-    return C.analysis.rho
+    return C.rho
 
 
 def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bool:
     """Number of pair members inside C^{chi-dual,t} equals the rank drop
     from level 0 to level t."""
-    A = C.analysis
-    dual_t = A.dual(t)
+    dual_t = C.dual(t)
     count = sum(1 for pair in d.pairs for member in pair
                 if howell_member(dual_t, phi_expand(C.ring, member.components)))
-    return count == A.rank(0) - A.rank(t)
+    return count == C.rank(0) - C.rank(t)

@@ -27,7 +27,7 @@ from .codes import (
     same_module,
     symplectic_product,
 )
-from .decompose import HyperbolicDecomposition, _check_partner_pairings
+from .decompose import _check_partner_pairings
 from .errors import (
     CapacityExceeded,
     InternalInvariantViolation,
@@ -67,53 +67,48 @@ def _rho_growth(C: AdditiveCode) -> int:
     """prod_t p^{(b-t) rho_t}: the rho bound on |C'| / |C| for an extension
     C' of C."""
     ring = C.ring
-    return math.prod(ring.p ** ((ring.b - t) * r) for t, r in enumerate(C.analysis.rho, start=1))
+    return math.prod(ring.p ** ((ring.b - t) * r) for t, r in enumerate(C.rho, start=1))
 
 
 class SelfOrthogonalExtension(Frozen):
-    """A chi-self-orthogonal code over R^{2(n+c)} puncturing back to base,
-    with the symplectic subset whose members are its pairs' tails."""
+    """A chi-self-orthogonal code C' over R^{2(n+c)}, with the symplectic
+    subset whose members are its pairs' tails.  C' punctures back to its
+    base code C, which it does not keep: ``verify`` takes it."""
 
-    def __init__(self, base: AdditiveCode, extended: AdditiveCode, c: int, card_extended: int,
-                 pair_generators: Tuple[Tuple[SymplecticVector, SymplecticVector], ...],
-                 isotropic_generators: Tuple[SymplecticVector, ...], subset: SymplecticSubset):
-        object.__setattr__(self, "base", base)
+    def __init__(self, extended: AdditiveCode, subset: SymplecticSubset):
         object.__setattr__(self, "extended", extended)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "card_extended", card_extended)
-        object.__setattr__(self, "pair_generators", pair_generators)
-        object.__setattr__(self, "isotropic_generators", isotropic_generators)
         object.__setattr__(self, "subset", subset)
 
-    def verify(self) -> None:
+    @property
+    def c(self) -> int:
+        return self.subset.c
+
+    @property
+    def card_extended(self) -> int:
+        return cardinality(self.extended)
+
+    def verify(self, C: AdditiveCode) -> None:
         if not is_chi_self_orthogonal(self.extended):
             raise InternalInvariantViolation("extension is not chi-self-orthogonal")
-        if not same_module(puncture(self.extended, self.base.n), self.base):
+        if not same_module(puncture(self.extended, C.n), C):
             raise InternalInvariantViolation("puncturing does not recover the base code")
-        card_c = cardinality(self.base)
-        if not card_c <= self.card_extended <= card_c * _rho_growth(self.base):
+        card_c = cardinality(C)
+        if not card_c <= self.card_extended <= card_c * _rho_growth(C):
             raise InternalInvariantViolation("extension cardinality violates the rho sandwich")
-        if is_free(self.base) and self.card_extended != card_c:
+        if is_free(C) and self.card_extended != card_c:
             raise InternalInvariantViolation("free base must extend without growth")
 
 
-def _extend(C: AdditiveCode, d: HyperbolicDecomposition,
-            subset: SymplecticSubset) -> SelfOrthogonalExtension:
-    """Append (-a.x | a.y) of subset pair j to each member of decomposition
-    pair j and zeros to each isotropic generator; build and check C'."""
-    ring, c = C.ring, subset.c
+def _extend(C: AdditiveCode, subset: SymplecticSubset) -> SelfOrthogonalExtension:
+    """Append (-a.x | a.y) of subset pair j to each member of pair j of C's
+    decomposition and zeros to each isotropic generator; build and check C'."""
+    ring, c, d = C.ring, subset.c, C.decomposition
     zeros = (ring.zero,) * c
     iso = tuple(SymplecticVector(ring, g.x + zeros, g.y + zeros) for g in d.isotropic)
-    pairs = tuple(
-        tuple(SymplecticVector(ring, g.x + tuple(-v for v in a.x), g.y + a.y)
-              for g, a in zip(members, tails))
-        for members, tails in zip(d.pairs, subset.pairs))
-    gens = iso + tuple(v for pair in pairs for v in pair)
-    extended = AdditiveCode(ring, C.n + c, gens)
-    ext = SelfOrthogonalExtension(
-        base=C, extended=extended, c=c, card_extended=cardinality(extended),
-        pair_generators=pairs, isotropic_generators=iso, subset=subset)
-    ext.verify()
+    paired = tuple(SymplecticVector(ring, g.x + tuple(-v for v in a.x), g.y + a.y)
+                   for members, tails in zip(d.pairs, subset.pairs) for g, a in zip(members, tails))
+    ext = SelfOrthogonalExtension(extended=AdditiveCode(ring, C.n + c, iso + paired), subset=subset)
+    ext.verify(C)
     return ext
 
 
@@ -122,16 +117,18 @@ def _at(ring: GaloisRingSpec, c: int, k: int, el: RingElement) -> Tuple[RingElem
     return (ring.zero,) * k + (el,) + (ring.zero,) * (c - k - 1)
 
 
-def build_extension(d: HyperbolicDecomposition) -> SelfOrthogonalExtension:
-    """One fresh coordinate per hyperbolic pair, from the subset
-    a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first member gets
-    gamma_j appended in the x half, the second a unit in the y half."""
-    ring, c = d.code.ring, d.c
+def build_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
+    """One fresh coordinate per hyperbolic pair of C's decomposition, from
+    the subset a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first
+    member gets gamma_j appended in the x half, the second a unit in the y
+    half."""
+    d = C.decomposition
+    ring, c = C.ring, d.c
     zeros = (ring.zero,) * c
     pairs = tuple((SymplecticVector(ring, _at(ring, c, j, -gamma), zeros),
                    SymplecticVector(ring, zeros, _at(ring, c, j, ring.one)))
                   for j, gamma in enumerate(d.grams))
-    return _extend(d.code, d, SymplecticSubset(ring, c, pairs))
+    return _extend(C, SymplecticSubset(ring, c, pairs))
 
 
 def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
@@ -166,7 +163,7 @@ def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
 
 def minimum_entanglement_degree(C: AdditiveCode) -> int:
     """ceil(r / 2m) with r = rank(C / (C cap C^{chi-dual}))."""
-    r = C.analysis.rank(0)
+    r = C.rank(0)
     if r % 2:
         raise InternalInvariantViolation(f"rank(C/(C cap dual)) = {r} is odd")
     return -(-r // (2 * C.ring.m))
@@ -178,18 +175,18 @@ def build_minimal_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
     Appends only ceil(pairs / m) coordinates by packing up to m pairs into
     one fresh ring coordinate via a symplectic subset with the grams'
     exponents as targets.  Built and checked once per code; every call
-    returns that same object from ``C.analysis``.
+    returns that same object, ``C.extension``.
     """
-    return C.analysis.extension
+    return C.extension
 
 
 def _minimal_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
-    d = C.analysis.decomposition
+    d = C.decomposition
     c = -(-d.c // C.ring.m)
     if c != minimum_entanglement_degree(C):
         raise InternalInvariantViolation("pair count disagrees with the degree formula")
     subset = construct_symplectic_subset(C.ring, c, [char_exponent(g) for g in d.grams])
-    return _extend(C, d, subset)
+    return _extend(C, subset)
 
 
 def verify_quasi_symplectic(ring: GaloisRingSpec,
@@ -205,6 +202,8 @@ def verify_quasi_symplectic(ring: GaloisRingSpec,
         raise RingMismatch("quasi-symplectic subsets are defined over m = 1 rings")
     e = len(pairs)
     Jset = set(J)
+    if not Jset <= set(range(e)):
+        raise ValueError(f"J = {sorted(Jset)} indexes outside the {e} pairs")
     for i in range(e):
         for j in range(e):
             if symplectic_product(pairs[i][0], pairs[j][0]):
@@ -255,8 +254,7 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     when the chi-dual is too large to enumerate.
     """
     ring = C.ring
-    A = C.analysis
-    ext = A.extension
+    ext = C.extension
     n, c = C.n, ext.c
     card_code = cardinality(C)
     total = ring.cardinality ** (n + c)
@@ -272,6 +270,6 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
         D = None
     return EaqeccParams(
         n=n, c=c, K_exact=K_exact, K_lower=K_lower, K_upper=K_upper,
-        K_lower_raw=K_lower_raw, D=D, rho=A.rho,
-        distance_case="dual_subset_of_code" if A.dual_in_code else "dual_minus_code",
+        K_lower_raw=K_lower_raw, D=D, rho=C.rho,
+        distance_case="dual_subset_of_code" if C.dual_in_code else "dual_minus_code",
         card_code=card_code, card_extended=ext.card_extended, ring=ring)

@@ -390,8 +390,8 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                 best = min(best, w)
             if K == 1 and lam:
                 dim1_best = min(dim1_best, w)
-    want = set(enumerate_module(C.analysis.dual(0), limit))
-    want -= set(enumerate_module(C.analysis.meet, limit))  # C^chi \ C = C^chi \ (C cap C^chi)
+    want = set(enumerate_module(C.dual(0), limit))
+    want -= set(enumerate_module(C.meet, limit))  # C^chi \ C = C^chi \ (C cap C^chi)
     return ErrorSearchResult(dimension=K, undetectable=tuple(sorted(undet)), min_weight=best,
                              set_matches_dual_minus_code=set(undet) == want,
                              dim1_distance=(dim1_best if K == 1 else None))

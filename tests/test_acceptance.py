@@ -156,7 +156,7 @@ def test_criterion_3_extension(corpus, decomps):
             bound = card
             for t, r in enumerate(rho_profile(C), start=1):
                 bound *= C.ring.p ** ((C.ring.b - t) * r)
-            for ext in (build_extension(d), build_minimal_extension(C)):
+            for ext in (build_extension(C), build_minimal_extension(C)):
                 assert is_chi_self_orthogonal(ext.extended)
                 assert same_module(puncture(ext.extended, C.n), C)
                 assert card <= ext.card_extended <= bound
@@ -170,7 +170,7 @@ def test_criterion_4_worked_instance():
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
     d = hyperbolic_decompose(C)
     assert d.c == 1
-    ext = build_extension(d)
+    ext = build_extension(C)
     want = AdditiveCode.from_int_rows(z4, [[1, 2, 0, 0], [0, 0, 2, 1]])
     assert same_module(ext.extended, want)
     assert ext.card_extended == 16

@@ -1,4 +1,4 @@
-"""The per-code analysis: every derived object of a code is built once,
+"""The per-code objects: every derived object of a code is built once,
 the ranks read off the Gram matrix's Smith form agree with the
 quotient-rank oracle, and the meet {x*S : x*G = 0}, read off one Howell
 form of [G | S], agrees with the intersection of C and its chi-dual.
@@ -8,7 +8,10 @@ parsed per report, so a second computation of the same object shows up.
 """
 
 import collections
+import functools
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -21,7 +24,7 @@ from eaqring.cli import build_report, parse_code_text
 from eaqring.codes import AdditiveCode, SymplecticVector, chi_dual_level, code_intersection
 from eaqring.errors import InternalInvariantViolation
 from eaqring.decompose import hyperbolic_decompose, rho_profile
-from eaqring.extension import build_minimal_extension
+from eaqring.extension import build_minimal_extension, eaqecc_params
 from eaqring.galois import make_ring, phi_expand
 from eaqring.zpblinalg import ZpbMatrix, howell_form, quotient_rank
 
@@ -136,7 +139,36 @@ def test_chi_dual_is_checked_against_its_size(monkeypatch):
     monkeypatch.setattr(codes_mod, "_pairing_columns",
                         lambda code, scale: ZpbMatrix.from_reduced(2, 2, [[], []], 0))
     with pytest.raises(InternalInvariantViolation, match="is not q"):
-        C.analysis.dual(0)
+        C.dual(0)
+
+
+@pytest.mark.parametrize("t", [-3, -1, 3, 5])
+def test_levels_outside_0_to_b_are_rejected(t):
+    """dual(t), rank(t) and chi_dual_level(C, t) take 0 <= t <= b only: over
+    Z4 (b = 2) a negative level or one past b raises ValueError."""
+    ring, C = parse_code_text(CODES["Z4"])
+    for level in (C.dual, C.rank, functools.partial(chi_dual_level, C)):
+        with pytest.raises(ValueError, match="out of range"):
+            level(t)
+    assert [C.rank(t) for t in range(ring.b + 1)] == [2, 0, 0]
+
+
+@pytest.mark.parametrize("label", sorted(CODES))
+def test_the_library_frees_a_code_without_the_cyclic_collector(label):
+    """No object derived from a code refers back to it: with the cyclic
+    collector off, a code taken through the parameters, the stabilizer of
+    its minimal extension and the error search dies on ``del``."""
+    ring, C = parse_code_text(CODES[label])
+    gc.disable()
+    try:
+        eaqecc_params(C)
+        group = pauli_mod.build_stabilizer(build_minimal_extension(C))
+        pauli_mod.undetectable_error_search(C, group)
+        code = weakref.ref(C)
+        del C
+        assert code() is None
+    finally:
+        gc.enable()
 
 
 def test_repeated_calls_return_the_cached_objects():
@@ -144,11 +176,11 @@ def test_repeated_calls_return_the_cached_objects():
     d = hyperbolic_decompose(C)
     assert hyperbolic_decompose(C) is d
     assert build_minimal_extension(C) is build_minimal_extension(C)
-    assert build_minimal_extension(C).pair_generators[0][0].x[:C.n] == d.pairs[0][0].x
-    assert C.analysis.dual(1) is C.analysis.dual(1)
-    assert chi_dual_level(C, 1).expanded_howell is C.analysis.dual(1)
-    assert C.analysis.meet is C.analysis.meet
-    assert C.analysis.gram is C.analysis.gram
+    assert build_minimal_extension(C).extended.generators[len(d.isotropic)].x[:C.n] == d.pairs[0][0].x
+    assert C.dual(1) is C.dual(1)
+    assert chi_dual_level(C, 1).expanded_howell is C.dual(1)
+    assert C.meet is C.meet
+    assert C.gram is C.gram
     assert rho_profile(C) is rho_profile(C)
 
 
@@ -162,7 +194,7 @@ def test_derived_codes_keep_consistent_howell_rows(ring_args):
     ring = make_ring(*ring_args)
     rng = random.Random(sum(x * 10 ** i for i, x in enumerate(ring_args)))
     for C in sample_codes(ring, rng):
-        assert C.analysis.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
+        assert C.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
         derived = []
         for t in range(ring.b + 1):
             derived.append(chi_dual_level(C, t))
@@ -183,12 +215,12 @@ def test_gram_ranks_match_the_quotient_rank_oracle(ring_args):
     b = ring.b
     rng = random.Random(1000 + sum(x * 10 ** i for i, x in enumerate(ring_args)))
     for C in sample_codes(ring, rng):
-        ranks = [C.analysis.rank(t) for t in range(b + 1)]
+        ranks = [C.rank(t) for t in range(b + 1)]
         assert ranks == [quotient_rank(C.expanded_howell,
                                        code_intersection(C, chi_dual_level(C, t)).expanded_howell)
                          for t in range(b + 1)]
         assert ranks[b] == 0
-        assert list(C.analysis.rho) == [ranks[t - 1] - ranks[t] for t in range(1, b)]
+        assert list(C.rho) == [ranks[t - 1] - ranks[t] for t in range(1, b)]
 
 
 def test_redundant_input_rows_keep_the_gram_matrix_small():
@@ -201,7 +233,7 @@ def test_redundant_input_rows_keep_the_gram_matrix_small():
     reports = []
     for gens in (rows, list(dict.fromkeys(rows))):
         ring, C = parse_code_text("ring p=2 b=2 m=1\nn 1\n" + "".join(gens))
-        assert C.analysis.gram.rows <= 2 * C.n * ring.m
+        assert C.gram.rows <= 2 * C.n * ring.m
         report, code = build_report("params", ring, C, 1 << 22, 1 << 10)
         assert report.pop("generators") == [[[int(x)] for x in g.split()[1:]] for g in gens]
         reports.append((report, code))

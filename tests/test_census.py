@@ -65,10 +65,10 @@ def test_census(ring_args, n, count):
     flag_false = []
     for H in bases:
         C = AdditiveCode.from_expanded(ring, n, H)
-        assert C.analysis.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
+        assert C.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
         for t in range(ring.b + 1):
             meet = code_intersection(C, chi_dual_level(C, t))
-            assert C.analysis.rank(t) == quotient_rank(H, meet.expanded_howell)
+            assert C.rank(t) == quotient_rank(H, meet.expanded_howell)
         P = eaqecc_params(C)
         assert P.K_lower <= P.K_exact <= P.K_upper
         group = build_stabilizer(build_minimal_extension(C))

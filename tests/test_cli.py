@@ -575,9 +575,9 @@ def test_cli_run_leaves_no_cyclic_garbage(tmp_path):
 @pytest.mark.parametrize("error", [InternalInvariantViolation, ValueError])
 def test_cli_run_error_leaves_no_cyclic_garbage(tmp_path, monkeypatch, error):
     """A command that raises after parsing frees what it built by reference
-    counting alone, as a successful one does: the code's analysis, which
-    refers back to the code, is dropped on the error path too."""
-    def broken(d):
+    counting alone, as a successful one does: no object derived from the
+    code refers back to it, on the error path too."""
+    def broken(d, C):
         raise error("decomposition check forced to fail")
 
     f = tmp_path / "code.txt"

@@ -210,13 +210,13 @@ def test_is_chi_self_orthogonal(z4):
 
 def test_min_symplectic_distance(z4, worked):
     # C^{chi-dual} is inside C: D is read off all of it
-    assert worked.analysis.dual_in_code
+    assert worked.dual_in_code
     assert min_symplectic_distance(worked) == 1
     # the whole space: its chi-dual {0} is inside it, and D is infinite
     assert min_symplectic_distance(chi_dual_level(AdditiveCode(z4, 1, ()), 0)) == math.inf
     # a code whose chi-dual is not inside it: members of C are skipped
     C = AdditiveCode.from_int_rows(z4, [[2, 0]])
-    assert not C.analysis.dual_in_code
+    assert not C.dual_in_code
     assert min_symplectic_distance(C) == 1
     with pytest.raises(SearchLimitExceeded) as exc:
         min_symplectic_distance(AdditiveCode(z4, 3, ()), limit=100)
@@ -275,7 +275,7 @@ def test_min_distance_all_modes_brute_force(label):
                 ring, [ring.element([rng.randrange(N) for _ in range(m)]) for _ in range(2 * n)])
                 for _ in range(rng.randint(1, 3))]
             C, want = brute_distances(ring, n, gens)
-            assert C.analysis.dual_in_code == want["dual_in_code"], n
+            assert C.dual_in_code == want["dual_in_code"], n
             assert min_symplectic_distance(C) == want["D"], n
             cases.add(want["dual_in_code"])
     assert cases == {True, False}
@@ -296,7 +296,7 @@ def test_min_distance_skips_light_members_of_the_code(params, rows):
     ring = make_ring(*params)
     C, want = brute_distances(ring, 2, [SymplecticVector.from_ints(ring, r) for r in rows])
     assert want == {"code": 1, "dual": 1, "dual_minus_code": 2, "D": 2, "dual_in_code": False}
-    assert not C.analysis.dual_in_code
+    assert not C.dual_in_code
     assert min_symplectic_distance(C) == 2
     pairs = 2 if params == (2, 2, 1) else 1
     n = 2 + 2 * pairs
@@ -305,8 +305,8 @@ def test_min_distance_skips_light_members_of_the_code(params, rows):
         padded.append([int(i in (j, j + 1)) for i in range(n)] + [0] * n)
         padded.append([0] * n + [{j: 1, j + 1: ring.modulus - 1}.get(i, 0) for i in range(n)])
     C = AdditiveCode.from_int_rows(ring, padded)
-    table, highs = packed_blocks(C.analysis.dual(0), 1 << 22)
-    assert len(table) < C.analysis.dual(0).cardinality and not C.analysis.dual_in_code
+    table, highs = packed_blocks(C.dual(0), 1 << 22)
+    assert len(table) < C.dual(0).cardinality and not C.dual_in_code
     assert min_symplectic_distance(C) == tuple_search_distance(C) == 2
 
 
@@ -365,7 +365,7 @@ def test_distance_search_tests_membership_only_to_lower_the_minimum(monkeypatch)
     monkeypatch.setattr(codes_mod, "howell_member", counted_member)
     monkeypatch.setattr(codes_mod, "block_weights", counted_weights)
     D = min_symplectic_distance(C)
-    assert size == 4096 and D > 1 and not C.analysis.dual_in_code
+    assert size == 4096 and D > 1 and not C.dual_in_code
     assert counts["weighed"] == size
     assert 0 < counts["member"] < size / 100
 
@@ -380,8 +380,8 @@ def test_block_weights_match_the_lane_formula(label):
     n, m, N = 6 if label == "F2" else 3, ring.m, ring.modulus
     cols, L = 2 * n * m, lane_width(N)
     C = AdditiveCode(ring, n, (_random_vector(ring, n, random.Random(53)),))
-    table, highs = packed_blocks(C.analysis.dual(0), 1 << 22)
-    assert len(table) < C.analysis.dual(0).cardinality
+    table, highs = packed_blocks(C.dual(0), 1 << 22)
+    assert len(table) < C.dual(0).cardinality
     add, weights = lane_adder(N, cols), block_weights(n, m, N)
     negated = [pack([(-x) % N for x in unpack(t, L, cols)], L) for t in table]
     for h in itertools.islice(highs, 4):
@@ -406,7 +406,7 @@ def test_distance_search_memory_does_not_grow_with_the_dual():
             C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(2 * n)] for _ in range(k)])
             if cardinality(C) == 2 ** k:
                 break
-        C.analysis.dual(0), C.analysis.dual_in_code, C.expanded_howell
+        C.dual(0), C.dual_in_code, C.expanded_howell
         tracemalloc.start()
         try:
             D = min_symplectic_distance(C)
@@ -424,9 +424,9 @@ def tuple_search_distance(C):
     tested for membership in C only when it would lower the minimum."""
     n, m = C.n, C.ring.m
     nm = n * m
-    skip = None if C.analysis.dual_in_code else C.expanded_howell
+    skip = None if C.dual_in_code else C.expanded_howell
     best = math.inf
-    for flat in enumerate_module(C.analysis.dual(0), 1 << 22):
+    for flat in enumerate_module(C.dual(0), 1 << 22):
         coords = [0] * n
         for j in range(m):
             coords = [c | x | y for c, x, y in zip(coords, flat[j:nm:m], flat[nm + j::m])]
@@ -460,7 +460,7 @@ def _blocks_class(C):
     """Where C's chi-dual falls against the block table (``packed_blocks``):
     inside one table of BLOCK entries, or of over BLOCK / 4 and fewer, or
     past it by at most N blocks or by more (then by two high rows or more)."""
-    table, highs = packed_blocks(C.analysis.dual(0), 1 << 22)
+    table, highs = packed_blocks(C.dual(0), 1 << 22)
     blocks = sum(1 for _ in highs)
     if blocks > 1:
         return "a few blocks" if blocks <= C.ring.modulus else "many blocks"
@@ -497,7 +497,7 @@ def test_min_distance_matches_the_tuple_search(label, monkeypatch):
                     C = AdditiveCode(ring, n, tuple(_random_vector(ring, n, rng)
                                                     for _ in range(rng.randint(1, 2 * n * ring.m))))
                 size = q ** (2 * n) // cardinality(C)
-                if 2 ** 8 <= size <= 2 ** 14 and C.analysis.dual_in_code == case:
+                if 2 ** 8 <= size <= 2 ** 14 and C.dual_in_code == case:
                     break
             D = min_symplectic_distance(C)
             assert D == tuple_search_distance(C), (n, case)
@@ -519,7 +519,7 @@ def test_min_distance_matches_the_tuple_search(label, monkeypatch):
             continue
         tested.clear()
         D = min_symplectic_distance(C)
-        assert C.analysis.dual_in_code or D == min(
+        assert C.dual_in_code or D == min(
             symplectic_weight(SymplecticVector.from_components(ring, phi_contract(ring, v)))
             for v in tested if not member(C.expanded_howell, v))
         if (_blocks_class(C), D == 1) in wanted:
@@ -539,10 +539,10 @@ def test_min_distance_early_exit_and_infinite_against_the_tuple_search(z4):
     rows = [[0] + [rng.randrange(2) for _ in range(11)] + [0] + [rng.randrange(2) for _ in range(11)]
             for _ in range(14)]
     C = AdditiveCode.from_int_rows(f2, rows)
-    assert not C.analysis.dual_in_code and 2 ** 24 // cardinality(C) <= 2 ** 14
+    assert not C.dual_in_code and 2 ** 24 // cardinality(C) <= 2 ** 14
     assert min_symplectic_distance(C) == tuple_search_distance(C) == 1
     whole = chi_dual_level(AdditiveCode(z4, 4, ()), 0)
-    assert whole.analysis.dual_in_code
+    assert whole.dual_in_code
     assert min_symplectic_distance(whole) == tuple_search_distance(whole) == math.inf
 
 

@@ -139,9 +139,9 @@ def test_check_rejects_a_split_pair():
     z4 = make_ring(2, 2, 1)
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
     (g0, g1), = hyperbolic_decompose(C).pairs
-    split = HyperbolicDecomposition(code=C, isotropic=(g0, g1), pairs=(), grams=())
+    split = HyperbolicDecomposition(isotropic=(g0, g1), pairs=(), grams=())
     with pytest.raises(InternalInvariantViolation, match="non-partners"):
-        _check_decomposition(split)
+        _check_decomposition(split, C)
 
 
 def lift_oracle(C):

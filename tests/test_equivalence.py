@@ -1,0 +1,113 @@
+"""Equivalence invariance as an oracle: the parameters of a code do not
+depend on how it is presented.
+
+A code and its image under a random sequence of transforms go through
+``cli.run`` (``params``, ``dual`` and ``distance``), and the two reports
+must agree on n, c, K_lower, K_upper, rho, |C|, |C^chi|, D and
+``distance_case``.  The transforms:
+
+- a permutation of the coordinates;
+- at one coordinate, (x, y) -> (y, -x) or (x, y) -> (x, y + r x), r in R,
+  both of which keep the trace-symplectic form and the symplectic weight;
+- reordering the generator rows, adding an integer multiple of one row to
+  another, or appending a redundant row (an integer combination of rows).
+
+K_exact and card_extended depend on the presentation today (see
+``test_extension.py``'s strict xfail on the order of the generators), so
+they stay out.  The rings are F2, F4, Z4, Z8, Z9 and GR(4,2), at n <= 4
+with q^{2n} <= 2^16, so every chi-dual is searched in full.
+"""
+
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eaqring.cli import run, serialize_code
+from eaqring.codes import AdditiveCode, SymplecticVector
+from eaqring.galois import make_ring
+
+RINGS = {"F2": (2, 1, 1), "F4": (2, 1, 2), "Z4": (2, 2, 1), "Z8": (2, 3, 1), "Z9": (3, 2, 1),
+         "GR(4,2)": (2, 2, 2)}
+
+# the report fields of each command that every presentation must share
+INVARIANT = {
+    "params": ("n", "c_min", "K_lower", "K_upper", "rho", "card_code", "D", "distance_case"),
+    "dual": ("n", "card_code", "card_dual"),
+    "distance": ("n", "D", "distance_case"),
+}
+
+
+def report(command, ring, C):
+    """The exit code of ``eaqring command`` on C's text form, and the
+    invariant fields of its report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.txt"
+        path.write_text(serialize_code(ring, C))
+        out = io.StringIO()
+        code = run([command, str(path)], out=out)
+    rep = json.loads(out.getvalue())
+    assert "error" not in rep, rep
+    return code, {key: rep[key] for key in INVARIANT[command]}
+
+
+def elements(ring):
+    return st.lists(st.integers(0, ring.modulus - 1), min_size=ring.m, max_size=ring.m).map(ring.element)
+
+
+@st.composite
+def codes(draw, ring):
+    n = draw(st.integers(1, max(n for n in range(1, 5) if ring.cardinality ** (2 * n) <= 1 << 16)))
+    rows = draw(st.lists(st.lists(elements(ring), min_size=2 * n, max_size=2 * n),
+                         min_size=1, max_size=4))
+    return AdditiveCode(ring, n, tuple(SymplecticVector.from_components(ring, r) for r in rows))
+
+
+def at(values, i, value):
+    return values[:i] + (value,) + values[i + 1:]
+
+
+@st.composite
+def transformed(draw, ring, C):
+    """C's image under one to three random transforms."""
+    n, gens = C.n, list(C.generators)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["permute", "swap", "shear", "reorder", "add", "append"]))
+        if kind == "permute":
+            pi = draw(st.permutations(range(n)))
+            gens = [SymplecticVector(ring, tuple(g.x[i] for i in pi), tuple(g.y[i] for i in pi))
+                    for g in gens]
+        elif kind == "swap":
+            i = draw(st.integers(0, n - 1))
+            gens = [SymplecticVector(ring, at(g.x, i, g.y[i]), at(g.y, i, -g.x[i])) for g in gens]
+        elif kind == "shear":
+            i, r = draw(st.integers(0, n - 1)), draw(elements(ring))
+            gens = [SymplecticVector(ring, g.x, at(g.y, i, g.y[i] + r * g.x[i])) for g in gens]
+        elif kind == "reorder":
+            gens = draw(st.permutations(gens))
+        elif kind == "add" and len(gens) > 1:
+            i, j = draw(st.lists(st.integers(0, len(gens) - 1), min_size=2, max_size=2, unique=True))
+            gens[i] = gens[i] + gens[j].scale(draw(st.integers(1, ring.modulus - 1)))
+        elif kind == "append":
+            coeffs = draw(st.lists(st.integers(0, ring.modulus - 1),
+                                   min_size=len(gens), max_size=len(gens)))
+            extra = gens[0].scale(coeffs[0])
+            for g, s in zip(gens[1:], coeffs[1:]):
+                extra = extra + g.scale(s)
+            gens.append(extra)
+    return AdditiveCode(ring, n, tuple(gens))
+
+
+@pytest.mark.parametrize("label", RINGS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_reports_are_invariant_under_code_equivalence(label, data):
+    ring = make_ring(*RINGS[label])
+    C = data.draw(codes(ring))
+    image = data.draw(transformed(ring, C))
+    for command in INVARIANT:
+        assert report(command, ring, image) == report(command, ring, C), command

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import eaqring.extension as extension_mod
 from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
@@ -57,7 +58,7 @@ def random_code(ring, n, k, rng):
 
 
 def test_build_extension_worked(z4, worked):
-    ext = build_extension(hyperbolic_decompose(worked))
+    ext = build_extension(worked)
     assert ext.c == 1
     assert ext.card_extended == 16
     want = AdditiveCode.from_int_rows(z4, [[1, 2, 0, 0], [0, 0, 2, 1]])
@@ -68,14 +69,14 @@ def test_build_extension_worked(z4, worked):
 
 def test_build_extension_self_orthogonal_base(z4):
     C = AdditiveCode.from_int_rows(z4, [[2, 0]])
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     assert ext.c == 0
     assert same_module(ext.extended, C)
 
 
 def test_build_extension_free_base(z4):
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     assert ext.card_extended == cardinality(C) == 16
 
 
@@ -143,16 +144,13 @@ def test_subset_verify_rejects_a_nontrivial_cross_pair(z4):
 
 
 def test_extension_verify_rejects_a_broken_tail(z4, worked):
-    ext = build_extension(hyperbolic_decompose(worked))
-    (u1, u2), = ext.pair_generators
+    ext = build_extension(worked)
+    u1, u2 = ext.extended.generators  # the one pair, and no isotropic generator
     # without the gram in its tail, u1 still pairs nontrivially with u2
     bad = SymplecticVector(z4, u1.x[:1] + (z4.zero,), u1.y)
-    broken = SelfOrthogonalExtension(
-        base=ext.base, extended=AdditiveCode(z4, 2, (bad, u2)), c=ext.c,
-        card_extended=ext.card_extended, pair_generators=ext.pair_generators,
-        isotropic_generators=ext.isotropic_generators, subset=ext.subset)
+    broken = SelfOrthogonalExtension(extended=AdditiveCode(z4, 2, (bad, u2)), subset=ext.subset)
     with pytest.raises(InternalInvariantViolation, match="not chi-self-orthogonal"):
-        broken.verify()
+        broken.verify(worked)
 
 
 def test_minimum_entanglement_degree(z4, gr42, worked):
@@ -201,24 +199,24 @@ def test_extension_invariants_randomized(spec, n):
     for _ in range(8):
         C = random_code(ring, n, rng.randint(1, 3), rng)
         d = hyperbolic_decompose(C)
-        for ext in (build_extension(d), build_minimal_extension(C)):
+        for ext in (build_extension(C), build_minimal_extension(C)):
             assert is_chi_self_orthogonal(ext.extended)
             assert same_module(puncture(ext.extended, n), C)
             card = cardinality(C)
             assert card <= ext.card_extended
             if is_free(C):
                 assert ext.card_extended == card
-            # the tails read off the pair generators are the kept subset
-            tails = tuple(
-                tuple(SymplecticVector(ring, tuple(-v for v in u.x[n:]), u.y[n:]) for u in pair)
-                for pair in ext.pair_generators)
+            # the tails read off the pairs' generators, which follow the
+            # isotropic ones member by member, are the kept subset
+            members = [SymplecticVector(ring, tuple(-v for v in u.x[n:]), u.y[n:])
+                       for u in ext.extended.generators[len(d.isotropic):]]
+            tails = tuple(zip(members[::2], members[1::2]))
             assert tails == ext.subset.pairs
             assert ext.subset.exponents() == tuple(char_exponent(g) for g in d.grams)
 
 
 def test_extract_worked_shape(z4, worked):
-    d = hyperbolic_decompose(worked)
-    sub = build_extension(d).subset
+    sub = build_extension(worked).subset
     assert sub.e == 1
     assert sub.exponents() == (2,)
     a1, a2 = sub.pairs[0]
@@ -240,6 +238,19 @@ def test_verify_quasi_symplectic(z4):
     assert verify_quasi_symplectic(z4, [p1], [0])
     p2 = (SymplecticVector.from_ints(z4, [2, 0]), SymplecticVector.from_ints(z4, [0, 0]))
     assert not verify_quasi_symplectic(z4, [p2], [0])  # reduces to 0 mod 2
+
+
+def test_verify_quasi_symplectic_rejects_an_index_outside_the_pairs(z4, monkeypatch):
+    """An index of J outside range(len(pairs)) raises ValueError before any
+    symplectic product is formed."""
+    def no_product(u, v):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(extension_mod, "symplectic_product", no_product)
+    pair = (SymplecticVector.from_ints(z4, [2, 0]), SymplecticVector.from_ints(z4, [0, 1]))
+    for pairs, J in (([], [0]), ([pair], [1]), ([pair], [0, -1])):
+        with pytest.raises(ValueError, match="outside"):
+            verify_quasi_symplectic(z4, pairs, J)
 
 
 def test_symplectic_subset_is_quasi(z4):

@@ -24,7 +24,6 @@ from eaqring.codes import (
     iterate_codewords,
     symplectic_product,
 )
-from eaqring.decompose import hyperbolic_decompose
 from eaqring.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -157,7 +156,7 @@ def test_matrix_cap(z4):
 
 def test_stabilizer_f2_repetition(f2):
     C = AdditiveCode.from_int_rows(f2, [[1, 1]])
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     assert ext.c == 0
     g = build_stabilizer(ext)
     assert g.size == 2
@@ -170,7 +169,7 @@ def test_stabilizer_f2_repetition(f2):
 
 def test_stabilizer_elements_commute_and_square(f2):
     C = AdditiveCode.from_int_rows(f2, [[1, 1]])
-    g = build_stabilizer(build_extension(hyperbolic_decompose(C)))
+    g = build_stabilizer(build_extension(C))
     mats = [pauli_matrix(el) for el in g.elements]
     for A in mats:
         for B in mats:
@@ -183,7 +182,7 @@ def test_stabilizer_elements_commute_and_square(f2):
 
 def test_stabilizer_worked_instance(z4):
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     g = build_stabilizer(ext)
     assert g.size == 16
     P = dense_projector(g)
@@ -196,7 +195,7 @@ def test_stabilizer_worked_instance(z4):
 
 def test_projector_zero_code(z4):
     C = AdditiveCode(z4, 1, ())
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     g = build_stabilizer(ext)
     assert g.size == 1
     assert projector_dimension(g) == 4
@@ -231,7 +230,7 @@ def test_non_projector_detected(z4):
 
 def test_error_search_worked_instance(z4):
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     g = build_stabilizer(ext)
     res = undetectable_error_search(C, g)
     assert res.dimension == 1
@@ -246,7 +245,7 @@ def test_error_search_worked_instance(z4):
 
 def test_error_search_zero_code(z4):
     C = AdditiveCode(z4, 1, ())
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     g = build_stabilizer(ext)
     res = undetectable_error_search(C, g)
     assert res.dimension == 4
@@ -258,7 +257,7 @@ def test_error_search_zero_code(z4):
 
 def test_error_search_f2(f2):
     C = AdditiveCode.from_int_rows(f2, [[1, 1]])
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     g = build_stabilizer(ext)
     res = undetectable_error_search(C, g)
     assert res.dimension == 1
@@ -270,7 +269,7 @@ def test_error_search_f2(f2):
 
 def test_error_search_limit(z4):
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
-    ext = build_extension(hyperbolic_decompose(C))
+    ext = build_extension(C)
     g = build_stabilizer(ext)
     with pytest.raises(SearchLimitExceeded):
         undetectable_error_search(C, g, limit=4)
@@ -306,7 +305,7 @@ def test_stabilizer_randomized(z4, f4):
                          for _ in range(2)]
                 gens.append(SymplecticVector.from_components(ring, comps))
             C = AdditiveCode(ring, 1, tuple(gens))
-            ext = build_extension(hyperbolic_decompose(C))
+            ext = build_extension(C)
             if ring.cardinality ** ext.extended.n > 256:
                 continue
             g = build_stabilizer(ext)
@@ -636,7 +635,7 @@ def test_build_stabilizer_matches_compose_oracle():
 
 
 def test_build_stabilizer_matches_oracle_on_zero_code_and_large_group(z4):
-    zero = build_extension(hyperbolic_decompose(AdditiveCode(z4, 1, ())))
+    zero = build_extension(AdditiveCode(z4, 1, ()))
     assert build_stabilizer(zero).elements == stabilizer_by_compose(zero)
     ring, C = cli.parse_code_text(
         "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n")

@@ -120,10 +120,9 @@ FIELDS = {
     "RingElement": ("ring", "coeffs"),
     "SymplecticVector": ("ring", "x", "y"),
     "AdditiveCode": ("ring", "n", "generators"),
-    "HyperbolicDecomposition": ("code", "isotropic", "pairs", "grams"),
+    "HyperbolicDecomposition": ("isotropic", "pairs", "grams"),
     "SymplecticSubset": ("ring", "c", "pairs"),
-    "SelfOrthogonalExtension": ("base", "extended", "c", "card_extended", "pair_generators",
-                                "isotropic_generators", "subset"),
+    "SelfOrthogonalExtension": ("extended", "subset"),
     "EaqeccParams": ("n", "c", "K_exact", "K_lower", "K_upper", "K_lower_raw", "D",
                      "distance_case", "rho", "card_code", "card_extended", "ring"),
     "PauliOperator": ("ring", "n", "phase_exp", "a", "b"),
