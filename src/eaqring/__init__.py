@@ -17,41 +17,30 @@ from .codes import (
     code_intersection,
     is_chi_self_orthogonal,
     is_free,
-    iterate_codewords,
     min_symplectic_distance,
     puncture,
     same_module,
     symplectic_product,
-    symplectic_weight,
 )
-from .decompose import (
-    HyperbolicDecomposition,
-    hyperbolic_decompose,
-    rho_profile,
-    verify_prop_count,
-)
+from .decompose import HyperbolicDecomposition, hyperbolic_decompose
 from .errors import EaqringError
 from .extension import (
     EaqeccParams,
     SelfOrthogonalExtension,
     SymplecticSubset,
-    build_extension,
     build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
     minimum_entanglement_degree,
-    verify_quasi_symplectic,
 )
 from .galois import (
     GaloisRingSpec,
     RingElement,
     char_exponent,
-    frobenius,
     gen_trace,
     make_ring,
     phi_contract,
     phi_expand,
-    teichmuller_decompose,
 )
 
 __version__ = "0.1.0"
@@ -68,22 +57,18 @@ __all__ = [
     "StabilizerGroup",
     "SymplecticSubset",
     "SymplecticVector",
-    "build_extension",
     "build_minimal_extension",
     "build_stabilizer",
     "cardinality",
     "char_exponent",
     "chi_dual_level",
     "code_intersection",
-    "compose",
     "construct_symplectic_subset",
     "eaqecc_params",
-    "frobenius",
     "gen_trace",
     "hyperbolic_decompose",
     "is_chi_self_orthogonal",
     "is_free",
-    "iterate_codewords",
     "make_ring",
     "min_symplectic_distance",
     "minimum_entanglement_degree",
@@ -91,20 +76,14 @@ __all__ = [
     "phi_contract",
     "phi_expand",
     "projector_dimension",
-    "psi_map",
     "puncture",
-    "rho_profile",
     "same_module",
     "symplectic_product",
-    "symplectic_weight",
-    "teichmuller_decompose",
     "undetectable_error_search",
-    "verify_prop_count",
-    "verify_quasi_symplectic",
 ]
 
-_VERIFIER_NAMES = {"PauliOperator", "StabilizerGroup", "build_stabilizer", "compose",
-                   "pauli_matrix", "projector_dimension", "psi_map", "undetectable_error_search"}
+_VERIFIER_NAMES = {"PauliOperator", "StabilizerGroup", "build_stabilizer", "pauli_matrix",
+                   "projector_dimension", "undetectable_error_search"}
 
 
 def __getattr__(name: str):

@@ -355,6 +355,9 @@ def run(argv: List[str], out=None) -> int:
     args = _build_parser().parse_args(argv)
     C, int_text = None, _IntTexts()
     try:
+        for flag, cap in (("--max-enum", args.max_enum), ("--max-matrix-dim", args.max_matrix_dim)):
+            if cap < 0:
+                raise ValueError(f"{flag} {cap} is negative; 0 caps every search")
         ring, C = parse_code_file(args.file)
         report, code = build_report(args.command, ring, C,
                                     args.max_enum, args.max_matrix_dim, int_text)

@@ -1,5 +1,5 @@
 """Additive codes C over GR(p^b,m)^{2n}: symplectic products and weights,
-chi-duals at every level, cardinalities, membership, puncturing, and the
+chi-duals at every level, cardinalities, puncturing, and the
 exhaustive minimum symplectic distance, weighed a block of packed ints at a time.
 
 Internally every code is its phi-expanded row module over Z_{p^b}^{2nm},
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -34,7 +34,6 @@ from .zpblinalg import (
     SmithDecomposition,
     ZpbMatrix,
     _solve,
-    enumerate_module,
     howell_form,
     howell_member,
     intersect,
@@ -117,10 +116,6 @@ def _expanded_pairing(u, v, nm, N):
     return sum(u[nm + i] * v[i] - v[nm + i] * u[i] for i in range(nm)) % N
 
 
-def symplectic_weight(v: SymplecticVector) -> int:
-    return sum(1 for a, b in zip(v.x, v.y) if a or b)
-
-
 def block_weights(n: int, m: int, N: int) -> Callable[[int, Sequence[int]], List[int]]:
     """The weight kernel of the distance search: for packed phi-expanded
     vectors h and t (``packed_blocks``), the symplectic weight of h - t for
@@ -194,13 +189,6 @@ class AdditiveCode(Frozen):
             raise ValueError("need at least one row to infer n; use AdditiveCode directly")
         n = len(rows[0]) // 2
         return cls(ring, n, tuple(SymplecticVector.from_ints(ring, r) for r in rows))
-
-    def contains(self, v: SymplecticVector) -> bool:
-        return howell_member(self.expanded_howell, phi_expand(self.ring, v.components))
-
-    def minimal_generating_vectors(self) -> List[SymplecticVector]:
-        return [SymplecticVector.from_components(self.ring, phi_contract(self.ring, r))
-                for r in self.expanded_smith.generators]
 
     def _check_level(self, t: int) -> None:
         if not 0 <= t <= self.ring.b:
@@ -314,11 +302,6 @@ def is_chi_self_orthogonal(C: AdditiveCode) -> bool:
     gens = C.generators
     return all(char_exponent(symplectic_product(g, h)) == 0
                for i, g in enumerate(gens) for h in gens[i:])
-
-
-def iterate_codewords(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[Tuple[int, ...]]:
-    """Every phi-expanded codeword exactly once; raises SearchLimitExceeded."""
-    yield from enumerate_module(C.expanded_howell, limit)
 
 
 def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> float:

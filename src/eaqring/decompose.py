@@ -1,6 +1,5 @@
 """Symplectic Gram-Schmidt over Z_{p^b}: rewrite a code's generating set as
-isotropic generators plus hyperbolic pairs, and compute the rho profile
-tracking how pair pivots degrade across the chi-dual levels.
+isotropic generators plus hyperbolic pairs.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from typing import List, Sequence, Tuple
 from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
 from .frozen import Frozen
-from .galois import RingElement, char_exponent, phi_contract, phi_expand
+from .galois import RingElement, char_exponent, phi_contract
 from .zpblinalg import ZpbMatrix, howell_form, howell_member, smith_form, solve_congruence
 
 
@@ -175,18 +174,3 @@ def _check_decomposition(d: HyperbolicDecomposition, C: AdditiveCode) -> None:
         raise InternalInvariantViolation("decomposition does not span the code")
     if 2 * d.c != C.rank(0):
         raise InternalInvariantViolation("pair count does not match rank(C/(C cap C-dual))")
-
-
-def rho_profile(C: AdditiveCode) -> Tuple[int, ...]:
-    """(rho_1, ..., rho_{b-1}) with rho_t the drop in rank(C/(C cap
-    C^{chi-dual,t})) from level t-1 to t; each entry is even and >= 0."""
-    return C.rho
-
-
-def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bool:
-    """Number of pair members inside C^{chi-dual,t} equals the rank drop
-    from level 0 to level t."""
-    dual_t = C.dual(t)
-    count = sum(1 for pair in d.pairs for member in pair
-                if howell_member(dual_t, phi_expand(C.ring, member.components)))
-    return count == C.rank(0) - C.rank(t)

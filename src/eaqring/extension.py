@@ -2,11 +2,12 @@
 degree, and the end-to-end parameter pipeline for entanglement-assisted
 codes built from additive codes over GR(p^b, m).
 
-Both extensions are one assembly from a symplectic subset of R^{2c}: pair j
-of the decomposition gets the tails (-a.x | a.y) of subset pair j, the
-isotropic generators get zero tails, and the subset is kept on the
-extension as ``ext.subset``.  ``build_extension`` gives each pair its own
-coordinate; the minimal extension packs up to m pairs into one.
+An extension is one assembly from a symplectic subset of R^{2c}
+(``_extend``): pair j of the decomposition gets the tails (-a.x | a.y) of
+subset pair j, the isotropic generators get zero tails, and the subset is
+kept on the extension as ``ext.subset``.  The minimal extension packs up to
+m pairs into one coordinate.  The tests' ``build_extension``, one
+coordinate per pair, is the same assembly from another subset.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from .decompose import _check_partner_pairings
 from .errors import (
     CapacityExceeded,
     InternalInvariantViolation,
-    RingMismatch,
     SearchLimitExceeded,
     ZeroTarget,
 )
 from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, char_exponent
-from .zpblinalg import ZpbMatrix, smith_form
 
 
 class SymplecticSubset(Frozen):
@@ -117,20 +116,6 @@ def _at(ring: GaloisRingSpec, c: int, k: int, el: RingElement) -> Tuple[RingElem
     return (ring.zero,) * k + (el,) + (ring.zero,) * (c - k - 1)
 
 
-def build_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
-    """One fresh coordinate per hyperbolic pair of C's decomposition, from
-    the subset a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first
-    member gets gamma_j appended in the x half, the second a unit in the y
-    half."""
-    d = C.decomposition
-    ring, c = C.ring, d.c
-    zeros = (ring.zero,) * c
-    pairs = tuple((SymplecticVector(ring, _at(ring, c, j, -gamma), zeros),
-                   SymplecticVector(ring, zeros, _at(ring, c, j, ring.one)))
-                  for j, gamma in enumerate(d.grams))
-    return _extend(C, SymplecticSubset(ring, c, pairs))
-
-
 def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
                                 targets: Sequence[int]) -> SymplecticSubset:
     """Symplectic subset of R^{2c} with prescribed character exponents.
@@ -140,6 +125,8 @@ def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
     <a_{j1}|a_{j2}>_s = z_j theta^l dual_l has exponent z_j, and distinct
     pairs in one coordinate stay character-orthogonal.
     """
+    if c < 0:
+        raise ValueError(f"c = {c} is negative")
     N = ring.modulus
     e = len(targets)
     if e > c * ring.m:
@@ -187,41 +174,6 @@ def _minimal_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
         raise InternalInvariantViolation("pair count disagrees with the degree formula")
     subset = construct_symplectic_subset(C.ring, c, [char_exponent(g) for g in d.grams])
     return _extend(C, subset)
-
-
-def verify_quasi_symplectic(ring: GaloisRingSpec,
-                            pairs: Sequence[Tuple[SymplecticVector, SymplecticVector]],
-                            J: Sequence[int]) -> bool:
-    """Quasi-symplectic check over Z_{p^a} (m = 1 only):
-
-    (a) <a_{i1}|a_{j1}> = 0 for all i, j and <a_{i1}|a_{k2}> = 0 for i != k;
-    (b) <a_{i1}|a_{i2}> != 0 off J, and the mod-p reductions of {a_{j1}}
-        over J are F_p-independent.
-    """
-    if ring.m != 1:
-        raise RingMismatch("quasi-symplectic subsets are defined over m = 1 rings")
-    e = len(pairs)
-    Jset = set(J)
-    if not Jset <= set(range(e)):
-        raise ValueError(f"J = {sorted(Jset)} indexes outside the {e} pairs")
-    for i in range(e):
-        for j in range(e):
-            if symplectic_product(pairs[i][0], pairs[j][0]):
-                return False
-            if i != j and symplectic_product(pairs[i][0], pairs[j][1]):
-                return False
-    for i in range(e):
-        if i not in Jset and not symplectic_product(pairs[i][0], pairs[i][1]):
-            return False
-    if Jset:
-        rows = []
-        for j in sorted(Jset):
-            a1 = pairs[j][0]
-            rows.append([el.coeffs[0] % ring.p for el in a1.components])
-        M = ZpbMatrix.from_reduced(ring.p, 1, rows, 2 * pairs[0][0].n)
-        if len(smith_form(M).diag_exponents) != len(rows):
-            return False
-    return True
 
 
 class EaqeccParams(Frozen):

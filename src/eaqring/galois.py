@@ -1,16 +1,15 @@
 """Galois ring arithmetic: GR(p^b, m) = Z_{p^b}[x]/<h(x)>.
 
 Covers ring construction with a canonical defining polynomial (one
-Teichmuller lift for every m), Teichmuller digits, the generalized Frobenius
-and trace, dual bases (read off a Howell form), the generating additive
-character chi(z) = zeta^{Tr z}, and the coordinate expansion phi down to
-Z_{p^b}^m.
+Teichmuller lift for every m), the generalized trace, dual bases (read off
+a Howell form), the generating additive character chi(z) = zeta^{Tr z},
+and the coordinate expansion phi down to Z_{p^b}^m.
 
-Construction, the trace, the dual basis, phi and the Frobenius never touch
-anything of size p^m: they are read off the power-basis coordinates of
-theta^k for k <= 2m - 2, and h is checked by square-and-multiply.  Only
-the p^m-element Teichmuller table is that large; it is built as integer
-coefficients on a first use of ``teichmuller`` or ``teichmuller_decompose``.
+Nothing here touches anything of size p^m: construction, the trace, the
+dual basis and phi are read off the power-basis coordinates of theta^k for
+k <= 2m - 2, and h is checked by square-and-multiply.  The ring keeps no
+Teichmuller table; the trace's references in the tests (Teichmuller digits
+and the Frobenius) build their own.
 """
 
 from __future__ import annotations
@@ -131,25 +130,6 @@ class GaloisRingSpec(Frozen):
         return self.element(_x_mod(self.h_coeffs, self.modulus))
 
     @cached_property
-    def _teich_mod_p(self) -> dict:
-        """T = (0, 1, beta, ..., beta^{p^m-2}), beta = theta, as coefficient
-        tuples keyed by their residues mod p: no reference back to the ring."""
-        h, N, beta = self.h_coeffs, self.modulus, self.theta.coeffs
-        out, cur = [self.zero.coeffs, self.one.coeffs], beta
-        for _ in range(self.p ** self.m - 2):
-            out.append(cur)
-            cur = _poly_mul_mod(cur, beta, h, N)
-        table = {tuple(c % self.p for c in t): t for t in out}
-        if cur != self.one.coeffs or len(table) != self.p ** self.m:
-            raise InternalInvariantViolation("Teichmuller set is not p^m distinct roots of unity")
-        return table
-
-    @property
-    def teichmuller(self) -> Tuple["RingElement", ...]:
-        """T = (0, 1, beta, beta^2, ..., beta^{p^m-2}) with beta = theta."""
-        return tuple(RingElement(self, c) for c in self._teich_mod_p.values())
-
-    @cached_property
     def _theta_powers(self) -> Tuple[Tuple[int, ...], ...]:
         """Power-basis coordinates of theta^k for k <= 2m - 2."""
         h, N, theta = self.h_coeffs, self.modulus, self.theta.coeffs
@@ -243,43 +223,6 @@ class RingElement(Frozen):
 
     def is_scalar(self) -> bool:
         return not any(self.coeffs[1:])
-
-
-def teichmuller_decompose(z: RingElement) -> Tuple[RingElement, ...]:
-    """p-adic digits (z_0, ..., z_{b-1}) of z, each from the Teichmuller set."""
-    ring = z.ring
-    p, b, N = ring.p, ring.b, ring.modulus
-    lookup = ring._teich_mod_p
-    digits = []
-    cur = list(z.coeffs)
-    for t in range(b):
-        d = lookup[tuple(c % p for c in cur)]
-        digits.append(RingElement(ring, d))
-        # the tail after t digits only lives mod p^{b-t}
-        Nt = p ** (b - t)
-        cur = [((c - dc) % Nt) // p for c, dc in zip(cur, d)]
-    if any(cur):
-        raise InternalInvariantViolation("Teichmuller decomposition did not terminate")
-    acc = ring.zero
-    for t in range(b - 1, -1, -1):
-        acc = acc.scale(p) + digits[t]
-    if acc != z:
-        raise InternalInvariantViolation("Teichmuller recomposition mismatch")
-    return tuple(digits)
-
-
-def frobenius(z: RingElement) -> RingElement:
-    """Generalized Frobenius: p-th power on each Teichmuller digit.
-
-    It is the Z_{p^b}-algebra automorphism sending theta, itself a
-    Teichmuller element, to theta^p; evaluated by Horner's rule at theta^p.
-    """
-    ring = z.ring
-    theta_p = ring.theta ** ring.p
-    out = ring.zero
-    for c in reversed(z.coeffs):
-        out = out * theta_p + ring.scalar(c)
-    return out
 
 
 def gen_trace(z: RingElement) -> int:

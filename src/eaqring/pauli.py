@@ -29,7 +29,6 @@ from .codes import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_MATRIX_DIM,
     AdditiveCode,
-    SymplecticVector,
     _expanded_pairing,
 )
 from .errors import (
@@ -87,31 +86,6 @@ class PauliOperator(Frozen):
         if any(e.ring != ring for e in a + b):
             raise RingMismatch("component from a different ring")
 
-    @property
-    def weight(self) -> int:
-        return sum(1 for x, z in zip(self.a, self.b) if x or z)
-
-    def is_scalar(self) -> bool:
-        return not any(self.a) and not any(self.b)
-
-
-def psi_map(P: PauliOperator) -> SymplecticVector:
-    """Drop the phase: omega^l X(a)Z(b) -> (a, b)."""
-    return SymplecticVector(P.ring, P.a, P.b)
-
-
-def compose(P: PauliOperator, Q: PauliOperator) -> PauliOperator:
-    """P*Q = omega^{phases} chi(b.a') X(a+a') Z(b+b')."""
-    if P.ring != Q.ring or P.n != Q.n:
-        raise DimensionMismatch("operands act on different spaces")
-    ring = P.ring
-    N = omega_modulus(ring)
-    cross = sum((y * x for y, x in zip(P.b, Q.a)), ring.zero)
-    phase = (P.phase_exp + Q.phase_exp + (N // ring.modulus) * gen_trace(cross)) % N
-    return PauliOperator(ring, P.n, phase,
-                         tuple(x + y for x, y in zip(P.a, Q.a)),
-                         tuple(x + y for x, y in zip(P.b, Q.b)))
-
 
 Triple = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
@@ -156,7 +130,8 @@ class _Monomials:
                 tuple(self.index[e.coeffs] for e in P.b))
 
     def multiply(self, P: Triple, Q: Triple) -> Triple:
-        """P*Q by the rule of ``compose``, in table lookups."""
+        """P*Q = omega^(l + l' + (N/p^b) Tr(b.a')) X(a + a') Z(b + b'), for
+        P = omega^l X(a)Z(b) and Q = omega^l' X(a')Z(b'), in table lookups."""
         (l, a, b), (l2, a2, b2) = P, Q
         add, tr = self.add, self.trace
         cross = sum(tr[y][x] for y, x in zip(b, a2))

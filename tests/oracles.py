@@ -1,0 +1,179 @@
+"""Reference implementations the tests compare the pipeline against.
+
+Each one is the direct, slow form of something the library computes
+another way, and nothing in the library calls them:
+
+- ``compose``: the Pauli product, reference for ``_Monomials.multiply``
+  and ``build_stabilizer``;
+- ``frobenius``, ``teichmuller_decompose`` and the Teichmuller table
+  ``teich_mod_p``: references for ``gen_trace``;
+- ``symplectic_weight``: reference for ``codes.block_weights``;
+- ``build_extension``: the per-pair extension, one coordinate per
+  hyperbolic pair, a second input to the verifier;
+- ``verify_quasi_symplectic``, ``verify_prop_count`` and ``contains``:
+  checks of the paper's statements on subsets, decompositions and codes.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Dict, Sequence, Tuple
+
+from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
+from eaqring.decompose import HyperbolicDecomposition
+from eaqring.errors import DimensionMismatch, InternalInvariantViolation, RingMismatch
+from eaqring.extension import SelfOrthogonalExtension, SymplecticSubset, _at, _extend
+from eaqring.galois import GaloisRingSpec, RingElement, _poly_mul_mod, gen_trace, phi_expand
+from eaqring.pauli import PauliOperator, omega_modulus
+from eaqring.zpblinalg import ZpbMatrix, howell_member, smith_form
+
+
+# ---------------------------------------------------------------- galois
+
+def teich_mod_p(ring: GaloisRingSpec) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """T = (0, 1, beta, ..., beta^{p^m-2}), beta = theta, as coefficient
+    tuples keyed by their residues mod p, in that order."""
+    return _teich_table(ring.p, ring.b, ring.m, ring.h_coeffs)
+
+
+@functools.cache
+def _teich_table(p: int, b: int, m: int, h: Tuple[int, ...]) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """The table of ``teich_mod_p``, cached on the ring's plain fields, so
+    that the cache keeps no ring alive."""
+    ring = GaloisRingSpec(p, b, m, h)
+    N, beta = ring.modulus, ring.theta.coeffs
+    out, cur = [ring.zero.coeffs, ring.one.coeffs], beta
+    for _ in range(p ** m - 2):
+        out.append(cur)
+        cur = _poly_mul_mod(cur, beta, h, N)
+    table = {tuple(c % p for c in t): t for t in out}
+    if cur != ring.one.coeffs or len(table) != p ** m:
+        raise InternalInvariantViolation("Teichmuller set is not p^m distinct roots of unity")
+    return table
+
+
+def teichmuller_set(ring: GaloisRingSpec) -> Tuple[RingElement, ...]:
+    """T = (0, 1, beta, beta^2, ..., beta^{p^m-2}) with beta = theta."""
+    return tuple(RingElement(ring, c) for c in teich_mod_p(ring).values())
+
+
+def teichmuller_decompose(z: RingElement) -> Tuple[RingElement, ...]:
+    """p-adic digits (z_0, ..., z_{b-1}) of z, each from the Teichmuller set."""
+    ring = z.ring
+    p, b = ring.p, ring.b
+    lookup = teich_mod_p(ring)
+    digits = []
+    cur = list(z.coeffs)
+    for t in range(b):
+        d = lookup[tuple(c % p for c in cur)]
+        digits.append(RingElement(ring, d))
+        # the tail after t digits only lives mod p^{b-t}
+        Nt = p ** (b - t)
+        cur = [((c - dc) % Nt) // p for c, dc in zip(cur, d)]
+    if any(cur):
+        raise InternalInvariantViolation("Teichmuller decomposition did not terminate")
+    acc = ring.zero
+    for t in range(b - 1, -1, -1):
+        acc = acc.scale(p) + digits[t]
+    if acc != z:
+        raise InternalInvariantViolation("Teichmuller recomposition mismatch")
+    return tuple(digits)
+
+
+def frobenius(z: RingElement) -> RingElement:
+    """Generalized Frobenius: p-th power on each Teichmuller digit.
+
+    It is the Z_{p^b}-algebra automorphism sending theta, itself a
+    Teichmuller element, to theta^p; evaluated by Horner's rule at theta^p.
+    """
+    ring = z.ring
+    theta_p = ring.theta ** ring.p
+    out = ring.zero
+    for c in reversed(z.coeffs):
+        out = out * theta_p + ring.scalar(c)
+    return out
+
+
+# ---------------------------------------------------------------- codes
+
+def symplectic_weight(v: SymplecticVector) -> int:
+    return sum(1 for a, b in zip(v.x, v.y) if a or b)
+
+
+def contains(C: AdditiveCode, v: SymplecticVector) -> bool:
+    return howell_member(C.expanded_howell, phi_expand(C.ring, v.components))
+
+
+def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bool:
+    """Number of pair members inside C^{chi-dual,t} equals the rank drop
+    from level 0 to level t."""
+    dual_t = C.dual(t)
+    count = sum(1 for pair in d.pairs for member in pair
+                if howell_member(dual_t, phi_expand(C.ring, member.components)))
+    return count == C.rank(0) - C.rank(t)
+
+
+# ---------------------------------------------------------------- extension
+
+def build_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
+    """One fresh coordinate per hyperbolic pair of C's decomposition, from
+    the subset a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first
+    member gets gamma_j appended in the x half, the second a unit in the y
+    half."""
+    d = C.decomposition
+    ring, c = C.ring, d.c
+    zeros = (ring.zero,) * c
+    pairs = tuple((SymplecticVector(ring, _at(ring, c, j, -gamma), zeros),
+                   SymplecticVector(ring, zeros, _at(ring, c, j, ring.one)))
+                  for j, gamma in enumerate(d.grams))
+    return _extend(C, SymplecticSubset(ring, c, pairs))
+
+
+def verify_quasi_symplectic(ring: GaloisRingSpec,
+                            pairs: Sequence[Tuple[SymplecticVector, SymplecticVector]],
+                            J: Sequence[int]) -> bool:
+    """Quasi-symplectic check over Z_{p^a} (m = 1 only):
+
+    (a) <a_{i1}|a_{j1}> = 0 for all i, j and <a_{i1}|a_{k2}> = 0 for i != k;
+    (b) <a_{i1}|a_{i2}> != 0 off J, and the mod-p reductions of {a_{j1}}
+        over J are F_p-independent.
+    """
+    if ring.m != 1:
+        raise RingMismatch("quasi-symplectic subsets are defined over m = 1 rings")
+    e = len(pairs)
+    Jset = set(J)
+    if not Jset <= set(range(e)):
+        raise ValueError(f"J = {sorted(Jset)} indexes outside the {e} pairs")
+    for i in range(e):
+        for j in range(e):
+            if symplectic_product(pairs[i][0], pairs[j][0]):
+                return False
+            if i != j and symplectic_product(pairs[i][0], pairs[j][1]):
+                return False
+    for i in range(e):
+        if i not in Jset and not symplectic_product(pairs[i][0], pairs[i][1]):
+            return False
+    if Jset:
+        rows = []
+        for j in sorted(Jset):
+            a1 = pairs[j][0]
+            rows.append([el.coeffs[0] % ring.p for el in a1.components])
+        M = ZpbMatrix.from_reduced(ring.p, 1, rows, 2 * pairs[0][0].n)
+        if len(smith_form(M).diag_exponents) != len(rows):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------- pauli
+
+def compose(P: PauliOperator, Q: PauliOperator) -> PauliOperator:
+    """P*Q = omega^{phases} chi(b.a') X(a+a') Z(b+b')."""
+    if P.ring != Q.ring or P.n != Q.n:
+        raise DimensionMismatch("operands act on different spaces")
+    ring = P.ring
+    N = omega_modulus(ring)
+    cross = sum((y * x for y, x in zip(P.b, Q.a)), ring.zero)
+    phase = (P.phase_exp + Q.phase_exp + (N // ring.modulus) * gen_trace(cross)) % N
+    return PauliOperator(ring, P.n, phase,
+                         tuple(x + y for x, y in zip(P.a, Q.a)),
+                         tuple(x + y for x, y in zip(P.b, Q.b)))

@@ -29,24 +29,23 @@ from eaqring.codes import (
     same_module,
     symplectic_product,
 )
-from eaqring.decompose import hyperbolic_decompose, rho_profile
+from eaqring.decompose import hyperbolic_decompose
 from eaqring.extension import (
-    build_extension,
     build_minimal_extension,
     eaqecc_params,
     minimum_entanglement_degree,
 )
-from eaqring.galois import char_exponent, gen_trace, make_ring
+from eaqring.galois import char_exponent, gen_trace, make_ring, phi_contract
 from eaqring.pauli import (
     PauliOperator,
     build_stabilizer,
     omega_modulus,
     pauli_matrix,
     projector_dimension,
-    psi_map,
     undetectable_error_search,
 )
 from eaqring.zpblinalg import quotient_rank
+from oracles import build_extension
 
 
 def criterion(num):
@@ -154,7 +153,7 @@ def test_criterion_3_extension(corpus, decomps):
         with reproducer(label, seed, i, C):
             card = cardinality(C)
             bound = card
-            for t, r in enumerate(rho_profile(C), start=1):
+            for t, r in enumerate(C.rho, start=1):
                 bound *= C.ring.p ** ((C.ring.b - t) * r)
             for ext in (build_extension(C), build_minimal_extension(C)):
                 assert is_chi_self_orthogonal(ext.extended)
@@ -190,7 +189,8 @@ def _tail_extension_exists(C, degree):
     assignment on lifted generators, and any assignment spans one."""
     ring = C.ring
     N = ring.modulus
-    gens = C.minimal_generating_vectors()
+    gens = [SymplecticVector.from_components(ring, phi_contract(ring, r))
+            for r in C.expanded_smith.generators]
     k = len(gens)
     G = [[gen_trace(symplectic_product(gens[i], gens[j])) % N for j in range(k)]
          for i in range(k)]
@@ -345,7 +345,8 @@ def test_criterion_8_pauli_ground_truth():
             P, Q = _rand_op(ring, n, rng), _rand_op(ring, n, rng)
             A, B = pauli_matrix(P), pauli_matrix(Q)
             commutes = np.max(np.abs(A @ B - B @ A)) <= 1e-10
-            ell = char_exponent(symplectic_product(psi_map(P), psi_map(Q)))
+            ell = char_exponent(symplectic_product(SymplecticVector(P.ring, P.a, P.b),
+                                                   SymplecticVector(Q.ring, Q.a, Q.b)))
             assert commutes == (ell == 0)
     # projector dimension and undetectable-error sets on every sampled
     # instance with q^{n+c} <= 256

@@ -23,7 +23,7 @@ import eaqring.zpblinalg as zpb_mod
 from eaqring.cli import build_report, parse_code_text
 from eaqring.codes import AdditiveCode, SymplecticVector, chi_dual_level, code_intersection
 from eaqring.errors import InternalInvariantViolation
-from eaqring.decompose import hyperbolic_decompose, rho_profile
+from eaqring.decompose import hyperbolic_decompose
 from eaqring.extension import build_minimal_extension, eaqecc_params
 from eaqring.galois import make_ring, phi_expand
 from eaqring.zpblinalg import ZpbMatrix, howell_form, quotient_rank
@@ -181,7 +181,7 @@ def test_repeated_calls_return_the_cached_objects():
     assert chi_dual_level(C, 1).expanded_howell is C.dual(1)
     assert C.meet is C.meet
     assert C.gram is C.gram
-    assert rho_profile(C) is rho_profile(C)
+    assert C.rho is C.rho
 
 
 @pytest.mark.parametrize("ring_args", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2)])

@@ -248,6 +248,29 @@ def test_verify_enum_cap_names_the_limit(tmp_path):
         "search set has 256 elements, over the --max-enum limit 16")
 
 
+@pytest.mark.parametrize("command, flag", [("params", "--max-enum"), ("distance", "--max-enum"),
+                                           ("verify", "--max-enum"), ("verify", "--max-matrix-dim")])
+def test_negative_cap_is_a_value_error(tmp_path, command, flag):
+    """A negative cap is an error, exit 1, not a cap hit that reads as D
+    unknown or a skipped verification."""
+    f = tmp_path / "code.txt"
+    f.write_text(Z4_WORKED)
+    code, out = run_cli([command, str(f), flag, "-5"])
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "error": {
+        "type": "ValueError", "message": f"{flag} -5 is negative; 0 caps every search"}}
+
+
+def test_zero_cap_still_caps_every_search(tmp_path):
+    f = tmp_path / "code.txt"
+    f.write_text(Z4_WORKED)
+    code, out = run_cli(["params", str(f), "--max-enum", "0"])
+    assert code == 2 and json.loads(out)["D"] == "Unknown"
+    code, out = run_cli(["verify", str(f), "--max-matrix-dim", "0"])
+    assert code == 2
+    assert json.loads(out)["verification"] == {"skipped": "q^(n+c) = 16 exceeds the matrix cap 0"}
+
+
 def child_env():
     """The environment of a child that imports the same package as this
     process, however it was found."""

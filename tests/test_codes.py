@@ -14,6 +14,7 @@ import pytest
 
 import eaqring.codes as codes_mod
 from eaqring.codes import (
+    DEFAULT_ENUM_LIMIT,
     AdditiveCode,
     SymplecticVector,
     block_weights,
@@ -21,16 +22,15 @@ from eaqring.codes import (
     chi_dual_level,
     is_chi_self_orthogonal,
     is_free,
-    iterate_codewords,
     min_symplectic_distance,
     puncture,
     same_module,
     symplectic_product,
-    symplectic_weight,
 )
 from eaqring.errors import DimensionMismatch, SearchLimitExceeded
 from eaqring.galois import gen_trace, make_ring, phi_contract, phi_expand
 from eaqring.zpblinalg import BLOCK, enumerate_module, howell_member, lane_adder, lane_width, packed_blocks, unpack
+from oracles import contains, symplectic_weight
 
 
 def all_vectors(ring, n):
@@ -75,7 +75,7 @@ def code_as_set(C):
 
 def _ring_elems(C):
     from eaqring.galois import phi_contract
-    for flat in iterate_codewords(C):
+    for flat in enumerate_module(C.expanded_howell, DEFAULT_ENUM_LIMIT):
         yield phi_contract(C.ring, flat)
 
 
@@ -145,11 +145,11 @@ def test_cardinality_matches_closure(z4, gr42):
 
 def test_chi_dual_worked_example(z4, worked):
     d0 = chi_dual_level(worked, 0)
-    elems = set(iterate_codewords(d0))
+    elems = set(enumerate_module(d0.expanded_howell, DEFAULT_ENUM_LIMIT))
     assert elems == {(0, 0), (2, 0)}
     d1 = chi_dual_level(worked, 1)
     assert cardinality(d1) == 8
-    assert set(iterate_codewords(d1)) == {(x, y) for x in range(4) for y in (0, 2)}
+    assert set(enumerate_module(d1.expanded_howell, DEFAULT_ENUM_LIMIT)) == {(x, y) for x in range(4) for y in (0, 2)}
     db = chi_dual_level(worked, 2)
     assert cardinality(db) == 16
 
@@ -164,7 +164,7 @@ def test_chi_dual_brute_force(z4, gr42):
             C = AdditiveCode(ring, n, gens)
             for t in range(ring.b + 1):
                 D = chi_dual_level(C, t)
-                got = {tuple(flat) for flat in iterate_codewords(D)}
+                got = {tuple(flat) for flat in enumerate_module(D.expanded_howell, DEFAULT_ENUM_LIMIT)}
                 want = {phi_expand(ring, [ring.element(c) for c in key])
                         for key in brute_chi_dual(ring, n, gens, t)}
                 want = {tuple(w) for w in want}
@@ -198,7 +198,7 @@ def test_bidual_and_nesting(z4, gr42):
                 lower = chi_dual_level(C, t)
                 upper = chi_dual_level(C, t + 1)
                 for g in lower.generators:
-                    assert upper.contains(g)
+                    assert contains(upper, g)
 
 
 def test_is_chi_self_orthogonal(z4):
@@ -248,7 +248,7 @@ def brute_distances(ring, n, gens):
     outside = []
     for v in dual:
         member = tuple(e.coeffs for e in v.components) in code
-        assert C.contains(v) == member
+        assert contains(C, v) == member
         if not member:
             outside.append(v)
 
@@ -558,15 +558,16 @@ def test_puncture(z4, worked):
 
 
 def test_membership_and_freeness(z4, worked):
-    assert worked.contains(SymplecticVector.from_ints(z4, [2, 0]))
-    assert worked.contains(SymplecticVector.from_ints(z4, [3, 2]))
-    assert not worked.contains(SymplecticVector.from_ints(z4, [0, 1]))
+    assert contains(worked, SymplecticVector.from_ints(z4, [2, 0]))
+    assert contains(worked, SymplecticVector.from_ints(z4, [3, 2]))
+    assert not contains(worked, SymplecticVector.from_ints(z4, [0, 1]))
     assert not is_free(worked)
     assert is_free(AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]]))
 
 
 def test_minimal_generating_vectors(z4, worked):
-    gens = worked.minimal_generating_vectors()
+    gens = [SymplecticVector.from_components(z4, phi_contract(z4, r))
+            for r in worked.expanded_smith.generators]
     rebuilt = AdditiveCode(z4, 1, tuple(gens))
     assert same_module(rebuilt, worked)
     assert len(gens) == 2

@@ -18,12 +18,11 @@ from eaqring.decompose import (
     _check_decomposition,
     _lift_quotient_basis,
     hyperbolic_decompose,
-    rho_profile,
-    verify_prop_count,
 )
 from eaqring.errors import InternalInvariantViolation
 from eaqring.galois import char_exponent, make_ring
 from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
+from oracles import contains, verify_prop_count
 from test_census import all_codes
 
 
@@ -75,17 +74,17 @@ def test_worked_instance(z4):
     # C cap C-dual = {(0,0),(2,0)} sits inside the pair span
     assert d.isotropic == ()
     span = AdditiveCode(z4, 1, tuple(d.all_generators()))
-    assert span.contains(SymplecticVector.from_ints(z4, [2, 0]))
+    assert contains(span, SymplecticVector.from_ints(z4, [2, 0]))
 
 
 def test_rho_profile_examples(z4):
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
-    assert rho_profile(C) == (2,)
+    assert C.rho == (2,)
     full = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])
-    assert rho_profile(full) == (0,)
+    assert full.rho == (0,)
     f4 = make_ring(2, 1, 2)
     C1 = AdditiveCode(f4, 1, (SymplecticVector(f4, (f4.one,), (f4.zero,)),))
-    assert rho_profile(C1) == ()
+    assert C1.rho == ()
 
 
 def test_verify_prop_count_worked(z4):
@@ -95,7 +94,7 @@ def test_verify_prop_count_worked(z4):
         assert verify_prop_count(d, C, t)
     # t=1 specifics: both pair members in the level-1 dual
     dual1 = chi_dual_level(C, 1)
-    assert sum(1 for p in d.pairs for mem in p if dual1.contains(mem)) == 2
+    assert sum(1 for p in d.pairs for mem in p if contains(dual1, mem)) == 2
 
 
 @pytest.mark.parametrize("ring,n,kmax", RINGS)
@@ -127,7 +126,7 @@ def test_randomized_invariants(ring, n, kmax):
         d2 = hyperbolic_decompose(AdditiveCode(ring, n, tuple(gens)))
         assert d2.c == d.c
         # rho profile sanity
-        rho = rho_profile(C)
+        rho = C.rho
         assert len(rho) == ring.b - 1
         assert all(r >= 0 and r % 2 == 0 for r in rho)
         assert sum(rho) <= 2 * d.c

@@ -7,10 +7,18 @@ must agree on n, c, K_lower, K_upper, rho, |C|, |C^chi|, D and
 ``distance_case``.  The transforms:
 
 - a permutation of the coordinates;
-- at one coordinate, (x, y) -> (y, -x) or (x, y) -> (x, y + r x), r in R,
-  both of which keep the trace-symplectic form and the symplectic weight;
+- at one coordinate, (x, y) -> (y, -x), (x, y) -> (x, y + r x) for r in R,
+  or (x, y) -> (u x, u^-1 y) for a unit u, each of which keeps the
+  trace-symplectic form and the symplectic weight;
+- for m > 1, the Frobenius on every entry, a ring automorphism that keeps
+  the trace;
 - reordering the generator rows, adding an integer multiple of one row to
   another, or appending a redundant row (an integer combination of rows).
+
+Where q^{2n} <= 1024, both sides also go through ``verify``, which then
+never skips (c <= n, so q^{n+c} <= 1024): on each side the projector
+dimension must equal that side's K_exact.  The two sides' K_exact are not
+compared.
 
 K_exact and card_extended depend on the presentation today (see
 ``test_extension.py``'s strict xfail on the order of the generators), so
@@ -30,6 +38,7 @@ from hypothesis import strategies as st
 from eaqring.cli import run, serialize_code
 from eaqring.codes import AdditiveCode, SymplecticVector
 from eaqring.galois import make_ring
+from oracles import frobenius
 
 RINGS = {"F2": (2, 1, 1), "F4": (2, 1, 2), "Z4": (2, 2, 1), "Z8": (2, 3, 1), "Z9": (3, 2, 1),
          "GR(4,2)": (2, 2, 2)}
@@ -42,9 +51,8 @@ INVARIANT = {
 }
 
 
-def report(command, ring, C):
-    """The exit code of ``eaqring command`` on C's text form, and the
-    invariant fields of its report."""
+def full_report(command, ring, C):
+    """The exit code of ``eaqring command`` on C's text form, and its report."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "code.txt"
         path.write_text(serialize_code(ring, C))
@@ -52,6 +60,12 @@ def report(command, ring, C):
         code = run([command, str(path)], out=out)
     rep = json.loads(out.getvalue())
     assert "error" not in rep, rep
+    return code, rep
+
+
+def report(command, ring, C):
+    """The exit code and the invariant fields of ``full_report``."""
+    code, rep = full_report(command, ring, C)
     return code, {key: rep[key] for key in INVARIANT[command]}
 
 
@@ -75,8 +89,10 @@ def at(values, i, value):
 def transformed(draw, ring, C):
     """C's image under one to three random transforms."""
     n, gens = C.n, list(C.generators)
+    kinds = (["frobenius"] if ring.m > 1 else []) + [
+        "permute", "swap", "shear", "unit", "reorder", "add", "append"]
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["permute", "swap", "shear", "reorder", "add", "append"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "permute":
             pi = draw(st.permutations(range(n)))
             gens = [SymplecticVector(ring, tuple(g.x[i] for i in pi), tuple(g.y[i] for i in pi))
@@ -87,6 +103,15 @@ def transformed(draw, ring, C):
         elif kind == "shear":
             i, r = draw(st.integers(0, n - 1)), draw(elements(ring))
             gens = [SymplecticVector(ring, g.x, at(g.y, i, g.y[i] + r * g.x[i])) for g in gens]
+        elif kind == "unit":
+            i = draw(st.integers(0, n - 1))
+            u = draw(elements(ring).filter(lambda e: any(c % ring.p for c in e.coeffs)))
+            u_inv = u ** (ring.cardinality // ring.p ** ring.m * (ring.p ** ring.m - 1) - 1)
+            gens = [SymplecticVector(ring, at(g.x, i, u * g.x[i]), at(g.y, i, u_inv * g.y[i]))
+                    for g in gens]
+        elif kind == "frobenius":
+            gens = [SymplecticVector(ring, tuple(map(frobenius, g.x)), tuple(map(frobenius, g.y)))
+                    for g in gens]
         elif kind == "reorder":
             gens = draw(st.permutations(gens))
         elif kind == "add" and len(gens) > 1:
@@ -111,3 +136,7 @@ def test_reports_are_invariant_under_code_equivalence(label, data):
     image = data.draw(transformed(ring, C))
     for command in INVARIANT:
         assert report(command, ring, image) == report(command, ring, C), command
+    if ring.cardinality ** (2 * C.n) <= 1024:
+        for side in (C, image):
+            code, rep = full_report("verify", ring, side)
+            assert code == 0 and rep["verification"]["projector_dimension"] == rep["K_exact"]

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import eaqring.extension as extension_mod
 from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
@@ -23,14 +22,14 @@ from eaqring.errors import CapacityExceeded, InternalInvariantViolation, ZeroTar
 from eaqring.extension import (
     SelfOrthogonalExtension,
     SymplecticSubset,
-    build_extension,
     build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
     minimum_entanglement_degree,
-    verify_quasi_symplectic,
 )
 from eaqring.galois import char_exponent, gen_trace, make_ring
+import oracles
+from oracles import build_extension, verify_quasi_symplectic
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +106,15 @@ def test_construct_symplectic_subset_errors(z4, gr42):
         construct_symplectic_subset(z4, 1, [1, 2])
     with pytest.raises(CapacityExceeded):
         construct_symplectic_subset(gr42, 1, [1, 2, 3])
+
+
+def test_construct_symplectic_subset_rejects_a_negative_degree(z4, gr42):
+    """c < 0 is a ValueError, raised before the capacity check would call
+    it an e = 0 that exceeds c*m."""
+    for ring, targets in ((z4, []), (z4, [1]), (gr42, [1, 2])):
+        with pytest.raises(ValueError, match="c = -1 is negative"):
+            construct_symplectic_subset(ring, -1, targets)
+    assert construct_symplectic_subset(z4, 0, []).pairs == ()
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])
@@ -246,7 +254,7 @@ def test_verify_quasi_symplectic_rejects_an_index_outside_the_pairs(z4, monkeypa
     def no_product(u, v):
         raise AssertionError("a product was formed")
 
-    monkeypatch.setattr(extension_mod, "symplectic_product", no_product)
+    monkeypatch.setattr(oracles, "symplectic_product", no_product)
     pair = (SymplecticVector.from_ints(z4, [2, 0]), SymplecticVector.from_ints(z4, [0, 1]))
     for pairs, J in (([], [0]), ([pair], [1]), ([pair], [0, -1])):
         with pytest.raises(ValueError, match="outside"):

@@ -1,12 +1,14 @@
 """Checks on the package source: read with ``ast``, no bare ``assert`` (a
 failed invariant raises InternalInvariantViolation), no error class in
 errors.py that nothing in the package raises, no modular inverse outside
-zpblinalg.py and no ``dataclasses`` or generated code; run in a fresh
-interpreter, no ``dataclasses`` and no verifier outside ``verify`` and no
-numpy at all; the value classes compare, hash and refuse assignment as
-frozen dataclasses did; and the README's library example runs as printed."""
+zpblinalg.py, no ``dataclasses`` or generated code, no public name that
+no caller names and no import of test code; run in a fresh interpreter,
+no ``dataclasses`` and no verifier outside ``verify`` and no numpy at all;
+the value classes compare, hash and refuse assignment as frozen
+dataclasses did; and the README's library example runs as printed."""
 
 import ast
+import collections
 import contextlib
 import io
 import os
@@ -14,6 +16,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -25,7 +28,9 @@ from eaqring.errors import DimensionMismatch, RingMismatch
 from eaqring.extension import build_minimal_extension, eaqecc_params
 from eaqring.galois import RingElement, make_ring
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "eaqring"
+TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "eaqring"
 
 
 def _trees():
@@ -172,6 +177,57 @@ def test_value_class_constructors_check_as_before():
         pauli.PauliOperator(z4, 1, 0, (f2.one,), (z4.one,))
 
 
+def _public_definitions():
+    """(file, qualified name) of every public top-level function and class
+    of the package, and of every public method and property of its classes."""
+    out = []
+    for name, tree in _trees().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out.append((name, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(name, f"{node.name}.{sub.name}") for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """Each public name defined in the package is named again, outside its
+    own definition and ``__init__.py``: as code in ``src/`` or ``scripts/``
+    (a docstring or comment does not count), or anywhere in README.md or
+    ``bench/*.py``, which reads names as strings.  The references the tests
+    compare the package against live in ``tests/oracles.py``."""
+    named = collections.Counter()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        if path.name != "__init__.py":
+            with open(path, encoding="utf-8") as fh:
+                named.update(t.string for t in tokenize.generate_tokens(fh.readline)
+                             if t.type == tokenize.NAME)
+    for path in [ROOT / "README.md"] + sorted((ROOT / "bench").glob("*.py")):
+        named.update(re.findall(r"[A-Za-z_]\w*", path.read_text(encoding="utf-8")))
+    definitions = _public_definitions()
+    defined = collections.Counter(q.rpartition(".")[2] for _, q in definitions)
+    unnamed = [f"{f}:{q}" for f, q in definitions
+               if named[q.rpartition(".")[2]] <= defined[q.rpartition(".")[2]]]
+    assert unnamed == []
+    assert ("codes.py", "AdditiveCode.dual") in definitions
+
+
+def test_no_module_imports_test_code():
+    """pytest puts ``tests/`` on sys.path, so an import of ``oracles`` from
+    the package would pass the suite and fail in an installed copy."""
+    test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    assert "oracles" in test_modules
+    hits = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                        else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                        else [])
+            hits += [f"{name}:{node.lineno}" for m in imported if m.split(".")[0] in test_modules]
+    assert hits == []
+
+
 def test_modular_inverses_only_in_zpblinalg():
     """pow(x, -1, N) appears in zpblinalg.py and nowhere else, so every row
     reduction over Z_{p^b} goes through its pivot step."""
@@ -185,7 +241,7 @@ def test_modular_inverses_only_in_zpblinalg():
 def test_readme_library_example_prints_its_comment():
     """The README's one ``python`` block runs and prints what its comment
     says."""
-    readme = (SRC.parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 1
     out = io.StringIO()
