@@ -162,8 +162,8 @@ class AdditiveCode(Frozen):
 
     @cached_property
     def expanded_matrix(self) -> ZpbMatrix:
-        rows = [phi_expand(self.ring, g.components) for g in self.generators]
-        return ZpbMatrix.from_reduced(self.ring.p, self.ring.b, rows, self.ambient_cols)
+        rows = tuple(phi_expand(self.ring, g.components) for g in self.generators)
+        return ZpbMatrix(self.ring.p, self.ring.b, self.ambient_cols, rows)
 
     @cached_property
     def expanded_howell(self) -> HowellBasis:
@@ -176,10 +176,11 @@ class AdditiveCode(Frozen):
     @classmethod
     def from_expanded(cls, ring: GaloisRingSpec, n: int, H: HowellBasis) -> "AdditiveCode":
         """The code whose phi-expanded row module has Howell basis H; its
-        generators are the basis rows, and H seeds the expanded caches."""
+        generators are the basis rows, and H, a matrix of those rows,
+        seeds the expanded caches."""
         code = cls(ring, n, tuple(SymplecticVector.from_components(ring, phi_contract(ring, r))
-                                  for r in H.matrix.to_rows()))
-        code.__dict__.update(expanded_matrix=H.matrix, expanded_howell=H)
+                                  for r in H.rows))
+        code.__dict__.update(expanded_matrix=H, expanded_howell=H)
         return code
 
     @classmethod
@@ -216,15 +217,14 @@ class AdditiveCode(Frozen):
         """G[i][j] = Tr<c_i|c_j>_s over C's Smith generators c_i."""
         nm, N = self.n * self.ring.m, self.ring.modulus
         rows = self.expanded_smith.generators
-        gram = [[_expanded_pairing(u, v, nm, N) for v in rows] for u in rows]
-        return ZpbMatrix.from_reduced(self.ring.p, self.ring.b, gram, len(rows))
+        gram = tuple(tuple(_expanded_pairing(u, v, nm, N) for v in rows) for u in rows)
+        return ZpbMatrix(self.ring.p, self.ring.b, len(rows), gram)
 
     @cached_property
     def meet(self) -> HowellBasis:
         """C cap C^{chi-dual} = {x*S : x*G = 0}, S being C's Smith
         generators: one Howell form of [G | S]."""
-        S = ZpbMatrix.from_reduced(self.ring.p, self.ring.b, self.expanded_smith.generators,
-                                   self.ambient_cols)
+        S = ZpbMatrix(self.ring.p, self.ring.b, self.ambient_cols, self.expanded_smith.generators)
         return _solve(self.gram, S)
 
     @cached_property
@@ -272,7 +272,7 @@ def cardinality(C: AdditiveCode) -> int:
 
 
 def same_module(C1: AdditiveCode, C2: AdditiveCode) -> bool:
-    return C1.expanded_howell.matrix == C2.expanded_howell.matrix
+    return C1.expanded_howell == C2.expanded_howell
 
 
 def _pairing_columns(C: AdditiveCode, scale: int) -> ZpbMatrix:
@@ -281,9 +281,9 @@ def _pairing_columns(C: AdditiveCode, scale: int) -> ZpbMatrix:
     iff phi(v) lies in the kernel."""
     gens = C.expanded_smith.generators
     N, nm = C.ring.modulus, C.n * C.ring.m
-    rows = [[(-scale * g[nm + i]) % N for g in gens] for i in range(nm)]
-    rows += [[(scale * g[i]) % N for g in gens] for i in range(nm)]
-    return ZpbMatrix.from_reduced(C.ring.p, C.ring.b, rows, len(gens))
+    rows = tuple(tuple((-scale * g[nm + i]) % N for g in gens) for i in range(nm))
+    rows += tuple(tuple((scale * g[i]) % N for g in gens) for i in range(nm))
+    return ZpbMatrix(C.ring.p, C.ring.b, len(gens), rows)
 
 
 def chi_dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
@@ -317,6 +317,8 @@ def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) ->
     lower the running minimum, is unpacked and tested for membership in C.
     """
     n, m, N = C.n, C.ring.m, C.ring.modulus
+    if limit < 0:
+        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
     size = C.ring.cardinality ** (2 * n) // cardinality(C)
     if size > limit:
         raise SearchLimitExceeded(size, limit)

@@ -53,8 +53,7 @@ def _greedy_extension(base: ZpbMatrix, candidates: Sequence[Tuple[int, ...]],
             break
         if not howell_member(H, cand):
             chosen.append(i)
-            A = H.matrix
-            H = howell_form(ZpbMatrix(A.p, A.b, A.rows + 1, A.cols, A.entries + tuple(cand)))
+            H = howell_form(ZpbMatrix(H.p, H.b, H.cols, H.rows + (cand,)))
     return chosen
 
 
@@ -66,8 +65,8 @@ def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     runs on G's rows: G_i outside span(pG + the kept G_j), in k <= 2nm
     columns."""
     G, target = C.gram, C.rank(0)
-    pG = ZpbMatrix(G.p, G.b, G.rows, G.cols, tuple(G.p * x % G.modulus for x in G.entries))
-    picks = _greedy_extension(pG, [G.row(i) for i in range(G.rows)], target)
+    pG = ZpbMatrix(G.p, G.b, G.cols, tuple(tuple(G.p * x % G.modulus for x in r) for r in G.rows))
+    picks = _greedy_extension(pG, G.rows, target)
     if len(picks) != target:
         raise InternalInvariantViolation("quotient basis lift fell short")
     return [C.expanded_smith.generators[i] for i in picks]
@@ -83,9 +82,9 @@ def _complete_generating_set(C: AdditiveCode, lifted: List[Tuple[int, ...]]) -> 
     which the extension's free-module cardinality equality relies on.
     """
     p, N = C.ring.p, C.ring.modulus
-    rows = [[p * x % N for x in r] for r in C.expanded_smith.generators] + lifted
-    cands = smith_form(C.meet.matrix).generators
-    base = ZpbMatrix.from_reduced(p, C.ring.b, rows, C.ambient_cols)
+    rows = tuple(tuple(p * x % N for x in r) for r in C.expanded_smith.generators) + tuple(lifted)
+    cands = smith_form(C.meet).generators
+    base = ZpbMatrix(p, C.ring.b, C.ambient_cols, rows)
     return [cands[i] for i in _greedy_extension(base, cands)]
 
 
@@ -170,7 +169,7 @@ def _check_decomposition(d: HyperbolicDecomposition, C: AdditiveCode) -> None:
     gens = d.all_generators()
     _check_partner_pairings(gens, len(d.isotropic))
     rebuilt = AdditiveCode(C.ring, C.n, tuple(gens))
-    if rebuilt.expanded_howell.matrix != C.expanded_howell.matrix:
+    if rebuilt.expanded_howell != C.expanded_howell:
         raise InternalInvariantViolation("decomposition does not span the code")
     if 2 * d.c != C.rank(0):
         raise InternalInvariantViolation("pair count does not match rank(C/(C cap C-dual))")

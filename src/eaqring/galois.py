@@ -163,12 +163,12 @@ class GaloisRingSpec(Frozen):
         to the ring.  The Howell form of [gram | I] is [I | gram^{-1}], and
         column j of gram^{-1} gives the theta-coordinates of gamma_j."""
         m = self.m
-        eye = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-        aug = [row + e for row, e in zip(self._gram, eye)]
-        H = howell_form(ZpbMatrix.from_reduced(self.p, self.b, aug, 2 * m)).matrix
-        if [H.row(i)[:m] for i in range(H.rows)] != eye:
+        eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        aug = tuple(row + e for row, e in zip(self._gram, eye))
+        H = howell_form(ZpbMatrix(self.p, self.b, 2 * m, aug))
+        if tuple(r[:m] for r in H.rows) != eye:
             raise InternalInvariantViolation("the trace form is not invertible")
-        return tuple(tuple(H.row(i)[m + j] for i in range(m)) for j in range(m))
+        return tuple(tuple(r[m + j] for r in H.rows) for j in range(m))
 
     @property
     def dual(self) -> Tuple["RingElement", ...]:

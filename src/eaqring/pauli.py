@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from types import MappingProxyType
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING, Callable, List, Mapping, Sequence, Tuple
 
 import math
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .extension import SelfOrthogonalExtension
 from .frozen import Frozen
-from .galois import GaloisRingSpec, RingElement, _dual_coords, gen_trace
+from .galois import GaloisRingSpec, RingElement
 from .zpblinalg import enumerate_module, solve_congruence
 
 if TYPE_CHECKING:
@@ -91,28 +91,32 @@ Triple = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
 def _check_dim(ring: GaloisRingSpec, n: int, max_dim: int, what: str = "q^n") -> None:
-    """Raise DimensionTooLarge, before any dense work, when q^n > max_dim."""
+    """Raise DimensionTooLarge, before any dense work, when q^n > max_dim,
+    and ValueError when max_dim < 0."""
+    if max_dim < 0:
+        raise ValueError(f"max_dim = {max_dim} is negative; 0 caps every search")
     if (size := ring.cardinality ** n) > max_dim:
         raise DimensionTooLarge(f"{what} = {size_text(size)} exceeds the matrix cap {max_dim}")
 
 
 class _Monomials:
     """Operators on n qudits as triples (l, a, b): omega^l X(a)Z(b), a and b
-    tuples of element indices sum_j c_j (p^b)^j over power-basis coordinates
-    c_j, and ``duals`` holds each element's dual-basis coordinates.  ``add``
-    and ``trace`` are the q x q tables of x + y (as an index) and of
-    Tr(x*y), as int lists.  A state is an int, big-endian in the
-    qudits' element indices; there are ``states`` = q^n of them."""
+    tuples of element indices i = sum_j c_j (p^b)^j.  ``coords[i]`` holds
+    the power-basis coordinates c_j and ``duals[i]`` the dual-basis ones,
+    coords[i] times the ring's (symmetric) trace form.  ``add`` and
+    ``trace`` are the q x q tables of x + y (as an index) and of Tr(x*y) =
+    duals[x] . coords[y], as int lists; no ring element is made.  A state
+    is an int, big-endian in the qudits' element indices; there are
+    ``states`` = q^n of them."""
 
     def __init__(self, ring: GaloisRingSpec, n: int):
-        q, mod = ring.cardinality, ring.modulus
-        self.elements = elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
-                                 for i in range(q)]
-        self.index = index = {e.coeffs: i for i, e in enumerate(elems)}
-        self.duals = [_dual_coords(e) for e in elems]
+        q, mod, m = ring.cardinality, ring.modulus, ring.m
+        self.coords = coords = [tuple(i // mod ** j % mod for j in range(m)) for i in range(q)]
+        self.index = index = {c: i for i, c in enumerate(coords)}
+        self.duals = [tuple(sum(map(mul, c, row)) % mod for row in ring._gram) for c in coords]
         self.dual_index = {d: i for i, d in enumerate(self.duals)}
-        self.add = [[index[(x + y).coeffs] for y in elems] for x in elems]
-        self.trace = [[gen_trace(x * y) for y in elems] for x in elems]
+        self.add = [[index[tuple((a + b) % mod for a, b in zip(x, y))] for y in coords] for x in coords]
+        self.trace = [[sum(map(mul, d, y)) % mod for y in coords] for d in self.duals]
         self.p, self.m, self.modulus, self.N = ring.p, ring.m, mod, omega_modulus(ring)
         self.chi_scale = self.N // mod
         self.states = q ** n
@@ -239,7 +243,7 @@ def build_stabilizer(ext: SelfOrthogonalExtension,
         elements = [T.multiply(P, g) for P in elements for g in powers]
         gens.append(powers[1])
     _check_stabilizer(T, elements, sd.generators, gens)
-    E = T.elements
+    E = [RingElement(ring, c) for c in T.coords]
     group = StabilizerGroup(ring, ntot, tuple(
         PauliOperator(ring, ntot, l, tuple(E[i] for i in a), tuple(E[i] for i in b))
         for l, a, b in elements))
@@ -324,6 +328,8 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
         raise DimensionMismatch(f"the stabilizer group acts on n = {group.n} < {C.n} coordinates")
     ring, n, ntot = C.ring, C.n, group.n
     q = ring.cardinality
+    if limit < 0:
+        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
     if q ** (2 * n) > limit:
         raise SearchLimitExceeded(q ** (2 * n), limit)
     basis = stabilizer_projector(group, max_dim)
@@ -338,7 +344,6 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
     pad, idle = (0,) * (ntot - n), (0,) * ntot
     halves = list(itertools.product(range(q), repeat=n))
     phases = [T.of(0, idle, b + pad)[1] for b in halves]
-    coords = [e.coeffs for e in T.elements]
     z_flats = [tuple(itertools.chain.from_iterable(map(T.duals.__getitem__, b))) for b in halves]
     undet: List[Tuple[int, ...]] = []
     best = dim1_best = math.inf
@@ -352,7 +357,7 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
         off = [(ys, ds) for i, j, ys, ds in moved if i != j]
         # lambda is entry (0, 0), and a diagonal entry that is missing is zero
         fixes_0, short = bool(moved) and moved[0][:2] == (0, 0), len(diag) < K
-        x_flat = tuple(itertools.chain.from_iterable(map(coords.__getitem__, a)))
+        x_flat = tuple(itertools.chain.from_iterable(map(T.coords.__getitem__, a)))
         for b, phase, z_flat in zip(halves, phases, z_flats):
             if not any(a) and not any(b):
                 continue

@@ -7,7 +7,10 @@ enumeration, and the solve {x*B : x*A = 0} read off one Howell form of
 exponents and minimal generators; it carries out row operations only, and
 keeps no column transform.
 
-Everything here works on plain integer residues in [0, p^b).  Pivoting is
+Everything here works on plain integer residues in [0, p^b), and a matrix
+is its rows: ``ZpbMatrix.rows`` is a tuple of row tuples, a Howell basis
+is such a matrix with its pivot columns, and Smith generators are rows of
+the same kind, so callers pass rows through without copying.  Pivoting is
 always on entries of minimal p-valuation (every element of Z_{p^b} is
 unit * p^v), with lowest-index tie-breaks, so all outputs are reproducible
 bit for bit.
@@ -64,20 +67,19 @@ def check_ring_size(p: int, b: int, m: int = 1) -> None:
 
 
 class ZpbMatrix(Frozen):
-    """Dense matrix over Z_{p^b}, entries stored row-major in [0, p^b).
+    """Dense matrix over Z_{p^b}: ``rows`` is a tuple of row tuples, each of
+    length ``cols`` with entries in [0, p^b).
 
     The constructor trusts its arguments.  Rows from outside the library go
-    through ``from_rows``, which checks them once; matrices built inside it
-    come from rows that are already reduced, through ``from_reduced`` or
-    the constructor itself.
+    through ``from_rows``, which checks them once; every matrix built inside
+    it comes from rows that are already reduced.
     """
 
-    def __init__(self, p: int, b: int, rows: int, cols: int, entries: Tuple[int, ...]):
+    def __init__(self, p: int, b: int, cols: int, rows: Tuple[Tuple[int, ...], ...]):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def modulus(self) -> int:
@@ -89,26 +91,14 @@ class ZpbMatrix(Frozen):
         (``cols`` is required when there are none), reduced into [0, p^b)."""
         check_ring_size(p, b)
         N = p ** b
-        row_list = [[x % N for x in r] for r in rows]
+        reduced = tuple(tuple(x % N for x in r) for r in rows)
         if cols is None:
-            if not row_list:
+            if not reduced:
                 raise ValueError("cols must be given for an empty matrix")
-            cols = len(row_list[0])
-        if any(len(r) != cols for r in row_list):
+            cols = len(reduced[0])
+        if any(len(r) != cols for r in reduced):
             raise ValueError("ragged rows")
-        return cls.from_reduced(p, b, row_list, cols)
-
-    @classmethod
-    def from_reduced(cls, p: int, b: int, rows: Sequence[Sequence[int]], cols: int) -> "ZpbMatrix":
-        """Unchecked: (p, b) already validated, each row of length ``cols``
-        with entries in [0, p^b)."""
-        return cls(p, b, len(rows), cols, tuple(x for r in rows for x in r))
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> List[List[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return cls(p, b, cols, reduced)
 
 
 def _val(x: int, p: int, b: int) -> int:
@@ -122,8 +112,9 @@ def _val(x: int, p: int, b: int) -> int:
     return v
 
 
-class HowellBasis(Frozen):
-    """Howell canonical form of a row module over Z_{p^b}.
+class HowellBasis(ZpbMatrix):
+    """Howell canonical form of a row module over Z_{p^b}: its rows, with
+    ``pivots[i]`` the column of row i's pivot.
 
     The Howell form is the unique canonical basis of a row module over a
     residue ring: pivots are powers of p, columns below a pivot are zero,
@@ -131,17 +122,10 @@ class HowellBasis(Frozen):
     multiples of every row are again spanned by later rows.
     """
 
-    def __init__(self, matrix: ZpbMatrix, pivots: Tuple[int, ...]):
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, p: int, b: int, cols: int, rows: Tuple[Tuple[int, ...], ...],
+                 pivots: Tuple[int, ...]):
+        super().__init__(p, b, cols, rows)
         object.__setattr__(self, "pivots", pivots)
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.cols
 
     @property
     def cardinality(self) -> int:
@@ -151,11 +135,8 @@ class HowellBasis(Frozen):
         exactly once: echelon pivots make the coefficients unique, and the
         annihilator rows make every element reachable.
         """
-        N = self.matrix.modulus
-        card = 1
-        for i, col in enumerate(self.pivots):
-            card *= N // self.matrix.entries[i * self.cols + col]
-        return card
+        N = self.modulus
+        return math.prod(N // row[col] for row, col in zip(self.rows, self.pivots))
 
 
 def _pivot(work: List[List[int]], r: int, best: int, col: int, v: int, p: int, N: int) -> List[int]:
@@ -185,7 +166,7 @@ def howell_form(gens: ZpbMatrix) -> HowellBasis:
     [0, p^v).  Zero rows are dropped.
     """
     p, b, N = gens.p, gens.b, gens.modulus
-    work = [list(r) for r in gens.to_rows() if any(r)]
+    work = [list(r) for r in gens.rows if any(r)]
     pivots: List[Tuple[int, int, int]] = []  # (row, col, valuation)
     r = 0
     for col in range(gens.cols if work else 0):  # a zero matrix needs no column sweep
@@ -215,21 +196,19 @@ def howell_form(gens: ZpbMatrix) -> HowellBasis:
             coef = work[i][col] // pv  # reduce the entry into [0, p^v)
             if coef:
                 work[i] = [(x - coef * y) % N for x, y in zip(work[i], work[r_i])]
-    matrix = ZpbMatrix.from_reduced(p, b, work, gens.cols)
-    return HowellBasis(matrix=matrix, pivots=tuple(col for _, col, _ in pivots))
+    return HowellBasis(p, b, gens.cols, tuple(map(tuple, work)), tuple(col for _, col, _ in pivots))
 
 
 def howell_member(H: HowellBasis, vec: Sequence[int]) -> bool:
     """Membership test against a Howell basis by pivot-wise reduction."""
-    N = H.matrix.modulus
+    N = H.modulus
     if len(vec) != H.cols:
         raise DimensionMismatch("vector length does not match ambient dimension")
     x = [e % N for e in vec]
-    for i, col in enumerate(H.pivots):
+    for row, col in zip(H.rows, H.pivots):
         e = x[col]
         if e == 0:
             continue
-        row = H.matrix.row(i)
         pv = row[col]  # pivot is p^v by construction
         if e % pv:
             return False
@@ -259,10 +238,10 @@ def smith_form(A: ZpbMatrix) -> SmithDecomposition:
     only the rows and columns beyond it, so the pivot row is already p^{e_i}
     times a row of the inverse column transform.
     """
-    p, b, N, nr = A.p, A.b, A.modulus, A.rows
-    if not any(A.entries):  # a zero matrix needs no column order
+    p, b, N, nr = A.p, A.b, A.modulus, len(A.rows)
+    if not any(map(any, A.rows)):  # a zero matrix needs no column order
         return SmithDecomposition(diag_exponents=(), generators=())
-    D = A.to_rows()
+    D = [list(r) for r in A.rows]
     order = list(range(A.cols))  # the columns in pivot-search order
     exps: List[int] = []
     for k in range(min(nr, A.cols)):
@@ -284,41 +263,39 @@ def _solve(A: ZpbMatrix, B: ZpbMatrix) -> HowellBasis:
     the rows (0 | y) of one Howell form of [A | B], cut to the B block.  By
     the Howell property they are already its canonical Howell basis."""
     c = A.cols
-    aug = [A.row(i) + B.row(i) for i in range(A.rows)]
-    H = howell_form(ZpbMatrix.from_reduced(A.p, A.b, aug, c + B.cols))
+    H = howell_form(ZpbMatrix(A.p, A.b, c + B.cols, tuple(a + b for a, b in zip(A.rows, B.rows))))
     keep = [i for i, col in enumerate(H.pivots) if col >= c]
-    return HowellBasis(matrix=ZpbMatrix.from_reduced(A.p, A.b, [H.matrix.row(i)[c:] for i in keep], B.cols),
-                       pivots=tuple(H.pivots[i] - c for i in keep))
+    return HowellBasis(A.p, A.b, B.cols, tuple(H.rows[i][c:] for i in keep),
+                       tuple(H.pivots[i] - c for i in keep))
 
 
 def kernel(A: ZpbMatrix) -> HowellBasis:
     """All row vectors x with x*A = 0 mod p^b, as a Howell basis: the
     solve against the identity."""
-    eye = [[int(i == j) for j in range(A.rows)] for i in range(A.rows)]
-    return _solve(A, ZpbMatrix.from_reduced(A.p, A.b, eye, A.rows))
+    k = len(A.rows)
+    eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    return _solve(A, ZpbMatrix(A.p, A.b, k, eye))
 
 
 def intersect(M1: HowellBasis, M2: HowellBasis) -> HowellBasis:
     """Howell basis of the intersection of two row modules: the solve of
     [M1 ; M2] against [M1 ; 0], since x = (a, b) with a*M1 + b*M2 = 0 gives
     the common element a*M1 = -b*M2, and every common element arises so."""
-    A1, A2 = M1.matrix, M2.matrix
-    if A1.cols != A2.cols or (A1.p, A1.b) != (A2.p, A2.b):
+    if M1.cols != M2.cols or (M1.p, M1.b) != (M2.p, M2.b):
         raise DimensionMismatch("ambient dimensions differ")
-    both = ZpbMatrix(A1.p, A1.b, A1.rows + A2.rows, A1.cols, A1.entries + A2.entries)
-    return _solve(both, ZpbMatrix(A1.p, A1.b, both.rows, A1.cols, A1.entries + (0,) * len(A2.entries)))
+    zeros = ((0,) * M2.cols,) * len(M2.rows)
+    return _solve(ZpbMatrix(M1.p, M1.b, M1.cols, M1.rows + M2.rows),
+                  ZpbMatrix(M1.p, M1.b, M1.cols, M1.rows + zeros))
 
 
 def quotient_rank(M: HowellBasis, S: HowellBasis) -> int:
     """Rank of M/S as a Z_{p^b}-module, via log_p(|M| / |pM + S|)."""
-    A, B = M.matrix, S.matrix
-    if A.cols != B.cols or (A.p, A.b) != (B.p, B.b):
+    if M.cols != S.cols or (M.p, M.b) != (S.p, S.b):
         raise DimensionMismatch("ambient dimensions differ")
-    for i in range(B.rows):
-        if not howell_member(M, B.row(i)):
-            raise NotContained("S is not a submodule of M")
-    p, b, N = A.p, A.b, A.modulus
-    sub = ZpbMatrix(p, b, A.rows + B.rows, A.cols, tuple((p * x) % N for x in A.entries) + B.entries)
+    if not all(howell_member(M, r) for r in S.rows):
+        raise NotContained("S is not a submodule of M")
+    p, N = M.p, M.modulus
+    sub = ZpbMatrix(p, M.b, M.cols, tuple(tuple(p * x % N for x in r) for r in M.rows) + S.rows)
     card_m, card_sub = M.cardinality, howell_form(sub).cardinality
     ratio, rem = divmod(card_m, card_sub)
     if rem:
@@ -399,13 +376,16 @@ def packed_blocks(M: HowellBasis, limit: int) -> Tuple[List[int], Iterator[int]]
     [0, N / pivot_i) over the Howell rows, last index fastest.  Block j is
     the table, the span of the most last rows with at most BLOCK elements,
     plus the j-th high vector, of the span of the other rows (walked
-    lazily).  Raises SearchLimitExceeded with |M| when |M| > limit."""
-    A, N = M.matrix, M.matrix.modulus
+    lazily).  Raises SearchLimitExceeded with |M| when |M| > limit, and
+    ValueError when limit < 0."""
+    N = M.modulus
+    if limit < 0:
+        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
     if M.cardinality > limit:
         raise SearchLimitExceeded(M.cardinality, limit)
-    add, L = lane_adder(N, A.cols), lane_width(N)
-    base = [sum(x << (L * j) for j, x in enumerate(A.row(i))) for i in range(A.rows)]
-    radix = [N // A.row(i)[col] for i, col in enumerate(M.pivots)]
+    add, L = lane_adder(N, M.cols), lane_width(N)
+    base = [sum(x << (L * j) for j, x in enumerate(r)) for r in M.rows]
+    radix = [N // r[col] for r, col in zip(M.rows, M.pivots)]
     k = min(i for i in range(len(base) + 1) if math.prod(radix[i:]) <= BLOCK)
     return list(_prefix_walk(base[k:], radix[k:], add)), _prefix_walk(base[:k], radix[:k], add)
 
@@ -414,12 +394,12 @@ def walk_packed(M: HowellBasis, limit: int) -> Iterator[int]:
     """The blocks of ``packed_blocks`` flattened: every element once, in
     their order."""
     table, highs = packed_blocks(M, limit)
-    add = lane_adder(M.matrix.modulus, M.cols)
+    add = lane_adder(M.modulus, M.cols)
     for h in highs:
         yield from [add(h, t) for t in table]
 
 
 def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
     """``walk_packed`` unpacked: each element as a tuple of residues."""
-    L = lane_width(M.matrix.modulus)
+    L = lane_width(M.modulus)
     return (unpack(v, L, M.cols) for v in walk_packed(M, limit))

@@ -5,6 +5,8 @@ another way, and nothing in the library calls them:
 
 - ``compose``: the Pauli product, reference for ``_Monomials.multiply``
   and ``build_stabilizer``;
+- ``monomial_tables``: the verifier's tables built from ring elements,
+  reference for ``_Monomials``, which reads them off integers;
 - ``frobenius``, ``teichmuller_decompose`` and the Teichmuller table
   ``teich_mod_p``: references for ``gen_trace``;
 - ``symplectic_weight``: reference for ``codes.block_weights``;
@@ -23,7 +25,7 @@ from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
 from eaqring.decompose import HyperbolicDecomposition
 from eaqring.errors import DimensionMismatch, InternalInvariantViolation, RingMismatch
 from eaqring.extension import SelfOrthogonalExtension, SymplecticSubset, _at, _extend
-from eaqring.galois import GaloisRingSpec, RingElement, _poly_mul_mod, gen_trace, phi_expand
+from eaqring.galois import GaloisRingSpec, RingElement, _dual_coords, _poly_mul_mod, gen_trace, phi_expand
 from eaqring.pauli import PauliOperator, omega_modulus
 from eaqring.zpblinalg import ZpbMatrix, howell_member, smith_form
 
@@ -158,7 +160,7 @@ def verify_quasi_symplectic(ring: GaloisRingSpec,
         for j in sorted(Jset):
             a1 = pairs[j][0]
             rows.append([el.coeffs[0] % ring.p for el in a1.components])
-        M = ZpbMatrix.from_reduced(ring.p, 1, rows, 2 * pairs[0][0].n)
+        M = ZpbMatrix(ring.p, 1, 2 * pairs[0][0].n, tuple(map(tuple, rows)))
         if len(smith_form(M).diag_exponents) != len(rows):
             return False
     return True
@@ -177,3 +179,18 @@ def compose(P: PauliOperator, Q: PauliOperator) -> PauliOperator:
     return PauliOperator(ring, P.n, phase,
                          tuple(x + y for x, y in zip(P.a, Q.a)),
                          tuple(x + y for x, y in zip(P.b, Q.b)))
+
+
+def monomial_tables(ring: GaloisRingSpec):
+    """(coords, index, duals, add, trace) of ``pauli._Monomials``, built as
+    ring elements: element i has the base-p^b digits of i as power-basis
+    coordinates; ``add`` and ``trace`` are the q x q tables of x + y (as an
+    index) and of Tr(x*y)."""
+    q, mod = ring.cardinality, ring.modulus
+    elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
+             for i in range(q)]
+    index = {e.coeffs: i for i, e in enumerate(elems)}
+    duals = [_dual_coords(e) for e in elems]
+    add = [[index[(x + y).coeffs] for y in elems] for x in elems]
+    trace = [[gen_trace(x * y) for y in elems] for x in elems]
+    return [e.coeffs for e in elems], index, duals, add, trace

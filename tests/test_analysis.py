@@ -26,7 +26,8 @@ from eaqring.errors import InternalInvariantViolation
 from eaqring.decompose import hyperbolic_decompose
 from eaqring.extension import build_minimal_extension, eaqecc_params
 from eaqring.galois import make_ring, phi_expand
-from eaqring.zpblinalg import ZpbMatrix, howell_form, quotient_rank
+from eaqring.zpblinalg import HowellBasis, ZpbMatrix, howell_form, quotient_rank
+from test_census import all_codes
 
 CODES = {
     "Z4": "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n",
@@ -137,7 +138,7 @@ def test_chi_dual_is_checked_against_its_size(monkeypatch):
     ring, C = parse_code_text(CODES["Z4"])
     # a pairing matrix with no columns: its kernel is all of Z4^2
     monkeypatch.setattr(codes_mod, "_pairing_columns",
-                        lambda code, scale: ZpbMatrix.from_reduced(2, 2, [[], []], 0))
+                        lambda code, scale: ZpbMatrix(2, 2, 0, ((), ())))
     with pytest.raises(InternalInvariantViolation, match="is not q"):
         C.dual(0)
 
@@ -200,9 +201,50 @@ def test_derived_codes_keep_consistent_howell_rows(ring_args):
             derived.append(chi_dual_level(C, t))
             derived.append(code_intersection(C, derived[-1]))
         for D in derived:
-            assert D.expanded_matrix.to_rows() == [
-                list(phi_expand(ring, g.components)) for g in D.generators]
+            assert D.expanded_matrix.rows == tuple(
+                phi_expand(ring, g.components) for g in D.generators)
             assert howell_form(D.expanded_matrix) == D.expanded_howell
+
+
+def assert_well_formed(A):
+    """A is a ZpbMatrix of tuple rows, each of length ``cols`` with entries
+    in [0, p^b); a Howell basis has one pivot per row, each a power of p."""
+    N = A.modulus
+    assert isinstance(A, ZpbMatrix) and type(A.rows) is tuple
+    assert all(type(r) is tuple and len(r) == A.cols and all(0 <= x < N for x in r) for r in A.rows)
+    if isinstance(A, HowellBasis):
+        assert len(A.pivots) == len(A.rows)
+        assert all(r[c] in {A.p ** v for v in range(A.b)} for r, c in zip(A.rows, A.pivots))
+
+
+@pytest.mark.parametrize("ring_args,n", [
+    ((2, 1, 1), 2), ((2, 1, 2), 1), ((2, 2, 1), 1), ((2, 3, 1), 1), ((3, 2, 1), 1), ((2, 2, 2), None),
+], ids=["F2", "F4", "Z4", "Z8", "Z9", "GR42"])
+def test_every_cached_matrix_is_well_formed(monkeypatch, ring_args, n):
+    """On the census codes of length n (none for GR(4, 2)) and on seeded
+    random codes, every matrix a code keeps (expanded matrix, Howell
+    basis, Gram matrix, meet and each chi-dual level) and every output of
+    ``kernel``, ``intersect`` and ``_solve`` is well formed, and C's Smith
+    generators are rows of the same kind."""
+    outputs = collections.Counter()
+    for name in ("kernel", "intersect", "_solve"):
+        def spy(*args, _name=name, _f=getattr(codes_mod, name)):
+            out = _f(*args)
+            assert_well_formed(out)
+            outputs[_name] += 1
+            return out
+        monkeypatch.setattr(codes_mod, name, spy)
+    ring = make_ring(*ring_args)
+    codes = sample_codes(ring, random.Random(sum(x * 10 ** i for i, x in enumerate(ring_args))))
+    codes += [AdditiveCode.from_expanded(ring, n, H) for H in (all_codes(ring, n) if n else ())]
+    for C in codes:
+        for t in range(ring.b + 1):
+            assert_well_formed(C.dual(t))
+            code_intersection(C, chi_dual_level(C, t))
+        for A in (C.expanded_matrix, C.expanded_howell, C.gram, C.meet,
+                  ZpbMatrix(ring.p, ring.b, C.ambient_cols, C.expanded_smith.generators)):
+            assert_well_formed(A)
+    assert min(outputs[name] for name in ("kernel", "intersect", "_solve")) >= len(codes)
 
 
 @pytest.mark.parametrize("ring_args", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])
@@ -233,7 +275,7 @@ def test_redundant_input_rows_keep_the_gram_matrix_small():
     reports = []
     for gens in (rows, list(dict.fromkeys(rows))):
         ring, C = parse_code_text("ring p=2 b=2 m=1\nn 1\n" + "".join(gens))
-        assert C.gram.rows <= 2 * C.n * ring.m
+        assert len(C.gram.rows) <= 2 * C.n * ring.m
         report, code = build_report("params", ring, C, 1 << 22, 1 << 10)
         assert report.pop("generators") == [[[int(x)] for x in g.split()[1:]] for g in gens]
         reports.append((report, code))

@@ -27,19 +27,18 @@ def all_codes(ring, n):
     p, b = ring.p, ring.b
     cols = 2 * n * ring.m
     ambient = list(itertools.product(range(p ** b), repeat=cols))
-    zero = howell_form(ZpbMatrix.from_reduced(p, b, [], cols))
-    seen = {zero.matrix: zero}
+    zero = howell_form(ZpbMatrix(p, b, cols, ()))
+    seen = {zero.rows: zero}
     frontier = [zero]
     while frontier:
         grown = []
         for H in frontier:
-            rows = H.matrix.to_rows()
             for v in ambient:
                 if howell_member(H, v):
                     continue
-                H2 = howell_form(ZpbMatrix.from_reduced(p, b, rows + [list(v)], cols))
-                if H2.matrix not in seen:
-                    seen[H2.matrix] = H2
+                H2 = howell_form(ZpbMatrix(p, b, cols, H.rows + (v,)))
+                if H2.rows not in seen:
+                    seen[H2.rows] = H2
                     grown.append(H2)
         frontier = grown
     return list(seen.values())
@@ -74,5 +73,5 @@ def test_census(ring_args, n, count):
         group = build_stabilizer(build_minimal_extension(C))
         assert projector_dimension(group) == P.K_exact
         if not undetectable_error_search(C, group).set_matches_dual_minus_code:
-            flag_false.append(H.matrix.to_rows())
+            flag_false.append([list(r) for r in H.rows])
     assert flag_false == FLAG_FALSE.get(ring_args, [])

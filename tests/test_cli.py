@@ -26,6 +26,7 @@ from eaqring.cli import (
 )
 from eaqring.codes import AdditiveCode, min_symplectic_distance, same_module
 from eaqring.errors import (
+    DimensionTooLarge,
     HPolyInvalid,
     InternalInvariantViolation,
     NoSolution,
@@ -34,7 +35,9 @@ from eaqring.errors import (
     SearchLimitExceeded,
     size_text,
 )
+from eaqring.extension import build_minimal_extension, eaqecc_params
 from eaqring.galois import make_ring
+from eaqring.zpblinalg import enumerate_module, packed_blocks, walk_packed
 
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
 F2_REP = "ring p=2 b=1 m=1\nn 1\ngen 1 1\n"
@@ -62,8 +65,8 @@ def test_parse_round_trip():
 @pytest.mark.parametrize("p,b", [(3, 1), (3, 2), (3, 3), (7, 2), (2, 1), (2, 2), (2, 3)])
 def test_serialize_round_trip_canonical_h(p, b):
     """serialize_code -> parse_code_text -> serialize_code on the canonical
-    ring Z_{p^b}; the echoed h must validate when read back (Z3, Z9, Z27
-    and Z49 used to fail with HPolyInvalid; F2, Z4 and Z8 are controls)."""
+    ring Z_{p^b}; the echoed h must validate when read back, with an odd
+    p (Z3, Z9, Z27, Z49) as with p = 2 (F2, Z4, Z8)."""
     ring, C = parse_code_text(f"ring p={p} b={b} m=1\nn 2\ngen 1 0 1 1\ngen 0 1 1 0\n")
     text = serialize_code(ring, C)
     ring2, C2 = parse_code_text(text)
@@ -269,6 +272,38 @@ def test_zero_cap_still_caps_every_search(tmp_path):
     code, out = run_cli(["verify", str(f), "--max-matrix-dim", "0"])
     assert code == 2
     assert json.loads(out)["verification"] == {"skipped": "q^(n+c) = 16 exceeds the matrix cap 0"}
+
+
+LIBRARY_CAPS = {
+    "eaqecc_params": lambda C, ext, group, cap: eaqecc_params(C, limit=cap).D,
+    "min_symplectic_distance": lambda C, ext, group, cap: min_symplectic_distance(C, cap),
+    "packed_blocks": lambda C, ext, group, cap: packed_blocks(C.dual(0), cap),
+    "walk_packed": lambda C, ext, group, cap: next(walk_packed(C.dual(0), cap)),
+    "enumerate_module": lambda C, ext, group, cap: next(enumerate_module(C.dual(0), cap)),
+    "undetectable_error_search": lambda C, ext, group, cap: pauli.undetectable_error_search(
+        C, group, limit=cap),
+    "build_stabilizer": lambda C, ext, group, cap: pauli.build_stabilizer(ext, max_dim=cap),
+    "stabilizer_projector": lambda C, ext, group, cap: pauli.stabilizer_projector(group, cap),
+    "projector_dimension": lambda C, ext, group, cap: pauli.projector_dimension(group, cap),
+    "pauli_matrix": lambda C, ext, group, cap: pauli.pauli_matrix(group.elements[1], cap),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LIBRARY_CAPS))
+def test_library_rejects_a_negative_cap(entry):
+    """Each library entry point that compares a cap raises ValueError on a
+    negative one, which is not a cap hit; 0 still caps every search."""
+    _, C = parse_code_text(Z4_WORKED)
+    ext = build_minimal_extension(C)
+    group = pauli.build_stabilizer(ext)
+    call = LIBRARY_CAPS[entry]
+    with pytest.raises(ValueError, match=r"^(limit|max_dim) = -1 is negative; 0 caps every search$"):
+        call(C, ext, group, -1)
+    if entry == "eaqecc_params":
+        assert call(C, ext, group, 0) is None
+    else:
+        with pytest.raises((SearchLimitExceeded, DimensionTooLarge)):
+            call(C, ext, group, 0)
 
 
 def child_env():

@@ -149,10 +149,10 @@ def lift_oracle(C):
     D = C cap C^chi taken from the intersection of C and its chi-dual."""
     p, b, N = C.ring.p, C.ring.b, C.ring.modulus
     D = code_intersection(C, chi_dual_level(C, 0)).expanded_howell
-    rows = [[p * x % N for x in r] for r in C.expanded_smith.generators] + D.matrix.to_rows()
+    rows = tuple(tuple(p * x % N for x in r) for r in C.expanded_smith.generators) + D.rows
     chosen = []
     for s in C.expanded_smith.generators:
-        H = howell_form(ZpbMatrix.from_reduced(p, b, rows + chosen, C.ambient_cols))
+        H = howell_form(ZpbMatrix(p, b, C.ambient_cols, rows + tuple(map(tuple, chosen))))
         if not howell_member(H, s):
             chosen.append(list(s))
     return chosen

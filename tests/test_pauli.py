@@ -32,7 +32,7 @@ from eaqring.errors import (
     SearchLimitExceeded,
 )
 from eaqring.extension import build_minimal_extension
-from eaqring.galois import char_exponent, gen_trace, make_ring, phi_contract, phi_expand
+from eaqring.galois import RingElement, char_exponent, gen_trace, make_ring, phi_contract, phi_expand
 from eaqring.pauli import (
     PauliOperator,
     StabilizerGroup,
@@ -44,7 +44,7 @@ from eaqring.pauli import (
     undetectable_error_search,
 )
 from eaqring.zpblinalg import enumerate_module, smith_form, solve_congruence
-from oracles import build_extension, compose, contains, symplectic_weight
+from oracles import build_extension, compose, contains, monomial_tables, symplectic_weight
 
 
 @pytest.fixture(scope="module")
@@ -697,6 +697,24 @@ def test_monomial_multiply_is_associative_and_matches_compose(p, b, m):
         tP, tQ, tR = map(T.from_operator, (P, Q, R))
         assert T.multiply(tP, tQ) == T.from_operator(compose(P, Q))
         assert T.multiply(T.multiply(tP, tQ), tR) == T.multiply(tP, T.multiply(tQ, tR))
+
+
+@pytest.mark.parametrize("p, b, m", ORACLE_RINGS + [(3, 1, 2), (5, 1, 1)])
+def test_monomial_tables_match_the_ring_element_tables(monkeypatch, p, b, m):
+    """``_Monomials`` reads its tables off the ring's integer trace form:
+    on F2, F4, Z4, Z8, Z9, GR(4, 2), F9 and F5 they equal the tables built
+    from ring elements, and building them creates no ring element."""
+    ring = make_ring(p, b, m)
+    coords, index, duals, add, trace = monomial_tables(ring)
+
+    def no_element(self, *args):
+        raise AssertionError("a ring element was created")
+    monkeypatch.setattr(RingElement, "__init__", no_element)
+    T = pauli._Monomials(ring, 2)
+    monkeypatch.undo()
+    assert (T.coords, T.index, T.duals, T.add, T.trace) == (coords, index, duals, add, trace)
+    assert T.dual_index == {d: i for i, d in enumerate(duals)}
+    assert len(set(T.duals)) == len(T.coords) == ring.cardinality and T.states == ring.cardinality ** 2
 
 
 def test_matrix_cap_message_past_the_decimal_digit_limit():

@@ -118,8 +118,8 @@ def _value_objects():
 
 
 FIELDS = {
-    "ZpbMatrix": ("p", "b", "rows", "cols", "entries"),
-    "HowellBasis": ("matrix", "pivots"),
+    "ZpbMatrix": ("p", "b", "cols", "rows"),
+    "HowellBasis": ("p", "b", "cols", "rows", "pivots"),
     "SmithDecomposition": ("diag_exponents", "generators"),
     "GaloisRingSpec": ("p", "b", "m", "h_coeffs"),
     "RingElement": ("ring", "coeffs"),
