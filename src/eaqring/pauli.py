@@ -9,10 +9,13 @@ Tr(b.x)} |x + a>, read off q x q tables of ring addition and of Tr(x*y)
 over numbered ring elements.  The group is built and checked as (l, a, b)
 triples of element indices, closure as S g in S for each generator g.  Its
 code space is spanned by the orbit sums v_x = sum_g g|x> that do not
-vanish, one per orbit x + A.  Each sum of powers of omega the verifier
-decides, in the basis check and in each entry of U^H E U = lambda I, is
-one int packing its coordinates in Z[omega]'s power basis (``_packing``):
-no decision is made in floating point.
+vanish, one per orbit x + A.  Every sum of powers of omega the verifier
+decides is one lane group of a packed int (``_packing``), lowered to
+Z[omega]'s power basis and biased so that each group's bits are its
+coordinates: the basis check packs one sum per int, and the error search
+packs the entries of one X part and orbit for all q^n Z parts into one,
+so one pass per X part decides every error with that X part.  No decision
+is made in floating point.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from types import MappingProxyType
-from operator import add, mul
+from operator import lshift, mul, sub
 from typing import TYPE_CHECKING, Callable, List, Mapping, Sequence, Tuple
 
 import math
@@ -54,21 +57,34 @@ def omega_modulus(ring: GaloisRingSpec) -> int:
     return ring.modulus * (2 if ring.p == 2 else 1)
 
 
-def _packing(N: int, p: int, most: int) -> Tuple[List[int], Callable[[int], int]]:
-    """(unit, lower) for sums of powers of omega, omega of order N a power
-    of p, in which no power occurs more than ``most`` times.  Such a sum is
-    the int sum_y unit[k_y], k_y < 2N: N lanes of W = bit_length(most) + 2
-    bits, lane k counting omega^k.  ``lower`` takes it to Z[omega]'s power
-    basis {omega^k : k < N - N/p} in one step, by omega^(N - N/p + r) =
-    -sum_{t<p-1} omega^(r + t N/p) (Phi_N = sum_{t<p} x^(t N/p)).  Each
-    lowered lane lies in (-2^(W-2), 2^(W-2)), so the lowered int is 0 iff
-    the sum is, and two are equal iff their sums are: the lanes of a
-    difference of two still fit."""
+def _packing(N: int, p: int, most: int,
+             groups: int = 1) -> Tuple[List[int], Callable[[int], int], int]:
+    """(unit, lower, stride) for ``groups`` sums of powers of omega packed in
+    one int, omega of order N a power of p, no power occurring more than
+    ``most`` times in a sum.  Group g sits at bit g * stride: 2N lanes of W
+    = bit_length(most) + 2 bits, lane k counting omega^k, so a term omega^k
+    of group g adds unit[k] << g * stride.  ``lower`` takes every group at
+    once to Z[omega]'s power basis {omega^k : k < N - N/p}: a mask, shift
+    and add folds lane N + k onto lane k (omega^N = 1), and a mask, shift
+    and multiply applies omega^(N - N/p + r) = -sum_{t<p-1} omega^(r + t N/p)
+    (Phi_N = sum_{t<p} x^(t N/p)).  It then adds 2^(W-1) to each of the N
+    low lanes of every group.  A lowered lane lies in (-2^(W-2), 2^(W-2)),
+    so once biased it fits its W bits and borrows nothing from the next:
+    every group's bits are exactly its lanes.  So a group of two lowered
+    ints is equal iff its sums are, it is zero iff its bits are those of
+    lower(0), and the lanes of a difference of two still fit."""
     W, step = most.bit_length() + 2, N // p
-    shift = W * (N - step)
-    unit = [1 << W * (k % N) for k in range(2 * N)]
-    low, rep = (1 << shift) - 1, sum(1 << W * t * step for t in range(p - 1))
-    return unit, lambda acc: (acc & low) - (acc >> shift) * rep
+    stride, shift = 2 * N * W, (N - step) * W
+    every = sum(1 << g * stride for g in range(groups))  # lane 0 of each group
+    unit = [1 << k * W for k in range(2 * N)]
+    half, low, top = (((1 << bits) - 1) * every for bits in (N * W, shift, step * W))
+    rep = sum(unit[t * step] for t in range(p - 1))
+    bias = (sum(unit[:N]) << W - 1) * every
+
+    def lower(acc: int) -> int:
+        acc = (acc & half) + (acc >> N * W & half)
+        return (acc & low) - (acc >> shift & top) * rep + bias
+    return unit, lower, stride
 
 
 class PauliOperator(Frozen):
@@ -143,12 +159,15 @@ class _Monomials:
                 tuple(add[x][y] for x, y in zip(a, a2)), tuple(add[x][y] for x, y in zip(b, b2)))
 
     def of(self, l: int, a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
-        """(rows, phase): omega^l X(a)Z(b) sends state x to omega^phase[x] |rows[x]>."""
-        q, rows, dots = len(self.add), [0], [0]
-        for x, z in zip(a, b):
+        """(rows, phase): omega^l X(a)Z(b) sends state x to omega^phase[x] |rows[x]>.
+        Either part may be given on fewer qudits, or none: the row map is
+        over len(a) qudits and the phase list over len(b)."""
+        q, scale, N, rows, dots = len(self.add), self.chi_scale, self.N, [0], [0]
+        for x in a:
             rows = [r * q + y for r in rows for y in self.add[x]]
+        for z in b:
             dots = [f + t for f in dots for t in self.trace[z]]
-        return rows, [(l + self.chi_scale * f) % self.N for f in dots]
+        return rows, [(l + scale * f) % N for f in dots]
 
 
 def pauli_matrix(P: PauliOperator, max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndarray:
@@ -194,8 +213,8 @@ class StabilizerGroup(Frozen):
         decided as one packed int (``_packing``)."""
         T = self._tables
         ops = [T.of(*g) for g in self._triples]
-        unit, lower = _packing(T.N, T.p, len(ops))
-        basis, seen = [], set()
+        unit, lower, _ = _packing(T.N, T.p, len(ops))
+        zero, basis, seen = lower(0), [], set()
         for x in range(T.states):
             if x not in seen:
                 terms: dict = {}
@@ -203,7 +222,7 @@ class StabilizerGroup(Frozen):
                     terms.setdefault(rows[x], []).append(phase[x])
                 seen.update(terms)
                 sums = [lower(sum(map(unit.__getitem__, ks))) for ks in terms.values()]
-                if any(sums):
+                if sums.count(zero) < len(sums):
                     if sums != [lower(len(ks) * unit[ks[0]]) for ks in terms.values()]:
                         raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
                     basis.append(MappingProxyType({y: ks[0] for y, ks in terms.items()}))
@@ -213,7 +232,7 @@ class StabilizerGroup(Frozen):
             for rows, phase in ops:
                 for y, e in v.items():
                     acc[rows[y]] = acc.get(rows[y], 0) + unit[e + phase[y]]
-            got = {y: s for y, s in zip(acc, map(lower, acc.values())) if s}
+            got = {y: s for y, s in zip(acc, map(lower, acc.values())) if s != zero}
             if got != {y: full[e] for y, e in v.items()}:
                 raise InternalInvariantViolation("averaged stabilizer sum is not idempotent")
         return tuple(basis)
@@ -316,12 +335,18 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                               max_dim: int = DEFAULT_MATRIX_DIM) -> ErrorSearchResult:
     """Classify every error E = X(a,0)Z(b,0), (a,b) in R^{2n}, by the matrix
     criterion U^H E U = lambda I on the orbit-sum basis, exactly, and
-    cross-check the undetectable set against C^{chi-dual} minus C.  E sends
-    orbit i onto one orbit j, so the only entry of column i is <v_j|E|v_i>,
-    a sum over y in orbit i of omega^(e_y - e_{Ey} + phase[y]), packed by
-    ``_packing``.  X(a) and Z(b) act apart: one row map per a and one phase
-    list per b.  The group must be over C's ring and act on at least C's n
-    coordinates."""
+    cross-check the undetectable set against C^{chi-dual} minus C.  X(a)
+    sends orbit i onto one orbit j (checked), so the only entry of column i
+    is <v_j|E|v_i>, the sum over y in orbit i of omega^(e_y - e_{X(a)y} +
+    phase_b(u)); phase_b(u) = (N/p^b) Tr(b.u) reads only y's first n
+    qudits u, since b is zero on the tail.  One packed int per X part a and
+    orbit holds that entry for every Z part b, in lane group b
+    (``_packing``): per y it adds spread[u], which holds omega^phase_b(u)
+    in every group b, shifted by the lanes of e_y - e_{X(a)y}.  After one
+    ``lower``, E is undetectable iff its group of (diagonal XOR lambda) |
+    (off-diagonal XOR 0) | (lambda XOR 0, when a diagonal entry is missing)
+    is nonzero, lambda being entry (0, 0).  The group must be over C's ring
+    and act on at least C's n coordinates."""
     if group.ring != C.ring:
         raise RingMismatch("the stabilizer group is over a different ring than the code")
     if group.n < C.n:
@@ -334,41 +359,70 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
         raise SearchLimitExceeded(q ** (2 * n), limit)
     basis = stabilizer_projector(group, max_dim)
     T = group._tables
-    N, K = T.N, len(basis)
-    unit, lower = _packing(N, T.p, max(map(len, basis)))
-
-    def entry(phase: List[int], ys: Tuple[int, ...], ds: Tuple[int, ...]) -> int:
-        return lower(sum(map(unit.__getitem__, map(add, ds, map(phase.__getitem__, ys)))))
-
-    orbit = {y: (i, e) for i, v in enumerate(basis) for y, e in v.items()}
-    pad, idle = (0,) * (ntot - n), (0,) * ntot
-    halves = list(itertools.product(range(q), repeat=n))
-    phases = [T.of(0, idle, b + pad)[1] for b in halves]
-    z_flats = [tuple(itertools.chain.from_iterable(map(T.duals.__getitem__, b))) for b in halves]
+    N, K, tail = T.N, len(basis), q ** (ntot - n)
+    halves = list(itertools.product(range(q), repeat=n))  # Z part b is lane group b
+    unit, lower, stride = _packing(N, T.p, max(map(len, basis)), len(halves))
+    zero, mask = lower(0), (1 << stride) - 1
+    # spread[u] holds omega^phase_b(u) in every group b: Tr(b.u) = Tr(u.b),
+    # so Z(u)'s phase list is phase_b(u) over b.  omega^d times spread[u]
+    # is spread[u] << shifts[N + d], for -N < d < N.
+    ats = range(0, len(halves) * stride, stride)  # the first bit of group b
+    spread = [sum(map(lshift, map(unit.__getitem__, T.of(0, (), u)[1]), ats)) for u in halves]
+    shifts = [unit[k % N].bit_length() - 1 for k in range(2 * N)]
+    # state y lies in basis orbit which[y] (-1: in none) with exponent exps[y];
+    # states lists the basis states orbit by orbit, orbit i in states[lo:hi]
+    which, exps, states, bounds = [-1] * T.states, [0] * T.states, [], []
+    for i, v in enumerate(basis):
+        for y, e in v.items():
+            which[y], exps[y] = i, e
+        bounds.append((len(states), len(states) + len(v)))
+        states += v
+    spreads = [spread[y // tail] for y in states]
+    offsets = [N + exps[y] for y in states]
+    support = lambda half: sum(1 << t for t, x in enumerate(half) if x)
+    flat = lambda table, half: tuple(itertools.chain.from_iterable(map(table.__getitem__, half)))
+    z_parts = [(at, support(b), flat(T.duals, b)) for at, b in zip(ats, halves)]
+    pad = (0,) * (ntot - n)
     undet: List[Tuple[int, ...]] = []
     best = dim1_best = math.inf
     for a in halves:
-        rows = T.of(0, a + pad, idle)[0]
-        # (i, j, ys, ds): X(a) sends orbit i onto basis orbit j, ds[t] = e_y - e_{Ey} mod N
-        moved = [(i, orbit[rows[ys[0]]][0], ys,
-                  tuple((e - orbit[rows[y]][1]) % N for y, e in v.items()))
-                 for i, v in enumerate(basis) if rows[(ys := tuple(v))[0]] in orbit]
-        diag = [(ys, ds) for i, j, ys, ds in moved if i == j]
-        off = [(ys, ds) for i, j, ys, ds in moved if i != j]
-        # lambda is entry (0, 0), and a diagonal entry that is missing is zero
-        fixes_0, short = bool(moved) and moved[0][:2] == (0, 0), len(diag) < K
-        x_flat = tuple(itertools.chain.from_iterable(map(T.coords.__getitem__, a)))
-        for b, phase, z_flat in zip(halves, phases, z_flats):
-            if not any(a) and not any(b):
+        rows = T.of(0, a + pad, ())[0]
+        targets = list(map(rows.__getitem__, states))
+        js = list(map(which.__getitem__, targets))
+        # omega^(e_y - e_{X(a)y}) spread[u_y] for each basis state y, in turn
+        terms = map(lshift, spreads, map(shifts.__getitem__,
+                                         map(sub, offsets, map(exps.__getitem__, targets))))
+        lam, bad, fixed = zero, 0, 0
+        for i, (lo, hi) in enumerate(bounds):
+            j = js[lo]
+            if js[lo:hi].count(j) < hi - lo:
+                raise InternalInvariantViolation(
+                    f"X{a} sends basis orbit {i} into more than one orbit")
+            s = sum(itertools.islice(terms, hi - lo))
+            if j < 0:  # onto an orbit whose sum vanishes: column i is zero
                 continue
-            diagonal = [entry(phase, ys, ds) for ys, ds in diag]
-            lam = diagonal[0] if fixes_0 else 0
-            w = sum(1 for x, z in zip(a, b) if x or z)
-            if (lam and short) or diagonal.count(lam) < len(diagonal) or any(
-                    entry(phase, ys, ds) for ys, ds in off):
+            s = lower(s)
+            if i != j:
+                bad |= s ^ zero
+                continue
+            if i == 0:
+                lam = s
+            fixed += 1
+            bad |= s ^ lam
+        if fixed < K:  # a missing diagonal entry is zero
+            bad |= lam ^ zero
+        sa, nonzero = support(a), (lam ^ zero if K == 1 else 0)
+        if not sa:  # group 0 of a = 0 is the identity
+            bad, nonzero = bad & ~mask, nonzero & ~mask
+        if not bad and not nonzero:
+            continue
+        x_flat = flat(T.coords, a)
+        for at, sb, z_flat in z_parts:
+            w = (sa | sb).bit_count()
+            if bad >> at & mask:
                 undet.append(x_flat + z_flat)
                 best = min(best, w)
-            if K == 1 and lam:
+            if nonzero >> at & mask:
                 dim1_best = min(dim1_best, w)
     want = set(enumerate_module(C.dual(0), limit))
     want -= set(enumerate_module(C.meet, limit))  # C^chi \ C = C^chi \ (C cap C^chi)

@@ -295,6 +295,23 @@ def test_error_search_rejects_a_group_on_fewer_coordinates(z4, monkeypatch):
         undetectable_error_search(C, group)
 
 
+@pytest.mark.parametrize("broken", [
+    ({0: 0, 1: 0}, {2: 0, 3: 0}),  # X(1): {0, 1} -> {1, 2}, across two basis orbits
+    ({0: 0, 1: 0},),  # X(1): 2 is in no basis orbit, 1 is
+    ({1: 0, 3: 0}, {0: 0}),  # X(1): {1, 3} -> {2, 0}, its first state in no basis orbit
+])
+def test_error_search_rejects_a_basis_orbit_that_an_x_part_splits(z4, broken):
+    """X(a) maps each coset x + A onto one coset, so each basis orbit into
+    one orbit.  On hand-broken bases of the one-element group on a Z4
+    qudit, X(1) sends an orbit into two, and the search raises instead of
+    mixing two orbits' entries, skipping the orbit, or failing on a
+    missing key."""
+    group = StabilizerGroup(z4, 1, (identity_operator(z4, 1),))
+    group.__dict__["_basis"] = broken
+    with pytest.raises(InternalInvariantViolation, match=r"X\(1,\) sends basis orbit 0 into more than one"):
+        undetectable_error_search(AdditiveCode(z4, 1, ()), group)
+
+
 def test_stabilizer_randomized(z4, f4):
     rng = random.Random(23)
     for ring in (z4, f4):
@@ -402,15 +419,16 @@ def test_pauli_matrix_matches_dense_oracle(p, b, m):
     assert phases - {0}
 
 
-def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4], dims=range(65)):
+def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4], dims=range(65), lengths=None):
     """(C, ext, group) for seeded random codes over the given rings with
-    q^{n+c} in ``dims``."""
+    q^{n+c} in ``dims``; n is drawn from ``lengths`` if given, else n <= 2
+    when q <= 4 and n = 1 otherwise."""
     rng = random.Random(seed)
     rings = [make_ring(*spec) for spec in specs]
     out = []
     while len(out) < count:
         ring = rng.choice(rings)
-        n = rng.randint(1, 2 if ring.cardinality <= 4 else 1)
+        n = rng.choice(lengths) if lengths else rng.randint(1, 2 if ring.cardinality <= 4 else 1)
         gens = tuple(SymplecticVector.from_components(ring, [
             ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
             for _ in range(2 * n)]) for _ in range(rng.randint(1, 2 * n * ring.m)))
@@ -450,6 +468,17 @@ def test_error_search_matches_dense_oracle_on_gr42():
     assert_search_matches_dense_oracle(random_verify_instances(2, 59, [(2, 2, 2)], {256}))
 
 
+def test_error_search_matches_dense_oracle_with_many_z_parts():
+    """F2 with n = 3 and n = 4, q^{n+c} <= 64: 8 and 16 Z parts, so the
+    search packs 8 and 16 lane groups per X part, as on verify-small's
+    slowest shapes."""
+    instances = random_verify_instances(6, 67, [(2, 1, 1)], lengths=(3, 4))
+    assert sorted(C.n for C, ext, group in instances) == [3, 3, 3, 4, 4, 4]
+    # K = 1, 2 and 4, with undetectable errors at K > 1
+    assert {len(stabilizer_projector(group)) for C, ext, group in instances} == {1, 2, 4}
+    assert_search_matches_dense_oracle(instances)
+
+
 def signed_lanes(x, W, count):
     """The ``count`` lanes of W bits of x, each read as a signed digit in
     [-2^(W-1), 2^(W-1)); raises if x has more."""
@@ -465,54 +494,75 @@ def signed_lanes(x, W, count):
 
 @pytest.mark.parametrize("N", [2, 4, 8, 16, 3, 9, 27])
 def test_packed_entry_decides_zero_and_equality(N):
-    """``pauli._packing``: a sum of powers of omega with no power more than
-    ``most`` times, packed as the sum of its unit[k], k < 2N, and lowered,
-    is 0 iff the sum is 0 and equal to another iff the sums are equal, as
-    the complex sums decide.  Read back as signed W-bit digits, its lanes
-    are the sum's coordinates in the power basis {omega^k : k < N - N/p},
-    each inside (-2^(W-2), 2^(W-2)), and those of a difference of two are
-    the differences of theirs.  Checked on random counts up to ``most``,
-    on counts shifted by random class constants (equal sums), and on class
-    constants alone (zero sums), for several ``most``."""
+    """``pauli._packing``: G sums of powers of omega, none with a power
+    more than ``most`` times, packed as lane groups (unit[k] << g * stride
+    for each term omega^k of group g, k < 2N) and lowered.  Group g's bits
+    equal those of lower(0) iff its sum is 0, and those of another lowered
+    int iff the two sums are equal, as the complex sums decide.  Its N low
+    lanes less the bias 2^(W-1) are the sum's coordinates in the power
+    basis {omega^k : k < N - N/p}, each inside (-2^(W-2), 2^(W-2)); its N
+    upper lanes are 0; and the lanes of a difference of two lowered ints
+    are the differences of theirs.  Checked for G = 1, 2 and 5 on
+    random counts up to ``most``, on counts shifted by random class
+    constants (equal sums), on class constants alone (zero sums), on
+    counts of 0 or ``most``, and on ``most`` times each of the top N/p
+    powers alone, whose lowered lanes are all -``most``, next to the
+    group boundaries on both sides, for several ``most``."""
     p = 3 if N % 3 == 0 else 2
     top, step = N - N // p, N // p
     omega, rng = cmath.exp(2j * cmath.pi / N), random.Random(N)
     value = lambda lanes: sum(c * omega ** k for k, c in enumerate(lanes))
     seen = set()
-    for most in (1, 2, 7, 63, 100):
-        unit, lower = pauli._packing(N, p, most)
-        W = unit[1].bit_length() - 1
-        assert len(unit) == 2 * N
+    for most, G in itertools.product((1, 2, 7, 63, 100), (1, 2, 5)):
+        unit, lower, stride = pauli._packing(N, p, most, G)
+        W, zero = unit[1].bit_length() - 1, lower(0)
+        assert len(unit) == 2 * N and stride == 2 * N * W
+        group = lambda x, g: x >> g * stride & (1 << stride) - 1
 
-        def packed(counts):
-            assert max(counts) <= most
+        def packed(sums):
+            assert max(map(max, sums)) <= most
             # each omega^k once as unit[k] and once as unit[k + N], at random
-            ks = [k + N * rng.randrange(2) for k, c in enumerate(counts) for _ in range(c)]
+            ks = [(g, k + N * rng.randrange(2))
+                  for g, counts in enumerate(sums) for k, c in enumerate(counts) for _ in range(c)]
             rng.shuffle(ks)
-            x = lower(sum(unit[k] for k in ks))
-            lanes = signed_lanes(x, W, N)
-            assert not any(lanes[top:])
-            assert all(abs(c) < 1 << (W - 2) for c in lanes)
-            assert abs(value(lanes) - value(counts)) < 1e-6 * (1 + most)
+            x = lower(sum(unit[k] << g * stride for g, k in ks))
+            assert x >> G * stride == 0
+            lanes = []
+            for g, counts in enumerate(sums):
+                bits = group(x, g)
+                assert bits >> N * W == 0
+                lanes.append([(bits >> k * W & (1 << W) - 1) - (1 << W - 1) for k in range(N)])
+                assert not any(lanes[g][top:])
+                assert all(abs(c) < 1 << (W - 2) for c in lanes[g])
+                assert abs(value(lanes[g]) - value(counts)) < 1e-6 * (1 + most)
             return x, lanes
 
-        for _ in range(60):
-            shift = [rng.randrange(most // 2 + 1) for _ in range(step)]
-            c = [rng.randrange(most - shift[k % step] + 1) for k in range(N)]
-            x, lanes = packed(c)
-            for d in ([rng.randrange(most + 1) for _ in range(N)],
-                      [ck + shift[k % step] for k, ck in enumerate(c)],
-                      [rng.randrange(most + 1) for _ in range(step)] * p,
-                      [most * rng.randrange(2) for _ in range(N)]):
-                y, d_lanes = packed(d)
-                equal = x == y
-                assert equal == (abs(value(c) - value(d)) < 1e-6)
-                assert signed_lanes(x - y, W, N) == [u - v for u, v in zip(lanes, d_lanes)]
-                zero = y == 0
-                assert zero == (abs(value(d)) < 1e-6)
-                seen.add((equal, zero))
-    assert {eq for eq, zero in seen} == {True, False}
-    assert {zero for eq, zero in seen} == {True, False}
+        def other(counts, shift):
+            kind = rng.randrange(5)
+            return ([rng.randrange(most + 1) for _ in range(N)],
+                    [ck + shift[k % step] for k, ck in enumerate(counts)],
+                    [rng.randrange(most + 1) for _ in range(step)] * p,
+                    [most * rng.randrange(2) for _ in range(N)],
+                    [0] * top + [most] * step)[kind]
+
+        for _ in range(30 // G):
+            shifts = [[rng.randrange(most // 2 + 1) for _ in range(step)] for _ in range(G)]
+            cs = [[rng.randrange(most - shift[k % step] + 1) for k in range(N)] for shift in shifts]
+            x, lanes = packed(cs)
+            for _ in range(4):
+                ds = [other(c, shift) for c, shift in zip(cs, shifts)]
+                y, d_lanes = packed(ds)
+                for g in range(G):
+                    equal = group(x, g) == group(y, g)
+                    assert equal == (abs(value(cs[g]) - value(ds[g])) < 1e-6)
+                    zero_sum = group(y, g) == group(zero, g)
+                    assert zero_sum == (abs(value(ds[g])) < 1e-6)
+                    seen.add((G > 1, equal, zero_sum))
+                assert signed_lanes(x - y, W, 2 * N * G) == [
+                    u - v for lx, ly in zip(lanes, d_lanes) for u, v in zip(lx + [0] * N, ly + [0] * N)]
+    both = set(itertools.product((False, True), repeat=2))
+    assert {(many, eq) for many, eq, zero_sum in seen} == both
+    assert {(many, zero_sum) for many, eq, zero_sum in seen} == both
 
 
 def dual_minus_code_by_contains(C):
