@@ -26,8 +26,6 @@ from .decompose import HyperbolicDecomposition, hyperbolic_decompose
 from .errors import EaqringError
 from .extension import (
     EaqeccParams,
-    SelfOrthogonalExtension,
-    SymplecticSubset,
     build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
@@ -53,9 +51,7 @@ __all__ = [
     "HyperbolicDecomposition",
     "PauliOperator",
     "RingElement",
-    "SelfOrthogonalExtension",
     "StabilizerGroup",
-    "SymplecticSubset",
     "SymplecticVector",
     "build_minimal_extension",
     "build_stabilizer",

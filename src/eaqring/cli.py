@@ -215,12 +215,12 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
     if command == "decompose":
         report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
     elif command == "extend":
-        ext = build_minimal_extension(C)
+        Cp = build_minimal_extension(C)
         report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
-        report["c_min"] = ext.c
+        report["c_min"] = Cp.n - C.n
         report["card_code"] = cardinality(C)
-        report["card_extended"] = ext.card_extended
-        report["extended_generators"] = [_entry_lists(g) for g in ext.extended.generators]
+        report["card_extended"] = cardinality(Cp)
+        report["extended_generators"] = [_entry_lists(g) for g in Cp.generators]
     elif command == "dual":
         dual = chi_dual_level(C, 0)
         report["dual_generators"] = [_entry_lists(g) for g in dual.generators]
@@ -237,15 +237,15 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         code = 2 if P.D is None else 0
         if command == "verify":
             from . import pauli  # imported here: no other command loads the verifier
-            ext = build_minimal_extension(C)
+            Cp = build_minimal_extension(C)
             try:
-                group = pauli.build_stabilizer(ext, max_dim=max_matrix_dim)
+                group = pauli.build_stabilizer(Cp, max_dim=max_matrix_dim)
                 dim = pauli.projector_dimension(group, max_dim=max_matrix_dim)
                 res = pauli.undetectable_error_search(C, group, limit=max_enum,
                                                       max_dim=max_matrix_dim)
                 report["verification"] = {
                     "stabilizer_size": group.size,
-                    "matrix_dimension": ring.cardinality ** ext.extended.n,
+                    "matrix_dimension": ring.cardinality ** Cp.n,
                     "projector_dimension": dim,
                     "undetectable_count": len(res.undetectable),
                     "undetectable_min_weight": _render_D(res.min_weight),

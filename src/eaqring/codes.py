@@ -46,7 +46,6 @@ from .zpblinalg import (
 
 if TYPE_CHECKING:
     from .decompose import HyperbolicDecomposition
-    from .extension import SelfOrthogonalExtension
 
 DEFAULT_ENUM_LIMIT = 1 << 22
 # the verifier's cap on q^(n+c), kept here so that the CLI's parser needs no pauli
@@ -262,7 +261,7 @@ class AdditiveCode(Frozen):
         return _decompose(self)
 
     @cached_property
-    def extension(self) -> "SelfOrthogonalExtension":
+    def extension(self) -> "AdditiveCode":
         from .extension import _minimal_extension
         return _minimal_extension(self)
 

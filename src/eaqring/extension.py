@@ -2,12 +2,13 @@
 degree, and the end-to-end parameter pipeline for entanglement-assisted
 codes built from additive codes over GR(p^b, m).
 
-An extension is one assembly from a symplectic subset of R^{2c}
-(``_extend``): pair j of the decomposition gets the tails (-a.x | a.y) of
-subset pair j, the isotropic generators get zero tails, and the subset is
-kept on the extension as ``ext.subset``.  The minimal extension packs up to
-m pairs into one coordinate.  The tests' ``build_extension``, one
-coordinate per pair, is the same assembly from another subset.
+An extension is its extended code C', of length n + c, assembled from c
+coordinates of tail pairs (``_extend``): pair j of the decomposition gets
+the tails (-a.x | a.y) of tail pair j, the isotropic generators get zero
+tails, and C' is checked against C once.  Every parameter is read off C'
+and c = n' - n.  The minimal extension packs up to m pairs into one
+coordinate.  The tests' ``build_extension``, one coordinate per pair, is
+the same assembly from other tails.
 """
 
 from __future__ import annotations
@@ -39,27 +40,7 @@ from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, char_exponent
 
 
-class SymplecticSubset(Frozen):
-    """Pairs (a_{i1}, a_{i2}) in R^{2c} with character-trivial pairings
-    everywhere except within each pair."""
-
-    def __init__(self, ring: GaloisRingSpec, c: int,
-                 pairs: Tuple[Tuple[SymplecticVector, SymplecticVector], ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def e(self) -> int:
-        return len(self.pairs)
-
-    def exponents(self) -> Tuple[int, ...]:
-        return tuple(char_exponent(symplectic_product(a, b)) for a, b in self.pairs)
-
-    def verify(self) -> None:
-        if self.e > self.c * self.ring.m:
-            raise CapacityExceeded(f"e = {self.e} exceeds c*m = {self.c * self.ring.m}")
-        _check_partner_pairings([v for pair in self.pairs for v in pair], 0)
+TailPairs = Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
 
 
 def _rho_growth(C: AdditiveCode) -> int:
@@ -69,46 +50,32 @@ def _rho_growth(C: AdditiveCode) -> int:
     return math.prod(ring.p ** ((ring.b - t) * r) for t, r in enumerate(C.rho, start=1))
 
 
-class SelfOrthogonalExtension(Frozen):
-    """A chi-self-orthogonal code C' over R^{2(n+c)}, with the symplectic
-    subset whose members are its pairs' tails.  C' punctures back to its
-    base code C, which it does not keep: ``verify`` takes it."""
-
-    def __init__(self, extended: AdditiveCode, subset: SymplecticSubset):
-        object.__setattr__(self, "extended", extended)
-        object.__setattr__(self, "subset", subset)
-
-    @property
-    def c(self) -> int:
-        return self.subset.c
-
-    @property
-    def card_extended(self) -> int:
-        return cardinality(self.extended)
-
-    def verify(self, C: AdditiveCode) -> None:
-        if not is_chi_self_orthogonal(self.extended):
-            raise InternalInvariantViolation("extension is not chi-self-orthogonal")
-        if not same_module(puncture(self.extended, C.n), C):
-            raise InternalInvariantViolation("puncturing does not recover the base code")
-        card_c = cardinality(C)
-        if not card_c <= self.card_extended <= card_c * _rho_growth(C):
-            raise InternalInvariantViolation("extension cardinality violates the rho sandwich")
-        if is_free(C) and self.card_extended != card_c:
-            raise InternalInvariantViolation("free base must extend without growth")
+def _check_extension(Cp: AdditiveCode, C: AdditiveCode) -> None:
+    """C' is chi-self-orthogonal, punctures back to C, lies in the rho
+    sandwich |C| <= |C'| <= |C| * _rho_growth(C), and is |C| if C is free."""
+    if not is_chi_self_orthogonal(Cp):
+        raise InternalInvariantViolation("extension is not chi-self-orthogonal")
+    if not same_module(puncture(Cp, C.n), C):
+        raise InternalInvariantViolation("puncturing does not recover the base code")
+    card_c, card_ext = cardinality(C), cardinality(Cp)
+    if not card_c <= card_ext <= card_c * _rho_growth(C):
+        raise InternalInvariantViolation("extension cardinality violates the rho sandwich")
+    if is_free(C) and card_ext != card_c:
+        raise InternalInvariantViolation("free base must extend without growth")
 
 
-def _extend(C: AdditiveCode, subset: SymplecticSubset) -> SelfOrthogonalExtension:
-    """Append (-a.x | a.y) of subset pair j to each member of pair j of C's
-    decomposition and zeros to each isotropic generator; build and check C'."""
-    ring, c, d = C.ring, subset.c, C.decomposition
+def _extend(C: AdditiveCode, c: int, tails: TailPairs) -> AdditiveCode:
+    """Append (-a.x | a.y) of tail pair j in R^{2c} to each member of pair
+    j of C's decomposition and zeros to each isotropic generator; build and
+    check C'."""
+    ring, d = C.ring, C.decomposition
     zeros = (ring.zero,) * c
     iso = tuple(SymplecticVector(ring, g.x + zeros, g.y + zeros) for g in d.isotropic)
     paired = tuple(SymplecticVector(ring, g.x + tuple(-v for v in a.x), g.y + a.y)
-                   for members, tails in zip(d.pairs, subset.pairs) for g, a in zip(members, tails))
-    ext = SelfOrthogonalExtension(extended=AdditiveCode(ring, C.n + c, iso + paired), subset=subset)
-    ext.verify(C)
-    return ext
+                   for members, pair in zip(d.pairs, tails) for g, a in zip(members, pair))
+    Cp = AdditiveCode(ring, C.n + c, iso + paired)
+    _check_extension(Cp, C)
+    return Cp
 
 
 def _at(ring: GaloisRingSpec, c: int, k: int, el: RingElement) -> Tuple[RingElement, ...]:
@@ -117,8 +84,9 @@ def _at(ring: GaloisRingSpec, c: int, k: int, el: RingElement) -> Tuple[RingElem
 
 
 def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
-                                targets: Sequence[int]) -> SymplecticSubset:
-    """Symplectic subset of R^{2c} with prescribed character exponents.
+                                targets: Sequence[int]) -> TailPairs:
+    """Pairs (a_{j1}, a_{j2}) in R^{2c} with prescribed character exponents,
+    character-trivial everywhere except within each pair.
 
     Pair j goes into ring coordinate k = j // m with basis index l = j % m:
     a_{j1} = (-z_j dual_l e_k, 0) and a_{j2} = (0, theta^l e_k), so
@@ -141,11 +109,10 @@ def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
         k, ell = divmod(j, ring.m)
         pairs.append((SymplecticVector(ring, _at(ring, c, k, dual[ell].scale(-z)), zeros),
                       SymplecticVector(ring, zeros, _at(ring, c, k, ring.theta ** ell))))
-    subset = SymplecticSubset(ring, c, tuple(pairs))
-    if subset.exponents() != zs:
+    if tuple(char_exponent(symplectic_product(a, b)) for a, b in pairs) != zs:
         raise InternalInvariantViolation("a constructed pair misses its target exponent")
-    subset.verify()
-    return subset
+    _check_partner_pairings([v for pair in pairs for v in pair], 0)
+    return tuple(pairs)
 
 
 def minimum_entanglement_degree(C: AdditiveCode) -> int:
@@ -156,24 +123,24 @@ def minimum_entanglement_degree(C: AdditiveCode) -> int:
     return -(-r // (2 * C.ring.m))
 
 
-def build_minimal_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
-    """Minimal-degree chi-self-orthogonal extension of C's decomposition.
+def build_minimal_extension(C: AdditiveCode) -> AdditiveCode:
+    """Minimal-degree chi-self-orthogonal extension C' of C, length n + c.
 
-    Appends only ceil(pairs / m) coordinates by packing up to m pairs into
-    one fresh ring coordinate via a symplectic subset with the grams'
+    Appends only c = ceil(pairs / m) coordinates by packing up to m pairs
+    into one fresh ring coordinate via a symplectic subset with the grams'
     exponents as targets.  Built and checked once per code; every call
-    returns that same object, ``C.extension``.
+    returns that same code, ``C.extension``.
     """
     return C.extension
 
 
-def _minimal_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
+def _minimal_extension(C: AdditiveCode) -> AdditiveCode:
     d = C.decomposition
     c = -(-d.c // C.ring.m)
     if c != minimum_entanglement_degree(C):
         raise InternalInvariantViolation("pair count disagrees with the degree formula")
-    subset = construct_symplectic_subset(C.ring, c, [char_exponent(g) for g in d.grams])
-    return _extend(C, subset)
+    tails = construct_symplectic_subset(C.ring, c, [char_exponent(g) for g in d.grams])
+    return _extend(C, c, tails)
 
 
 class EaqeccParams(Frozen):
@@ -205,12 +172,11 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     profile; D and its case come from ``codes``, D being None (unknown)
     when the chi-dual is too large to enumerate.
     """
-    ring = C.ring
-    ext = C.extension
-    n, c = C.n, ext.c
-    card_code = cardinality(C)
+    ring, Cp = C.ring, C.extension
+    n, c = C.n, Cp.n - C.n
+    card_code, card_extended = cardinality(C), cardinality(Cp)
     total = ring.cardinality ** (n + c)
-    K_exact, rem = divmod(total, ext.card_extended)
+    K_exact, rem = divmod(total, card_extended)
     if rem:
         raise InternalInvariantViolation("q^{n+c} not divisible by |C'|")
     K_upper = total // card_code
@@ -224,4 +190,4 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
         n=n, c=c, K_exact=K_exact, K_lower=K_lower, K_upper=K_upper,
         K_lower_raw=K_lower_raw, D=D, rho=C.rho,
         distance_case="dual_subset_of_code" if C.dual_in_code else "dual_minus_code",
-        card_code=card_code, card_extended=ext.card_extended, ring=ring)
+        card_code=card_code, card_extended=card_extended, ring=ring)

@@ -43,7 +43,6 @@ from .errors import (
     SearchLimitExceeded,
     size_text,
 )
-from .extension import SelfOrthogonalExtension
 from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement
 from .zpblinalg import enumerate_module, solve_congruence
@@ -133,7 +132,7 @@ class _Monomials:
         self.dual_index = {d: i for i, d in enumerate(self.duals)}
         self.add = [[index[tuple((a + b) % mod for a, b in zip(x, y))] for y in coords] for x in coords]
         self.trace = [[sum(map(mul, d, y)) % mod for y in coords] for d in self.duals]
-        self.p, self.m, self.modulus, self.N = ring.p, ring.m, mod, omega_modulus(ring)
+        self.p, self.m, self.N = ring.p, ring.m, omega_modulus(ring)
         self.chi_scale = self.N // mod
         self.states = q ** n
 
@@ -238,30 +237,36 @@ class StabilizerGroup(Frozen):
         return tuple(basis)
 
 
-def build_stabilizer(ext: SelfOrthogonalExtension,
+def build_stabilizer(Cp: AdditiveCode,
                      max_dim: int = DEFAULT_MATRIX_DIM) -> StabilizerGroup:
-    """Assemble A = { xi((X(v)Z(w))^{-1}) X(v)Z(w) : (v,w) in C' }.
+    """Assemble A = { xi((X(v)Z(w))^{-1}) X(v)Z(w) : (v,w) in C' } for a
+    chi-self-orthogonal code C', such as an extension.
 
-    The group generated by omega*I and phase-free lifts g_i of a Smith
-    minimal generating set of C' has the diagonal relation lattice
-    o_i g_i = phi_i (the scalar g_i^{o_i}), so the character extension with
-    xi(omega*I) = omega reduces to one congruence o_i t_i = phi_i per
-    generator.  The elements are g_1^{c_1} ... g_k^{c_k}, c_k fastest, with
-    phase lowered by sum_i c_i t_i: each generator in turn multiplies every
-    prefix product by its powers, all as triples of element indices.
+    Before any table or group work, a C' whose phi-expanded Smith generator
+    rows pair nontrivially under the integer trace form, so that the group
+    is not abelian, is rejected with ValueError.  The group generated by
+    omega*I and phase-free lifts g_i of those generators has the diagonal
+    relation lattice o_i g_i = phi_i (the scalar g_i^{o_i}), so the
+    character extension with xi(omega*I) = omega reduces to one congruence
+    o_i t_i = phi_i per generator.  The elements are g_1^{c_1} ... g_k^{c_k},
+    c_k fastest, with phase lowered by sum_i c_i t_i: each generator in turn
+    multiplies every prefix product by its powers, as index triples.
     """
-    ring = ext.extended.ring
-    ntot = ext.extended.n
+    ring, ntot = Cp.ring, Cp.n
     _check_dim(ring, ntot, max_dim, "q^(n+c)")
+    sd = Cp.expanded_smith
+    rows, nm = sd.generators, ntot * ring.m
+    if any(_expanded_pairing(u, v, nm, ring.modulus) for i, u in enumerate(rows) for v in rows[i + 1:]):
+        raise ValueError("the code is not chi-self-orthogonal: "
+                         "its generators pair nontrivially under the trace form")
     T = _Monomials(ring, ntot)
-    sd = ext.extended.expanded_smith
     elements: List[Triple] = [(0, (0,) * ntot, (0,) * ntot)]
     gens: List[Triple] = []
-    for row, e in zip(sd.generators, sd.diag_exponents):
+    for row, e in zip(rows, sd.diag_exponents):
         powers = _generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))
         elements = [T.multiply(P, g) for P in elements for g in powers]
         gens.append(powers[1])
-    _check_stabilizer(T, elements, sd.generators, gens)
+    _check_stabilizer(T, elements, gens)
     E = [RingElement(ring, c) for c in T.coords]
     group = StabilizerGroup(ring, ntot, tuple(
         PauliOperator(ring, ntot, l, tuple(E[i] for i in a), tuple(E[i] for i in b))
@@ -286,18 +291,13 @@ def _generator_powers(T: _Monomials, g: Triple, o: int) -> List[Triple]:
     return [((l - c * t) % T.N, a, b) for c, (l, a, b) in enumerate(powers)]
 
 
-def _check_stabilizer(T: _Monomials, elements: Sequence[Triple],
-                      gen_rows: Sequence[Sequence[int]], gens: Sequence[Triple]) -> None:
-    """No scalar but the identity; the phi-expanded generator rows of C'
-    pair trivially under the integer trace form, so the group they generate
-    is abelian; and P*g in S for each element P and xi-corrected generator
-    g, which makes S, a set of products of powers of the g, the group <g>."""
+def _check_stabilizer(T: _Monomials, elements: Sequence[Triple], gens: Sequence[Triple]) -> None:
+    """No scalar but the identity, and P*g in S for each element P and
+    xi-corrected generator g, which makes S, a set of products of powers of
+    the g, the group <g>; ``build_stabilizer`` checked that it is abelian."""
     for l, a, b in elements:
         if l and not any(a) and not any(b):
             raise InternalInvariantViolation("nontrivial scalar in the stabilizer")
-    for i, u in enumerate(gen_rows):
-        if any(_expanded_pairing(u, v, len(u) // 2, T.modulus) for v in gen_rows[i + 1:]):
-            raise InternalInvariantViolation("stabilizer is not abelian")
     if not set(elements).issuperset(T.multiply(P, g) for g in gens for P in elements):
         raise InternalInvariantViolation("stabilizer is not closed")
 

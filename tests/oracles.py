@@ -24,7 +24,7 @@ from typing import Dict, Sequence, Tuple
 from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
 from eaqring.decompose import HyperbolicDecomposition
 from eaqring.errors import DimensionMismatch, InternalInvariantViolation, RingMismatch
-from eaqring.extension import SelfOrthogonalExtension, SymplecticSubset, _at, _extend
+from eaqring.extension import _at, _extend
 from eaqring.galois import GaloisRingSpec, RingElement, _dual_coords, _poly_mul_mod, gen_trace, phi_expand
 from eaqring.pauli import PauliOperator, omega_modulus
 from eaqring.zpblinalg import ZpbMatrix, howell_member, smith_form
@@ -117,9 +117,9 @@ def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bo
 
 # ---------------------------------------------------------------- extension
 
-def build_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
+def build_extension(C: AdditiveCode) -> AdditiveCode:
     """One fresh coordinate per hyperbolic pair of C's decomposition, from
-    the subset a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first
+    the tails a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first
     member gets gamma_j appended in the x half, the second a unit in the y
     half."""
     d = C.decomposition
@@ -128,7 +128,7 @@ def build_extension(C: AdditiveCode) -> SelfOrthogonalExtension:
     pairs = tuple((SymplecticVector(ring, _at(ring, c, j, -gamma), zeros),
                    SymplecticVector(ring, zeros, _at(ring, c, j, ring.one)))
                   for j, gamma in enumerate(d.grams))
-    return _extend(C, SymplecticSubset(ring, c, pairs))
+    return _extend(C, c, pairs)
 
 
 def verify_quasi_symplectic(ring: GaloisRingSpec,

@@ -177,7 +177,7 @@ def test_repeated_calls_return_the_cached_objects():
     d = hyperbolic_decompose(C)
     assert hyperbolic_decompose(C) is d
     assert build_minimal_extension(C) is build_minimal_extension(C)
-    assert build_minimal_extension(C).extended.generators[len(d.isotropic)].x[:C.n] == d.pairs[0][0].x
+    assert build_minimal_extension(C).generators[len(d.isotropic)].x[:C.n] == d.pairs[0][0].x
     assert C.dual(1) is C.dual(1)
     assert chi_dual_level(C, 1).expanded_howell is C.dual(1)
     assert C.meet is C.meet

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -161,6 +162,67 @@ def test_extend_report_is_pinned(tmp_path, name):
     assert run(["extend", str(f)], out=out) == 0
     assert json.loads(out.getvalue())["extended_generators"] == extended
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# A seeded sample for the commands and codes that no benchmark workload
+# pins: the SHA-256 of each command's report on each code, and of the code
+# file itself, kept in SAMPLE_PINS.  A change meant to alter reports
+# re-records them with ``PYTHONPATH=src python tests/test_cli.py`` and
+# lists the codes whose digests moved in CHANGES.md.
+SAMPLE_RINGS = {"F2": (2, 1, 1), "F4": (2, 1, 2), "Z4": (2, 2, 1), "Z8": (2, 3, 1),
+                "Z9": (3, 2, 1), "GR42": (2, 2, 2)}
+SAMPLE_COMMANDS = ("decompose", "extend", "dual", "params", "distance", "verify")
+SAMPLE_PINS = pathlib.Path(__file__).with_name("sample_pins.json")
+
+
+def sample_code_texts():
+    """8 code files per ring, n <= 3 and q^(2n) <= 2^12, drawn with
+    random.Random rather than hypothesis so that the draw never moves.
+    Codes 0-3 have uniform rows; codes 4-7 have graded rows p^e*(uniform
+    row) (ROADMAP item 19), e = 0 with odds 1/2 and each step up to b - 1
+    with half the odds of the one before, so Smith exponents >= 2 occur."""
+    rng = random.Random(27)
+    texts = {}
+    for name, (p, b, m) in SAMPLE_RINGS.items():
+        N = p ** b
+        n_max = max(n for n in (1, 2, 3) if N ** (2 * n * m) <= 1 << 12)
+        for i in range(8):
+            n = rng.randint(1, n_max)
+            lines = [f"ring p={p} b={b} m={m}", f"n {n}"]
+            for _ in range(rng.randint(1, 2 * n * m)):
+                e = 0
+                while i >= 4 and e < b - 1 and rng.randrange(2):
+                    e += 1
+                lines.append("gen " + " ".join(
+                    ",".join(str(p ** e * rng.randrange(N) % N) for _ in range(m))
+                    for _ in range(2 * n)))
+            texts[f"{name}-{i}"] = "\n".join(lines) + "\n"
+    return texts
+
+
+def sample_digests(text, path):
+    """{"code": digest of the file, command: digest of its report}."""
+    path.write_text(text)
+    digests = {"code": hashlib.sha256(text.encode()).hexdigest()}
+    for command in SAMPLE_COMMANDS:
+        out = io.StringIO()
+        run([command, str(path)], out=out)
+        digests[command] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("ring", sorted(SAMPLE_RINGS))
+def test_sample_reports_are_pinned(tmp_path, ring):
+    pins = json.loads(SAMPLE_PINS.read_text())
+    for name, text in sample_code_texts().items():
+        if name.startswith(f"{ring}-"):
+            assert sample_digests(text, tmp_path / "code.txt") == pins[name], name
+
+
+def test_sample_reaches_smith_exponents_of_two():
+    exponents = {e for text in sample_code_texts().values()
+                 for e in parse_code_text(text)[1].expanded_smith.diag_exponents}
+    assert max(exponents) >= 2
 
 
 def test_dual_report():
@@ -710,3 +772,11 @@ def test_params_writes_integers_past_the_decimal_digit_limit(tmp_path):
         if limit:
             sys.set_int_max_str_digits(limit)
     assert rep["D"] == "Unknown" and rep["c_min"] == 0
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {name: sample_digests(text, pathlib.Path(tmp) / "code.txt")
+                for name, text in sample_code_texts().items()}
+    SAMPLE_PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from eaqring.cli import build_report, parse_code_text
 from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
@@ -17,11 +18,10 @@ from eaqring.codes import (
     same_module,
     symplectic_product,
 )
-from eaqring.decompose import hyperbolic_decompose
+from eaqring.decompose import _check_partner_pairings, hyperbolic_decompose
 from eaqring.errors import CapacityExceeded, InternalInvariantViolation, ZeroTarget
 from eaqring.extension import (
-    SelfOrthogonalExtension,
-    SymplecticSubset,
+    _check_extension,
     build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
@@ -56,44 +56,58 @@ def random_code(ring, n, k, rng):
     return AdditiveCode(ring, n, gens)
 
 
+def exponents(pairs):
+    """The character exponent of each pair's symplectic product."""
+    return tuple(char_exponent(symplectic_product(a, b)) for a, b in pairs)
+
+
+def tail_pairs(ext, n, k):
+    """The tail pairs of an extension of a length-n code, read back off its
+    generators after the k isotropic ones, which ``_extend`` gives the
+    tails (-a.x | a.y) member by member."""
+    members = [SymplecticVector(ext.ring, tuple(-v for v in u.x[n:]), u.y[n:])
+               for u in ext.generators[k:]]
+    return tuple(zip(members[::2], members[1::2]))
+
+
 def test_build_extension_worked(z4, worked):
     ext = build_extension(worked)
-    assert ext.c == 1
-    assert ext.card_extended == 16
+    assert ext.n - worked.n == 1
+    assert cardinality(ext) == 16
     want = AdditiveCode.from_int_rows(z4, [[1, 2, 0, 0], [0, 0, 2, 1]])
-    assert same_module(ext.extended, want)
-    assert is_chi_self_orthogonal(ext.extended)
-    assert same_module(puncture(ext.extended, 1), worked)
+    assert same_module(ext, want)
+    assert is_chi_self_orthogonal(ext)
+    assert same_module(puncture(ext, 1), worked)
 
 
 def test_build_extension_self_orthogonal_base(z4):
     C = AdditiveCode.from_int_rows(z4, [[2, 0]])
     ext = build_extension(C)
-    assert ext.c == 0
-    assert same_module(ext.extended, C)
+    assert ext.n - C.n == 0
+    assert same_module(ext, C)
 
 
 def test_build_extension_free_base(z4):
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])
     ext = build_extension(C)
-    assert ext.card_extended == cardinality(C) == 16
+    assert cardinality(ext) == cardinality(C) == 16
 
 
 def test_construct_symplectic_subset_z4(z4):
     s = construct_symplectic_subset(z4, 1, [2])
-    assert s.exponents() == (2,)
-    a1, a2 = s.pairs[0]
+    assert exponents(s) == (2,)
+    a1, a2 = s[0]
     assert gen_trace(symplectic_product(a1, a2)) == 2
     s3 = construct_symplectic_subset(z4, 1, [3])
-    assert s3.exponents() == (3,)
+    assert exponents(s3) == (3,)
 
 
 def test_construct_symplectic_subset_gr42(gr42):
     s = construct_symplectic_subset(gr42, 1, [1, 3])
-    assert s.e == 2 and s.c == 1
-    assert s.exponents() == (1, 3)
-    # both pairs live in one ring coordinate pair
-    for a1, a2 in s.pairs:
+    assert len(s) == 2
+    assert exponents(s) == (1, 3)
+    # both pairs live in one ring coordinate pair: c = 1
+    for a1, a2 in s:
         assert a1.n == 1 and a2.n == 1
 
 
@@ -114,7 +128,7 @@ def test_construct_symplectic_subset_rejects_a_negative_degree(z4, gr42):
     for ring, targets in ((z4, []), (z4, [1]), (gr42, [1, 2])):
         with pytest.raises(ValueError, match="c = -1 is negative"):
             construct_symplectic_subset(ring, -1, targets)
-    assert construct_symplectic_subset(z4, 0, []).pairs == ()
+    assert construct_symplectic_subset(z4, 0, []) == ()
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])
@@ -125,7 +139,7 @@ def test_construct_symplectic_subset_formula(spec):
     N, c = ring.modulus, 2
     targets = [1 + j % (N - 1) for j in range(c * ring.m)]
     s = construct_symplectic_subset(ring, c, targets)
-    for j, (z, (a1, a2)) in enumerate(zip(targets, s.pairs)):
+    for j, (z, (a1, a2)) in enumerate(zip(targets, s)):
         k, ell = divmod(j, ring.m)
         x1 = [ring.zero] * c
         x1[k] = ring.dual[ell].scale(-z)
@@ -133,14 +147,14 @@ def test_construct_symplectic_subset_formula(spec):
         y2[k] = ring.theta ** ell
         assert a1 == SymplecticVector(ring, tuple(x1), (ring.zero,) * c)
         assert a2 == SymplecticVector(ring, (ring.zero,) * c, tuple(y2))
-    assert s.exponents() == tuple(targets)
+    assert exponents(s) == tuple(targets)
 
 
 def test_subset_verify_rejects_a_trivial_pair(z4):
     a1 = SymplecticVector.from_ints(z4, [2, 0])
     a2 = SymplecticVector.from_ints(z4, [0, 2])
     with pytest.raises(InternalInvariantViolation, match="partners pair character-trivially"):
-        SymplecticSubset(z4, 1, ((a1, a2),)).verify()
+        _check_partner_pairings([a1, a2], 0)
 
 
 def test_subset_verify_rejects_a_nontrivial_cross_pair(z4):
@@ -148,17 +162,43 @@ def test_subset_verify_rejects_a_nontrivial_cross_pair(z4):
     p1 = (SymplecticVector.from_ints(z4, [1, 0, 0, 0]), SymplecticVector.from_ints(z4, [0, 0, 1, 0]))
     p2 = (SymplecticVector.from_ints(z4, [0, 1, 0, 0]), SymplecticVector.from_ints(z4, [0, 0, 1, 1]))
     with pytest.raises(InternalInvariantViolation, match="non-partners"):
-        SymplecticSubset(z4, 2, (p1, p2)).verify()
+        _check_partner_pairings([*p1, *p2], 0)
 
 
 def test_extension_verify_rejects_a_broken_tail(z4, worked):
     ext = build_extension(worked)
-    u1, u2 = ext.extended.generators  # the one pair, and no isotropic generator
+    u1, u2 = ext.generators  # the one pair, and no isotropic generator
     # without the gram in its tail, u1 still pairs nontrivially with u2
     bad = SymplecticVector(z4, u1.x[:1] + (z4.zero,), u1.y)
-    broken = SelfOrthogonalExtension(extended=AdditiveCode(z4, 2, (bad, u2)), subset=ext.subset)
     with pytest.raises(InternalInvariantViolation, match="not chi-self-orthogonal"):
-        broken.verify(worked)
+        _check_extension(AdditiveCode(z4, 2, (bad, u2)), worked)
+
+
+def test_check_extension_rejects_each_broken_invariant(z4, worked):
+    """The puncture, the rho sandwich and no growth over a free base each
+    fire on a chi-self-orthogonal C' that breaks only that invariant."""
+    def padded(Cp, *extra):
+        """C' with one more coordinate, zero on its generators, and the
+        extra generators."""
+        z = (z4.zero,)
+        return AdditiveCode(z4, Cp.n + 1, tuple(
+            SymplecticVector(z4, g.x + z, g.y + z) for g in Cp.generators) + extra)
+
+    ext = build_extension(worked)
+    with pytest.raises(InternalInvariantViolation, match="puncturing does not recover"):
+        _check_extension(ext, AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]]))
+    # (0, 0, 1 | 0) pairs trivially with all of C' and punctures to 0, and
+    # |C'| = 64 > |C| * 4
+    with pytest.raises(InternalInvariantViolation, match="rho sandwich"):
+        _check_extension(padded(ext, SymplecticVector.from_ints(z4, [0, 0, 1, 0, 0, 0])), worked)
+    # a free base with rho = (2,): |C'| = 2|C| is inside the sandwich
+    free = AdditiveCode.from_int_rows(z4, [[1, 0, 0, 0], [0, 0, 2, 1]])
+    assert is_free(free) and free.rho == (2,)
+    Cp = build_minimal_extension(free)
+    zeros = (z4.zero,) * Cp.n
+    grown = padded(Cp, SymplecticVector(z4, zeros + (z4.scalar(2),), zeros + (z4.zero,)))
+    with pytest.raises(InternalInvariantViolation, match="free base must extend without growth"):
+        _check_extension(grown, free)
 
 
 def test_minimum_entanglement_degree(z4, gr42, worked):
@@ -186,9 +226,9 @@ def test_build_minimal_extension_packs_pairs(gr42):
     d = hyperbolic_decompose(full)
     assert d.c == 2  # naive pair count
     ext = build_minimal_extension(full)
-    assert ext.c == 1  # two pairs packed into one fresh coordinate
-    assert is_chi_self_orthogonal(ext.extended)
-    assert same_module(puncture(ext.extended, 1), full)
+    assert ext.n - full.n == 1  # two pairs packed into one fresh coordinate
+    assert is_chi_self_orthogonal(ext)
+    assert same_module(puncture(ext, 1), full)
 
 
 def test_minimal_extension_m1_matches_pair_count(z4):
@@ -197,7 +237,7 @@ def test_minimal_extension_m1_matches_pair_count(z4):
         C = random_code(z4, 2, rng.randint(1, 3), rng)
         d = hyperbolic_decompose(C)
         ext = build_minimal_extension(C)
-        assert ext.c == d.c == minimum_entanglement_degree(C)
+        assert ext.n - C.n == d.c == minimum_entanglement_degree(C)
 
 
 @pytest.mark.parametrize("spec,n", [((2, 2, 1), 2), ((2, 3, 1), 1), ((3, 2, 1), 1), ((2, 2, 2), 1)])
@@ -208,26 +248,26 @@ def test_extension_invariants_randomized(spec, n):
         C = random_code(ring, n, rng.randint(1, 3), rng)
         d = hyperbolic_decompose(C)
         for ext in (build_extension(C), build_minimal_extension(C)):
-            assert is_chi_self_orthogonal(ext.extended)
-            assert same_module(puncture(ext.extended, n), C)
+            assert is_chi_self_orthogonal(ext)
+            assert same_module(puncture(ext, n), C)
             card = cardinality(C)
-            assert card <= ext.card_extended
+            assert card <= cardinality(ext)
             if is_free(C):
-                assert ext.card_extended == card
-            # the tails read off the pairs' generators, which follow the
-            # isotropic ones member by member, are the kept subset
-            members = [SymplecticVector(ring, tuple(-v for v in u.x[n:]), u.y[n:])
-                       for u in ext.extended.generators[len(d.isotropic):]]
-            tails = tuple(zip(members[::2], members[1::2]))
-            assert tails == ext.subset.pairs
-            assert ext.subset.exponents() == tuple(char_exponent(g) for g in d.grams)
+                assert cardinality(ext) == card
+            # the tails read off the pairs' generators are the minimal
+            # extension's subset, and pair to the grams' exponents
+            tails = tail_pairs(ext, n, len(d.isotropic))
+            grams = tuple(char_exponent(g) for g in d.grams)
+            if ext is build_minimal_extension(C):
+                assert tails == construct_symplectic_subset(ring, ext.n - n, grams)
+            assert exponents(tails) == grams
 
 
 def test_extract_worked_shape(z4, worked):
-    sub = build_extension(worked).subset
-    assert sub.e == 1
-    assert sub.exponents() == (2,)
-    a1, a2 = sub.pairs[0]
+    sub = tail_pairs(build_extension(worked), 1, 0)
+    assert len(sub) == 1
+    assert exponents(sub) == (2,)
+    a1, a2 = sub[0]
     # the one-pair-per-coordinate subset: (-gamma, 0) and (0, 1), gamma = 2
     assert (a1.x[0].coeffs[0], a1.y[0].coeffs[0]) == (2, 0)
     assert (a2.x[0].coeffs[0], a2.y[0].coeffs[0]) == (0, 1)
@@ -263,7 +303,7 @@ def test_verify_quasi_symplectic_rejects_an_index_outside_the_pairs(z4, monkeypa
 
 def test_symplectic_subset_is_quasi(z4):
     s = construct_symplectic_subset(z4, 2, [1, 3])
-    assert verify_quasi_symplectic(z4, list(s.pairs), [])
+    assert verify_quasi_symplectic(z4, list(s), [])
 
 
 def test_eaqecc_params_worked(z4, worked):
@@ -370,3 +410,41 @@ def test_K_exact_does_not_depend_on_the_order_of_the_generators(z4):
     moved = eaqecc_params(AdditiveCode.from_int_rows(z4, rows[:1] + rows[2:] + rows[1:2]))
     assert (as_given.c, as_given.card_code) == (moved.c, moved.card_code)
     assert (as_given.K_exact, as_given.card_extended) == (moved.K_exact, moved.card_extended)
+
+
+# The codes that ROADMAP items 16, 18 and 20 name, with the facts those
+# items must keep: (c, K_exact, K_upper, |C|, |C'|, the verify block's
+# projector dimension or skip message).  The Z16 code's K_exact is a floor
+# and its |C'| a ceiling.
+ROADMAP_CODES = {
+    # item 16: K_upper is out of reach at c = 1 by a mod-2 argument, so
+    # K = 1 is the optimum
+    "Z8-no-graph": (
+        "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 7\ngen 0 2 2 1\ngen 0 0 4 0\ngen 0 4 0 0\n",
+        (1, 1, 2, 256, 512, 1)),
+    # item 18: no orthogonal split into pairs plus an isotropic part, yet
+    # an extension with |C'| = |C|
+    "Z8-no-split": (
+        "ring p=2 b=3 m=1\nn 2\ngen 0 1 2 0\ngen 1 0 0 0\ngen 0 0 4 0\n",
+        (1, 4, 4, 128, 128, 4)),
+    # item 20: the fallback tried there read K = 2 against today's 4
+    "Z16-fallback": (
+        "ring p=2 b=4 m=1\nn 3\ngen 4 8 8 0 8 8\ngen 8 0 8 8 0 8\ngen 9 7 0 14 2 15\n"
+        "gen 10 12 6 6 8 2\ngen 5 8 1 8 5 9\ngen 4 2 8 4 2 11\ngen 11 5 8 3 7 5\n",
+        (3, 4, 16, 1 << 20, 1 << 22, "q^(n+c) = 16777216 exceeds the matrix cap 1024")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROADMAP_CODES))
+def test_roadmap_codes_keep_their_parameters(name):
+    text, (c, K_exact, K_upper, card_code, card_extended, verified) = ROADMAP_CODES[name]
+    ring, C = parse_code_text(text)
+    rep, _ = build_report("verify", ring, C, 1 << 22, 1024)
+    assert (rep["c_min"], rep["K_upper"], rep["card_code"]) == (c, K_upper, card_code)
+    v = rep["verification"]
+    if name == "Z16-fallback":
+        assert rep["K_exact"] >= K_exact and rep["card_extended"] <= card_extended
+        assert v == {"skipped": verified}
+    else:
+        assert (rep["K_exact"], rep["card_extended"]) == (K_exact, card_extended)
+        assert v["projector_dimension"] == K_exact == verified

@@ -21,6 +21,7 @@ from eaqring.codes import (
     DEFAULT_ENUM_LIMIT,
     AdditiveCode,
     SymplecticVector,
+    cardinality,
     chi_dual_level,
     symplectic_product,
 )
@@ -157,7 +158,7 @@ def test_matrix_cap(z4):
 def test_stabilizer_f2_repetition(f2):
     C = AdditiveCode.from_int_rows(f2, [[1, 1]])
     ext = build_extension(C)
-    assert ext.c == 0
+    assert ext.n - C.n == 0
     g = build_stabilizer(ext)
     assert g.size == 2
     nonid = [el for el in g.elements if any(el.a) or any(el.b)]
@@ -323,12 +324,12 @@ def test_stabilizer_randomized(z4, f4):
                 gens.append(SymplecticVector.from_components(ring, comps))
             C = AdditiveCode(ring, 1, tuple(gens))
             ext = build_extension(C)
-            if ring.cardinality ** ext.extended.n > 256:
+            if ring.cardinality ** ext.n > 256:
                 continue
             g = build_stabilizer(ext)
-            assert g.size == ext.card_extended
+            assert g.size == cardinality(ext)
             dim = projector_dimension(g)
-            assert dim * g.size == ring.cardinality ** ext.extended.n
+            assert dim * g.size == ring.cardinality ** ext.n
 
 
 # ------------------------------------------------ dense oracle
@@ -434,7 +435,7 @@ def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4], dims=range(65),
             for _ in range(2 * n)]) for _ in range(rng.randint(1, 2 * n * ring.m)))
         C = AdditiveCode(ring, n, gens)
         ext = build_minimal_extension(C)
-        if ring.cardinality ** ext.extended.n in dims:
+        if ring.cardinality ** ext.n in dims:
             out.append((C, ext, build_stabilizer(ext)))
     return out
 
@@ -648,9 +649,9 @@ def stabilizer_by_compose(ext):
     g_k^{c_k} (c_k fastest) multiplied out from the identity with
     ``compose``, then its phase lowered by sum_i c_i t_i, with omega^{o_i
     t_i} the scalar g_i^{o_i}."""
-    ring, ntot = ext.extended.ring, ext.extended.n
+    ring, ntot = ext.ring, ext.n
     N = omega_modulus(ring)
-    sd = smith_form(ext.extended.expanded_matrix)
+    sd = smith_form(ext.expanded_matrix)
     gens, orders, tees = [], [], []
     for row, e in zip(sd.generators, sd.diag_exponents):
         g = from_vector(SymplecticVector.from_components(ring, phi_contract(ring, row)))
@@ -677,7 +678,7 @@ def test_build_stabilizer_matches_compose_oracle():
     sizes = {}
     for C, ext, group in random_verify_instances(30, 53, ORACLE_RINGS):
         assert group.elements == stabilizer_by_compose(ext)
-        assert group.size == ext.card_extended
+        assert group.size == cardinality(ext)
         key = (C.ring.p, C.ring.b, C.ring.m)
         sizes[key] = max(sizes.get(key, 0), group.size)
     # every ring contributes a group with more than two elements
@@ -699,19 +700,34 @@ def test_check_stabilizer_rejects_broken_groups(z4):
     T = pauli._Monomials(z4, 1)
     I, X, Z = (0, (0,), (0,)), (0, (1,), (0,)), (0, (0,), (1,))
     with pytest.raises(InternalInvariantViolation, match="nontrivial scalar"):
-        pauli._check_stabilizer(T, [I, (2, (0,), (0,))], [], [])
-    # phi-expanded rows (x | z) of X(1) and Z(1): pairing -1 mod 4
-    with pytest.raises(InternalInvariantViolation, match="not abelian"):
-        pauli._check_stabilizer(T, [I], [(1, 0), (0, 1)], [])
+        pauli._check_stabilizer(T, [I, (2, (0,), (0,))], [])
+    # phi-expanded rows (x | z) of X(1) and Z(1): pairing -1 mod 4, which
+    # build_stabilizer rejects as input
+    with pytest.raises(ValueError, match="not chi-self-orthogonal"):
+        build_stabilizer(AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]]))
     # X(1)^2 = X(2) is missing
     with pytest.raises(InternalInvariantViolation, match="not closed"):
-        pauli._check_stabilizer(T, [I, X], [(1, 0)], [X])
-    # a group of order 4 passes all three checks
-    pauli._check_stabilizer(T, [I, X, (0, (2,), (0,)), (0, (3,), (0,))], [(1, 0)], [X])
+        pauli._check_stabilizer(T, [I, X], [X])
+    # a group of order 4 passes both checks
+    pauli._check_stabilizer(T, [I, X, (0, (2,), (0,)), (0, (3,), (0,))], [X])
     # X(1) has order 4 on Z4, not 2
     with pytest.raises(InternalInvariantViolation, match="order does not annihilate"):
         pauli._generator_powers(T, X, 2)
     assert [P[2] for P in pauli._generator_powers(T, Z, 4)] == [(0,), (1,), (2,), (3,)]
+
+
+def test_build_stabilizer_rejects_the_base_code(z4, monkeypatch):
+    """The worked base code, not its extension, is not chi-self-orthogonal:
+    a caller error, raised before any table or group work."""
+    def no_tables(*args):
+        raise AssertionError("tables were built")
+
+    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    monkeypatch.setattr(pauli, "_Monomials", no_tables)
+    with pytest.raises(ValueError, match="^the code is not chi-self-orthogonal"):
+        build_stabilizer(C)
+    monkeypatch.undo()
+    assert build_stabilizer(build_minimal_extension(C)).size == 16
 
 
 def test_check_stabilizer_decides_closure_past_64_elements():
@@ -721,15 +737,15 @@ def test_check_stabilizer_decides_closure_past_64_elements():
         "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n")
     ext = build_minimal_extension(C)
     group = build_stabilizer(ext)
-    T, sd = group._tables, ext.extended.expanded_smith
+    T, sd = group._tables, ext.expanded_smith
     gens = [pauli._generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))[1]
             for row, e in zip(sd.generators, sd.diag_exponents)]
     elements = list(map(T.from_operator, group.elements))
     assert len(elements) == 256
-    pauli._check_stabilizer(T, elements, sd.generators, gens)
+    pauli._check_stabilizer(T, elements, gens)
     for drop in (1, 100, 255):
         with pytest.raises(InternalInvariantViolation, match="not closed"):
-            pauli._check_stabilizer(T, elements[:drop] + elements[drop + 1:], sd.generators, gens)
+            pauli._check_stabilizer(T, elements[:drop] + elements[drop + 1:], gens)
     # the group keeps the triples it was built from
     assert group._triples == tuple(elements)
 

@@ -113,7 +113,7 @@ def _value_objects():
     ext = build_minimal_extension(C)
     group = pauli.build_stabilizer(ext)
     return [C.expanded_matrix, C.expanded_howell, C.expanded_smith, ring, ring.one,
-            C.generators[0], C, hyperbolic_decompose(C), ext.subset, ext, eaqecc_params(C),
+            C.generators[0], C, hyperbolic_decompose(C), eaqecc_params(C),
             group.elements[1], group, pauli.undetectable_error_search(C, group)]
 
 
@@ -126,8 +126,6 @@ FIELDS = {
     "SymplecticVector": ("ring", "x", "y"),
     "AdditiveCode": ("ring", "n", "generators"),
     "HyperbolicDecomposition": ("isotropic", "pairs", "grams"),
-    "SymplecticSubset": ("ring", "c", "pairs"),
-    "SelfOrthogonalExtension": ("extended", "subset"),
     "EaqeccParams": ("n", "c", "K_exact", "K_lower", "K_upper", "K_lower_raw", "D",
                      "distance_case", "rho", "card_code", "card_extended", "ring"),
     "PauliOperator": ("ring", "n", "phase_exp", "a", "b"),
