@@ -34,7 +34,6 @@ from .extension import (
 from .galois import (
     GaloisRingSpec,
     RingElement,
-    char_exponent,
     gen_trace,
     make_ring,
     phi_contract,
@@ -56,7 +55,6 @@ __all__ = [
     "build_minimal_extension",
     "build_stabilizer",
     "cardinality",
-    "char_exponent",
     "chi_dual_level",
     "code_intersection",
     "construct_symplectic_subset",

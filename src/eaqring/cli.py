@@ -41,7 +41,7 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .extension import build_minimal_extension, eaqecc_params
-from .galois import GaloisRingSpec, char_exponent, make_ring
+from .galois import GaloisRingSpec, gen_trace, make_ring
 
 SCHEMA_VERSION = 1
 
@@ -197,7 +197,7 @@ def _decomposition_block(d) -> Dict:
     return {
         "pair_count": d.c,
         "isotropic_count": len(d.isotropic),
-        "gram_exponents": [char_exponent(g) for g in d.grams],
+        "gram_exponents": [gen_trace(g) for g in d.grams],
         "isotropic": [_entry_lists(g) for g in d.isotropic],
         "pairs": [[_entry_lists(a), _entry_lists(b)] for a, b in d.pairs],
     }

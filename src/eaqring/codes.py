@@ -28,7 +28,7 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .frozen import Frozen
-from .galois import GaloisRingSpec, RingElement, char_exponent, phi_contract, phi_expand
+from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract, phi_expand
 from .zpblinalg import (
     HowellBasis,
     SmithDecomposition,
@@ -299,7 +299,7 @@ def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
 
 def is_chi_self_orthogonal(C: AdditiveCode) -> bool:
     gens = C.generators
-    return all(char_exponent(symplectic_product(g, h)) == 0
+    return all(gen_trace(symplectic_product(g, h)) == 0
                for i, g in enumerate(gens) for h in gens[i:])
 
 

@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
 from .frozen import Frozen
-from .galois import RingElement, char_exponent, phi_contract
+from .galois import RingElement, gen_trace, phi_contract
 from .zpblinalg import ZpbMatrix, howell_form, howell_member, smith_form, solve_congruence
 
 
@@ -157,7 +157,7 @@ def _check_partner_pairings(gens: Sequence[SymplecticVector], k: int) -> None:
     are isotropic; the rest are pairs listed member by member."""
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
-            ell = char_exponent(symplectic_product(g, h))
+            ell = gen_trace(symplectic_product(g, h))
             if i >= k and j >= k and i != j and (i - k) // 2 == (j - k) // 2:
                 if ell == 0:
                     raise InternalInvariantViolation("partners pair character-trivially")

@@ -37,7 +37,7 @@ from .errors import (
     ZeroTarget,
 )
 from .frozen import Frozen
-from .galois import GaloisRingSpec, RingElement, char_exponent
+from .galois import GaloisRingSpec, RingElement, gen_trace
 
 
 TailPairs = Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
@@ -109,7 +109,7 @@ def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
         k, ell = divmod(j, ring.m)
         pairs.append((SymplecticVector(ring, _at(ring, c, k, dual[ell].scale(-z)), zeros),
                       SymplecticVector(ring, zeros, _at(ring, c, k, ring.theta ** ell))))
-    if tuple(char_exponent(symplectic_product(a, b)) for a, b in pairs) != zs:
+    if tuple(gen_trace(symplectic_product(a, b)) for a, b in pairs) != zs:
         raise InternalInvariantViolation("a constructed pair misses its target exponent")
     _check_partner_pairings([v for pair in pairs for v in pair], 0)
     return tuple(pairs)
@@ -139,7 +139,7 @@ def _minimal_extension(C: AdditiveCode) -> AdditiveCode:
     c = -(-d.c // C.ring.m)
     if c != minimum_entanglement_degree(C):
         raise InternalInvariantViolation("pair count disagrees with the degree formula")
-    tails = construct_symplectic_subset(C.ring, c, [char_exponent(g) for g in d.grams])
+    tails = construct_symplectic_subset(C.ring, c, [gen_trace(g) for g in d.grams])
     return _extend(C, c, tails)
 
 
@@ -170,8 +170,11 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
 
     K = q^{n+c}/|C'| exactly; the lower/upper bounds come from the rho
     profile; D and its case come from ``codes``, D being None (unknown)
-    when the chi-dual is too large to enumerate.
+    when the chi-dual is too large to enumerate.  A negative ``limit``
+    raises ValueError before any of this is built.
     """
+    if limit < 0:
+        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
     ring, Cp = C.ring, C.extension
     n, c = C.n, Cp.n - C.n
     card_code, card_extended = cardinality(C), cardinality(Cp)

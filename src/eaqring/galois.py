@@ -226,14 +226,10 @@ class RingElement(Frozen):
 
 
 def gen_trace(z: RingElement) -> int:
-    """Generalized trace Tr(z) = z + f(z) + ... + f^{m-1}(z), as a residue."""
+    """Generalized trace Tr(z) = z + f(z) + ... + f^{m-1}(z), as a residue:
+    the exponent k with chi(z) = zeta^k for the generating character chi."""
     N = z.ring.modulus
     return sum(c * t for c, t in zip(z.coeffs, z.ring.tr_powers)) % N
-
-
-def char_exponent(z: RingElement) -> int:
-    """Exponent k with chi(z) = zeta^k for the generating character chi."""
-    return gen_trace(z)
 
 
 def _dual_coords(z: RingElement) -> Tuple[int, ...]:

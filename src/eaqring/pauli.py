@@ -6,8 +6,9 @@ The phase scale is omega = exp(2*pi*i/N) with N = p^b for odd p and 2p^b
 for p = 2; the additive character zeta = exp(2*pi*i/p^b) embeds via the
 exponent factor N/p^b.  omega^l X(a)Z(b) sends |x> to omega^{l + (N/p^b)
 Tr(b.x)} |x + a>, read off q x q tables of ring addition and of Tr(x*y)
-over numbered ring elements.  The group is built and checked as (l, a, b)
-triples of element indices, closure as S g in S for each generator g.  Its
+over numbered ring elements.  The group is its (l, a, b) triples of
+element indices, built and checked as such, closure as S g in S for each
+generator g; ``PauliOperator`` is only ``pauli_matrix``'s input.  Its
 code space is spanned by the orbit sums v_x = sum_g g|x> that do not
 vanish, one per orbit x + A.  Every sum of powers of omega the verifier
 decides is one lane group of a packed int (``_packing``), lowered to
@@ -181,10 +182,12 @@ def pauli_matrix(P: PauliOperator, max_dim: int = DEFAULT_MATRIX_DIM) -> np.ndar
 
 
 class StabilizerGroup(Frozen):
-    """One operator per codeword of a chi-self-orthogonal code, with its
-    monomial tables and checked code-space basis, each built once per group."""
+    """One (l, a, b) triple of ``_Monomials`` element indices per codeword
+    of a chi-self-orthogonal code, with its monomial tables and checked
+    code-space basis, each built once per group.  Like ``ZpbMatrix``'s,
+    the constructor trusts its arguments."""
 
-    def __init__(self, ring: GaloisRingSpec, n: int, elements: Tuple[PauliOperator, ...]):
+    def __init__(self, ring: GaloisRingSpec, n: int, elements: Tuple[Triple, ...]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "elements", elements)
@@ -198,11 +201,6 @@ class StabilizerGroup(Frozen):
         return _Monomials(self.ring, self.n)
 
     @cached_property
-    def _triples(self) -> Tuple[Triple, ...]:
-        """The elements as (l, a, b) triples of element indices."""
-        return tuple(map(self._tables.from_operator, self.elements))
-
-    @cached_property
     def _basis(self) -> Tuple[Mapping[int, int], ...]:
         """The code space: one read-only {state: omega exponent} per orbit sum
         v_x = sum_g g|x> that does not vanish.  An orbit sum either lowers to
@@ -211,7 +209,7 @@ class StabilizerGroup(Frozen):
         each, the exact form of P^2 = P for P = sum_g g / |S|.  Every sum is
         decided as one packed int (``_packing``)."""
         T = self._tables
-        ops = [T.of(*g) for g in self._triples]
+        ops = [T.of(*g) for g in self.elements]
         unit, lower, _ = _packing(T.N, T.p, len(ops))
         zero, basis, seen = lower(0), [], set()
         for x in range(T.states):
@@ -250,7 +248,8 @@ def build_stabilizer(Cp: AdditiveCode,
     character extension with xi(omega*I) = omega reduces to one congruence
     o_i t_i = phi_i per generator.  The elements are g_1^{c_1} ... g_k^{c_k},
     c_k fastest, with phase lowered by sum_i c_i t_i: each generator in turn
-    multiplies every prefix product by its powers, as index triples.
+    multiplies every prefix product by its powers, as index triples, which
+    the group keeps with its tables: no ring element is made.
     """
     ring, ntot = Cp.ring, Cp.n
     _check_dim(ring, ntot, max_dim, "q^(n+c)")
@@ -267,11 +266,8 @@ def build_stabilizer(Cp: AdditiveCode,
         elements = [T.multiply(P, g) for P in elements for g in powers]
         gens.append(powers[1])
     _check_stabilizer(T, elements, gens)
-    E = [RingElement(ring, c) for c in T.coords]
-    group = StabilizerGroup(ring, ntot, tuple(
-        PauliOperator(ring, ntot, l, tuple(E[i] for i in a), tuple(E[i] for i in b))
-        for l, a, b in elements))
-    group.__dict__.update(_tables=T, _triples=tuple(elements))
+    group = StabilizerGroup(ring, ntot, tuple(elements))
+    group.__dict__["_tables"] = T
     return group
 
 

@@ -4,7 +4,8 @@ Each one is the direct, slow form of something the library computes
 another way, and nothing in the library calls them:
 
 - ``compose``: the Pauli product, reference for ``_Monomials.multiply``
-  and ``build_stabilizer``;
+  and ``build_stabilizer``, and ``group_operators``, a group's index
+  triples as operators, for the dense matrix oracles;
 - ``monomial_tables``: the verifier's tables built from ring elements,
   reference for ``_Monomials``, which reads them off integers;
 - ``frobenius``, ``teichmuller_decompose`` and the Teichmuller table
@@ -26,7 +27,7 @@ from eaqring.decompose import HyperbolicDecomposition
 from eaqring.errors import DimensionMismatch, InternalInvariantViolation, RingMismatch
 from eaqring.extension import _at, _extend
 from eaqring.galois import GaloisRingSpec, RingElement, _dual_coords, _poly_mul_mod, gen_trace, phi_expand
-from eaqring.pauli import PauliOperator, omega_modulus
+from eaqring.pauli import PauliOperator, StabilizerGroup, omega_modulus
 from eaqring.zpblinalg import ZpbMatrix, howell_member, smith_form
 
 
@@ -181,14 +182,26 @@ def compose(P: PauliOperator, Q: PauliOperator) -> PauliOperator:
                          tuple(x + y for x, y in zip(P.b, Q.b)))
 
 
+def indexed_elements(ring: GaloisRingSpec) -> Tuple[RingElement, ...]:
+    """The ring's elements as ``pauli._Monomials`` numbers them: element i
+    has the base-p^b digits of i as power-basis coordinates."""
+    mod = ring.modulus
+    return tuple(ring.element([i // mod ** j % mod for j in range(ring.m)])
+                 for i in range(ring.cardinality))
+
+
+def group_operators(group: StabilizerGroup) -> Tuple[PauliOperator, ...]:
+    """The group's (l, a, b) triples of element indices as operators."""
+    E = indexed_elements(group.ring)
+    return tuple(PauliOperator(group.ring, group.n, l, tuple(E[i] for i in a), tuple(E[i] for i in b))
+                 for l, a, b in group.elements)
+
+
 def monomial_tables(ring: GaloisRingSpec):
     """(coords, index, duals, add, trace) of ``pauli._Monomials``, built as
-    ring elements: element i has the base-p^b digits of i as power-basis
-    coordinates; ``add`` and ``trace`` are the q x q tables of x + y (as an
-    index) and of Tr(x*y)."""
-    q, mod = ring.cardinality, ring.modulus
-    elems = [ring.element([i // mod ** j % mod for j in range(ring.m)])
-             for i in range(q)]
+    ring elements (``indexed_elements``); ``add`` and ``trace`` are the
+    q x q tables of x + y (as an index) and of Tr(x*y)."""
+    elems = indexed_elements(ring)
     index = {e.coeffs: i for i, e in enumerate(elems)}
     duals = [_dual_coords(e) for e in elems]
     add = [[index[(x + y).coeffs] for y in elems] for x in elems]

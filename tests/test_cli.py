@@ -347,14 +347,16 @@ LIBRARY_CAPS = {
     "build_stabilizer": lambda C, ext, group, cap: pauli.build_stabilizer(ext, max_dim=cap),
     "stabilizer_projector": lambda C, ext, group, cap: pauli.stabilizer_projector(group, cap),
     "projector_dimension": lambda C, ext, group, cap: pauli.projector_dimension(group, cap),
-    "pauli_matrix": lambda C, ext, group, cap: pauli.pauli_matrix(group.elements[1], cap),
+    "pauli_matrix": lambda C, ext, group, cap: pauli.pauli_matrix(
+        pauli.PauliOperator(C.ring, 1, 0, (C.ring.one,), (C.ring.zero,)), cap),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(LIBRARY_CAPS))
 def test_library_rejects_a_negative_cap(entry):
     """Each library entry point that compares a cap raises ValueError on a
-    negative one, which is not a cap hit; 0 still caps every search."""
+    negative one, which is not a cap hit; 0 still caps every search.
+    ``eaqecc_params`` raises before it builds a fresh code's extension."""
     _, C = parse_code_text(Z4_WORKED)
     ext = build_minimal_extension(C)
     group = pauli.build_stabilizer(ext)
@@ -362,6 +364,10 @@ def test_library_rejects_a_negative_cap(entry):
     with pytest.raises(ValueError, match=r"^(limit|max_dim) = -1 is negative; 0 caps every search$"):
         call(C, ext, group, -1)
     if entry == "eaqecc_params":
+        _, fresh = parse_code_text(Z4_WORKED)
+        with pytest.raises(ValueError, match=r"^limit = -1 is negative"):
+            call(fresh, None, None, -1)
+        assert "extension" not in fresh.__dict__ and "decomposition" not in fresh.__dict__
         assert call(C, ext, group, 0) is None
     else:
         with pytest.raises((SearchLimitExceeded, DimensionTooLarge)):

@@ -27,7 +27,7 @@ from eaqring.extension import (
     eaqecc_params,
     minimum_entanglement_degree,
 )
-from eaqring.galois import char_exponent, gen_trace, make_ring
+from eaqring.galois import gen_trace, make_ring
 import oracles
 from oracles import build_extension, verify_quasi_symplectic
 
@@ -58,7 +58,7 @@ def random_code(ring, n, k, rng):
 
 def exponents(pairs):
     """The character exponent of each pair's symplectic product."""
-    return tuple(char_exponent(symplectic_product(a, b)) for a, b in pairs)
+    return tuple(gen_trace(symplectic_product(a, b)) for a, b in pairs)
 
 
 def tail_pairs(ext, n, k):
@@ -257,7 +257,7 @@ def test_extension_invariants_randomized(spec, n):
             # the tails read off the pairs' generators are the minimal
             # extension's subset, and pair to the grams' exponents
             tails = tail_pairs(ext, n, len(d.isotropic))
-            grams = tuple(char_exponent(g) for g in d.grams)
+            grams = tuple(gen_trace(g) for g in d.grams)
             if ext is build_minimal_extension(C):
                 assert tails == construct_symplectic_subset(ring, ext.n - n, grams)
             assert exponents(tails) == grams

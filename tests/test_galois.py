@@ -16,7 +16,6 @@ from eaqring.galois import (
     _check_h_divides,
     _is_primitive_mod_p,
     _prime_factors,
-    char_exponent,
     gen_trace,
     make_ring,
     phi_contract,
@@ -349,10 +348,8 @@ def test_gen_trace_properties(ringname, request):
 def test_generating_character(gr42):
     elems = list(all_elements(gr42))
     N = gr42.modulus
-    for u in elems:
-        assert char_exponent(u) == gen_trace(u)
     for u, v in random.Random(1).sample(list(itertools.product(elems, repeat=2)), 60):
-        assert char_exponent(u + v) == (char_exponent(u) + char_exponent(v)) % N
+        assert gen_trace(u + v) == (gen_trace(u) + gen_trace(v)) % N
 
 
 def test_dual_basis_example(gr42):

@@ -33,7 +33,7 @@ from eaqring.errors import (
     SearchLimitExceeded,
 )
 from eaqring.extension import build_minimal_extension
-from eaqring.galois import RingElement, char_exponent, gen_trace, make_ring, phi_contract, phi_expand
+from eaqring.galois import RingElement, gen_trace, make_ring, phi_contract, phi_expand
 from eaqring.pauli import (
     PauliOperator,
     StabilizerGroup,
@@ -45,7 +45,8 @@ from eaqring.pauli import (
     undetectable_error_search,
 )
 from eaqring.zpblinalg import enumerate_module, smith_form, solve_congruence
-from oracles import build_extension, compose, contains, monomial_tables, symplectic_weight
+from oracles import (build_extension, compose, contains, group_operators, indexed_elements,
+                     monomial_tables, symplectic_weight)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +137,8 @@ def test_commutation_matches_trace_pairing(f2, z4, f4, gr42):
             P, Q = rand_op(ring, n, rng), rand_op(ring, n, rng)
             A, B = pauli_matrix(P), pauli_matrix(Q)
             commutes = np.max(np.abs(A @ B - B @ A)) <= 1e-10
-            ell = char_exponent(symplectic_product(SymplecticVector(P.ring, P.a, P.b),
-                                                   SymplecticVector(Q.ring, Q.a, Q.b)))
+            ell = gen_trace(symplectic_product(SymplecticVector(P.ring, P.a, P.b),
+                                               SymplecticVector(Q.ring, Q.a, Q.b)))
             assert commutes == (ell == 0)
 
 
@@ -161,22 +162,22 @@ def test_stabilizer_f2_repetition(f2):
     assert ext.n - C.n == 0
     g = build_stabilizer(ext)
     assert g.size == 2
-    nonid = [el for el in g.elements if any(el.a) or any(el.b)]
+    nonid = [(l, a, b) for l, a, b in g.elements if any(a) or any(b)]
     assert len(nonid) == 1
     # the nontrivial element is (+-i) XZ
-    assert nonid[0].phase_exp in (1, 3)
+    assert nonid[0][0] in (1, 3)
     assert projector_dimension(g) == 1
 
 
 def test_stabilizer_elements_commute_and_square(f2):
     C = AdditiveCode.from_int_rows(f2, [[1, 1]])
     g = build_stabilizer(build_extension(C))
-    mats = [pauli_matrix(el) for el in g.elements]
+    mats = [pauli_matrix(el) for el in group_operators(g)]
     for A in mats:
         for B in mats:
             assert np.max(np.abs(A @ B - B @ A)) <= 1e-10
     # stabilizer elements square to the identity here
-    for el in g.elements:
+    for el in group_operators(g):
         sq = pauli_matrix(compose(el, el))
         assert np.allclose(sq, np.eye(2))
 
@@ -190,7 +191,7 @@ def test_stabilizer_worked_instance(z4):
     assert P.shape == (16, 16)
     assert projector_dimension(g) == 1
     # every stabilizer element fixes the projector
-    for el in g.elements[:4]:
+    for el in group_operators(g)[:4]:
         assert np.max(np.abs(pauli_matrix(el) @ P - P)) <= 1e-9
 
 
@@ -203,28 +204,17 @@ def test_projector_zero_code(z4):
 
 
 def test_non_projector_detected(z4):
-    bad = StabilizerGroup(z4, 1, (
-        identity_operator(z4, 1),
-        PauliOperator(z4, 1, 2, (z4.zero,), (z4.zero,)),
-    ))
+    bad = StabilizerGroup(z4, 1, ((0, (0,), (0,)), (2, (0,), (0,))))
     with pytest.raises(InternalInvariantViolation, match="not idempotent"):
         projector_dimension(bad)
     # I, X(2) and -X(2): the orbit sum of |0> is |0> + 0|2>, an entry that
     # is not a single power of omega
-    two = z4.element([2])
-    bad = StabilizerGroup(z4, 1, (
-        identity_operator(z4, 1),
-        PauliOperator(z4, 1, 0, (two,), (z4.zero,)),
-        PauliOperator(z4, 1, 4, (two,), (z4.zero,)),
-    ))
+    bad = StabilizerGroup(z4, 1, ((0, (0,), (0,)), (0, (2,), (0,)), (4, (2,), (0,))))
     with pytest.raises(InternalInvariantViolation, match="not idempotent"):
         projector_dimension(bad)
     # I and X(1): each orbit sum is a single power of omega at every state,
     # but X(1) moves |0> + |1> to |1> + |2>, so sum_g g v is not 2 v
-    bad = StabilizerGroup(z4, 1, (
-        identity_operator(z4, 1),
-        PauliOperator(z4, 1, 0, (z4.element([1]),), (z4.zero,)),
-    ))
+    bad = StabilizerGroup(z4, 1, ((0, (0,), (0,)), (0, (1,), (0,))))
     with pytest.raises(InternalInvariantViolation, match="not idempotent"):
         projector_dimension(bad)
 
@@ -307,7 +297,7 @@ def test_error_search_rejects_a_basis_orbit_that_an_x_part_splits(z4, broken):
     qudit, X(1) sends an orbit into two, and the search raises instead of
     mixing two orbits' entries, skipping the orbit, or failing on a
     missing key."""
-    group = StabilizerGroup(z4, 1, (identity_operator(z4, 1),))
+    group = StabilizerGroup(z4, 1, ((0, (0,), (0,)),))
     group.__dict__["_basis"] = broken
     with pytest.raises(InternalInvariantViolation, match=r"X\(1,\) sends basis orbit 0 into more than one"):
         undetectable_error_search(AdditiveCode(z4, 1, ()), group)
@@ -334,17 +324,11 @@ def test_stabilizer_randomized(z4, f4):
 
 # ------------------------------------------------ dense oracle
 
-def index_elements(ring):
-    """Ring elements by index sum_j c_j N^j of their coefficients."""
-    N = ring.modulus
-    return [ring.element(reversed(c)) for c in itertools.product(range(N), repeat=ring.m)]
-
-
 def dense_oracle(P):
     """omega^l X(a)Z(b) entry by entry through ring arithmetic: omega^l
     zeta^{Tr(b.x)} at (x + a, x), states indexed big-endian by qudit."""
     ring = P.ring
-    elems = index_elements(ring)
+    elems = indexed_elements(ring)
     index = {e.coeffs: i for i, e in enumerate(elems)}
     q = len(elems)
     N = omega_modulus(ring)
@@ -382,13 +366,13 @@ def dense_projector(group):
 def dense_error_search(C, group):
     """Every error X(a,0)Z(b,0) classified by the dense U^dagger E U."""
     ring, n, ntot = C.ring, C.n, group.n
-    P = sum(dense_oracle(el) for el in group.elements) / group.size
+    P = sum(map(dense_oracle, group_operators(group))) / group.size
     vals, vecs = np.linalg.eigh(P)
     U = vecs[:, vals > 0.5]
     K = U.shape[1]
     zeros = (ring.zero,) * (ntot - n)
     undet, best, dim1 = set(), math.inf, math.inf
-    for ab in itertools.product(index_elements(ring), repeat=2 * n):
+    for ab in itertools.product(indexed_elements(ring), repeat=2 * n):
         a, b = ab[:n], ab[n:]
         if not any(ab):
             continue
@@ -442,7 +426,7 @@ def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4], dims=range(65),
 
 def test_projector_matches_dense_oracle():
     for C, ext, group in random_verify_instances(8, 41):
-        want = sum(dense_oracle(el) for el in group.elements) / group.size
+        want = sum(map(dense_oracle, group_operators(group))) / group.size
         assert np.allclose(dense_projector(group), want, rtol=0, atol=1e-12)
 
 
@@ -612,7 +596,7 @@ def test_verify_builds_tables_and_projector_once(monkeypatch):
 
 
 def test_hand_built_group_checks_the_cap_before_dense_work(z4):
-    group = StabilizerGroup(z4, 2, (identity_operator(z4, 2),))
+    group = StabilizerGroup(z4, 2, ((0, (0, 0), (0, 0)),))
     C = AdditiveCode(z4, 1, ())
     for call in (lambda: stabilizer_projector(group, max_dim=8),
                  lambda: projector_dimension(group, max_dim=8),
@@ -677,7 +661,7 @@ def stabilizer_by_compose(ext):
 def test_build_stabilizer_matches_compose_oracle():
     sizes = {}
     for C, ext, group in random_verify_instances(30, 53, ORACLE_RINGS):
-        assert group.elements == stabilizer_by_compose(ext)
+        assert group.elements == tuple(map(group._tables.from_operator, stabilizer_by_compose(ext)))
         assert group.size == cardinality(ext)
         key = (C.ring.p, C.ring.b, C.ring.m)
         sizes[key] = max(sizes.get(key, 0), group.size)
@@ -687,13 +671,15 @@ def test_build_stabilizer_matches_compose_oracle():
 
 def test_build_stabilizer_matches_oracle_on_zero_code_and_large_group(z4):
     zero = build_extension(AdditiveCode(z4, 1, ()))
-    assert build_stabilizer(zero).elements == stabilizer_by_compose(zero)
+    T = pauli._Monomials(z4, 1)
+    assert build_stabilizer(zero).elements == tuple(map(T.from_operator, stabilizer_by_compose(zero)))
     ring, C = cli.parse_code_text(
         "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n")
     ext = build_minimal_extension(C)
-    got = build_stabilizer(ext).elements
+    group = build_stabilizer(ext)
+    got = group.elements
     assert len(got) == 256
-    assert got == stabilizer_by_compose(ext)
+    assert got == tuple(map(group._tables.from_operator, stabilizer_by_compose(ext)))
 
 
 def test_check_stabilizer_rejects_broken_groups(z4):
@@ -730,6 +716,28 @@ def test_build_stabilizer_rejects_the_base_code(z4, monkeypatch):
     assert build_stabilizer(build_minimal_extension(C)).size == 16
 
 
+@pytest.mark.parametrize("text", ["ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n",
+                                  "ring p=2 b=2 m=2\nn 1\ngen 1,0 0,0\ngen 0,0 1,0\n"])
+def test_build_stabilizer_makes_no_ring_element(monkeypatch, text):
+    """The group is its index triples: on the worked Z4 code and a GR(4, 2)
+    code, ``build_stabilizer`` creates no ring element, and the group it
+    returns holds only triples of ints."""
+    ring, C = cli.parse_code_text(text)
+    ext = build_minimal_extension(C)
+    made, init = [], RingElement.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(RingElement, "__init__", counting_init)
+    group = build_stabilizer(ext)
+    monkeypatch.undo()
+    assert made == []
+    assert group.size == cardinality(ext) > 1 and ext.n > C.n
+    assert all(type(l) is int and len(a) == len(b) == ext.n for l, a, b in group.elements)
+    assert {i for l, a, b in group.elements for i in a + b} <= set(range(ring.cardinality))
+
+
 def test_check_stabilizer_decides_closure_past_64_elements():
     """Closure is checked at every group size: the 256-element group of a
     Z8 code passes, and fails with any one element dropped."""
@@ -740,14 +748,14 @@ def test_check_stabilizer_decides_closure_past_64_elements():
     T, sd = group._tables, ext.expanded_smith
     gens = [pauli._generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))[1]
             for row, e in zip(sd.generators, sd.diag_exponents)]
-    elements = list(map(T.from_operator, group.elements))
+    elements = list(group.elements)
     assert len(elements) == 256
     pauli._check_stabilizer(T, elements, gens)
     for drop in (1, 100, 255):
         with pytest.raises(InternalInvariantViolation, match="not closed"):
             pauli._check_stabilizer(T, elements[:drop] + elements[drop + 1:], gens)
-    # the group keeps the triples it was built from
-    assert group._triples == tuple(elements)
+    # the group is the triples it was built from, with no second form
+    assert group.elements == tuple(elements) and not hasattr(group, "_triples")
 
 
 @pytest.mark.parametrize("p, b, m", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])

@@ -107,14 +107,16 @@ def test_no_dataclasses_and_no_generated_code():
 
 
 def _value_objects():
-    """One instance of each value class, built by the pipeline."""
+    """One instance of each value class, built by the pipeline; a
+    ``PauliOperator``, which only ``pauli_matrix`` reads, built directly."""
     ring = make_ring(2, 2, 1)
     C = AdditiveCode.from_int_rows(ring, [[1, 0], [0, 2]])
     ext = build_minimal_extension(C)
     group = pauli.build_stabilizer(ext)
     return [C.expanded_matrix, C.expanded_howell, C.expanded_smith, ring, ring.one,
             C.generators[0], C, hyperbolic_decompose(C), eaqecc_params(C),
-            group.elements[1], group, pauli.undetectable_error_search(C, group)]
+            pauli.PauliOperator(ring, 1, 3, (ring.one,), (ring.zero,)), group,
+            pauli.undetectable_error_search(C, group)]
 
 
 FIELDS = {
