@@ -39,6 +39,7 @@ from .errors import (
     ParseError,
     RangeError,
     SearchLimitExceeded,
+    check_cap,
 )
 from .extension import build_minimal_extension, eaqecc_params
 from .galois import GaloisRingSpec, gen_trace, make_ring
@@ -140,7 +141,7 @@ def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
 
 
 def parse_code_file(path: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_code_text(fh.read())
 
 
@@ -355,9 +356,8 @@ def run(argv: List[str], out=None) -> int:
     args = _build_parser().parse_args(argv)
     C, int_text = None, _IntTexts()
     try:
-        for flag, cap in (("--max-enum", args.max_enum), ("--max-matrix-dim", args.max_matrix_dim)):
-            if cap < 0:
-                raise ValueError(f"{flag} {cap} is negative; 0 caps every search")
+        check_cap("--max-enum", args.max_enum)
+        check_cap("--max-matrix-dim", args.max_matrix_dim)
         ring, C = parse_code_file(args.file)
         report, code = build_report(args.command, ring, C,
                                     args.max_enum, args.max_matrix_dim, int_text)

@@ -26,6 +26,7 @@ from .errors import (
     InternalInvariantViolation,
     RingMismatch,
     SearchLimitExceeded,
+    check_cap,
 )
 from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract, phi_expand
@@ -316,13 +317,12 @@ def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) ->
     lower the running minimum, is unpacked and tested for membership in C.
     """
     n, m, N = C.n, C.ring.m, C.ring.modulus
-    if limit < 0:
-        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
+    check_cap("limit =", limit)
     size = C.ring.cardinality ** (2 * n) // cardinality(C)
     if size > limit:
         raise SearchLimitExceeded(size, limit)
     skip = None if C.dual_in_code else C.expanded_howell
-    table, highs = packed_blocks(C.dual(0), limit)
+    table, highs = packed_blocks(C.dual(0))
     weights, L, cols = block_weights(n, m, N), lane_width(N), 2 * n * m
     best = math.inf
     for h in highs:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and how a message writes a size."""
+"""Exception types shared across the package, how a message writes a size,
+and the one check of a search or matrix cap."""
 
 
 def size_text(n: int) -> str:
@@ -8,6 +9,14 @@ def size_text(n: int) -> str:
         return str(n)
     except ValueError:
         return f"at least 2^{n.bit_length() - 1}"
+
+
+def check_cap(label: str, cap: int) -> None:
+    """Raise ValueError when a cap is negative, which is not a cap hit; 0
+    still caps every search.  ``label`` names the cap, as "limit =" or
+    "--max-enum"."""
+    if cap < 0:
+        raise ValueError(f"{label} {cap} is negative; 0 caps every search")
 
 
 class EaqringError(Exception):

@@ -170,11 +170,13 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
 
     K = q^{n+c}/|C'| exactly; the lower/upper bounds come from the rho
     profile; D and its case come from ``codes``, D being None (unknown)
-    when the chi-dual is too large to enumerate.  A negative ``limit``
-    raises ValueError before any of this is built.
+    when the chi-dual is too large to enumerate.  D is read first, so a
+    negative ``limit`` raises ValueError before the extension is built.
     """
-    if limit < 0:
-        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
+    try:
+        D = min_symplectic_distance(C, limit)
+    except SearchLimitExceeded:
+        D = None
     ring, Cp = C.ring, C.extension
     n, c = C.n, Cp.n - C.n
     card_code, card_extended = cardinality(C), cardinality(Cp)
@@ -185,10 +187,6 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
     K_upper = total // card_code
     K_lower_raw = Fraction(total, card_code * _rho_growth(C))
     K_lower = max(1, math.floor(K_lower_raw))
-    try:
-        D = min_symplectic_distance(C, limit)
-    except SearchLimitExceeded:
-        D = None
     return EaqeccParams(
         n=n, c=c, K_exact=K_exact, K_lower=K_lower, K_upper=K_upper,
         K_lower_raw=K_lower_raw, D=D, rho=C.rho,

@@ -24,21 +24,7 @@ from .errors import (
     RingMismatch,
 )
 from .frozen import Frozen
-from .zpblinalg import ZpbMatrix, check_ring_size, howell_form
-
-
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .zpblinalg import ZpbMatrix, _prime_factors, check_ring_size, howell_form
 
 
 def _poly_mul_mod(a: Sequence[int], c: Sequence[int], h: Sequence[int], N: int) -> Tuple[int, ...]:

@@ -42,6 +42,7 @@ from .errors import (
     NoSolution,
     RingMismatch,
     SearchLimitExceeded,
+    check_cap,
     size_text,
 )
 from .frozen import Frozen
@@ -109,8 +110,7 @@ Triple = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 def _check_dim(ring: GaloisRingSpec, n: int, max_dim: int, what: str = "q^n") -> None:
     """Raise DimensionTooLarge, before any dense work, when q^n > max_dim,
     and ValueError when max_dim < 0."""
-    if max_dim < 0:
-        raise ValueError(f"max_dim = {max_dim} is negative; 0 caps every search")
+    check_cap("max_dim =", max_dim)
     if (size := ring.cardinality ** n) > max_dim:
         raise DimensionTooLarge(f"{what} = {size_text(size)} exceeds the matrix cap {max_dim}")
 
@@ -341,19 +341,21 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
     in every group b, shifted by the lanes of e_y - e_{X(a)y}.  After one
     ``lower``, E is undetectable iff its group of (diagonal XOR lambda) |
     (off-diagonal XOR 0) | (lambda XOR 0, when a diagonal entry is missing)
-    is nonzero, lambda being entry (0, 0).  The group must be over C's ring
-    and act on at least C's n coordinates."""
+    is nonzero, lambda being entry (0, 0).  The group must be over C's ring,
+    act on at least C's n coordinates and fix some state (a projector of
+    rank > 0)."""
     if group.ring != C.ring:
         raise RingMismatch("the stabilizer group is over a different ring than the code")
     if group.n < C.n:
         raise DimensionMismatch(f"the stabilizer group acts on n = {group.n} < {C.n} coordinates")
     ring, n, ntot = C.ring, C.n, group.n
     q = ring.cardinality
-    if limit < 0:
-        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
+    check_cap("limit =", limit)
     if q ** (2 * n) > limit:
         raise SearchLimitExceeded(q ** (2 * n), limit)
     basis = stabilizer_projector(group, max_dim)
+    if not basis:  # a group holding a nontrivial scalar, such as {I, -I}
+        raise ValueError("the stabilizer group's projector has rank 0: it fixes no state")
     T = group._tables
     N, K, tail = T.N, len(basis), q ** (ntot - n)
     halves = list(itertools.product(range(q), repeat=n))  # Z part b is lane group b
@@ -420,8 +422,8 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                 best = min(best, w)
             if nonzero >> at & mask:
                 dim1_best = min(dim1_best, w)
-    want = set(enumerate_module(C.dual(0), limit))
-    want -= set(enumerate_module(C.meet, limit))  # C^chi \ C = C^chi \ (C cap C^chi)
+    want = set(enumerate_module(C.dual(0)))
+    want -= set(enumerate_module(C.meet))  # C^chi \ C = C^chi \ (C cap C^chi)
     return ErrorSearchResult(dimension=K, undetectable=tuple(sorted(undet)), min_weight=best,
                              set_matches_dual_minus_code=set(undet) == want,
                              dim1_distance=(dim1_best if K == 1 else None))

@@ -1,5 +1,6 @@
-"""Exact linear algebra over Z_{p^b}: Howell form, Smith form, kernels,
-intersections, quotient ranks, congruence solving and module enumeration.
+"""Exact linear algebra over Z_{p^b}: the ring-parameter check, Howell
+form, Smith form, kernels, intersections, quotient ranks, congruence
+solving and module enumeration.
 
 The Howell form does the module operations: membership, cardinality,
 enumeration, and the solve {x*B : x*A = 0} read off one Howell form of
@@ -13,7 +14,8 @@ is such a matrix with its pivot columns, and Smith generators are rows of
 the same kind, so callers pass rows through without copying.  Pivoting is
 always on entries of minimal p-valuation (every element of Z_{p^b} is
 unit * p^v), with lowest-index tie-breaks, so all outputs are reproducible
-bit for bit.
+bit for bit.  Enumeration is lazy and takes no cap: its callers bound
+the whole walk before they start it.
 """
 
 from __future__ import annotations
@@ -27,36 +29,33 @@ from .errors import (
     NoSolution,
     NotContained,
     ParameterTooLarge,
-    SearchLimitExceeded,
     size_text,
 )
 from .frozen import Frozen
 
 
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the first 12 prime bases: exact below 3.3 * 10^24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 2 or p in bases or any(p % a == 0 for a in bases):
-        return p in bases
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
-    for a in bases:
-        x = pow(a, (p - 1) >> s, p)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == p - 1:
-                break
-            x = x * x % p
-        else:
-            return False
-    return True
+def _prime_factors(n: int) -> List[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def check_ring_size(p: int, b: int, m: int = 1) -> None:
-    """The one ring-parameter check (m = 1 for Z_{p^b}), in order: p <= 2^31, p prime, b, m >= 1, p^(b*m) <= 2^31."""
+    """The one ring-parameter check (m = 1 for Z_{p^b}), in order: p <= 2^31,
+    p prime (trial division, at most 46,341 divisors), b, m >= 1,
+    p^(b*m) <= 2^31."""
     if p > 2 ** 31:
         raise ParameterTooLarge(f"p = {size_text(p)} exceeds 2^31")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"p = {size_text(p)} is not prime")
     if b < 1 or m < 1:
         raise ValueError("b and m must be positive")
@@ -370,19 +369,14 @@ def _prefix_walk(base: List[int], radix: List[int], add: Callable[[int, int], in
         yield vec
 
 
-def packed_blocks(M: HowellBasis, limit: int) -> Tuple[List[int], Iterator[int]]:
+def packed_blocks(M: HowellBasis) -> Tuple[List[int], Iterator[int]]:
     """Every element of the row module once (``HowellBasis.cardinality``),
     packed (``lane_width``), in blocks: mixed-radix coefficients c_i in
     [0, N / pivot_i) over the Howell rows, last index fastest.  Block j is
     the table, the span of the most last rows with at most BLOCK elements,
     plus the j-th high vector, of the span of the other rows (walked
-    lazily).  Raises SearchLimitExceeded with |M| when |M| > limit, and
-    ValueError when limit < 0."""
+    lazily), so the first block comes at once however large M is."""
     N = M.modulus
-    if limit < 0:
-        raise ValueError(f"limit = {limit} is negative; 0 caps every search")
-    if M.cardinality > limit:
-        raise SearchLimitExceeded(M.cardinality, limit)
     add, L = lane_adder(N, M.cols), lane_width(N)
     base = [sum(x << (L * j) for j, x in enumerate(r)) for r in M.rows]
     radix = [N // r[col] for r, col in zip(M.rows, M.pivots)]
@@ -390,16 +384,9 @@ def packed_blocks(M: HowellBasis, limit: int) -> Tuple[List[int], Iterator[int]]
     return list(_prefix_walk(base[k:], radix[k:], add)), _prefix_walk(base[:k], radix[:k], add)
 
 
-def walk_packed(M: HowellBasis, limit: int) -> Iterator[int]:
-    """The blocks of ``packed_blocks`` flattened: every element once, in
-    their order."""
-    table, highs = packed_blocks(M, limit)
-    add = lane_adder(M.modulus, M.cols)
-    for h in highs:
-        yield from [add(h, t) for t in table]
-
-
-def enumerate_module(M: HowellBasis, limit: int) -> Iterator[Tuple[int, ...]]:
-    """``walk_packed`` unpacked: each element as a tuple of residues."""
-    L = lane_width(M.modulus)
-    return (unpack(v, L, M.cols) for v in walk_packed(M, limit))
+def enumerate_module(M: HowellBasis) -> Iterator[Tuple[int, ...]]:
+    """The blocks of ``packed_blocks`` flattened (h + t) and unpacked: every
+    element once, in their order, as a tuple of residues."""
+    table, highs = packed_blocks(M)
+    add, L = lane_adder(M.modulus, M.cols), lane_width(M.modulus)
+    return (unpack(add(h, t), L, M.cols) for h in highs for t in table)

@@ -38,7 +38,6 @@ from eaqring.errors import (
 )
 from eaqring.extension import build_minimal_extension, eaqecc_params
 from eaqring.galois import make_ring
-from eaqring.zpblinalg import enumerate_module, packed_blocks, walk_packed
 
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
 F2_REP = "ring p=2 b=1 m=1\nn 1\ngen 1 1\n"
@@ -339,9 +338,6 @@ def test_zero_cap_still_caps_every_search(tmp_path):
 LIBRARY_CAPS = {
     "eaqecc_params": lambda C, ext, group, cap: eaqecc_params(C, limit=cap).D,
     "min_symplectic_distance": lambda C, ext, group, cap: min_symplectic_distance(C, cap),
-    "packed_blocks": lambda C, ext, group, cap: packed_blocks(C.dual(0), cap),
-    "walk_packed": lambda C, ext, group, cap: next(walk_packed(C.dual(0), cap)),
-    "enumerate_module": lambda C, ext, group, cap: next(enumerate_module(C.dual(0), cap)),
     "undetectable_error_search": lambda C, ext, group, cap: pauli.undetectable_error_search(
         C, group, limit=cap),
     "build_stabilizer": lambda C, ext, group, cap: pauli.build_stabilizer(ext, max_dim=cap),
@@ -460,6 +456,18 @@ def test_parse_code_file(tmp_path):
     f.write_text(F2_REP)
     ring, C = parse_code_file(str(f))
     assert ring.b == 1 and C.n == 1
+
+
+def test_a_code_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    """A file saved as UTF-8 with a byte-order mark gives the same params
+    report as the plain file."""
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(Z4_WORKED, encoding="utf-8")
+    bom.write_text(Z4_WORKED, encoding="utf-8-sig")
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    code, want = run_cli(["params", str(plain)])
+    assert code == 0 and "error" not in json.loads(want)
+    assert run_cli(["params", str(bom)]) == (code, want)
 
 
 def test_invariant_failure_carries_a_reproducer(tmp_path, monkeypatch):

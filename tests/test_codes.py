@@ -14,7 +14,6 @@ import pytest
 
 import eaqring.codes as codes_mod
 from eaqring.codes import (
-    DEFAULT_ENUM_LIMIT,
     AdditiveCode,
     SymplecticVector,
     block_weights,
@@ -75,7 +74,7 @@ def code_as_set(C):
 
 def _ring_elems(C):
     from eaqring.galois import phi_contract
-    for flat in enumerate_module(C.expanded_howell, DEFAULT_ENUM_LIMIT):
+    for flat in enumerate_module(C.expanded_howell):
         yield phi_contract(C.ring, flat)
 
 
@@ -145,11 +144,11 @@ def test_cardinality_matches_closure(z4, gr42):
 
 def test_chi_dual_worked_example(z4, worked):
     d0 = chi_dual_level(worked, 0)
-    elems = set(enumerate_module(d0.expanded_howell, DEFAULT_ENUM_LIMIT))
+    elems = set(enumerate_module(d0.expanded_howell))
     assert elems == {(0, 0), (2, 0)}
     d1 = chi_dual_level(worked, 1)
     assert cardinality(d1) == 8
-    assert set(enumerate_module(d1.expanded_howell, DEFAULT_ENUM_LIMIT)) == {(x, y) for x in range(4) for y in (0, 2)}
+    assert set(enumerate_module(d1.expanded_howell)) == {(x, y) for x in range(4) for y in (0, 2)}
     db = chi_dual_level(worked, 2)
     assert cardinality(db) == 16
 
@@ -164,7 +163,7 @@ def test_chi_dual_brute_force(z4, gr42):
             C = AdditiveCode(ring, n, gens)
             for t in range(ring.b + 1):
                 D = chi_dual_level(C, t)
-                got = {tuple(flat) for flat in enumerate_module(D.expanded_howell, DEFAULT_ENUM_LIMIT)}
+                got = {tuple(flat) for flat in enumerate_module(D.expanded_howell)}
                 want = {phi_expand(ring, [ring.element(c) for c in key])
                         for key in brute_chi_dual(ring, n, gens, t)}
                 want = {tuple(w) for w in want}
@@ -305,7 +304,7 @@ def test_min_distance_skips_light_members_of_the_code(params, rows):
         padded.append([int(i in (j, j + 1)) for i in range(n)] + [0] * n)
         padded.append([0] * n + [{j: 1, j + 1: ring.modulus - 1}.get(i, 0) for i in range(n)])
     C = AdditiveCode.from_int_rows(ring, padded)
-    table, highs = packed_blocks(C.dual(0), 1 << 22)
+    table, highs = packed_blocks(C.dual(0))
     assert len(table) < C.dual(0).cardinality and not C.dual_in_code
     assert min_symplectic_distance(C) == tuple_search_distance(C) == 2
 
@@ -380,7 +379,7 @@ def test_block_weights_match_the_lane_formula(label):
     n, m, N = 6 if label == "F2" else 3, ring.m, ring.modulus
     cols, L = 2 * n * m, lane_width(N)
     C = AdditiveCode(ring, n, (_random_vector(ring, n, random.Random(53)),))
-    table, highs = packed_blocks(C.dual(0), 1 << 22)
+    table, highs = packed_blocks(C.dual(0))
     assert len(table) < C.dual(0).cardinality
     add, weights = lane_adder(N, cols), block_weights(n, m, N)
     negated = [pack([(-x) % N for x in unpack(t, L, cols)], L) for t in table]
@@ -426,7 +425,7 @@ def tuple_search_distance(C):
     nm = n * m
     skip = None if C.dual_in_code else C.expanded_howell
     best = math.inf
-    for flat in enumerate_module(C.dual(0), 1 << 22):
+    for flat in enumerate_module(C.dual(0)):
         coords = [0] * n
         for j in range(m):
             coords = [c | x | y for c, x, y in zip(coords, flat[j:nm:m], flat[nm + j::m])]
@@ -460,7 +459,7 @@ def _blocks_class(C):
     """Where C's chi-dual falls against the block table (``packed_blocks``):
     inside one table of BLOCK entries, or of over BLOCK / 4 and fewer, or
     past it by at most N blocks or by more (then by two high rows or more)."""
-    table, highs = packed_blocks(C.dual(0), 1 << 22)
+    table, highs = packed_blocks(C.dual(0))
     blocks = sum(1 for _ in highs)
     if blocks > 1:
         return "a few blocks" if blocks <= C.ring.modulus else "many blocks"

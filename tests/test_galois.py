@@ -15,12 +15,12 @@ from eaqring.errors import HPolyInvalid, ParameterTooLarge
 from eaqring.galois import (
     _check_h_divides,
     _is_primitive_mod_p,
-    _prime_factors,
     gen_trace,
     make_ring,
     phi_contract,
     phi_expand,
 )
+from eaqring.zpblinalg import _prime_factors
 from oracles import frobenius, teichmuller_decompose, teichmuller_set
 
 

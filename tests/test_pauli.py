@@ -18,7 +18,6 @@ import pytest
 
 from eaqring import cli, pauli
 from eaqring.codes import (
-    DEFAULT_ENUM_LIMIT,
     AdditiveCode,
     SymplecticVector,
     cardinality,
@@ -303,6 +302,18 @@ def test_error_search_rejects_a_basis_orbit_that_an_x_part_splits(z4, broken):
         undetectable_error_search(AdditiveCode(z4, 1, ()), group)
 
 
+def test_error_search_rejects_a_group_whose_projector_has_rank_0(f2):
+    """{I, -I} on one F2 qudit: every orbit sum |x> - |x> vanishes, so the
+    projector has rank 0, and the search names it instead of failing on an
+    empty basis.  ``build_stabilizer`` never returns such a group, since
+    ``_check_stabilizer`` rejects a nontrivial scalar."""
+    group = StabilizerGroup(f2, 1, ((0, (0,), (0,)), (2, (0,), (0,))))
+    assert projector_dimension(group) == 0
+    C = AdditiveCode.from_int_rows(f2, [[1, 0]])
+    with pytest.raises(ValueError, match="^the stabilizer group's projector has rank 0"):
+        undetectable_error_search(C, group)
+
+
 def test_stabilizer_randomized(z4, f4):
     rng = random.Random(23)
     for ring in (z4, f4):
@@ -554,7 +565,7 @@ def dual_minus_code_by_contains(C):
     """C^chi minus C, each chi-dual codeword contracted to ring elements
     and tested with ``contains``."""
     ring = C.ring
-    return {flat for flat in enumerate_module(chi_dual_level(C, 0).expanded_howell, DEFAULT_ENUM_LIMIT)
+    return {flat for flat in enumerate_module(chi_dual_level(C, 0).expanded_howell)
             if any(flat) and not contains(
                 C, SymplecticVector.from_components(ring, phi_contract(ring, flat)))}
 

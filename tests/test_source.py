@@ -43,6 +43,13 @@ def test_no_bare_assert():
     assert hits == []
 
 
+def test_one_home_for_the_negative_cap_message():
+    """Every cap goes through ``errors.check_cap``: the message is written
+    once in the package source."""
+    counts = {p.name: p.read_text().count("is negative; 0 caps every search") for p in SRC.glob("*.py")}
+    assert {name: k for name, k in counts.items() if k} == {"errors.py": 1}
+
+
 def test_every_error_class_is_raised():
     trees = _trees()
     classes = {node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)}

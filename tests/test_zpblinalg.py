@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaqring.codes import AdditiveCode, min_symplectic_distance
 from eaqring.errors import (
     DimensionMismatch,
     NoSolution,
@@ -26,9 +27,9 @@ from eaqring.errors import (
 from eaqring.galois import make_ring
 import eaqring.zpblinalg as zpb_mod
 from eaqring.zpblinalg import (
-    _is_prime,
     BLOCK,
     ZpbMatrix,
+    check_ring_size,
     enumerate_module,
     howell_form,
     howell_member,
@@ -41,7 +42,6 @@ from eaqring.zpblinalg import (
     smith_form,
     solve_congruence,
     unpack,
-    walk_packed,
 )
 
 
@@ -336,7 +336,7 @@ def test_module_operations_make_no_smith_form(monkeypatch):
     H, H2 = howell_form(A), howell_form(mat(2, 2, [[2, 0, 0], [0, 2, 0]]))
     assert kernel(A) == smith_kernel(A) and kernel(A).cardinality > 1
     assert intersect(H, H2) == smith_intersect(H, H2) and len(intersect(H, H2).rows) > 0
-    assert set(enumerate_module(H, limit=64)) == span_set(2, 2, rows, 3)
+    assert set(enumerate_module(H)) == span_set(2, 2, rows, 3)
 
 
 def test_intersect_dimension_mismatch():
@@ -390,7 +390,7 @@ def test_enumerate_module(p, b, rows):
     cols = len(rows[0])
     H = howell_form(mat(p, b, rows))
     truth = span_set(p, b, rows, cols)
-    elems = list(enumerate_module(H, limit=1 << 20))
+    elems = list(enumerate_module(H))
     assert len(elems) == len(set(elems)) == len(truth)
     assert set(elems) == truth
 
@@ -410,36 +410,40 @@ def test_enumerate_module_with_annihilator_rows(p, b, rows):
     cols = len(rows[0])
     H = howell_form(mat(p, b, rows))
     assert len(H.rows) > len(rows)
-    elems = list(enumerate_module(H, limit=1 << 20))
+    elems = list(enumerate_module(H))
     assert len(elems) == len(set(elems)) == H.cardinality
     assert set(elems) == span_set(p, b, rows, cols)
 
 
-def test_enumerate_module_limit():
-    H = howell_form(mat(2, 2, [[1, 0], [0, 1]]))
-    with pytest.raises(SearchLimitExceeded) as exc:
-        list(enumerate_module(H, limit=15))
-    assert exc.value.cardinality == 16
-    assert str(exc.value) == "search set has 16 elements, over the --max-enum limit 15"
-
-
 def test_is_prime_matches_trial_division():
+    """``check_ring_size``'s primality test, on b = m = 1: it passes the
+    primes and raises ValueError on the rest, below 20,000 and at 2^31 - 1;
+    2^31 + 1 is past the cap on p."""
     def trial(p):
         return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
-    assert [p for p in range(-2, 20000) if _is_prime(p)] == [
+    def passes(p):
+        try:
+            check_ring_size(p, 1)
+        except ValueError as e:
+            assert str(e) == f"p = {p} is not prime"
+            return False
+        return True
+
+    assert [p for p in range(-2, 20000) if passes(p)] == [
         p for p in range(-2, 20000) if trial(p)]
-    assert _is_prime(2 ** 31 - 1)
-    assert not _is_prime(2 ** 31 + 1)
+    assert passes(2 ** 31 - 1)
+    with pytest.raises(ParameterTooLarge):
+        check_ring_size(2 ** 31 + 1, 1)
     # Carmichael numbers, then strong pseudoprimes to base 2
     for composite in (561, 1105, 1729, 2047, 3277, 4033):
-        assert not _is_prime(composite)
+        assert not passes(composite)
 
 
 def test_enumerate_module_deterministic():
     H = howell_form(mat(2, 2, [[1, 2], [0, 2]]))
-    a = list(enumerate_module(H, limit=100))
-    b = list(enumerate_module(H, limit=100))
+    a = list(enumerate_module(H))
+    b = list(enumerate_module(H))
     assert a == b
 
 
@@ -471,7 +475,7 @@ def test_enumerate_module_order_matches_full_rebuild(p, b, rows):
     """The prefix-sum walk yields the same elements in the same order as
     rebuilding each one from every Howell row."""
     H = howell_form(mat(p, b, rows))
-    assert list(enumerate_module(H, limit=H.cardinality)) == list(full_rebuild_enumeration(H))
+    assert list(enumerate_module(H)) == list(full_rebuild_enumeration(H))
 
 
 def pack(row, L):
@@ -499,20 +503,22 @@ def test_lane_adder_is_addition_mod_n_in_every_lane(N):
             assert unpack(got, L, cols) == tuple((u + v) % N for u, v in zip(a, b))
 
 
-def test_walk_packed_yields_the_full_rebuild_packed():
-    """The walk is the rebuild order, packed: on one block, and on modules
-    of 3^9 and 2^11 elements over Z9 and Z8 that span 729 and 64 blocks
-    (``packed_blocks``).  The table is the walk's first block, and taking
-    one more row would put it past BLOCK entries."""
+def test_enumerate_module_is_the_blocks_unpacked():
+    """``enumerate_module`` is the blocks of ``packed_blocks`` flattened
+    (h + t) and unpacked, in the rebuild order: on one block, and on modules
+    of 3^9 and 2^11 elements over Z9 and Z8 that span 729 and 64 blocks.
+    The table is the walk's first block, and taking one more row would put
+    it past BLOCK entries."""
     rng = random.Random(59)
     for p, b, rows in ((3, 2, [[1, 4, 8], [0, 3, 6]]),
                        (3, 2, [[rng.randrange(9) for _ in range(6)] for _ in range(4)] + [[3, 0, 0, 0, 0, 3]]),
                        (2, 3, [[rng.randrange(8) for _ in range(5)] for _ in range(4)])):
         H = howell_form(mat(p, b, rows))
-        L = lane_width(p ** b)
-        table, _ = packed_blocks(H, H.cardinality)
-        walk = list(walk_packed(H, H.cardinality))
+        L, add = lane_width(p ** b), lane_adder(p ** b, H.cols)
+        table, highs = packed_blocks(H)
+        walk = [add(h, t) for h in highs for t in table]
         assert walk == [pack(v, L) for v in full_rebuild_enumeration(H)]
+        assert list(enumerate_module(H)) == [unpack(v, L, H.cols) for v in walk]
         assert len(table) <= BLOCK and walk[:len(table)] == table and H.cardinality % len(table) == 0
         assert H.cardinality == len(table) or len(table) * p ** b > BLOCK
 
@@ -520,7 +526,7 @@ def test_walk_packed_yields_the_full_rebuild_packed():
 def test_enumerate_module_of_the_zero_module():
     H = howell_form(ZpbMatrix(2, 2, 3, ()))
     assert H.rows == ()
-    assert list(enumerate_module(H, limit=1)) == [(0, 0, 0)]
+    assert list(enumerate_module(H)) == [(0, 0, 0)]
 
 
 def test_enumerate_module_single_row_with_non_unit_pivot():
@@ -528,16 +534,58 @@ def test_enumerate_module_single_row_with_non_unit_pivot():
     Howell form is the one row, with pivot 2 and 8 / 2 = 4 multiples."""
     H = howell_form(mat(2, 3, [[2, 6]]))
     assert H.rows == ((2, 6),) and H.pivots == (0,)
-    assert list(enumerate_module(H, limit=4)) == [(0, 0), (2, 6), (4, 4), (6, 2)]
+    assert list(enumerate_module(H)) == [(0, 0), (2, 6), (4, 4), (6, 2)]
+
+
+def test_enumerate_module_limit():
+    """The walk takes no cap; its caller bounds it.  The zero code on one
+    Z4 coordinate has the chi-dual R^2, the 16-element module spanned by
+    the identity: ``enumerate_module`` walks all of it, and the D search
+    over it refuses a limit of 15, naming both sizes."""
+    z4 = make_ring(2, 2, 1)
+    C = AdditiveCode(z4, 1, ())
+    H = C.dual(0)
+    assert H == howell_form(mat(2, 2, [[1, 0], [0, 1]]))
+    assert len(set(enumerate_module(H))) == 16
+    with pytest.raises(SearchLimitExceeded) as exc:
+        min_symplectic_distance(C, limit=15)
+    assert exc.value.cardinality == 16
+    assert str(exc.value) == "search set has 16 elements, over the --max-enum limit 15"
 
 
 def test_enumerate_module_limit_is_inclusive():
-    H = howell_form(mat(3, 2, [[3, 1], [0, 3]]))
+    """The D search's limit on the walk is inclusive: over Z9, the code of
+    (3, 1) has a chi-dual of 81 / 9 = 9 vectors, all of which
+    ``enumerate_module`` yields; a limit of 9 searches it and 8 raises."""
+    z9 = make_ring(3, 2, 1)
+    C = AdditiveCode.from_int_rows(z9, [[3, 1]])
+    H = C.dual(0)
     card = H.cardinality
-    assert len(list(enumerate_module(H, limit=card))) == card
+    assert card == 9 and len(set(enumerate_module(H))) == card
+    assert min_symplectic_distance(C, limit=card) >= 1
     with pytest.raises(SearchLimitExceeded) as exc:
-        next(enumerate_module(H, limit=card - 1))
+        min_symplectic_distance(C, limit=card - 1)
     assert exc.value.cardinality == card
+
+
+def test_walks_over_2_to_the_64_elements_start_at_once():
+    """A module of 4^40 = 2^80 elements over Z4 (the free rank-40 module):
+    ``packed_blocks`` and ``enumerate_module`` hold one table of at most
+    BLOCK entries and walk the rest lazily, so their first elements come
+    at once, in ``full_rebuild_enumeration``'s order."""
+    cols = 40
+    H = howell_form(mat(2, 2, [[int(i == j) for j in range(cols)] for i in range(cols)]))
+    assert H.cardinality == 2 ** 80 > 2 ** 64
+    L, add = lane_width(4), lane_adder(4, cols)
+    want = list(itertools.islice(full_rebuild_enumeration(H), 2 * BLOCK))
+    start = time.perf_counter()
+    table, highs = packed_blocks(H)
+    first = list(itertools.islice(enumerate_module(H), 2 * BLOCK))
+    h0, h1 = next(highs), next(highs)
+    assert time.perf_counter() - start < 0.1
+    assert first == want
+    assert len(table) == BLOCK
+    assert [unpack(add(h, t), L, cols) for h in (h0, h1) for t in table] == want
 
 
 small_matrix = st.tuples(
@@ -573,7 +621,7 @@ def test_enumerate_module_order_matches_full_rebuild_on_random_matrices(args):
     N = p ** b
     rows = [[data.draw(st.integers(0, N - 1)) for _ in range(nc)] for _ in range(nr)]
     H = howell_form(mat(p, b, rows, cols=nc))
-    assert list(enumerate_module(H, limit=H.cardinality)) == list(full_rebuild_enumeration(H))
+    assert list(enumerate_module(H)) == list(full_rebuild_enumeration(H))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -656,8 +704,8 @@ def test_one_ring_size_check_for_rings_and_matrices():
 
 
 def test_huge_p_is_rejected_before_primality():
-    """p = 2^11213 - 1 is a 3,376-digit prime: Miller-Rabin at that size
-    takes tens of seconds, and the size check runs first."""
+    """p = 2^11213 - 1 is a 3,376-digit prime: trial division at that size
+    would not end, and the size check runs first."""
     p = 2 ** 11213 - 1
     for call in (lambda: make_ring(p, 1, 1), lambda: ZpbMatrix.from_rows(p, 1, [[1]])):
         t0 = time.perf_counter()
