@@ -26,7 +26,6 @@ from .decompose import HyperbolicDecomposition, hyperbolic_decompose
 from .errors import EaqringError
 from .extension import (
     EaqeccParams,
-    build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
     minimum_entanglement_degree,
@@ -52,7 +51,6 @@ __all__ = [
     "RingElement",
     "StabilizerGroup",
     "SymplecticVector",
-    "build_minimal_extension",
     "build_stabilizer",
     "cardinality",
     "chi_dual_level",

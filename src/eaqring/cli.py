@@ -10,7 +10,8 @@ File format (whitespace-separated, # starts a comment):
 
 h lists coefficients low-to-high including the leading 1; when omitted the
 canonical polynomial is used and echoed into the report.  Each generator
-row has 2n entries of m comma-separated coordinates.
+row has 2n entries of m comma-separated coordinates.  Every number (p, b,
+m, n, an h coefficient, a residue) is an optional - and ASCII digits.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     SearchLimitExceeded,
     check_cap,
 )
-from .extension import build_minimal_extension, eaqecc_params
+from .extension import eaqecc_params
 from .galois import GaloisRingSpec, gen_trace, make_ring
 
 SCHEMA_VERSION = 1
@@ -50,6 +51,7 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------- parsing
 
 _TOKEN = re.compile(r"\S+")
+_is_integer = re.compile(r"-?[0-9]+").fullmatch  # not int()'s 0_1, +1 or non-ASCII digits
 
 
 def _tokenize(text: str) -> List[Tuple[int, int, str]]:
@@ -64,10 +66,9 @@ def _tokenize(text: str) -> List[Tuple[int, int, str]]:
 
 def _int_token(tok: Tuple[int, int, str], what: str) -> int:
     ln, col, s = tok
-    try:
-        return int(s)
-    except ValueError:
+    if not _is_integer(s):
         raise ParseError(f"expected an integer {what}, got {s!r}", ln, col)
+    return int(s)
 
 
 def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
@@ -102,10 +103,9 @@ def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
     h = None
     if "h" in fields:
         ln, col, val = fields["h"]
-        try:
-            h = tuple(int(x) for x in val.split(","))
-        except ValueError:
+        if not all(map(_is_integer, val.split(","))):
             raise ParseError(f"bad h coefficient list {val!r}", ln, col)
+        h = tuple(map(int, val.split(",")))
     ring = make_ring(p, b, m, h)
     t = need("'n'")
     if t[2] != "n":
@@ -128,10 +128,9 @@ def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
                     f"entry {s!r} has {len(parts)} coordinates, expected {ring.m}", ln, col)
             coeffs = []
             for part in parts:
-                try:
-                    v = int(part)
-                except ValueError:
+                if not _is_integer(part):
                     raise ParseError(f"bad residue {part!r}", ln, col)
+                v = int(part)
                 if not 0 <= v < N:
                     raise RangeError(f"line {ln}, column {col}: residue {v} out of range [0, {N})")
                 coeffs.append(v)
@@ -216,7 +215,7 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
     if command == "decompose":
         report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
     elif command == "extend":
-        Cp = build_minimal_extension(C)
+        Cp = C.extension
         report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
         report["c_min"] = Cp.n - C.n
         report["card_code"] = cardinality(C)
@@ -238,7 +237,7 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         code = 2 if P.D is None else 0
         if command == "verify":
             from . import pauli  # imported here: no other command loads the verifier
-            Cp = build_minimal_extension(C)
+            Cp = C.extension
             try:
                 group = pauli.build_stabilizer(Cp, max_dim=max_matrix_dim)
                 dim = pauli.projector_dimension(group, max_dim=max_matrix_dim)

@@ -83,21 +83,6 @@ class SymplecticVector(Frozen):
         """m=1 convenience: plain residues."""
         return cls.from_components(ring, [ring.scalar(c) for c in flat])
 
-    def __add__(self, other: "SymplecticVector") -> "SymplecticVector":
-        if self.n != other.n:
-            raise DimensionMismatch("operands of different length")
-        return SymplecticVector(self.ring,
-                                tuple(a + b for a, b in zip(self.x, other.x)),
-                                tuple(a + b for a, b in zip(self.y, other.y)))
-
-    def scale(self, c: int) -> "SymplecticVector":
-        return SymplecticVector(self.ring,
-                                tuple(a.scale(c) for a in self.x),
-                                tuple(a.scale(c) for a in self.y))
-
-    def __bool__(self) -> bool:
-        return any(self.x) or any(self.y)
-
 
 def symplectic_product(u: SymplecticVector, v: SymplecticVector) -> RingElement:
     """<(a,b)|(a',b')>_s = b.a' - b'.a"""
@@ -153,6 +138,8 @@ class AdditiveCode(Frozen):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", generators)
+        if n < 0:
+            raise ValueError(f"code length n = {n} is negative")
         if any(g.ring != ring or g.n != n for g in generators):
             raise RingMismatch("generator does not match the code's ring or length")
 
@@ -162,7 +149,7 @@ class AdditiveCode(Frozen):
 
     @cached_property
     def expanded_matrix(self) -> ZpbMatrix:
-        rows = tuple(phi_expand(self.ring, g.components) for g in self.generators)
+        rows = tuple(phi_expand(g.components) for g in self.generators)
         return ZpbMatrix(self.ring.p, self.ring.b, self.ambient_cols, rows)
 
     @cached_property

@@ -40,17 +40,14 @@ class HyperbolicDecomposition(Frozen):
         return out
 
 
-def _greedy_extension(base: ZpbMatrix, candidates: Sequence[Tuple[int, ...]],
-                      limit: int | None = None) -> List[int]:
+def _greedy_extension(base: ZpbMatrix, candidates: Sequence[Tuple[int, ...]]) -> List[int]:
     """Indices of the candidates, in order, that each fall outside the span
-    of ``base``'s rows and the candidates already chosen, stopping once
-    ``limit`` are chosen.  Each chosen candidate joins the current Howell
-    rows, which span the same module as everything before them."""
+    of ``base``'s rows and the candidates already chosen, each chosen one
+    joining the current Howell rows.  On pM and M's rows that is a minimal
+    generating set of M: rank(M) rows, by Nakayama, with no count given."""
     chosen: List[int] = []
     H = howell_form(base)
     for i, cand in enumerate(candidates):
-        if len(chosen) == limit:
-            break
         if not howell_member(H, cand):
             chosen.append(i)
             H = howell_form(ZpbMatrix(H.p, H.b, H.cols, H.rows + (cand,)))
@@ -66,9 +63,9 @@ def _lift_quotient_basis(C: AdditiveCode) -> List[Tuple[int, ...]]:
     columns."""
     G, target = C.gram, C.rank(0)
     pG = ZpbMatrix(G.p, G.b, G.cols, tuple(tuple(G.p * x % G.modulus for x in r) for r in G.rows))
-    picks = _greedy_extension(pG, G.rows, target)
+    picks = _greedy_extension(pG, G.rows)
     if len(picks) != target:
-        raise InternalInvariantViolation("quotient basis lift fell short")
+        raise InternalInvariantViolation(f"quotient basis lift picked {len(picks)} rows, not {target}")
     return [C.expanded_smith.generators[i] for i in picks]
 
 

@@ -123,18 +123,11 @@ def minimum_entanglement_degree(C: AdditiveCode) -> int:
     return -(-r // (2 * C.ring.m))
 
 
-def build_minimal_extension(C: AdditiveCode) -> AdditiveCode:
-    """Minimal-degree chi-self-orthogonal extension C' of C, length n + c.
-
-    Appends only c = ceil(pairs / m) coordinates by packing up to m pairs
-    into one fresh ring coordinate via a symplectic subset with the grams'
-    exponents as targets.  Built and checked once per code; every call
-    returns that same code, ``C.extension``.
-    """
-    return C.extension
-
-
 def _minimal_extension(C: AdditiveCode) -> AdditiveCode:
+    """Minimal-degree chi-self-orthogonal extension C' of C, length n + c:
+    only c = ceil(pairs / m) coordinates, packing up to m pairs into one
+    fresh ring coordinate via a symplectic subset with the grams' exponents
+    as targets.  Built and checked once per code as ``C.extension``."""
     d = C.decomposition
     c = -(-d.c // C.ring.m)
     if c != minimum_entanglement_degree(C):
@@ -150,7 +143,7 @@ class EaqeccParams(Frozen):
 
     def __init__(self, n: int, c: int, K_exact: int, K_lower: int, K_upper: int,
                  K_lower_raw: Fraction, D: object, distance_case: str, rho: Tuple[int, ...],
-                 card_code: int, card_extended: int, ring: GaloisRingSpec):
+                 card_code: int, card_extended: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "K_exact", K_exact)
@@ -162,7 +155,6 @@ class EaqeccParams(Frozen):
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "card_code", card_code)
         object.__setattr__(self, "card_extended", card_extended)
-        object.__setattr__(self, "ring", ring)
 
 
 def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccParams:
@@ -191,4 +183,4 @@ def eaqecc_params(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) -> EaqeccPar
         n=n, c=c, K_exact=K_exact, K_lower=K_lower, K_upper=K_upper,
         K_lower_raw=K_lower_raw, D=D, rho=C.rho,
         distance_case="dual_subset_of_code" if C.dual_in_code else "dual_minus_code",
-        card_code=card_code, card_extended=card_extended, ring=ring)
+        card_code=card_code, card_extended=card_extended)

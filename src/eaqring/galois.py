@@ -225,12 +225,13 @@ def _dual_coords(z: RingElement) -> Tuple[int, ...]:
     return tuple(sum(c * g for c, g in zip(z.coeffs, row)) % N for row in z.ring._gram)
 
 
-def phi_expand(ring: GaloisRingSpec, vec: Sequence[RingElement]) -> Tuple[int, ...]:
-    """Expand a length-2n vector over the ring into 2nm residues.
+def phi_expand(vec: Sequence[RingElement]) -> Tuple[int, ...]:
+    """Expand a length-2n vector of ring elements into 2nm residues.
 
     The first half is expanded in power-basis coordinates and the second
     half in dual-basis coordinates; this is the unique mixed convention
-    under which Tr(<u|v>_s) = <phi(u)|phi(v)>_s holds identically.
+    under which Tr(<u|v>_s) = <phi(u)|phi(v)>_s holds identically.  Each
+    element is expanded in its own ring.
     """
     if len(vec) % 2:
         raise RingMismatch("vector length must be even")

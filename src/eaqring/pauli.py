@@ -29,12 +29,7 @@ from typing import TYPE_CHECKING, Callable, List, Mapping, Sequence, Tuple
 
 import math
 
-from .codes import (
-    DEFAULT_ENUM_LIMIT,
-    DEFAULT_MATRIX_DIM,
-    AdditiveCode,
-    _expanded_pairing,
-)
+from .codes import DEFAULT_ENUM_LIMIT, DEFAULT_MATRIX_DIM, AdditiveCode
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -240,28 +235,29 @@ def build_stabilizer(Cp: AdditiveCode,
     """Assemble A = { xi((X(v)Z(w))^{-1}) X(v)Z(w) : (v,w) in C' } for a
     chi-self-orthogonal code C', such as an extension.
 
-    Before any table or group work, a C' whose phi-expanded Smith generator
-    rows pair nontrivially under the integer trace form, so that the group
-    is not abelian, is rejected with ValueError.  The group generated by
-    omega*I and phase-free lifts g_i of those generators has the diagonal
-    relation lattice o_i g_i = phi_i (the scalar g_i^{o_i}), so the
-    character extension with xi(omega*I) = omega reduces to one congruence
-    o_i t_i = phi_i per generator.  The elements are g_1^{c_1} ... g_k^{c_k},
-    c_k fastest, with phase lowered by sum_i c_i t_i: each generator in turn
-    multiplies every prefix product by its powers, as index triples, which
-    the group keeps with its tables: no ring element is made.
+    Before any table or group work, a C' whose Gram matrix ``Cp.gram``
+    (Tr<s_i|s_j>_s over its phi-expanded Smith generators s_i) is not zero,
+    so that the group is not abelian, is rejected with ValueError; the form
+    is alternating, so its entries with i < j decide that.  The group
+    generated by omega*I and phase-free lifts g_i of those generators has
+    the diagonal relation lattice o_i g_i = phi_i (the scalar g_i^{o_i}),
+    so the character extension with xi(omega*I) = omega reduces to one
+    congruence o_i t_i = phi_i per generator.  The elements are
+    g_1^{c_1} ... g_k^{c_k}, c_k fastest, with phase lowered by
+    sum_i c_i t_i: each generator in turn multiplies every prefix product
+    by its powers, as index triples, which the group keeps with its
+    tables: no ring element is made.
     """
     ring, ntot = Cp.ring, Cp.n
     _check_dim(ring, ntot, max_dim, "q^(n+c)")
-    sd = Cp.expanded_smith
-    rows, nm = sd.generators, ntot * ring.m
-    if any(_expanded_pairing(u, v, nm, ring.modulus) for i, u in enumerate(rows) for v in rows[i + 1:]):
+    if any(any(r[i + 1:]) for i, r in enumerate(Cp.gram.rows)):
         raise ValueError("the code is not chi-self-orthogonal: "
                          "its generators pair nontrivially under the trace form")
+    sd = Cp.expanded_smith
     T = _Monomials(ring, ntot)
     elements: List[Triple] = [(0, (0,) * ntot, (0,) * ntot)]
     gens: List[Triple] = []
-    for row, e in zip(rows, sd.diag_exponents):
+    for row, e in zip(sd.generators, sd.diag_exponents):
         powers = _generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))
         elements = [T.multiply(P, g) for P in elements for g in powers]
         gens.append(powers[1])

@@ -10,7 +10,10 @@ another way, and nothing in the library calls them:
   reference for ``_Monomials``, which reads them off integers;
 - ``frobenius``, ``teichmuller_decompose`` and the Teichmuller table
   ``teich_mod_p``: references for ``gen_trace``;
-- ``symplectic_weight``: reference for ``codes.block_weights``;
+- ``symplectic_weight``: reference for ``codes.block_weights``, and
+  ``combine``, a sum of multiples of vectors over ring elements, which
+  the library only forms on phi-expanded rows; ``random_code``, the
+  tests' seeded random code;
 - ``build_extension``: the per-pair extension, one coordinate per
   hyperbolic pair, a second input to the verifier;
 - ``verify_quasi_symplectic``, ``verify_prop_count`` and ``contains``:
@@ -20,7 +23,7 @@ another way, and nothing in the library calls them:
 from __future__ import annotations
 
 import functools
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
 from eaqring.decompose import HyperbolicDecomposition
@@ -103,8 +106,28 @@ def symplectic_weight(v: SymplecticVector) -> int:
     return sum(1 for a, b in zip(v.x, v.y) if a or b)
 
 
+def combine(terms: Iterable[Tuple[int, SymplecticVector]]) -> SymplecticVector:
+    """sum_i c_i v_i over ring elements, for (c_i, v_i) pairs of one ring
+    and one length, at least one of them."""
+    terms = list(terms)
+    ring, n = terms[0][1].ring, terms[0][1].n
+    if any(v.ring != ring or v.n != n for _, v in terms):
+        raise DimensionMismatch("terms of different rings or lengths")
+    return SymplecticVector.from_components(ring, [
+        sum((v.components[i].scale(c) for c, v in terms), ring.zero) for i in range(2 * n)])
+
+
+def random_code(ring: GaloisRingSpec, n: int, k: int, rng) -> AdditiveCode:
+    """k generators of length n, each coordinate of each entry drawn
+    uniformly from ``rng``, entry by entry."""
+    N, m = ring.modulus, ring.m
+    return AdditiveCode(ring, n, tuple(SymplecticVector.from_components(
+        ring, [ring.element([rng.randrange(N) for _ in range(m)]) for _ in range(2 * n)])
+        for _ in range(k)))
+
+
 def contains(C: AdditiveCode, v: SymplecticVector) -> bool:
-    return howell_member(C.expanded_howell, phi_expand(C.ring, v.components))
+    return howell_member(C.expanded_howell, phi_expand(v.components))
 
 
 def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bool:
@@ -112,7 +135,7 @@ def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bo
     from level 0 to level t."""
     dual_t = C.dual(t)
     count = sum(1 for pair in d.pairs for member in pair
-                if howell_member(dual_t, phi_expand(C.ring, member.components)))
+                if howell_member(dual_t, phi_expand(member.components)))
     return count == C.rank(0) - C.rank(t)
 
 

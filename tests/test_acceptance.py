@@ -31,7 +31,6 @@ from eaqring.codes import (
 )
 from eaqring.decompose import hyperbolic_decompose
 from eaqring.extension import (
-    build_minimal_extension,
     eaqecc_params,
     minimum_entanglement_degree,
 )
@@ -45,7 +44,7 @@ from eaqring.pauli import (
     undetectable_error_search,
 )
 from eaqring.zpblinalg import quotient_rank
-from oracles import build_extension
+from oracles import build_extension, random_code
 
 
 def criterion(num):
@@ -73,16 +72,6 @@ CORPUS_SPECS = [
 ]
 
 PER_RING = 200
-
-
-def random_code(ring, n, k, rng):
-    gens = tuple(
-        SymplecticVector.from_components(
-            ring,
-            [ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
-             for _ in range(2 * n)])
-        for _ in range(k))
-    return AdditiveCode(ring, n, gens)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +144,7 @@ def test_criterion_3_extension(corpus, decomps):
             bound = card
             for t, r in enumerate(C.rho, start=1):
                 bound *= C.ring.p ** ((C.ring.b - t) * r)
-            for ext in (build_extension(C), build_minimal_extension(C)):
+            for ext in (build_extension(C), C.extension):
                 assert is_chi_self_orthogonal(ext)
                 assert same_module(puncture(ext, C.n), C)
                 assert card <= cardinality(ext) <= bound
@@ -247,7 +236,7 @@ def test_criterion_6_galois_packing():
             r = quotient_rank(C.expanded_howell, D.expanded_howell)
             degree = -(-r // (2 * ring.m))
             assert minimum_entanglement_degree(C) == degree
-            ext = build_minimal_extension(C)
+            ext = C.extension
             assert ext.n - C.n == degree
             assert is_chi_self_orthogonal(ext)
 
@@ -356,7 +345,7 @@ def test_criterion_8_pauli_ground_truth():
         for _ in range(6):
             n = rng.randint(1, nmax)
             C = random_code(ring, n, rng.randint(1, 2 * n * ring.m), rng)
-            ext = build_minimal_extension(C)
+            ext = C.extension
             if ring.cardinality ** ext.n > 256:
                 continue
             group = build_stabilizer(ext)

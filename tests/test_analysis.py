@@ -21,12 +21,13 @@ import eaqring.extension as extension_mod
 import eaqring.pauli as pauli_mod
 import eaqring.zpblinalg as zpb_mod
 from eaqring.cli import build_report, parse_code_text
-from eaqring.codes import AdditiveCode, SymplecticVector, chi_dual_level, code_intersection
+from eaqring.codes import AdditiveCode, chi_dual_level, code_intersection
 from eaqring.errors import InternalInvariantViolation
 from eaqring.decompose import hyperbolic_decompose
-from eaqring.extension import build_minimal_extension, eaqecc_params
+from eaqring.extension import eaqecc_params
 from eaqring.galois import make_ring, phi_expand
 from eaqring.zpblinalg import HowellBasis, ZpbMatrix, howell_form, quotient_rank
+from oracles import combine, random_code
 from test_census import all_codes
 
 CODES = {
@@ -35,13 +36,6 @@ CODES = {
     "F4": "ring p=2 b=1 m=2\nn 1\ngen 1,0 0,1\ngen 0,1 1,1\n",
     "GR42": "ring p=2 b=2 m=2\nn 1\ngen 1,0 0,0\ngen 0,1 2,0\n",
 }
-
-
-def random_code(ring, n, k, rng):
-    N, m = ring.modulus, ring.m
-    return AdditiveCode(ring, n, tuple(SymplecticVector.from_components(
-        ring, [ring.element([rng.randrange(N) for _ in range(m)]) for _ in range(2 * n)])
-        for _ in range(k)))
 
 
 def sample_codes(ring, rng):
@@ -53,7 +47,8 @@ def sample_codes(ring, rng):
         C = random_code(ring, rng.randint(1, 2), rng.randint(1, 4), rng)
         codes.append(C)
         g = C.generators
-        extra = (g[0] + g[-1], g[0].scale(ring.p), g[-1].scale(rng.randrange(ring.modulus)))
+        extra = (combine([(1, g[0]), (1, g[-1])]), combine([(ring.p, g[0])]),
+                 combine([(rng.randrange(ring.modulus), g[-1])]))
         codes.append(AdditiveCode(ring, C.n, g + extra))
     assert any(len(C.generators) > len(C.expanded_smith.diag_exponents) for C in codes)
     return codes
@@ -163,7 +158,7 @@ def test_the_library_frees_a_code_without_the_cyclic_collector(label):
     gc.disable()
     try:
         eaqecc_params(C)
-        group = pauli_mod.build_stabilizer(build_minimal_extension(C))
+        group = pauli_mod.build_stabilizer(C.extension)
         pauli_mod.undetectable_error_search(C, group)
         code = weakref.ref(C)
         del C
@@ -176,8 +171,8 @@ def test_repeated_calls_return_the_cached_objects():
     ring, C = parse_code_text(CODES["Z8"])
     d = hyperbolic_decompose(C)
     assert hyperbolic_decompose(C) is d
-    assert build_minimal_extension(C) is build_minimal_extension(C)
-    assert build_minimal_extension(C).generators[len(d.isotropic)].x[:C.n] == d.pairs[0][0].x
+    assert C.extension is C.extension
+    assert C.extension.generators[len(d.isotropic)].x[:C.n] == d.pairs[0][0].x
     assert C.dual(1) is C.dual(1)
     assert chi_dual_level(C, 1).expanded_howell is C.dual(1)
     assert C.meet is C.meet
@@ -202,7 +197,7 @@ def test_derived_codes_keep_consistent_howell_rows(ring_args):
             derived.append(code_intersection(C, derived[-1]))
         for D in derived:
             assert D.expanded_matrix.rows == tuple(
-                phi_expand(ring, g.components) for g in D.generators)
+                phi_expand(g.components) for g in D.generators)
             assert howell_form(D.expanded_matrix) == D.expanded_howell
 
 

@@ -34,5 +34,8 @@ def test_traced_workload_runs_on_a_copy(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+    if workload == "verify-small":
+        # the error search's cross-check walks C^chi and C cap C^chi on every file
+        assert result["metrics"]["zpblinalg.enumerate_module.elements"]["value"] > 0
     assert (tmp_path / "bench" / "out").is_dir()
     assert {p: p.stat().st_mtime_ns for p in (ROOT / "bench").rglob("*")} == before

@@ -15,7 +15,7 @@ import itertools
 import pytest
 
 from eaqring.codes import AdditiveCode, chi_dual_level, code_intersection
-from eaqring.extension import build_minimal_extension, eaqecc_params
+from eaqring.extension import eaqecc_params
 from eaqring.pauli import build_stabilizer, projector_dimension, undetectable_error_search
 from eaqring.galois import make_ring
 from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
@@ -70,7 +70,7 @@ def test_census(ring_args, n, count):
             assert C.rank(t) == quotient_rank(H, meet.expanded_howell)
         P = eaqecc_params(C)
         assert P.K_lower <= P.K_exact <= P.K_upper
-        group = build_stabilizer(build_minimal_extension(C))
+        group = build_stabilizer(C.extension)
         assert projector_dimension(group) == P.K_exact
         if not undetectable_error_search(C, group).set_matches_dual_minus_code:
             flag_false.append([list(r) for r in H.rows])

@@ -36,7 +36,7 @@ from eaqring.errors import (
     SearchLimitExceeded,
     size_text,
 )
-from eaqring.extension import build_minimal_extension, eaqecc_params
+from eaqring.extension import eaqecc_params
 from eaqring.galois import make_ring
 
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
@@ -102,6 +102,42 @@ def test_parse_errors():
         with pytest.raises(ParseError) as e:
             parse_code_text(text)
         assert (e.value.line, e.value.column) == (1, col)
+
+
+# the format's one integer grammar is an optional - and ASCII digits; int()
+# also takes each of these, as 1, 1, 1, 1 and 10
+NOT_INTEGERS = ["0_1", "+1", "\u0661", "\uff11", "1_0"]
+# (text with {} in one integer position, line and column of the token named)
+INTEGER_POSITIONS = {
+    "p": ("ring p={} b=1 m=1\nn 1\ngen 1 0\n", 1, 6),
+    "b": ("ring p=2 b={} m=1\nn 1\ngen 1 0\n", 1, 10),
+    "m": ("ring p=2 b=1 m={}\nn 1\ngen 1 0\n", 1, 14),
+    "h": ("ring p=2 b=1 m=2 h={},1,1\nn 1\ngen 1,0 0,0\n", 1, 18),
+    "n": ("ring p=2 b=1 m=1\nn {}\ngen 1 0\n", 2, 3),
+    "residue": ("ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 {}\n", 4, 7),
+    "coordinate": ("ring p=2 b=1 m=2\nn 1\ngen 1,0 0,{}\n", 3, 9),
+}
+
+
+@pytest.mark.parametrize("where", sorted(INTEGER_POSITIONS))
+def test_every_integer_is_an_optional_minus_and_ascii_digits(where):
+    """In each integer position a plain number parses, and every token that
+    int() reads but the grammar does not is a ParseError naming its line
+    and column, where the parser once read it as a number."""
+    text, line, column = INTEGER_POSITIONS[where]
+    parse_code_text(text.format("2" if where == "p" else "1"))
+    for token in NOT_INTEGERS:
+        with pytest.raises(ParseError) as e:
+            parse_code_text(text.format(token))
+        assert (e.value.line, e.value.column) == (line, column), token
+
+
+def test_negative_integers_keep_their_range_errors():
+    with pytest.raises(RangeError, match="residue -1 out of range"):
+        parse_code_text("ring p=2 b=2 m=1\nn 1\ngen -1 0\n")
+    with pytest.raises(RangeError, match="n must be positive, got -1"):
+        parse_code_text("ring p=2 b=2 m=1\nn -1\ngen 1 0\n")
+    assert parse_code_text("ring p=2 b=2 m=1\nn 01\ngen 01 -0\n")[1].n == 1
 
 
 def test_params_report_worked():
@@ -354,7 +390,7 @@ def test_library_rejects_a_negative_cap(entry):
     negative one, which is not a cap hit; 0 still caps every search.
     ``eaqecc_params`` raises before it builds a fresh code's extension."""
     _, C = parse_code_text(Z4_WORKED)
-    ext = build_minimal_extension(C)
+    ext = C.extension
     group = pauli.build_stabilizer(ext)
     call = LIBRARY_CAPS[entry]
     with pytest.raises(ValueError, match=r"^(limit|max_dim) = -1 is negative; 0 caps every search$"):

@@ -22,17 +22,8 @@ from eaqring.decompose import (
 from eaqring.errors import InternalInvariantViolation
 from eaqring.galois import gen_trace, make_ring
 from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
-from oracles import contains, verify_prop_count
+from oracles import combine, contains, random_code, verify_prop_count
 from test_census import all_codes
-
-
-def random_code(ring, n, k, rng):
-    N = ring.modulus
-    gens = []
-    for _ in range(k):
-        comps = [ring.element([rng.randrange(N) for _ in range(ring.m)]) for _ in range(2 * n)]
-        gens.append(SymplecticVector.from_components(ring, comps))
-    return AdditiveCode(ring, n, tuple(gens))
 
 
 RINGS = [
@@ -182,6 +173,7 @@ def test_lift_on_the_gram_rows_matches_the_oracle_on_random_codes(ring_args):
         n = rng.randint(1, 3)
         C = random_code(ring, n, rng.randint(1, 2 * n * ring.m), rng)
         g = C.generators
-        extra = (g[0] + g[-1], g[0].scale(ring.p), g[-1].scale(rng.randrange(ring.modulus)))
+        extra = (combine([(1, g[0]), (1, g[-1])]), combine([(ring.p, g[0])]),
+                 combine([(rng.randrange(ring.modulus), g[-1])]))
         for code in (C, AdditiveCode(ring, n, g + extra)):
             assert [list(r) for r in _lift_quotient_basis(code)] == lift_oracle(code)

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from eaqring.cli import run, serialize_code
 from eaqring.codes import AdditiveCode, SymplecticVector
 from eaqring.galois import make_ring
-from oracles import frobenius
+from oracles import combine, frobenius
 
 RINGS = {"F2": (2, 1, 1), "F4": (2, 1, 2), "Z4": (2, 2, 1), "Z8": (2, 3, 1), "Z9": (3, 2, 1),
          "GR(4,2)": (2, 2, 2)}
@@ -116,14 +116,11 @@ def transformed(draw, ring, C):
             gens = draw(st.permutations(gens))
         elif kind == "add" and len(gens) > 1:
             i, j = draw(st.lists(st.integers(0, len(gens) - 1), min_size=2, max_size=2, unique=True))
-            gens[i] = gens[i] + gens[j].scale(draw(st.integers(1, ring.modulus - 1)))
+            gens[i] = combine([(1, gens[i]), (draw(st.integers(1, ring.modulus - 1)), gens[j])])
         elif kind == "append":
             coeffs = draw(st.lists(st.integers(0, ring.modulus - 1),
                                    min_size=len(gens), max_size=len(gens)))
-            extra = gens[0].scale(coeffs[0])
-            for g, s in zip(gens[1:], coeffs[1:]):
-                extra = extra + g.scale(s)
-            gens.append(extra)
+            gens.append(combine(zip(coeffs, gens)))
     return AdditiveCode(ring, n, tuple(gens))
 
 

@@ -22,14 +22,13 @@ from eaqring.decompose import _check_partner_pairings, hyperbolic_decompose
 from eaqring.errors import CapacityExceeded, InternalInvariantViolation, ZeroTarget
 from eaqring.extension import (
     _check_extension,
-    build_minimal_extension,
     construct_symplectic_subset,
     eaqecc_params,
     minimum_entanglement_degree,
 )
 from eaqring.galois import gen_trace, make_ring
 import oracles
-from oracles import build_extension, verify_quasi_symplectic
+from oracles import build_extension, random_code, verify_quasi_symplectic
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +44,6 @@ def gr42():
 @pytest.fixture(scope="module")
 def worked(z4):
     return AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
-
-
-def random_code(ring, n, k, rng):
-    N = ring.modulus
-    gens = tuple(
-        SymplecticVector.from_components(
-            ring, [ring.element([rng.randrange(N) for _ in range(ring.m)]) for _ in range(2 * n)])
-        for _ in range(k))
-    return AdditiveCode(ring, n, gens)
 
 
 def exponents(pairs):
@@ -194,7 +184,7 @@ def test_check_extension_rejects_each_broken_invariant(z4, worked):
     # a free base with rho = (2,): |C'| = 2|C| is inside the sandwich
     free = AdditiveCode.from_int_rows(z4, [[1, 0, 0, 0], [0, 0, 2, 1]])
     assert is_free(free) and free.rho == (2,)
-    Cp = build_minimal_extension(free)
+    Cp = free.extension
     zeros = (z4.zero,) * Cp.n
     grown = padded(Cp, SymplecticVector(z4, zeros + (z4.scalar(2),), zeros + (z4.zero,)))
     with pytest.raises(InternalInvariantViolation, match="free base must extend without growth"):
@@ -225,7 +215,7 @@ def test_build_minimal_extension_packs_pairs(gr42):
     ))
     d = hyperbolic_decompose(full)
     assert d.c == 2  # naive pair count
-    ext = build_minimal_extension(full)
+    ext = full.extension
     assert ext.n - full.n == 1  # two pairs packed into one fresh coordinate
     assert is_chi_self_orthogonal(ext)
     assert same_module(puncture(ext, 1), full)
@@ -236,7 +226,7 @@ def test_minimal_extension_m1_matches_pair_count(z4):
     for _ in range(10):
         C = random_code(z4, 2, rng.randint(1, 3), rng)
         d = hyperbolic_decompose(C)
-        ext = build_minimal_extension(C)
+        ext = C.extension
         assert ext.n - C.n == d.c == minimum_entanglement_degree(C)
 
 
@@ -247,7 +237,7 @@ def test_extension_invariants_randomized(spec, n):
     for _ in range(8):
         C = random_code(ring, n, rng.randint(1, 3), rng)
         d = hyperbolic_decompose(C)
-        for ext in (build_extension(C), build_minimal_extension(C)):
+        for ext in (build_extension(C), C.extension):
             assert is_chi_self_orthogonal(ext)
             assert same_module(puncture(ext, n), C)
             card = cardinality(C)
@@ -258,7 +248,7 @@ def test_extension_invariants_randomized(spec, n):
             # extension's subset, and pair to the grams' exponents
             tails = tail_pairs(ext, n, len(d.isotropic))
             grams = tuple(gen_trace(g) for g in d.grams)
-            if ext is build_minimal_extension(C):
+            if ext is C.extension:
                 assert tails == construct_symplectic_subset(ring, ext.n - n, grams)
             assert exponents(tails) == grams
 

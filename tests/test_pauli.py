@@ -31,7 +31,6 @@ from eaqring.errors import (
     RingMismatch,
     SearchLimitExceeded,
 )
-from eaqring.extension import build_minimal_extension
 from eaqring.galois import RingElement, gen_trace, make_ring, phi_contract, phi_expand
 from eaqring.pauli import (
     PauliOperator,
@@ -270,7 +269,7 @@ def test_error_search_rejects_a_group_over_another_ring(z4, f4):
     search would run, on the wrong code space."""
     C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
     other = AdditiveCode(f4, 1, (SymplecticVector(f4, (f4.one,), (f4.zero,)),))
-    group = build_stabilizer(build_minimal_extension(other))
+    group = build_stabilizer(other.extension)
     with pytest.raises(RingMismatch):
         undetectable_error_search(C, group)
 
@@ -279,7 +278,7 @@ def test_error_search_rejects_a_group_on_fewer_coordinates(z4, monkeypatch):
     """A Z4 n = 2 code and the group of an n = 1 code, rejected before the
     projector is built."""
     C = AdditiveCode.from_int_rows(z4, [[1, 0, 0, 0], [0, 0, 2, 0]])
-    group = build_stabilizer(build_minimal_extension(AdditiveCode.from_int_rows(z4, [[1, 0]])))
+    group = build_stabilizer(AdditiveCode.from_int_rows(z4, [[1, 0]]).extension)
     monkeypatch.setattr(pauli, "stabilizer_projector", None)
     with pytest.raises(DimensionMismatch):
         undetectable_error_search(C, group)
@@ -390,7 +389,7 @@ def dense_error_search(C, group):
         M = U.conj().T @ dense_oracle(PauliOperator(ring, ntot, 0, a + zeros, b + zeros)) @ U
         w = sum(1 for x, z in zip(a, b) if x or z)
         if np.max(np.abs(M - M[0, 0] * np.eye(K))) > 1e-8:
-            undet.add(phi_expand(ring, ab))
+            undet.add(phi_expand(ab))
             best = min(best, w)
         if K == 1 and abs(M[0, 0]) > 1e-8:
             dim1 = min(dim1, w)
@@ -429,7 +428,7 @@ def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4], dims=range(65),
             ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
             for _ in range(2 * n)]) for _ in range(rng.randint(1, 2 * n * ring.m)))
         C = AdditiveCode(ring, n, gens)
-        ext = build_minimal_extension(C)
+        ext = C.extension
         if ring.cardinality ** ext.n in dims:
             out.append((C, ext, build_stabilizer(ext)))
     return out
@@ -578,7 +577,7 @@ def test_set_matches_dual_minus_code_against_contains_oracle():
     # the undetectable set is C^chi minus Z, not C^chi minus C: on this Z4
     # code it has 14 vectors against 12, so the flag reads false
     ring, C = cli.parse_code_text("ring p=2 b=2 m=1\nn 2\ngen 1 3 1 1\ngen 2 1 2 1\n")
-    res = undetectable_error_search(C, build_stabilizer(build_minimal_extension(C)))
+    res = undetectable_error_search(C, build_stabilizer(C.extension))
     assert (len(res.undetectable), len(dual_minus_code_by_contains(C))) == (14, 12)
     assert not res.set_matches_dual_minus_code
 
@@ -686,7 +685,7 @@ def test_build_stabilizer_matches_oracle_on_zero_code_and_large_group(z4):
     assert build_stabilizer(zero).elements == tuple(map(T.from_operator, stabilizer_by_compose(zero)))
     ring, C = cli.parse_code_text(
         "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n")
-    ext = build_minimal_extension(C)
+    ext = C.extension
     group = build_stabilizer(ext)
     got = group.elements
     assert len(got) == 256
@@ -724,7 +723,7 @@ def test_build_stabilizer_rejects_the_base_code(z4, monkeypatch):
     with pytest.raises(ValueError, match="^the code is not chi-self-orthogonal"):
         build_stabilizer(C)
     monkeypatch.undo()
-    assert build_stabilizer(build_minimal_extension(C)).size == 16
+    assert build_stabilizer(C.extension).size == 16
 
 
 @pytest.mark.parametrize("text", ["ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n",
@@ -734,7 +733,7 @@ def test_build_stabilizer_makes_no_ring_element(monkeypatch, text):
     code, ``build_stabilizer`` creates no ring element, and the group it
     returns holds only triples of ints."""
     ring, C = cli.parse_code_text(text)
-    ext = build_minimal_extension(C)
+    ext = C.extension
     made, init = [], RingElement.__init__
 
     def counting_init(self, *args):
@@ -754,7 +753,7 @@ def test_check_stabilizer_decides_closure_past_64_elements():
     Z8 code passes, and fails with any one element dropped."""
     ring, C = cli.parse_code_text(
         "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n")
-    ext = build_minimal_extension(C)
+    ext = C.extension
     group = build_stabilizer(ext)
     T, sd = group._tables, ext.expanded_smith
     gens = [pauli._generator_powers(T, T.from_row(row), ring.p ** (ring.b - e))[1]

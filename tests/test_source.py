@@ -25,7 +25,7 @@ from eaqring import pauli
 from eaqring.codes import AdditiveCode, SymplecticVector
 from eaqring.decompose import hyperbolic_decompose
 from eaqring.errors import DimensionMismatch, RingMismatch
-from eaqring.extension import build_minimal_extension, eaqecc_params
+from eaqring.extension import eaqecc_params
 from eaqring.galois import RingElement, make_ring
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -118,7 +118,7 @@ def _value_objects():
     ``PauliOperator``, which only ``pauli_matrix`` reads, built directly."""
     ring = make_ring(2, 2, 1)
     C = AdditiveCode.from_int_rows(ring, [[1, 0], [0, 2]])
-    ext = build_minimal_extension(C)
+    ext = C.extension
     group = pauli.build_stabilizer(ext)
     return [C.expanded_matrix, C.expanded_howell, C.expanded_smith, ring, ring.one,
             C.generators[0], C, hyperbolic_decompose(C), eaqecc_params(C),
@@ -136,7 +136,7 @@ FIELDS = {
     "AdditiveCode": ("ring", "n", "generators"),
     "HyperbolicDecomposition": ("isotropic", "pairs", "grams"),
     "EaqeccParams": ("n", "c", "K_exact", "K_lower", "K_upper", "K_lower_raw", "D",
-                     "distance_case", "rho", "card_code", "card_extended", "ring"),
+                     "distance_case", "rho", "card_code", "card_extended"),
     "PauliOperator": ("ring", "n", "phase_exp", "a", "b"),
     "StabilizerGroup": ("ring", "n", "elements"),
     "ErrorSearchResult": ("dimension", "undetectable", "min_weight",
@@ -218,6 +218,29 @@ def test_every_public_name_has_a_caller():
                if named[q.rpartition(".")[2]] <= defined[q.rpartition(".")[2]]]
     assert unnamed == []
     assert ("codes.py", "AdditiveCode.dual") in definitions
+
+
+def test_every_parameter_is_read():
+    """Every named parameter of a function or lambda in the package is read
+    in its body, so no argument is a knob without a reader.  Exempt are a
+    dunder method's parameters, whose signature Python fixes, and the
+    instance or class a method is bound to."""
+    unread = []
+    for name, tree in _trees().items():
+        bound = {id(f.args.args[0]) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef) and f.args.args}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)) or re.fullmatch(
+                    r"__\w+__", getattr(node, "name", "")):
+                continue
+            a = node.args
+            params = [x for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if x is not None and id(x) not in bound]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{name}:{node.lineno} {x.arg}" for x in params if x.arg not in read]
+    assert unread == []
 
 
 def test_no_module_imports_test_code():
