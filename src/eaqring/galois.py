@@ -10,15 +10,21 @@ dual basis and phi are read off the power-basis coordinates of theta^k for
 k <= 2m - 2, and h is checked by square-and-multiply.  The ring keeps no
 Teichmuller table; the trace's references in the tests (Teichmuller digits
 and the Frobenius) build their own.
+
+``make_ring`` keeps one shared ring per (p, b, m, h) per process, so every
+code over GR(p^b, m) reuses one set of trace and dual-basis tables; a call
+that raises is never cached.  The ring caches plain integers only (no
+element, which would point back at it).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from typing import List, Sequence, Tuple
 
 from .errors import (
+    DimensionMismatch,
     HPolyInvalid,
     InternalInvariantViolation,
     RingMismatch,
@@ -86,14 +92,8 @@ class GaloisRingSpec(Frozen):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "h_coeffs", h_coeffs)
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.b
-
-    @property
-    def cardinality(self) -> int:
-        return self.p ** (self.b * self.m)
+        object.__setattr__(self, "modulus", p ** b)
+        object.__setattr__(self, "cardinality", p ** (b * m))
 
     def element(self, coeffs: Sequence[int]) -> "RingElement":
         N = self.modulus
@@ -234,7 +234,7 @@ def phi_expand(vec: Sequence[RingElement]) -> Tuple[int, ...]:
     element is expanded in its own ring.
     """
     if len(vec) % 2:
-        raise RingMismatch("vector length must be even")
+        raise DimensionMismatch("vector length must be even")
     n = len(vec) // 2
     out: List[int] = []
     for r in vec[:n]:
@@ -248,7 +248,7 @@ def phi_contract(ring: GaloisRingSpec, flat: Sequence[int]) -> Tuple[RingElement
     """Inverse of phi_expand."""
     m = ring.m
     if len(flat) % (2 * m):
-        raise RingMismatch("flat length must be a multiple of 2m")
+        raise DimensionMismatch("flat length must be a multiple of 2m")
     n, N, dual = len(flat) // (2 * m), ring.modulus, ring._dual_coeffs
     out: List[RingElement] = []
     for i in range(n):
@@ -277,8 +277,14 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
     constant terms are walked.  Then replaces hbar by the product of
     (x - theta^{p^i}) over the Teichmuller conjugates, the unique lift
     dividing x^{p^m-1} - 1 over Z_{p^b}.  A caller-supplied h is validated
-    against the same invariants instead.
+    against the same invariants instead.  Equal arguments, h as a list or
+    a tuple, return the identical ring.
     """
+    return _make_ring(p, b, m, None if h_coeffs is None else tuple(h_coeffs))
+
+
+@cache
+def _make_ring(p: int, b: int, m: int, h_coeffs: Tuple[int, ...] | None) -> GaloisRingSpec:
     check_ring_size(p, b, m)
     factors = _prime_factors(p ** m - 1)
 

@@ -254,6 +254,19 @@ def test_sample_reports_are_pinned(tmp_path, ring):
             assert sample_digests(text, tmp_path / "code.txt") == pins[name], name
 
 
+def test_sample_reports_are_pinned_with_warm_rings(tmp_path):
+    """With every ring built and its trace and dual-basis tables filled
+    first, each file parses to that one shared ring and all 48 files'
+    reports still match their pins."""
+    rings = {name: make_ring(*spec) for name, spec in SAMPLE_RINGS.items()}
+    for ring in rings.values():
+        ring.tr_powers, ring._dual_coeffs
+    pins = json.loads(SAMPLE_PINS.read_text())
+    for name, text in sample_code_texts().items():
+        assert parse_code_text(text)[0] is rings[name.partition("-")[0]], name
+        assert sample_digests(text, tmp_path / "code.txt") == pins[name], name
+
+
 def test_sample_reaches_smith_exponents_of_two():
     exponents = {e for text in sample_code_texts().values()
                  for e in parse_code_text(text)[1].expanded_smith.diag_exponents}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eaqring.galois as galois_mod
-from eaqring.errors import HPolyInvalid, ParameterTooLarge
+from eaqring.errors import DimensionMismatch, HPolyInvalid, InternalInvariantViolation, ParameterTooLarge
 from eaqring.galois import (
     _check_h_divides,
     _is_primitive_mod_p,
@@ -97,6 +97,12 @@ def h_divides_by_division(h, p, b, m):
     return not any(rem)
 
 
+def fresh_ring(p, b, m, h_coeffs=None):
+    """A construction that bypasses ``make_ring``'s memo: it runs every step
+    and returns a ring that the memo does not hold."""
+    return galois_mod._make_ring.__wrapped__(p, b, m, h_coeffs)
+
+
 @pytest.fixture(scope="module")
 def gr42():
     return make_ring(2, 2, 2)
@@ -166,13 +172,80 @@ def test_candidate_filter_keeps_the_full_search_order():
 def test_make_ring_tests_few_candidates(monkeypatch, spec):
     """Rings whose unfiltered search tests tens of thousands of candidates
     or more (every tail of constant term 0 first): the filtered one tests
-    at most 100."""
+    at most 100.  Counted on a fresh construction, since a memoized ring
+    tests none."""
     calls = []
     orig = galois_mod._is_primitive_mod_p
     monkeypatch.setattr(galois_mod, "_is_primitive_mod_p", lambda *a: calls.append(a) or orig(*a))
-    ring = make_ring(*spec)
+    ring = fresh_ring(*spec)
     assert (ring.p, ring.b, ring.m) == spec
     assert 0 < len(calls) <= 100
+    assert ring == make_ring(*spec)
+
+
+def test_make_ring_returns_one_shared_ring():
+    """Equal arguments, h as a list or a tuple, give the identical ring, so
+    every code over it shares its trace and dual-basis tables."""
+    ring = make_ring(3, 2, 2)
+    assert make_ring(3, 2, 2) is ring
+    assert make_ring(3, 2, 2, list(ring.h_coeffs)) is make_ring(3, 2, 2, tuple(ring.h_coeffs))
+    assert make_ring(3, 2, 2, ring.h_coeffs) == ring
+    fresh = fresh_ring(3, 2, 2)
+    assert fresh == ring and fresh is not ring
+    assert (ring.modulus, ring.cardinality) == (9, 81)
+
+
+def test_make_ring_caches_no_raising_call(monkeypatch):
+    """An invalid h raises on every call, and a failed construction leaves
+    nothing behind: the next call with the same arguments runs again."""
+    for _ in range(3):
+        with pytest.raises(HPolyInvalid):
+            make_ring(2, 2, 2, [1, 0, 1])
+        with pytest.raises(HPolyInvalid):
+            make_ring(2, 2, 2, (3, 1, 1))
+    calls = []
+    orig = galois_mod._is_primitive_mod_p
+    monkeypatch.setattr(galois_mod, "_is_primitive_mod_p", lambda *a: calls.append(a) or orig(*a))
+    for _ in range(2):
+        with pytest.raises(HPolyInvalid):
+            make_ring(2, 2, 3, [1, 0, 0, 1])
+    assert len(calls) == 2
+
+
+def patch_poly_pow(monkeypatch, exponent, result):
+    """Make ``_poly_pow_mod`` return ``result(a, N)`` for one exponent and
+    compute every other power as before."""
+    orig = galois_mod._poly_pow_mod
+    monkeypatch.setattr(galois_mod, "_poly_pow_mod", lambda a, e, h, N:
+                        result(tuple(a), N) if e == exponent else orig(a, e, h, N))
+
+
+def test_each_ring_construction_check_fires(monkeypatch):
+    """Each of the five checks of the construction of GR(4, 2) raises on a
+    fresh construction once an upstream helper is broken.  Its
+    Teichmuller iteration powers by p^m = 4 and its conjugates by p = 2."""
+    with monkeypatch.context() as mp:
+        mp.setattr(galois_mod, "_is_primitive_mod_p", lambda *a: False)
+        with pytest.raises(InternalInvariantViolation, match="^no primitive polynomial found$"):
+            fresh_ring(2, 2, 2)
+    with monkeypatch.context() as mp:
+        patch_poly_pow(mp, 4, lambda a, N: tuple((c + 1) % N for c in a))  # never a fixed point
+        with pytest.raises(InternalInvariantViolation, match="^Teichmuller iteration did not converge$"):
+            fresh_ring(2, 2, 2)
+    with monkeypatch.context() as mp:
+        patch_poly_pow(mp, 2, lambda a, N: a)  # every conjugate is theta: h = (x - theta)^2
+        with pytest.raises(InternalInvariantViolation, match="^lifted polynomial has non-scalar coefficients$"):
+            fresh_ring(2, 2, 2)
+    with monkeypatch.context() as mp:
+        patch_poly_pow(mp, 4, lambda a, N: (1, 0))  # the iteration settles on 1: h = (x - 1)^2
+        with pytest.raises(InternalInvariantViolation, match="^lifted polynomial does not reduce to hbar$"):
+            fresh_ring(2, 2, 2)
+    ring = fresh_ring(2, 2, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(galois_mod, "howell_form", lambda M: M)  # [gram | I] left unreduced
+        with pytest.raises(InternalInvariantViolation, match="^the trace form is not invertible$"):
+            ring._dual_coeffs
+    assert ring._dual_coeffs == make_ring(2, 2, 2)._dual_coeffs
 
 
 def test_make_ring_errors():
@@ -395,6 +468,14 @@ def test_phi_pairing_preservation(spec):
         assert flat == symplectic_exponent(ring, u, v)
 
 
+def test_phi_rejects_wrong_lengths_as_a_dimension_mismatch():
+    z4, gr42 = make_ring(2, 2, 1), make_ring(2, 2, 2)
+    with pytest.raises(DimensionMismatch, match="even"):
+        phi_expand([z4.one])
+    with pytest.raises(DimensionMismatch, match="multiple of 2m"):
+        phi_contract(gr42, (1, 0, 0))
+
+
 @pytest.mark.parametrize("spec", [(2, 2, 1), (2, 2, 2), (3, 2, 2)])
 def test_phi_roundtrip(spec):
     ring = make_ring(*spec)
@@ -420,10 +501,11 @@ def test_ring_axioms(spec, data):
 
 def test_ring_is_freed_without_the_cyclic_collector():
     """The ring caches plain integers only, so dropping the last reference
-    frees it by reference counting alone."""
+    frees it by reference counting alone.  Checked on a ring that
+    ``make_ring``'s memo does not hold."""
     gc.disable()
     try:
-        ring = make_ring(2, 2, 3)
+        ring = fresh_ring(2, 2, 3)
         v = (ring.element([1, 2, 3]), ring.theta, ring.one, ring.zero)
         assert phi_contract(ring, phi_expand(v)) == v
         assert len(ring.dual) == 3
