@@ -18,8 +18,6 @@ from .codes import (
     is_chi_self_orthogonal,
     is_free,
     min_symplectic_distance,
-    puncture,
-    same_module,
     symplectic_product,
 )
 from .decompose import HyperbolicDecomposition, hyperbolic_decompose
@@ -68,8 +66,6 @@ __all__ = [
     "phi_contract",
     "phi_expand",
     "projector_dimension",
-    "puncture",
-    "same_module",
     "symplectic_product",
     "undetectable_error_search",
 ]

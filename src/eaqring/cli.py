@@ -222,7 +222,7 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         report["card_extended"] = cardinality(Cp)
         report["extended_generators"] = [_entry_lists(g) for g in Cp.generators]
     elif command == "dual":
-        dual = chi_dual_level(C, 0)
+        dual = chi_dual_level(C)
         report["dual_generators"] = [_entry_lists(g) for g in dual.generators]
         report["card_code"] = cardinality(C)
         report["card_dual"] = cardinality(dual)

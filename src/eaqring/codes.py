@@ -1,16 +1,16 @@
 """Additive codes C over GR(p^b,m)^{2n}: symplectic products and weights,
-chi-duals at every level, cardinalities, puncturing, and the
-exhaustive minimum symplectic distance, weighed a block of packed ints at a time.
+the chi-dual, cardinalities, and the exhaustive minimum symplectic
+distance, weighed a block of packed ints at a time.
 
 Internally every code is its phi-expanded row module over Z_{p^b}^{2nm},
-and it keeps its ring-level generators.  Derived modules (the chi-dual
-levels, C cap C^chi) stay Howell bases of expanded rows; only the public
+and it keeps its ring-level generators.  Derived modules (the chi-dual,
+C cap C^chi) stay Howell bases of expanded rows; only the public
 ``chi_dual_level`` and ``code_intersection`` wrap one as a code.
 
 Codes are immutable, so every object derived from one is computed once per
 code and kept on it: the expanded matrix and its Howell and Smith forms, the
 objects read off C's Smith generators and their integer Gram matrix (rank,
-rho and C cap C^chi; a chi-dual level only when asked for), and the checked
+rho and C cap C^chi; the chi-dual only when asked for), and the checked
 decomposition and minimal extension.  None of them refers back to the code,
 so the caches live and die with it, freed by reference counting alone.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -128,8 +128,9 @@ class AdditiveCode(Frozen):
     counts the Smith exponents of G below b - t, rho_t counts those equal
     to b - t, and ``meet`` = C cap C^{chi} is {x*S : x*G = 0}, read off
     one Howell form of [G | S] with no kernel and no intersection.  The
-    chi-dual levels (``dual``) are built only when asked for.  Both are
-    Howell bases of expanded rows.  ``dual_in_code`` picks D's search set.
+    chi-dual (``dual``) is built only when asked for, at level 0 alone,
+    since G's Smith form gives every level's rank.  Both are Howell bases
+    of expanded rows.  ``dual_in_code`` picks D's search set.
     On top sit the checked hyperbolic decomposition and minimal extension.
     Every invariant check runs when its object is first built.
     """
@@ -178,26 +179,16 @@ class AdditiveCode(Frozen):
         n = len(rows[0]) // 2
         return cls(ring, n, tuple(SymplecticVector.from_ints(ring, r) for r in rows))
 
-    def _check_level(self, t: int) -> None:
-        if not 0 <= t <= self.ring.b:
-            raise ValueError(f"level t = {t} out of range 0..{self.ring.b}")
-
     @cached_property
-    def _duals(self) -> Dict[int, HowellBasis]:
-        return {}
-
-    def dual(self, t: int) -> HowellBasis:
-        """C^{chi-dual, t} = (p^t C)^{chi}, for 0 <= t <= b, checked against
-        |(p^t C)^{chi}| * |p^t C| = q^{2n}."""
-        self._check_level(t)
-        if t not in self._duals:
-            p, b = self.ring.p, self.ring.b
-            H = kernel(_pairing_columns(self, p ** t))
-            scaled = math.prod(p ** max(0, b - t - e) for e in self.expanded_smith.diag_exponents)
-            if H.cardinality * scaled != self.ring.cardinality ** (2 * self.n):
-                raise InternalInvariantViolation(f"|C^(chi,{t})| * |p^{t} C| is not q^(2n)")
-            self._duals[t] = H
-        return self._duals[t]
+    def dual(self) -> HowellBasis:
+        """C^{chi-dual}, checked against |C^{chi}| * |C| = q^{2n}, |C| read
+        off C's Smith exponents."""
+        p, b = self.ring.p, self.ring.b
+        H = kernel(_pairing_columns(self))
+        size = math.prod(p ** (b - e) for e in self.expanded_smith.diag_exponents)
+        if H.cardinality * size != self.ring.cardinality ** (2 * self.n):
+            raise InternalInvariantViolation("|C^(chi,0)| * |p^0 C| is not q^(2n)")
+        return H
 
     @cached_property
     def gram(self) -> ZpbMatrix:
@@ -228,7 +219,8 @@ class AdditiveCode(Frozen):
     def rank(self, t: int) -> int:
         """rank(C / (C cap C^{chi-dual, t})), for 0 <= t <= b; at t = 0 this
         is twice the number of hyperbolic pairs."""
-        self._check_level(t)
+        if not 0 <= t <= self.ring.b:
+            raise ValueError(f"level t = {t} out of range 0..{self.ring.b}")
         return sum(1 for e in self.gram_exponents if e < self.ring.b - t)
 
     @cached_property
@@ -258,25 +250,20 @@ def cardinality(C: AdditiveCode) -> int:
     return C.expanded_howell.cardinality
 
 
-def same_module(C1: AdditiveCode, C2: AdditiveCode) -> bool:
-    return C1.expanded_howell == C2.expanded_howell
-
-
-def _pairing_columns(C: AdditiveCode, scale: int) -> ZpbMatrix:
-    """Matrix whose columns are scale * (-B_c, A_c) over C's Smith
-    generators c; a vector v is chi-orthogonal (at the given scale) to C
-    iff phi(v) lies in the kernel."""
+def _pairing_columns(C: AdditiveCode) -> ZpbMatrix:
+    """Matrix whose columns are (-B_c, A_c) over C's Smith generators c; a
+    vector v is chi-orthogonal to C iff phi(v) lies in the kernel."""
     gens = C.expanded_smith.generators
     N, nm = C.ring.modulus, C.n * C.ring.m
-    rows = tuple(tuple((-scale * g[nm + i]) % N for g in gens) for i in range(nm))
-    rows += tuple(tuple((scale * g[i]) % N for g in gens) for i in range(nm))
+    rows = tuple(tuple(-g[nm + i] % N for g in gens) for i in range(nm))
+    rows += tuple(tuple(g[i] for g in gens) for i in range(nm))
     return ZpbMatrix(C.ring.p, C.ring.b, len(gens), rows)
 
 
-def chi_dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
-    """C^{chi-dual, t}: vectors v with Tr(<v|c>_s) = 0 mod p^{b-t} for all
-    c in C.  t = 0 is the plain chi-dual; t = b is the full ambient space."""
-    return AdditiveCode.from_expanded(C.ring, C.n, C.dual(t))
+def chi_dual_level(C: AdditiveCode) -> AdditiveCode:
+    """C^{chi-dual} as a code: the vectors v with Tr(<v|c>_s) = 0 for all c
+    in C."""
+    return AdditiveCode.from_expanded(C.ring, C.n, C.dual)
 
 
 def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
@@ -309,7 +296,7 @@ def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) ->
     if size > limit:
         raise SearchLimitExceeded(size, limit)
     skip = None if C.dual_in_code else C.expanded_howell
-    table, highs = packed_blocks(C.dual(0))
+    table, highs = packed_blocks(C.dual)
     weights, L, cols = block_weights(n, m, N), lane_width(N), 2 * n * m
     best = math.inf
     for h in highs:
@@ -328,14 +315,6 @@ def min_symplectic_distance(C: AdditiveCode, limit: int = DEFAULT_ENUM_LIMIT) ->
         if best == 1:
             break
     return best
-
-
-def puncture(C: AdditiveCode, keep_n: int) -> AdditiveCode:
-    """Drop the last n - keep_n coordinates of each half."""
-    if not 0 <= keep_n <= C.n:
-        raise DimensionMismatch(f"keep_n = {keep_n} out of range for n = {C.n}")
-    gens = tuple(SymplecticVector(C.ring, g.x[:keep_n], g.y[:keep_n]) for g in C.generators)
-    return AdditiveCode(C.ring, keep_n, gens)
 
 
 def is_free(C: AdditiveCode) -> bool:

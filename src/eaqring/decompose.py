@@ -148,18 +148,23 @@ def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
     return d
 
 
-def _check_partner_pairings(gens: Sequence[SymplecticVector], k: int) -> None:
+def _check_partner_pairings(gens: Sequence[SymplecticVector], k: int) -> Tuple[int, ...]:
     """Check, over every ordered pair of ``gens``, that the character
-    pairing is nontrivial exactly between partners.  The first k vectors
-    are isotropic; the rest are pairs listed member by member."""
+    pairing is nontrivial exactly between partners, and return each pair's
+    exponent gen_trace(<a|b>_s), pair by pair.  The first k vectors are
+    isotropic; the rest are pairs (a, b) listed member by member."""
+    exponents = []
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
             ell = gen_trace(symplectic_product(g, h))
             if i >= k and j >= k and i != j and (i - k) // 2 == (j - k) // 2:
                 if ell == 0:
                     raise InternalInvariantViolation("partners pair character-trivially")
+                if i < j:
+                    exponents.append(ell)
             elif ell != 0:
                 raise InternalInvariantViolation("non-partners pair character-nontrivially")
+    return tuple(exponents)
 
 
 def _check_decomposition(d: HyperbolicDecomposition, C: AdditiveCode) -> None:

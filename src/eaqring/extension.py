@@ -25,9 +25,6 @@ from .codes import (
     is_chi_self_orthogonal,
     is_free,
     min_symplectic_distance,
-    puncture,
-    same_module,
-    symplectic_product,
 )
 from .decompose import _check_partner_pairings
 from .errors import (
@@ -38,6 +35,7 @@ from .errors import (
 )
 from .frozen import Frozen
 from .galois import GaloisRingSpec, RingElement, gen_trace
+from .zpblinalg import ZpbMatrix, howell_form
 
 
 TailPairs = Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
@@ -52,10 +50,15 @@ def _rho_growth(C: AdditiveCode) -> int:
 
 def _check_extension(Cp: AdditiveCode, C: AdditiveCode) -> None:
     """C' is chi-self-orthogonal, punctures back to C, lies in the rho
-    sandwich |C| <= |C'| <= |C| * _rho_growth(C), and is |C| if C is free."""
+    sandwich |C| <= |C'| <= |C| * _rho_growth(C), and is |C| if C is free.
+    phi acts coordinate by coordinate, so C' punctured to its first n
+    coordinates is its expanded rows cut to the first nm columns of each
+    half."""
     if not is_chi_self_orthogonal(Cp):
         raise InternalInvariantViolation("extension is not chi-self-orthogonal")
-    if not same_module(puncture(Cp, C.n), C):
+    ring, nm, half = C.ring, C.n * C.ring.m, Cp.n * C.ring.m
+    cut = tuple(r[:nm] + r[half:half + nm] for r in Cp.expanded_matrix.rows)
+    if howell_form(ZpbMatrix(ring.p, ring.b, 2 * nm, cut)) != C.expanded_howell:
         raise InternalInvariantViolation("puncturing does not recover the base code")
     card_c, card_ext = cardinality(C), cardinality(Cp)
     if not card_c <= card_ext <= card_c * _rho_growth(C):
@@ -109,9 +112,8 @@ def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
         k, ell = divmod(j, ring.m)
         pairs.append((SymplecticVector(ring, _at(ring, c, k, dual[ell].scale(-z)), zeros),
                       SymplecticVector(ring, zeros, _at(ring, c, k, ring.theta ** ell))))
-    if tuple(gen_trace(symplectic_product(a, b)) for a, b in pairs) != zs:
+    if _check_partner_pairings([v for pair in pairs for v in pair], 0) != zs:
         raise InternalInvariantViolation("a constructed pair misses its target exponent")
-    _check_partner_pairings([v for pair in pairs for v in pair], 0)
     return tuple(pairs)
 
 

@@ -278,7 +278,7 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
     (x - theta^{p^i}) over the Teichmuller conjugates, the unique lift
     dividing x^{p^m-1} - 1 over Z_{p^b}.  A caller-supplied h is validated
     against the same invariants instead.  Equal arguments, h as a list or
-    a tuple, return the identical ring.
+    a tuple and any h equal mod p^b, return the identical ring.
     """
     return _make_ring(p, b, m, None if h_coeffs is None else tuple(h_coeffs))
 
@@ -286,10 +286,12 @@ def make_ring(p: int, b: int, m: int, h_coeffs: Sequence[int] | None = None) -> 
 @cache
 def _make_ring(p: int, b: int, m: int, h_coeffs: Tuple[int, ...] | None) -> GaloisRingSpec:
     check_ring_size(p, b, m)
+    h = None if h_coeffs is None else tuple(c % p ** b for c in h_coeffs)
+    if h != h_coeffs:  # one memo entry builds the ring of each h mod p^b
+        return _make_ring(p, b, m, h)
     factors = _prime_factors(p ** m - 1)
 
-    if h_coeffs is not None:
-        h = tuple(c % p ** b for c in h_coeffs)
+    if h is not None:
         if len(h) != m + 1 or h[m] != 1:
             raise HPolyInvalid("h must be monic of degree m")
         hbar = tuple(c % p for c in h)

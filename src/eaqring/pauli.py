@@ -418,7 +418,7 @@ def undetectable_error_search(C: AdditiveCode, group: StabilizerGroup,
                 best = min(best, w)
             if nonzero >> at & mask:
                 dim1_best = min(dim1_best, w)
-    want = set(enumerate_module(C.dual(0)))
+    want = set(enumerate_module(C.dual))
     want -= set(enumerate_module(C.meet))  # C^chi \ C = C^chi \ (C cap C^chi)
     return ErrorSearchResult(dimension=K, undetectable=tuple(sorted(undet)), min_weight=best,
                              set_matches_dual_minus_code=set(undet) == want,

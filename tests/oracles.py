@@ -14,6 +14,10 @@ another way, and nothing in the library calls them:
   ``combine``, a sum of multiples of vectors over ring elements, which
   the library only forms on phi-expanded rows; ``random_code``, the
   tests' seeded random code;
+- ``dual_level``: the chi-dual at every level t, reference for the rank
+  profile that the Gram matrix's Smith form gives (the library builds
+  level 0 only); ``puncture`` and ``same_module``, the ring-level form of
+  the puncture check that ``_check_extension`` makes on expanded columns;
 - ``build_extension``: the per-pair extension, one coordinate per
   hyperbolic pair, a second input to the verifier;
 - ``verify_quasi_symplectic``, ``verify_prop_count`` and ``contains``:
@@ -23,15 +27,16 @@ another way, and nothing in the library calls them:
 from __future__ import annotations
 
 import functools
+import math
 from typing import Dict, Iterable, Sequence, Tuple
 
-from eaqring.codes import AdditiveCode, SymplecticVector, symplectic_product
+from eaqring.codes import AdditiveCode, SymplecticVector, _pairing_columns, symplectic_product
 from eaqring.decompose import HyperbolicDecomposition
 from eaqring.errors import DimensionMismatch, InternalInvariantViolation, RingMismatch
 from eaqring.extension import _at, _extend
 from eaqring.galois import GaloisRingSpec, RingElement, _dual_coords, _poly_mul_mod, gen_trace, phi_expand
 from eaqring.pauli import PauliOperator, StabilizerGroup, omega_modulus
-from eaqring.zpblinalg import ZpbMatrix, howell_member, smith_form
+from eaqring.zpblinalg import ZpbMatrix, howell_member, kernel, smith_form
 
 
 # ---------------------------------------------------------------- galois
@@ -130,10 +135,40 @@ def contains(C: AdditiveCode, v: SymplecticVector) -> bool:
     return howell_member(C.expanded_howell, phi_expand(v.components))
 
 
+def same_module(C1: AdditiveCode, C2: AdditiveCode) -> bool:
+    return C1.expanded_howell == C2.expanded_howell
+
+
+def puncture(C: AdditiveCode, keep_n: int) -> AdditiveCode:
+    """Drop the last n - keep_n coordinates of each half."""
+    if not 0 <= keep_n <= C.n:
+        raise DimensionMismatch(f"keep_n = {keep_n} out of range for n = {C.n}")
+    gens = tuple(SymplecticVector(C.ring, g.x[:keep_n], g.y[:keep_n]) for g in C.generators)
+    return AdditiveCode(C.ring, keep_n, gens)
+
+
+def dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
+    """C^{chi-dual, t} = (p^t C)^{chi} as a code, for 0 <= t <= b: the
+    vectors v with Tr(<v|c>_s) = 0 mod p^{b-t} for all c in C, the kernel
+    of C's pairing columns times p^t.  Level 0 is ``C.dual``, level b the
+    whole space.  Checked as ``C.dual`` is, against |(p^t C)^{chi}| *
+    |p^t C| = q^{2n}."""
+    p, b = C.ring.p, C.ring.b
+    if not 0 <= t <= b:
+        raise ValueError(f"level t = {t} out of range 0..{b}")
+    cols = _pairing_columns(C)
+    H = kernel(ZpbMatrix(p, b, cols.cols, tuple(tuple(p ** t * x % cols.modulus for x in r)
+                                                for r in cols.rows)))
+    scaled = math.prod(p ** max(0, b - t - e) for e in C.expanded_smith.diag_exponents)
+    if H.cardinality * scaled != C.ring.cardinality ** (2 * C.n):
+        raise InternalInvariantViolation(f"|C^(chi,{t})| * |p^{t} C| is not q^(2n)")
+    return AdditiveCode.from_expanded(C.ring, C.n, H)
+
+
 def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bool:
     """Number of pair members inside C^{chi-dual,t} equals the rank drop
     from level 0 to level t."""
-    dual_t = C.dual(t)
+    dual_t = dual_level(C, t).expanded_howell
     count = sum(1 for pair in d.pairs for member in pair
                 if howell_member(dual_t, phi_expand(member.components)))
     return count == C.rank(0) - C.rank(t)

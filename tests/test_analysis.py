@@ -27,7 +27,7 @@ from eaqring.decompose import hyperbolic_decompose
 from eaqring.extension import eaqecc_params
 from eaqring.galois import make_ring, phi_expand
 from eaqring.zpblinalg import HowellBasis, ZpbMatrix, howell_form, quotient_rank
-from oracles import combine, random_code
+from oracles import combine, dual_level, random_code
 from test_census import all_codes
 
 CODES = {
@@ -97,7 +97,7 @@ def check_built_once(counted, label, command, max_enum):
     # nothing intersects
     assert counted["_solve", None] == 1
     kernels = {k: v for (name, k), v in counted.items() if name == "kernel"}
-    assert kernels == ({codes_mod._pairing_columns(C, 1): 1} if searched else {})
+    assert kernels == ({codes_mod._pairing_columns(C): 1} if searched else {})
     assert counted["intersect", None] == 0
     assert counted["quotient_rank", None] == 0
     # no derived module is contracted into ring-level generators
@@ -133,20 +133,24 @@ def test_chi_dual_is_checked_against_its_size(monkeypatch):
     ring, C = parse_code_text(CODES["Z4"])
     # a pairing matrix with no columns: its kernel is all of Z4^2
     monkeypatch.setattr(codes_mod, "_pairing_columns",
-                        lambda code, scale: ZpbMatrix(2, 2, 0, ((), ())))
+                        lambda code: ZpbMatrix(2, 2, 0, ((), ())))
     with pytest.raises(InternalInvariantViolation, match="is not q"):
-        C.dual(0)
+        C.dual
 
 
 @pytest.mark.parametrize("t", [-3, -1, 3, 5])
 def test_levels_outside_0_to_b_are_rejected(t):
-    """dual(t), rank(t) and chi_dual_level(C, t) take 0 <= t <= b only: over
-    Z4 (b = 2) a negative level or one past b raises ValueError."""
+    """rank(t) and the tests' chi-dual at level t take 0 <= t <= b only:
+    over Z4 (b = 2) a negative level or one past b raises ValueError.  The
+    library's chi-dual, ``dual`` and ``chi_dual_level``, takes no level."""
     ring, C = parse_code_text(CODES["Z4"])
-    for level in (C.dual, C.rank, functools.partial(chi_dual_level, C)):
+    for level in (C.rank, functools.partial(dual_level, C)):
         with pytest.raises(ValueError, match="out of range"):
             level(t)
     assert [C.rank(t) for t in range(ring.b + 1)] == [2, 0, 0]
+    assert isinstance(C.dual, HowellBasis)
+    with pytest.raises(TypeError):
+        chi_dual_level(C, t)
 
 
 @pytest.mark.parametrize("label", sorted(CODES))
@@ -173,8 +177,8 @@ def test_repeated_calls_return_the_cached_objects():
     assert hyperbolic_decompose(C) is d
     assert C.extension is C.extension
     assert C.extension.generators[len(d.isotropic)].x[:C.n] == d.pairs[0][0].x
-    assert C.dual(1) is C.dual(1)
-    assert chi_dual_level(C, 1).expanded_howell is C.dual(1)
+    assert C.dual is C.dual
+    assert chi_dual_level(C).expanded_howell is C.dual
     assert C.meet is C.meet
     assert C.gram is C.gram
     assert C.rho is C.rho
@@ -183,17 +187,18 @@ def test_repeated_calls_return_the_cached_objects():
 @pytest.mark.parametrize("ring_args", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2)])
 def test_derived_codes_keep_consistent_howell_rows(ring_args):
     """The meet read off one Howell form of [G | S] equals the intersection
-    of C with its chi-dual.  Every chi-dual level and each C cap C^{chi,t},
-    wrapped as a code, holds its Howell rows as its expanded matrix: they
-    are the phi expansion of its generators and already in Howell form.
-    Over zero codes, random codes and codes with redundant generators."""
+    of C with its chi-dual.  The chi-dual, every chi-dual level and each
+    C cap C^{chi,t}, wrapped as a code, holds its Howell rows as its
+    expanded matrix: they are the phi expansion of its generators and
+    already in Howell form.  Over zero codes, random codes and codes with
+    redundant generators."""
     ring = make_ring(*ring_args)
     rng = random.Random(sum(x * 10 ** i for i, x in enumerate(ring_args)))
     for C in sample_codes(ring, rng):
-        assert C.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
-        derived = []
+        assert C.meet == code_intersection(C, chi_dual_level(C)).expanded_howell
+        derived = [chi_dual_level(C)]
         for t in range(ring.b + 1):
-            derived.append(chi_dual_level(C, t))
+            derived.append(dual_level(C, t))
             derived.append(code_intersection(C, derived[-1]))
         for D in derived:
             assert D.expanded_matrix.rows == tuple(
@@ -218,9 +223,9 @@ def assert_well_formed(A):
 def test_every_cached_matrix_is_well_formed(monkeypatch, ring_args, n):
     """On the census codes of length n (none for GR(4, 2)) and on seeded
     random codes, every matrix a code keeps (expanded matrix, Howell
-    basis, Gram matrix, meet and each chi-dual level) and every output of
-    ``kernel``, ``intersect`` and ``_solve`` is well formed, and C's Smith
-    generators are rows of the same kind."""
+    basis, Gram matrix, meet and chi-dual), each chi-dual level the tests
+    build, and every output of ``kernel``, ``intersect`` and ``_solve`` is
+    well formed, and C's Smith generators are rows of the same kind."""
     outputs = collections.Counter()
     for name in ("kernel", "intersect", "_solve"):
         def spy(*args, _name=name, _f=getattr(codes_mod, name)):
@@ -234,9 +239,9 @@ def test_every_cached_matrix_is_well_formed(monkeypatch, ring_args, n):
     codes += [AdditiveCode.from_expanded(ring, n, H) for H in (all_codes(ring, n) if n else ())]
     for C in codes:
         for t in range(ring.b + 1):
-            assert_well_formed(C.dual(t))
-            code_intersection(C, chi_dual_level(C, t))
-        for A in (C.expanded_matrix, C.expanded_howell, C.gram, C.meet,
+            assert_well_formed(dual_level(C, t).expanded_howell)
+            code_intersection(C, dual_level(C, t))
+        for A in (C.expanded_matrix, C.expanded_howell, C.gram, C.meet, C.dual,
                   ZpbMatrix(ring.p, ring.b, C.ambient_cols, C.expanded_smith.generators)):
             assert_well_formed(A)
     assert min(outputs[name] for name in ("kernel", "intersect", "_solve")) >= len(codes)
@@ -254,7 +259,7 @@ def test_gram_ranks_match_the_quotient_rank_oracle(ring_args):
     for C in sample_codes(ring, rng):
         ranks = [C.rank(t) for t in range(b + 1)]
         assert ranks == [quotient_rank(C.expanded_howell,
-                                       code_intersection(C, chi_dual_level(C, t)).expanded_howell)
+                                       code_intersection(C, dual_level(C, t)).expanded_howell)
                          for t in range(b + 1)]
         assert ranks[b] == 0
         assert list(C.rho) == [ranks[t - 1] - ranks[t] for t in range(1, b)]

@@ -19,6 +19,7 @@ from eaqring.extension import eaqecc_params
 from eaqring.pauli import build_stabilizer, projector_dimension, undetectable_error_search
 from eaqring.galois import make_ring
 from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
+from oracles import dual_level
 
 
 def all_codes(ring, n):
@@ -64,9 +65,9 @@ def test_census(ring_args, n, count):
     flag_false = []
     for H in bases:
         C = AdditiveCode.from_expanded(ring, n, H)
-        assert C.meet == code_intersection(C, chi_dual_level(C, 0)).expanded_howell
+        assert C.meet == code_intersection(C, chi_dual_level(C)).expanded_howell
         for t in range(ring.b + 1):
-            meet = code_intersection(C, chi_dual_level(C, t))
+            meet = code_intersection(C, dual_level(C, t))
             assert C.rank(t) == quotient_rank(H, meet.expanded_howell)
         P = eaqecc_params(C)
         assert P.K_lower <= P.K_exact <= P.K_upper

@@ -25,7 +25,7 @@ from eaqring.cli import (
     run,
     serialize_code,
 )
-from eaqring.codes import AdditiveCode, min_symplectic_distance, same_module
+from eaqring.codes import AdditiveCode, min_symplectic_distance
 from eaqring.errors import (
     DimensionTooLarge,
     HPolyInvalid,
@@ -38,6 +38,7 @@ from eaqring.errors import (
 )
 from eaqring.extension import eaqecc_params
 from eaqring.galois import make_ring
+from oracles import same_module
 
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
 F2_REP = "ring p=2 b=1 m=1\nn 1\ngen 1 1\n"

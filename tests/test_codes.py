@@ -22,15 +22,13 @@ from eaqring.codes import (
     is_chi_self_orthogonal,
     is_free,
     min_symplectic_distance,
-    puncture,
-    same_module,
     symplectic_product,
 )
 from eaqring.errors import SearchLimitExceeded
 from eaqring.extension import eaqecc_params
 from eaqring.galois import gen_trace, make_ring, phi_contract, phi_expand
 from eaqring.zpblinalg import BLOCK, enumerate_module, howell_member, lane_adder, lane_width, packed_blocks, unpack
-from oracles import combine, contains, symplectic_weight
+from oracles import combine, contains, dual_level, puncture, same_module, symplectic_weight
 
 
 def all_vectors(ring, n):
@@ -147,13 +145,13 @@ def test_cardinality_matches_closure(z4, gr42):
 
 
 def test_chi_dual_worked_example(z4, worked):
-    d0 = chi_dual_level(worked, 0)
+    d0 = chi_dual_level(worked)
     elems = set(enumerate_module(d0.expanded_howell))
     assert elems == {(0, 0), (2, 0)}
-    d1 = chi_dual_level(worked, 1)
+    d1 = dual_level(worked, 1)
     assert cardinality(d1) == 8
     assert set(enumerate_module(d1.expanded_howell)) == {(x, y) for x in range(4) for y in (0, 2)}
-    db = chi_dual_level(worked, 2)
+    db = dual_level(worked, 2)
     assert cardinality(db) == 16
 
 
@@ -166,7 +164,7 @@ def test_chi_dual_brute_force(z4, gr42):
             gens = tuple(rng.choice(vecs) for _ in range(rng.choice([1, 2])))
             C = AdditiveCode(ring, n, gens)
             for t in range(ring.b + 1):
-                D = chi_dual_level(C, t)
+                D = dual_level(C, t)
                 got = {tuple(flat) for flat in enumerate_module(D.expanded_howell)}
                 want = {phi_expand([ring.element(c) for c in key])
                         for key in brute_chi_dual(ring, n, gens, t)}
@@ -186,7 +184,7 @@ def test_duality_cardinality_law(z4, gr42):
                 vecs = list(all_vectors(ring, n))
             gens = tuple(rng.choice(vecs) for _ in range(rng.choice([1, 2, 3])))
             C = AdditiveCode(ring, n, gens)
-            assert cardinality(C) * cardinality(chi_dual_level(C, 0)) == ring.cardinality ** (2 * n)
+            assert cardinality(C) * cardinality(chi_dual_level(C)) == ring.cardinality ** (2 * n)
 
 
 def test_bidual_and_nesting(z4, gr42):
@@ -196,10 +194,10 @@ def test_bidual_and_nesting(z4, gr42):
         for _ in range(8):
             gens = tuple(rng.choice(vecs) for _ in range(2))
             C = AdditiveCode(ring, n, gens)
-            assert same_module(chi_dual_level(chi_dual_level(C, 0), 0), C)
+            assert same_module(chi_dual_level(chi_dual_level(C)), C)
             for t in range(ring.b):
-                lower = chi_dual_level(C, t)
-                upper = chi_dual_level(C, t + 1)
+                lower = dual_level(C, t)
+                upper = dual_level(C, t + 1)
                 for g in lower.generators:
                     assert contains(upper, g)
 
@@ -216,7 +214,7 @@ def test_min_symplectic_distance(z4, worked):
     assert worked.dual_in_code
     assert min_symplectic_distance(worked) == 1
     # the whole space: its chi-dual {0} is inside it, and D is infinite
-    assert min_symplectic_distance(chi_dual_level(AdditiveCode(z4, 1, ()), 0)) == math.inf
+    assert min_symplectic_distance(chi_dual_level(AdditiveCode(z4, 1, ()))) == math.inf
     # a code whose chi-dual is not inside it: members of C are skipped
     C = AdditiveCode.from_int_rows(z4, [[2, 0]])
     assert not C.dual_in_code
@@ -308,8 +306,8 @@ def test_min_distance_skips_light_members_of_the_code(params, rows):
         padded.append([int(i in (j, j + 1)) for i in range(n)] + [0] * n)
         padded.append([0] * n + [{j: 1, j + 1: ring.modulus - 1}.get(i, 0) for i in range(n)])
     C = AdditiveCode.from_int_rows(ring, padded)
-    table, highs = packed_blocks(C.dual(0))
-    assert len(table) < C.dual(0).cardinality and not C.dual_in_code
+    table, highs = packed_blocks(C.dual)
+    assert len(table) < C.dual.cardinality and not C.dual_in_code
     assert min_symplectic_distance(C) == tuple_search_distance(C) == 2
 
 
@@ -383,8 +381,8 @@ def test_block_weights_match_the_lane_formula(label):
     n, m, N = 6 if label == "F2" else 3, ring.m, ring.modulus
     cols, L = 2 * n * m, lane_width(N)
     C = AdditiveCode(ring, n, (_random_vector(ring, n, random.Random(53)),))
-    table, highs = packed_blocks(C.dual(0))
-    assert len(table) < C.dual(0).cardinality
+    table, highs = packed_blocks(C.dual)
+    assert len(table) < C.dual.cardinality
     add, weights = lane_adder(N, cols), block_weights(n, m, N)
     negated = [pack([(-x) % N for x in unpack(t, L, cols)], L) for t in table]
     for h in itertools.islice(highs, 4):
@@ -409,14 +407,14 @@ def test_distance_search_memory_does_not_grow_with_the_dual():
             C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(2 * n)] for _ in range(k)])
             if cardinality(C) == 2 ** k:
                 break
-        C.dual(0), C.dual_in_code, C.expanded_howell
+        C.dual, C.dual_in_code, C.expanded_howell
         tracemalloc.start()
         try:
             D = min_symplectic_distance(C)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert D > 1 and 2 ** (2 * n - k) == cardinality(chi_dual_level(C, 0))
+        assert D > 1 and 2 ** (2 * n - k) == cardinality(chi_dual_level(C))
         assert peak < 16 * 1024, (n, peak)
 
 
@@ -429,7 +427,7 @@ def tuple_search_distance(C):
     nm = n * m
     skip = None if C.dual_in_code else C.expanded_howell
     best = math.inf
-    for flat in enumerate_module(C.dual(0)):
+    for flat in enumerate_module(C.dual):
         coords = [0] * n
         for j in range(m):
             coords = [c | x | y for c, x, y in zip(coords, flat[j:nm:m], flat[nm + j::m])]
@@ -457,7 +455,7 @@ def _random_isotropic(ring, n, rng, lo):
     combination of the Howell rows of the chi-dual of those before it."""
     gens = []
     while cardinality(AdditiveCode(ring, n, tuple(gens))) < lo:
-        dual = chi_dual_level(AdditiveCode(ring, n, tuple(gens)), 0).generators
+        dual = chi_dual_level(AdditiveCode(ring, n, tuple(gens))).generators
         gens.append(combine([(rng.randrange(ring.modulus), g) for g in dual]))
     return AdditiveCode(ring, n, tuple(gens))
 
@@ -466,7 +464,7 @@ def _blocks_class(C):
     """Where C's chi-dual falls against the block table (``packed_blocks``):
     inside one table of BLOCK entries, or of over BLOCK / 4 and fewer, or
     past it by at most N blocks or by more (then by two high rows or more)."""
-    table, highs = packed_blocks(C.dual(0))
+    table, highs = packed_blocks(C.dual)
     blocks = sum(1 for _ in highs)
     if blocks > 1:
         return "a few blocks" if blocks <= C.ring.modulus else "many blocks"
@@ -498,7 +496,7 @@ def test_min_distance_matches_the_tuple_search(label, monkeypatch):
             while True:
                 if case:
                     A = _random_isotropic(ring, n, rng, min(2 ** rng.randint(8, 12), q ** n))
-                    C = chi_dual_level(A, 0)
+                    C = chi_dual_level(A)
                 else:
                     C = AdditiveCode(ring, n, tuple(_random_vector(ring, n, rng)
                                                     for _ in range(rng.randint(1, 2 * n * ring.m))))
@@ -532,7 +530,7 @@ def test_min_distance_matches_the_tuple_search(label, monkeypatch):
             assert D == tuple_search_distance(C), n
             wanted.remove((_blocks_class(C), D == 1))
     assert not wanted
-    whole = chi_dual_level(AdditiveCode(ring, 2, ()), 0)
+    whole = chi_dual_level(AdditiveCode(ring, 2, ()))
     assert min_symplectic_distance(whole) == tuple_search_distance(whole) == math.inf
 
 
@@ -547,7 +545,7 @@ def test_min_distance_early_exit_and_infinite_against_the_tuple_search(z4):
     C = AdditiveCode.from_int_rows(f2, rows)
     assert not C.dual_in_code and 2 ** 24 // cardinality(C) <= 2 ** 14
     assert min_symplectic_distance(C) == tuple_search_distance(C) == 1
-    whole = chi_dual_level(AdditiveCode(z4, 4, ()), 0)
+    whole = chi_dual_level(AdditiveCode(z4, 4, ()))
     assert whole.dual_in_code
     assert min_symplectic_distance(whole) == tuple_search_distance(whole) == math.inf
 

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
+import eaqring.decompose as decompose_mod
 from eaqring.codes import (
     AdditiveCode,
     SymplecticVector,
     chi_dual_level,
     code_intersection,
-    same_module,
     symplectic_product,
 )
 from eaqring.decompose import (
@@ -22,7 +22,7 @@ from eaqring.decompose import (
 from eaqring.errors import InternalInvariantViolation
 from eaqring.galois import gen_trace, make_ring
 from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
-from oracles import combine, contains, random_code, verify_prop_count
+from oracles import combine, contains, dual_level, random_code, same_module, verify_prop_count
 from test_census import all_codes
 
 
@@ -84,7 +84,7 @@ def test_verify_prop_count_worked(z4):
     for t in range(3):
         assert verify_prop_count(d, C, t)
     # t=1 specifics: both pair members in the level-1 dual
-    dual1 = chi_dual_level(C, 1)
+    dual1 = dual_level(C, 1)
     assert sum(1 for p in d.pairs for mem in p if contains(dual1, mem)) == 2
 
 
@@ -97,7 +97,7 @@ def test_randomized_invariants(ring, n, kmax):
         # span preservation
         assert same_module(AdditiveCode(ring, n, tuple(d.all_generators())), C)
         # pair count formula
-        D = code_intersection(C, chi_dual_level(C, 0))
+        D = code_intersection(C, chi_dual_level(C))
         assert 2 * d.c == quotient_rank(C.expanded_howell, D.expanded_howell)
         # lower bound from ranks
         assert 2 * d.c >= (len(C.expanded_smith.diag_exponents)
@@ -134,12 +134,35 @@ def test_check_rejects_a_split_pair():
         _check_decomposition(split, C)
 
 
+def pair_and_isotropic():
+    """An F2 code of length 2 with one hyperbolic pair, (e_0 | 0) and
+    (0 | e_0), and one isotropic generator, (e_1 | 0)."""
+    f2 = make_ring(2, 1, 1)
+    return AdditiveCode.from_int_rows(f2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]])
+
+
+def test_lift_checks_its_row_count(monkeypatch):
+    """The quotient lift must pick rank(C / (C cap C^chi)) rows: a greedy
+    that picks none fails that check on a code with one pair."""
+    monkeypatch.setattr(decompose_mod, "_greedy_extension", lambda base, candidates: [])
+    with pytest.raises(InternalInvariantViolation, match="^quotient basis lift picked 0 rows, not 2$"):
+        pair_and_isotropic().decomposition
+
+
+def test_check_rejects_a_decomposition_that_misses_part_of_the_code(monkeypatch):
+    """Without its isotropic completion the decomposition holds only the
+    pair, which does not span (e_1 | 0)."""
+    monkeypatch.setattr(decompose_mod, "_complete_generating_set", lambda C, lifted: [])
+    with pytest.raises(InternalInvariantViolation, match="^decomposition does not span the code$"):
+        pair_and_isotropic().decomposition
+
+
 def lift_oracle(C):
     """The quotient lift in 2nm columns: C's Smith generators, in order,
     each kept iff it falls outside span(pC + D + those already kept), with
     D = C cap C^chi taken from the intersection of C and its chi-dual."""
     p, b, N = C.ring.p, C.ring.b, C.ring.modulus
-    D = code_intersection(C, chi_dual_level(C, 0)).expanded_howell
+    D = code_intersection(C, chi_dual_level(C)).expanded_howell
     rows = tuple(tuple(p * x % N for x in r) for r in C.expanded_smith.generators) + D.rows
     chosen = []
     for s in C.expanded_smith.generators:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import eaqring.extension as extension_mod
 from eaqring.cli import build_report, parse_code_text
 from eaqring.codes import (
     AdditiveCode,
@@ -14,8 +15,6 @@ from eaqring.codes import (
     cardinality,
     is_chi_self_orthogonal,
     is_free,
-    puncture,
-    same_module,
     symplectic_product,
 )
 from eaqring.decompose import _check_partner_pairings, hyperbolic_decompose
@@ -28,7 +27,7 @@ from eaqring.extension import (
 )
 from eaqring.galois import gen_trace, make_ring
 import oracles
-from oracles import build_extension, random_code, verify_quasi_symplectic
+from oracles import build_extension, puncture, random_code, same_module, verify_quasi_symplectic
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +152,24 @@ def test_subset_verify_rejects_a_nontrivial_cross_pair(z4):
     p2 = (SymplecticVector.from_ints(z4, [0, 1, 0, 0]), SymplecticVector.from_ints(z4, [0, 0, 1, 1]))
     with pytest.raises(InternalInvariantViolation, match="non-partners"):
         _check_partner_pairings([*p1, *p2], 0)
+
+
+def test_partner_check_returns_each_pairs_exponent(gr42):
+    """After k isotropic vectors, the partner check returns gen_trace(<a|b>_s)
+    of each pair (a, b), in pair order."""
+    s = construct_symplectic_subset(gr42, 1, [3, 1])
+    zero = SymplecticVector(gr42, (gr42.zero,), (gr42.zero,))
+    assert _check_partner_pairings([zero, *s[0], *s[1]], 1) == (3, 1) == exponents(s)
+
+
+def test_subset_rejects_a_pair_that_misses_its_target(monkeypatch):
+    """Over Z9, tails doubled in both members pair to 4z, not z: still
+    nonzero, so the partner check passes, and exponent 4 misses target 1."""
+    z9 = make_ring(3, 2, 1)
+    at = extension_mod._at
+    monkeypatch.setattr(extension_mod, "_at", lambda ring, c, k, el: at(ring, c, k, el.scale(2)))
+    with pytest.raises(InternalInvariantViolation, match="^a constructed pair misses its target exponent$"):
+        construct_symplectic_subset(z9, 1, [1])
 
 
 def test_extension_verify_rejects_a_broken_tail(z4, worked):

@@ -195,6 +195,22 @@ def test_make_ring_returns_one_shared_ring():
     assert (ring.modulus, ring.cardinality) == (9, 81)
 
 
+def test_make_ring_keys_h_mod_p_to_the_b(monkeypatch):
+    """Every h equal mod p^b gives the identical ring, built once: over
+    GR(4, 2), (5, 5, 1) and (-3, 1, -7) reduce to (1, 1, 1).  An h that
+    is invalid mod p^b raises on every call, however it is written."""
+    ring = make_ring(2, 2, 2, [1, 1, 1])
+    calls = []
+    orig = galois_mod._check_h_divides
+    monkeypatch.setattr(galois_mod, "_check_h_divides", lambda *a: calls.append(a) or orig(*a))
+    assert make_ring(2, 2, 2, [5, 5, 1]) is ring and make_ring(2, 2, 2, (-3, 1, -7)) is ring
+    assert calls == []
+    for _ in range(3):
+        with pytest.raises(HPolyInvalid, match="^h does not divide"):
+            make_ring(2, 2, 2, [7, 5, 5])  # (3, 1, 1): primitive mod 2, the wrong lift
+    assert len(calls) == 3
+
+
 def test_make_ring_caches_no_raising_call(monkeypatch):
     """An invalid h raises on every call, and a failed construction leaves
     nothing behind: the next call with the same arguments runs again."""

@@ -564,7 +564,7 @@ def dual_minus_code_by_contains(C):
     """C^chi minus C, each chi-dual codeword contracted to ring elements
     and tested with ``contains``."""
     ring = C.ring
-    return {flat for flat in enumerate_module(chi_dual_level(C, 0).expanded_howell)
+    return {flat for flat in enumerate_module(chi_dual_level(C).expanded_howell)
             if any(flat) and not contains(
                 C, SymplecticVector.from_components(ring, phi_contract(ring, flat)))}
 

@@ -544,7 +544,7 @@ def test_enumerate_module_limit():
     over it refuses a limit of 15, naming both sizes."""
     z4 = make_ring(2, 2, 1)
     C = AdditiveCode(z4, 1, ())
-    H = C.dual(0)
+    H = C.dual
     assert H == howell_form(mat(2, 2, [[1, 0], [0, 1]]))
     assert len(set(enumerate_module(H))) == 16
     with pytest.raises(SearchLimitExceeded) as exc:
@@ -559,7 +559,7 @@ def test_enumerate_module_limit_is_inclusive():
     ``enumerate_module`` yields; a limit of 9 searches it and 8 raises."""
     z9 = make_ring(3, 2, 1)
     C = AdditiveCode.from_int_rows(z9, [[3, 1]])
-    H = C.dual(0)
+    H = C.dual
     card = H.cardinality
     assert card == 9 and len(set(enumerate_module(H))) == card
     assert min_symplectic_distance(C, limit=card) >= 1
