@@ -9,17 +9,16 @@ Usage, from the root of a checkout:
 import argparse
 import random
 
-from eaqring import AdditiveCode, SymplecticVector, eaqecc_params, make_ring
+from eaqring import AdditiveCode, eaqecc_params, make_ring, phi_expand
 
 
 def random_code(ring, n, k, rng):
-    gens = tuple(
-        SymplecticVector.from_components(
-            ring,
-            [ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
-             for _ in range(2 * n)])
-        for _ in range(k))
-    return AdditiveCode(ring, n, gens)
+    """k generators of length n, each coordinate of each entry drawn
+    uniformly, entry by entry, then phi-expanded into a row."""
+    return AdditiveCode(ring, n, [
+        phi_expand([ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
+                    for _ in range(2 * n)])
+        for _ in range(k)])
 
 
 def main():

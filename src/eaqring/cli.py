@@ -12,6 +12,10 @@ h lists coefficients low-to-high including the leading 1; when omitted the
 canonical polynomial is used and echoed into the report.  Each generator
 row has 2n entries of m comma-separated coordinates.  Every number (p, b,
 m, n, an h coefficient, a residue) is an optional - and ASCII digits.
+
+The parser writes each generator's phi-expanded row directly, and makes no
+ring element: x entries as given, y entries times the ring's trace form.
+The report contracts rows back to entries where it lists generators.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .codes import (
     DEFAULT_MATRIX_DIM,
     AdditiveCode,
     SymplecticVector,
+    _contract,
     cardinality,
     chi_dual_level,
 )
@@ -43,7 +48,7 @@ from .errors import (
     check_cap,
 )
 from .extension import eaqecc_params
-from .galois import GaloisRingSpec, gen_trace, make_ring
+from .galois import GaloisRingSpec, _dual_coords, make_ring
 
 SCHEMA_VERSION = 1
 
@@ -114,13 +119,13 @@ def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
     if n < 1:
         raise RangeError(f"n must be positive, got {n}")
     N = ring.modulus
-    gens: List[SymplecticVector] = []
+    rows: List[List[int]] = []
     while pos < len(toks):
         t = need("'gen'")
         if t[2] != "gen":
             raise ParseError(f"expected 'gen', got {t[2]!r}", t[0], t[1])
-        comps = []
-        for _ in range(2 * n):
+        row: List[int] = []
+        for i in range(2 * n):
             ln, col, s = need("a generator entry")
             parts = s.split(",")
             if len(parts) != ring.m:
@@ -134,9 +139,9 @@ def parse_code_text(text: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
                 if not 0 <= v < N:
                     raise RangeError(f"line {ln}, column {col}: residue {v} out of range [0, {N})")
                 coeffs.append(v)
-            comps.append(ring.element(coeffs))
-        gens.append(SymplecticVector.from_components(ring, comps))
-    return ring, AdditiveCode(ring, n, tuple(gens))
+            row.extend(coeffs if i < n else _dual_coords(ring, coeffs))
+        rows.append(row)
+    return ring, AdditiveCode(ring, n, rows)
 
 
 def parse_code_file(path: str) -> Tuple[GaloisRingSpec, AdditiveCode]:
@@ -193,13 +198,13 @@ def _params_block(P, int_text: _IntTexts) -> Dict:
     }
 
 
-def _decomposition_block(d) -> Dict:
+def _decomposition_block(ring: GaloisRingSpec, d) -> Dict:
     return {
         "pair_count": d.c,
         "isotropic_count": len(d.isotropic),
-        "gram_exponents": [gen_trace(g) for g in d.grams],
-        "isotropic": [_entry_lists(g) for g in d.isotropic],
-        "pairs": [[_entry_lists(a), _entry_lists(b)] for a, b in d.pairs],
+        "gram_exponents": list(d.exponents),
+        "isotropic": [_entry_lists(g) for g in _contract(ring, d.isotropic)],
+        "pairs": [[_entry_lists(g) for g in _contract(ring, pair)] for pair in d.pairs],
     }
 
 
@@ -213,10 +218,10 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
     report.update(_echo_block(ring, C))
     code = 0
     if command == "decompose":
-        report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
+        report["decomposition"] = _decomposition_block(ring, hyperbolic_decompose(C))
     elif command == "extend":
         Cp = C.extension
-        report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
+        report["decomposition"] = _decomposition_block(ring, hyperbolic_decompose(C))
         report["c_min"] = Cp.n - C.n
         report["card_code"] = cardinality(C)
         report["card_extended"] = cardinality(Cp)
@@ -225,14 +230,14 @@ def build_report(command: str, ring: GaloisRingSpec, C: AdditiveCode,
         dual = chi_dual_level(C)
         report["dual_generators"] = [_entry_lists(g) for g in dual.generators]
         report["card_code"] = cardinality(C)
-        report["card_dual"] = cardinality(dual)
+        report["card_dual"] = C.dual.cardinality
     elif command in ("params", "distance", "verify"):
         P = eaqecc_params(C, limit=max_enum)
         if command == "distance":
             report.update(D=_render_D(P.D), distance_case=P.distance_case,
                           distance_convention="min_symplectic_weight")
         else:
-            report["decomposition"] = _decomposition_block(hyperbolic_decompose(C))
+            report["decomposition"] = _decomposition_block(ring, hyperbolic_decompose(C))
             report.update(_params_block(P, int_text or _IntTexts()))
         code = 2 if P.D is None else 0
         if command == "verify":

@@ -2,10 +2,12 @@
 the chi-dual, cardinalities, and the exhaustive minimum symplectic
 distance, weighed a block of packed ints at a time.
 
-Internally every code is its phi-expanded row module over Z_{p^b}^{2nm},
-and it keeps its ring-level generators.  Derived modules (the chi-dual,
+A code is its phi-expanded rows over Z_{p^b}^{2nm}, reduced and checked
+for length once when it is built.  Derived modules (the chi-dual,
 C cap C^chi) stay Howell bases of expanded rows; only the public
-``chi_dual_level`` and ``code_intersection`` wrap one as a code.
+``chi_dual_level`` and ``code_intersection`` wrap one as a code.  Ring-level
+generators are contracted from the rows only where a report or a
+ring-level check reads them (``AdditiveCode.generators``, ``_contract``).
 
 Codes are immutable, so every object derived from one is computed once per
 code and kept on it: the expanded matrix and its Howell and Smith forms, the
@@ -29,7 +31,7 @@ from .errors import (
     check_cap,
 )
 from .frozen import Frozen
-from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract, phi_expand
+from .galois import GaloisRingSpec, RingElement, gen_trace, phi_contract
 from .zpblinalg import (
     HowellBasis,
     SmithDecomposition,
@@ -78,10 +80,10 @@ class SymplecticVector(Frozen):
         n = len(comps) // 2
         return cls(ring, tuple(comps[:n]), tuple(comps[n:]))
 
-    @classmethod
-    def from_ints(cls, ring: GaloisRingSpec, flat: Sequence[int]) -> "SymplecticVector":
-        """m=1 convenience: plain residues."""
-        return cls.from_components(ring, [ring.scalar(c) for c in flat])
+
+def _contract(ring: GaloisRingSpec, rows: Sequence[Sequence[int]]) -> Tuple[SymplecticVector, ...]:
+    """The ring-level vectors of phi-expanded rows."""
+    return tuple(SymplecticVector.from_components(ring, phi_contract(ring, r)) for r in rows)
 
 
 def symplectic_product(u: SymplecticVector, v: SymplecticVector) -> RingElement:
@@ -133,25 +135,35 @@ class AdditiveCode(Frozen):
     of expanded rows.  ``dual_in_code`` picks D's search set.
     On top sit the checked hyperbolic decomposition and minimal extension.
     Every invariant check runs when its object is first built.
+
+    ``rows`` are C's generators phi-expanded, 2nm residues each (for m = 1,
+    the residues x_1..x_n, y_1..y_n); they are reduced mod p^b here, the
+    one check of a code's input.
     """
 
-    def __init__(self, ring: GaloisRingSpec, n: int, generators: Tuple[SymplecticVector, ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", generators)
+    def __init__(self, ring: GaloisRingSpec, n: int, rows: Sequence[Sequence[int]]):
         if n < 0:
             raise ValueError(f"code length n = {n} is negative")
-        if any(g.ring != ring or g.n != n for g in generators):
-            raise RingMismatch("generator does not match the code's ring or length")
+        N, cols = ring.modulus, 2 * n * ring.m
+        rows = tuple(tuple(x % N for x in r) for r in rows)
+        if any(len(r) != cols for r in rows):
+            raise DimensionMismatch(f"a generator row's length is not 2nm = {cols}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def ambient_cols(self) -> int:
         return 2 * self.n * self.ring.m
 
     @cached_property
+    def generators(self) -> Tuple[SymplecticVector, ...]:
+        """The rows as ring-level vectors."""
+        return _contract(self.ring, self.rows)
+
+    @cached_property
     def expanded_matrix(self) -> ZpbMatrix:
-        rows = tuple(phi_expand(g.components) for g in self.generators)
-        return ZpbMatrix(self.ring.p, self.ring.b, self.ambient_cols, rows)
+        return ZpbMatrix(self.ring.p, self.ring.b, self.ambient_cols, self.rows)
 
     @cached_property
     def expanded_howell(self) -> HowellBasis:
@@ -160,24 +172,6 @@ class AdditiveCode(Frozen):
     @cached_property
     def expanded_smith(self) -> SmithDecomposition:
         return smith_form(self.expanded_matrix)
-
-    @classmethod
-    def from_expanded(cls, ring: GaloisRingSpec, n: int, H: HowellBasis) -> "AdditiveCode":
-        """The code whose phi-expanded row module has Howell basis H; its
-        generators are the basis rows, and H, a matrix of those rows,
-        seeds the expanded caches."""
-        code = cls(ring, n, tuple(SymplecticVector.from_components(ring, phi_contract(ring, r))
-                                  for r in H.rows))
-        code.__dict__.update(expanded_matrix=H, expanded_howell=H)
-        return code
-
-    @classmethod
-    def from_int_rows(cls, ring: GaloisRingSpec, rows: Sequence[Sequence[int]]) -> "AdditiveCode":
-        """m=1 convenience: each row is 2n residues."""
-        if not rows:
-            raise ValueError("need at least one row to infer n; use AdditiveCode directly")
-        n = len(rows[0]) // 2
-        return cls(ring, n, tuple(SymplecticVector.from_ints(ring, r) for r in rows))
 
     @cached_property
     def dual(self) -> HowellBasis:
@@ -263,13 +257,13 @@ def _pairing_columns(C: AdditiveCode) -> ZpbMatrix:
 def chi_dual_level(C: AdditiveCode) -> AdditiveCode:
     """C^{chi-dual} as a code: the vectors v with Tr(<v|c>_s) = 0 for all c
     in C."""
-    return AdditiveCode.from_expanded(C.ring, C.n, C.dual)
+    return AdditiveCode(C.ring, C.n, C.dual.rows)
 
 
 def code_intersection(C1: AdditiveCode, C2: AdditiveCode) -> AdditiveCode:
     if C1.ring != C2.ring or C1.n != C2.n:
         raise DimensionMismatch("codes live in different ambient spaces")
-    return AdditiveCode.from_expanded(C1.ring, C1.n, intersect(C1.expanded_howell, C2.expanded_howell))
+    return AdditiveCode(C1.ring, C1.n, intersect(C1.expanded_howell, C2.expanded_howell).rows)
 
 
 def is_chi_self_orthogonal(C: AdditiveCode) -> bool:

@@ -1,5 +1,6 @@
 """Symplectic Gram-Schmidt over Z_{p^b}: rewrite a code's generating set as
-isotropic generators plus hyperbolic pairs.
+isotropic generators plus hyperbolic pairs, all phi-expanded rows.  The
+check contracts them to ring elements once, for the pairing check.
 """
 
 from __future__ import annotations
@@ -7,33 +8,35 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-from .codes import AdditiveCode, SymplecticVector, _expanded_pairing, symplectic_product
+from .codes import AdditiveCode, SymplecticVector, _contract, _expanded_pairing, symplectic_product
 from .errors import InternalInvariantViolation, NoSolution
 from .frozen import Frozen
-from .galois import RingElement, gen_trace, phi_contract
+from .galois import gen_trace
 from .zpblinalg import ZpbMatrix, howell_form, howell_member, smith_form, solve_congruence
+
+Row = Tuple[int, ...]
 
 
 class HyperbolicDecomposition(Frozen):
-    """Generators of C split into isotropic vectors and hyperbolic pairs.
+    """Generators of C, as phi-expanded rows, split into isotropic rows and
+    hyperbolic pairs.
 
-    Each pair ((v_i,w_i),(x_i,y_i)) has character-nontrivial gram
-    gamma_i = <(v_i,w_i)|(x_i,y_i)>_s, and every other pairing among the
+    Pair i (u_i, v_i) pairs character-nontrivially, with exponent
+    ``exponents[i]`` = Tr<u_i|v_i>_s, and every other pairing among the
     listed generators is character-trivial.
     """
 
-    def __init__(self, isotropic: Tuple[SymplecticVector, ...],
-                 pairs: Tuple[Tuple[SymplecticVector, SymplecticVector], ...],
-                 grams: Tuple[RingElement, ...]):
+    def __init__(self, isotropic: Tuple[Row, ...], pairs: Tuple[Tuple[Row, Row], ...],
+                 exponents: Tuple[int, ...]):
         object.__setattr__(self, "isotropic", isotropic)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "grams", grams)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def c(self) -> int:
         return len(self.pairs)
 
-    def all_generators(self) -> List[SymplecticVector]:
+    def all_generators(self) -> List[Row]:
         out = list(self.isotropic)
         for a, b in self.pairs:
             out.extend((a, b))
@@ -100,12 +103,11 @@ def hyperbolic_decompose(C: AdditiveCode) -> HyperbolicDecomposition:
 
 def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
     """Build the decomposition of ``hyperbolic_decompose`` and check it."""
-    ring = C.ring
-    N = ring.modulus
-    nm = C.n * ring.m
+    N, nm = C.ring.modulus, C.n * C.ring.m
     lifted = _lift_quotient_basis(C)
     work = [list(r) for r in lifted]
-    pairs: List[Tuple[SymplecticVector, SymplecticVector]] = []
+    pairs: List[Tuple[Row, Row]] = []
+    exponents: List[int] = []
     while True:
         best = None
         best_g = N + 1
@@ -132,18 +134,11 @@ def _decompose(C: AdditiveCode) -> HyperbolicDecomposition:
                     "elimination congruence unsolvable despite minimal-gcd pivot")
             new_work.append([(gk[t] + u * g0[t] + v * g1[t]) % N for t in range(2 * nm)])
         work = new_work
-        pairs.append((
-            SymplecticVector.from_components(ring, phi_contract(ring, g0)),
-            SymplecticVector.from_components(ring, phi_contract(ring, g1)),
-        ))
+        pairs.append((tuple(g0), tuple(g1)))
+        exponents.append(ell12)
 
-    iso_rows = _complete_generating_set(C, lifted)
-    isotropic = tuple(
-        SymplecticVector.from_components(ring, phi_contract(ring, r))
-        for r in iso_rows + work)
-    grams = tuple(symplectic_product(a, bb) for a, bb in pairs)
-
-    d = HyperbolicDecomposition(isotropic=isotropic, pairs=tuple(pairs), grams=grams)
+    isotropic = tuple(map(tuple, _complete_generating_set(C, lifted) + work))
+    d = HyperbolicDecomposition(isotropic, tuple(pairs), tuple(exponents))
     _check_decomposition(d, C)
     return d
 
@@ -168,10 +163,12 @@ def _check_partner_pairings(gens: Sequence[SymplecticVector], k: int) -> Tuple[i
 
 
 def _check_decomposition(d: HyperbolicDecomposition, C: AdditiveCode) -> None:
-    gens = d.all_generators()
-    _check_partner_pairings(gens, len(d.isotropic))
-    rebuilt = AdditiveCode(C.ring, C.n, tuple(gens))
-    if rebuilt.expanded_howell != C.expanded_howell:
+    """The pairings of d's generators, contracted to ring elements, and
+    their exponents; then one Howell form of d's rows against C's."""
+    ring, gens = C.ring, d.all_generators()
+    if _check_partner_pairings(_contract(ring, gens), len(d.isotropic)) != d.exponents:
+        raise InternalInvariantViolation("a pair's exponent is not the one recorded")
+    if howell_form(ZpbMatrix(ring.p, ring.b, C.ambient_cols, tuple(gens))) != C.expanded_howell:
         raise InternalInvariantViolation("decomposition does not span the code")
     if 2 * d.c != C.rank(0):
         raise InternalInvariantViolation("pair count does not match rank(C/(C cap C-dual))")

@@ -3,12 +3,13 @@ degree, and the end-to-end parameter pipeline for entanglement-assisted
 codes built from additive codes over GR(p^b, m).
 
 An extension is its extended code C', of length n + c, assembled from c
-coordinates of tail pairs (``_extend``): pair j of the decomposition gets
-the tails (-a.x | a.y) of tail pair j, the isotropic generators get zero
-tails, and C' is checked against C once.  Every parameter is read off C'
-and c = n' - n.  The minimal extension packs up to m pairs into one
-coordinate.  The tests' ``build_extension``, one coordinate per pair, is
-the same assembly from other tails.
+coordinates of tail pairs, phi-expanded rows in Z_{p^b}^{2cm}
+(``_extend``): pair j of the decomposition gets the tails (-x | y) of tail
+pair j, the isotropic generators get zero tails, and C' is checked against
+C once.  Every parameter is read off C' and c = n' - n.  The minimal
+extension packs up to m pairs into one coordinate.  The tests'
+``build_extension``, one coordinate per pair, is the same assembly from
+other tails.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from typing import Sequence, Tuple
 from .codes import (
     DEFAULT_ENUM_LIMIT,
     AdditiveCode,
-    SymplecticVector,
+    _contract,
     cardinality,
     is_chi_self_orthogonal,
     is_free,
     min_symplectic_distance,
 )
-from .decompose import _check_partner_pairings
+from .decompose import Row, _check_partner_pairings
 from .errors import (
     CapacityExceeded,
     InternalInvariantViolation,
@@ -34,11 +35,7 @@ from .errors import (
     ZeroTarget,
 )
 from .frozen import Frozen
-from .galois import GaloisRingSpec, RingElement, gen_trace
-from .zpblinalg import ZpbMatrix, howell_form
-
-
-TailPairs = Tuple[Tuple[SymplecticVector, SymplecticVector], ...]
+from .galois import GaloisRingSpec
 
 
 def _rho_growth(C: AdditiveCode) -> int:
@@ -52,13 +49,13 @@ def _check_extension(Cp: AdditiveCode, C: AdditiveCode) -> None:
     """C' is chi-self-orthogonal, punctures back to C, lies in the rho
     sandwich |C| <= |C'| <= |C| * _rho_growth(C), and is |C| if C is free.
     phi acts coordinate by coordinate, so C' punctured to its first n
-    coordinates is its expanded rows cut to the first nm columns of each
-    half."""
+    coordinates is its rows cut to the first nm columns of each half; these
+    must be C's decomposition's rows, in order, which span C (checked when
+    the decomposition was built)."""
     if not is_chi_self_orthogonal(Cp):
         raise InternalInvariantViolation("extension is not chi-self-orthogonal")
-    ring, nm, half = C.ring, C.n * C.ring.m, Cp.n * C.ring.m
-    cut = tuple(r[:nm] + r[half:half + nm] for r in Cp.expanded_matrix.rows)
-    if howell_form(ZpbMatrix(ring.p, ring.b, 2 * nm, cut)) != C.expanded_howell:
+    nm, half = C.n * C.ring.m, Cp.n * C.ring.m
+    if [r[:nm] + r[half:half + nm] for r in Cp.rows] != C.decomposition.all_generators():
         raise InternalInvariantViolation("puncturing does not recover the base code")
     card_c, card_ext = cardinality(C), cardinality(Cp)
     if not card_c <= card_ext <= card_c * _rho_growth(C):
@@ -67,52 +64,51 @@ def _check_extension(Cp: AdditiveCode, C: AdditiveCode) -> None:
         raise InternalInvariantViolation("free base must extend without growth")
 
 
-def _extend(C: AdditiveCode, c: int, tails: TailPairs) -> AdditiveCode:
-    """Append (-a.x | a.y) of tail pair j in R^{2c} to each member of pair
-    j of C's decomposition and zeros to each isotropic generator; build and
-    check C'."""
-    ring, d = C.ring, C.decomposition
-    zeros = (ring.zero,) * c
-    iso = tuple(SymplecticVector(ring, g.x + zeros, g.y + zeros) for g in d.isotropic)
-    paired = tuple(SymplecticVector(ring, g.x + tuple(-v for v in a.x), g.y + a.y)
-                   for members, pair in zip(d.pairs, tails) for g, a in zip(members, pair))
-    Cp = AdditiveCode(ring, C.n + c, iso + paired)
+def _extend(C: AdditiveCode, c: int, tails: Sequence[Tuple[Row, Row]]) -> AdditiveCode:
+    """Append (-x | y) of tail pair j's rows (x | y) in Z_{p^b}^{2cm} to
+    each member of pair j of C's decomposition and zeros to each isotropic
+    generator; build and check C'."""
+    d, nm, cm = C.decomposition, C.n * C.ring.m, c * C.ring.m
+    zeros = (0,) * cm
+    iso = [g[:nm] + zeros + g[nm:] + zeros for g in d.isotropic]
+    paired = [g[:nm] + tuple(-v for v in t[:cm]) + g[nm:] + t[cm:]
+              for members, pair in zip(d.pairs, tails) for g, t in zip(members, pair)]
+    Cp = AdditiveCode(C.ring, C.n + c, iso + paired)
     _check_extension(Cp, C)
     return Cp
 
 
-def _at(ring: GaloisRingSpec, c: int, k: int, el: RingElement) -> Tuple[RingElement, ...]:
-    """The length-c vector with el at coordinate k and zeros elsewhere."""
-    return (ring.zero,) * k + (el,) + (ring.zero,) * (c - k - 1)
-
-
 def construct_symplectic_subset(ring: GaloisRingSpec, c: int,
-                                targets: Sequence[int]) -> TailPairs:
-    """Pairs (a_{j1}, a_{j2}) in R^{2c} with prescribed character exponents,
-    character-trivial everywhere except within each pair.
+                                targets: Sequence[int]) -> Tuple[Tuple[Row, Row], ...]:
+    """Pairs (a_{j1}, a_{j2}) in R^{2c}, as phi-expanded rows, with
+    prescribed character exponents, character-trivial everywhere except
+    within each pair.
 
     Pair j goes into ring coordinate k = j // m with basis index l = j % m:
     a_{j1} = (-z_j dual_l e_k, 0) and a_{j2} = (0, theta^l e_k), so
     <a_{j1}|a_{j2}>_s = z_j theta^l dual_l has exponent z_j, and distinct
-    pairs in one coordinate stay character-orthogonal.
+    pairs in one coordinate stay character-orthogonal.  Expanded, a_{j1}
+    holds -z_j times dual_l's power-basis coordinates in block k of its x
+    half, and a_{j2} theta^l's dual-basis coordinates, row l of the trace
+    form, in block k of its y half.
     """
     if c < 0:
         raise ValueError(f"c = {c} is negative")
-    N = ring.modulus
+    N, m = ring.modulus, ring.m
     e = len(targets)
-    if e > c * ring.m:
-        raise CapacityExceeded(f"e = {e} exceeds capacity c*m = {c * ring.m}")
+    if e > c * m:
+        raise CapacityExceeded(f"e = {e} exceeds capacity c*m = {c * m}")
     zs = tuple(z % N for z in targets)
     if 0 in zs:
         raise ZeroTarget("target exponent 0 would make the pair character-trivial")
-    zeros = (ring.zero,) * c
-    dual = ring.dual
+    zeros = (0,) * (c * m)
     pairs = []
     for j, z in enumerate(zs):
-        k, ell = divmod(j, ring.m)
-        pairs.append((SymplecticVector(ring, _at(ring, c, k, dual[ell].scale(-z)), zeros),
-                      SymplecticVector(ring, zeros, _at(ring, c, k, ring.theta ** ell))))
-    if _check_partner_pairings([v for pair in pairs for v in pair], 0) != zs:
+        k, ell = divmod(j, m)
+        before, after = (0,) * (k * m), (0,) * ((c - k - 1) * m)
+        x = tuple(-z * a % N for a in ring._dual_coeffs[ell])
+        pairs.append((before + x + after + zeros, zeros + before + ring._gram[ell] + after))
+    if _check_partner_pairings(_contract(ring, [r for pair in pairs for r in pair]), 0) != zs:
         raise InternalInvariantViolation("a constructed pair misses its target exponent")
     return tuple(pairs)
 
@@ -128,13 +124,13 @@ def minimum_entanglement_degree(C: AdditiveCode) -> int:
 def _minimal_extension(C: AdditiveCode) -> AdditiveCode:
     """Minimal-degree chi-self-orthogonal extension C' of C, length n + c:
     only c = ceil(pairs / m) coordinates, packing up to m pairs into one
-    fresh ring coordinate via a symplectic subset with the grams' exponents
+    fresh ring coordinate via a symplectic subset with the pairs' exponents
     as targets.  Built and checked once per code as ``C.extension``."""
     d = C.decomposition
     c = -(-d.c // C.ring.m)
     if c != minimum_entanglement_degree(C):
         raise InternalInvariantViolation("pair count disagrees with the degree formula")
-    tails = construct_symplectic_subset(C.ring, c, [gen_trace(g) for g in d.grams])
+    tails = construct_symplectic_subset(C.ring, c, d.exponents)
     return _extend(C, c, tails)
 
 

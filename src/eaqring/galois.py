@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -156,11 +157,6 @@ class GaloisRingSpec(Frozen):
             raise InternalInvariantViolation("the trace form is not invertible")
         return tuple(tuple(r[m + j] for r in H.rows) for j in range(m))
 
-    @property
-    def dual(self) -> Tuple["RingElement", ...]:
-        """The unique dual basis of {1, theta, ..., theta^{m-1}}."""
-        return tuple(RingElement(self, c) for c in self._dual_coeffs)
-
 
 class RingElement(Frozen):
     """Element of GR(p^b, m) in power-basis coordinates (1, theta, ...)."""
@@ -194,10 +190,6 @@ class RingElement(Frozen):
         return RingElement(self.ring, _poly_mul_mod(self.coeffs, other.coeffs,
                                                     self.ring.h_coeffs, self.ring.modulus))
 
-    def scale(self, c: int) -> "RingElement":
-        N = self.ring.modulus
-        return RingElement(self.ring, tuple((c * a) % N for a in self.coeffs))
-
     def __pow__(self, e: int) -> "RingElement":
         if e < 0:
             raise ValueError(f"negative exponent {e}: ring elements are powered by e >= 0")
@@ -218,11 +210,12 @@ def gen_trace(z: RingElement) -> int:
     return sum(c * t for c, t in zip(z.coeffs, z.ring.tr_powers)) % N
 
 
-def _dual_coords(z: RingElement) -> Tuple[int, ...]:
-    """Coordinates of z in the dual basis: j-th is Tr(z * theta^j), that is
-    sum_i z_i Tr(theta^{i+j})."""
-    N = z.ring.modulus
-    return tuple(sum(c * g for c, g in zip(z.coeffs, row)) % N for row in z.ring._gram)
+def _dual_coords(ring: GaloisRingSpec, coeffs: Sequence[int]) -> Tuple[int, ...]:
+    """Dual-basis coordinates of the element z with power-basis coordinates
+    ``coeffs``: j-th is Tr(z * theta^j), that is sum_i z_i Tr(theta^{i+j}),
+    the ring's trace form times ``coeffs``."""
+    N = ring.modulus
+    return tuple(sum(map(mul, coeffs, row)) % N for row in ring._gram)
 
 
 def phi_expand(vec: Sequence[RingElement]) -> Tuple[int, ...]:
@@ -240,7 +233,7 @@ def phi_expand(vec: Sequence[RingElement]) -> Tuple[int, ...]:
     for r in vec[:n]:
         out.extend(r.coeffs)
     for r in vec[n:]:
-        out.extend(_dual_coords(r))
+        out.extend(_dual_coords(r.ring, r.coeffs))
     return tuple(out)
 
 

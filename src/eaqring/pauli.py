@@ -41,7 +41,7 @@ from .errors import (
     size_text,
 )
 from .frozen import Frozen
-from .galois import GaloisRingSpec, RingElement
+from .galois import GaloisRingSpec, RingElement, _dual_coords
 from .zpblinalg import enumerate_module, solve_congruence
 
 if TYPE_CHECKING:
@@ -124,7 +124,7 @@ class _Monomials:
         q, mod, m = ring.cardinality, ring.modulus, ring.m
         self.coords = coords = [tuple(i // mod ** j % mod for j in range(m)) for i in range(q)]
         self.index = index = {c: i for i, c in enumerate(coords)}
-        self.duals = [tuple(sum(map(mul, c, row)) % mod for row in ring._gram) for c in coords]
+        self.duals = [_dual_coords(ring, c) for c in coords]
         self.dual_index = {d: i for i, d in enumerate(self.duals)}
         self.add = [[index[tuple((a + b) % mod for a, b in zip(x, y))] for y in coords] for x in coords]
         self.trace = [[sum(map(mul, d, y)) % mod for y in coords] for d in self.duals]

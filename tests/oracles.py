@@ -12,8 +12,10 @@ another way, and nothing in the library calls them:
   ``teich_mod_p``: references for ``gen_trace``;
 - ``symplectic_weight``: reference for ``codes.block_weights``, and
   ``combine``, a sum of multiples of vectors over ring elements, which
-  the library only forms on phi-expanded rows; ``random_code``, the
-  tests' seeded random code;
+  the library only forms on phi-expanded rows; ``vector``, the
+  ring-level vector of one phi-expanded row, and ``vector_code``, the
+  code of ring-level vectors; ``random_code``, the tests' seeded random
+  code;
 - ``dual_level``: the chi-dual at every level t, reference for the rank
   profile that the Gram matrix's Smith form gives (the library builds
   level 0 only); ``puncture`` and ``same_module``, the ring-level form of
@@ -30,11 +32,12 @@ import functools
 import math
 from typing import Dict, Iterable, Sequence, Tuple
 
-from eaqring.codes import AdditiveCode, SymplecticVector, _pairing_columns, symplectic_product
+from eaqring.codes import AdditiveCode, SymplecticVector, _contract, _pairing_columns, symplectic_product
 from eaqring.decompose import HyperbolicDecomposition
 from eaqring.errors import DimensionMismatch, InternalInvariantViolation, RingMismatch
-from eaqring.extension import _at, _extend
-from eaqring.galois import GaloisRingSpec, RingElement, _dual_coords, _poly_mul_mod, gen_trace, phi_expand
+from eaqring.extension import _extend
+from eaqring.galois import (GaloisRingSpec, RingElement, _dual_coords, _poly_mul_mod, gen_trace,
+                            phi_contract, phi_expand)
 from eaqring.pauli import PauliOperator, StabilizerGroup, omega_modulus
 from eaqring.zpblinalg import ZpbMatrix, howell_member, kernel, smith_form
 
@@ -85,7 +88,7 @@ def teichmuller_decompose(z: RingElement) -> Tuple[RingElement, ...]:
         raise InternalInvariantViolation("Teichmuller decomposition did not terminate")
     acc = ring.zero
     for t in range(b - 1, -1, -1):
-        acc = acc.scale(p) + digits[t]
+        acc = ring.scalar(p) * acc + digits[t]
     if acc != z:
         raise InternalInvariantViolation("Teichmuller recomposition mismatch")
     return tuple(digits)
@@ -119,16 +122,28 @@ def combine(terms: Iterable[Tuple[int, SymplecticVector]]) -> SymplecticVector:
     if any(v.ring != ring or v.n != n for _, v in terms):
         raise DimensionMismatch("terms of different rings or lengths")
     return SymplecticVector.from_components(ring, [
-        sum((v.components[i].scale(c) for c, v in terms), ring.zero) for i in range(2 * n)])
+        sum((ring.scalar(c) * v.components[i] for c, v in terms), ring.zero) for i in range(2 * n)])
+
+
+def vector(ring: GaloisRingSpec, flat) -> SymplecticVector:
+    """The ring-level vector of a phi-expanded row; for m = 1, of the
+    residues x_1..x_n, y_1..y_n."""
+    return SymplecticVector.from_components(ring, phi_contract(ring, flat))
+
+
+def vector_code(ring: GaloisRingSpec, n: int, vectors: Iterable[SymplecticVector]) -> AdditiveCode:
+    """The code of length n generated by ring-level vectors."""
+    return AdditiveCode(ring, n, [phi_expand(v.components) for v in vectors])
 
 
 def random_code(ring: GaloisRingSpec, n: int, k: int, rng) -> AdditiveCode:
     """k generators of length n, each coordinate of each entry drawn
-    uniformly from ``rng``, entry by entry."""
+    uniformly from ``rng``, entry by entry, then phi-expanded (as
+    ``scripts/survey_random_codes.py`` draws its codes)."""
     N, m = ring.modulus, ring.m
-    return AdditiveCode(ring, n, tuple(SymplecticVector.from_components(
-        ring, [ring.element([rng.randrange(N) for _ in range(m)]) for _ in range(2 * n)])
-        for _ in range(k)))
+    return AdditiveCode(ring, n, [
+        phi_expand([ring.element([rng.randrange(N) for _ in range(m)]) for _ in range(2 * n)])
+        for _ in range(k)])
 
 
 def contains(C: AdditiveCode, v: SymplecticVector) -> bool:
@@ -143,8 +158,7 @@ def puncture(C: AdditiveCode, keep_n: int) -> AdditiveCode:
     """Drop the last n - keep_n coordinates of each half."""
     if not 0 <= keep_n <= C.n:
         raise DimensionMismatch(f"keep_n = {keep_n} out of range for n = {C.n}")
-    gens = tuple(SymplecticVector(C.ring, g.x[:keep_n], g.y[:keep_n]) for g in C.generators)
-    return AdditiveCode(C.ring, keep_n, gens)
+    return AdditiveCode(C.ring, keep_n, [phi_expand(g.x[:keep_n] + g.y[:keep_n]) for g in C.generators])
 
 
 def dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
@@ -162,32 +176,32 @@ def dual_level(C: AdditiveCode, t: int) -> AdditiveCode:
     scaled = math.prod(p ** max(0, b - t - e) for e in C.expanded_smith.diag_exponents)
     if H.cardinality * scaled != C.ring.cardinality ** (2 * C.n):
         raise InternalInvariantViolation(f"|C^(chi,{t})| * |p^{t} C| is not q^(2n)")
-    return AdditiveCode.from_expanded(C.ring, C.n, H)
+    return AdditiveCode(C.ring, C.n, H.rows)
 
 
 def verify_prop_count(d: HyperbolicDecomposition, C: AdditiveCode, t: int) -> bool:
     """Number of pair members inside C^{chi-dual,t} equals the rank drop
     from level 0 to level t."""
     dual_t = dual_level(C, t).expanded_howell
-    count = sum(1 for pair in d.pairs for member in pair
-                if howell_member(dual_t, phi_expand(member.components)))
+    count = sum(1 for pair in d.pairs for member in pair if howell_member(dual_t, member))
     return count == C.rank(0) - C.rank(t)
 
 
 # ---------------------------------------------------------------- extension
 
 def build_extension(C: AdditiveCode) -> AdditiveCode:
-    """One fresh coordinate per hyperbolic pair of C's decomposition, from
-    the tails a_{j1} = (-gamma_j e_j, 0), a_{j2} = (0, e_j): the first
-    member gets gamma_j appended in the x half, the second a unit in the y
-    half."""
+    """One fresh coordinate per hyperbolic pair (u_j, v_j) of C's
+    decomposition, from the tails a_{j1} = (-gamma_j e_j, 0), a_{j2} =
+    (0, e_j) with gamma_j = <u_j|v_j>_s over ring elements: the first member
+    gets gamma_j appended in the x half, the second a unit in the y half."""
     d = C.decomposition
     ring, c = C.ring, d.c
-    zeros = (ring.zero,) * c
-    pairs = tuple((SymplecticVector(ring, _at(ring, c, j, -gamma), zeros),
-                   SymplecticVector(ring, zeros, _at(ring, c, j, ring.one)))
-                  for j, gamma in enumerate(d.grams))
-    return _extend(C, c, pairs)
+    tails = []
+    for j, (u, v) in enumerate(_contract(ring, pair) for pair in d.pairs):
+        a1, a2 = [ring.zero] * (2 * c), [ring.zero] * (2 * c)
+        a1[j], a2[c + j] = -symplectic_product(u, v), ring.one
+        tails.append((phi_expand(a1), phi_expand(a2)))
+    return _extend(C, c, tails)
 
 
 def verify_quasi_symplectic(ring: GaloisRingSpec,
@@ -261,7 +275,7 @@ def monomial_tables(ring: GaloisRingSpec):
     q x q tables of x + y (as an index) and of Tr(x*y)."""
     elems = indexed_elements(ring)
     index = {e.coeffs: i for i, e in enumerate(elems)}
-    duals = [_dual_coords(e) for e in elems]
+    duals = [_dual_coords(ring, e.coeffs) for e in elems]
     add = [[index[(x + y).coeffs] for y in elems] for x in elems]
     trace = [[gen_trace(x * y) for y in elems] for x in elems]
     return [e.coeffs for e in elems], index, duals, add, trace

@@ -42,7 +42,7 @@ from eaqring.pauli import (
     undetectable_error_search,
 )
 from eaqring.zpblinalg import quotient_rank
-from oracles import build_extension, puncture, random_code, same_module
+from oracles import build_extension, puncture, random_code, same_module, vector
 
 
 def criterion(num):
@@ -127,7 +127,7 @@ def test_criterion_2_decomposition(corpus, decomps):
             D = code_intersection(C, chi_dual_level(C))
             assert 2 * d.c == quotient_rank(C.expanded_howell, D.expanded_howell)
             k = len(d.isotropic)
-            gens = d.all_generators()
+            gens = [vector(C.ring, r) for r in d.all_generators()]
             for a, g in enumerate(gens):
                 for b, h in enumerate(gens):
                     partners = a >= k and b >= k and a != b and (a - k) // 2 == (b - k) // 2
@@ -153,11 +153,11 @@ def test_criterion_3_extension(corpus, decomps):
 @criterion(4)
 def test_criterion_4_worked_instance():
     z4 = make_ring(2, 2, 1)
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     d = hyperbolic_decompose(C)
     assert d.c == 1
     ext = build_extension(C)
-    want = AdditiveCode.from_int_rows(z4, [[1, 2, 0, 0], [0, 0, 2, 1]])
+    want = AdditiveCode(z4, 2, [[1, 2, 0, 0], [0, 0, 2, 1]])
     assert same_module(ext, want)
     assert cardinality(ext) == 16
     P = eaqecc_params(C)
@@ -365,7 +365,7 @@ def test_criterion_8_pauli_ground_truth():
 @criterion(9)
 def test_criterion_9_cli_determinism(tmp_path):
     z4 = make_ring(2, 2, 1)
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     f = tmp_path / "worked.txt"
     f.write_text(serialize_code(z4, C))
     runner = [sys.executable, "-c", "from eaqring.cli import main; main()"]

@@ -24,10 +24,10 @@ from eaqring.cli import build_report, parse_code_text
 from eaqring.codes import AdditiveCode, chi_dual_level, code_intersection
 from eaqring.errors import InternalInvariantViolation
 from eaqring.decompose import hyperbolic_decompose
-from eaqring.extension import eaqecc_params
+from eaqring.extension import construct_symplectic_subset, eaqecc_params
 from eaqring.galois import make_ring, phi_expand
-from eaqring.zpblinalg import HowellBasis, ZpbMatrix, howell_form, quotient_rank
-from oracles import combine, dual_level, random_code
+from eaqring.zpblinalg import HowellBasis, SmithDecomposition, ZpbMatrix, howell_form, quotient_rank
+from oracles import combine, dual_level, random_code, vector_code
 from test_census import all_codes
 
 CODES = {
@@ -49,7 +49,7 @@ def sample_codes(ring, rng):
         g = C.generators
         extra = (combine([(1, g[0]), (1, g[-1])]), combine([(ring.p, g[0])]),
                  combine([(rng.randrange(ring.modulus), g[-1])]))
-        codes.append(AdditiveCode(ring, C.n, g + extra))
+        codes.append(vector_code(ring, C.n, g + extra))
     assert any(len(C.generators) > len(C.expanded_smith.diag_exponents) for C in codes)
     return codes
 
@@ -58,8 +58,8 @@ def sample_codes(ring, rng):
 def counted(monkeypatch):
     """Counters for the decomposition body, the kernels (keyed by their
     matrix), the solves, every Smith form, every Howell form, every
-    intersection, every quotient rank and every contraction of expanded
-    rows into a code."""
+    intersection, every quotient rank, and every contraction of an
+    expanded row into ring elements, keyed by the row."""
     seen = collections.Counter()
 
     def count(module, name, key=lambda *args: None):
@@ -74,7 +74,7 @@ def counted(monkeypatch):
     count(codes_mod, "kernel", key=lambda A: A)
     count(codes_mod, "_solve")
     count(codes_mod, "intersect")
-    count(codes_mod, "phi_contract")
+    count(codes_mod, "phi_contract", key=lambda ring, flat: tuple(flat))
     for module in (codes_mod, decompose_mod, extension_mod, pauli_mod, zpb_mod):
         if hasattr(module, "smith_form"):
             count(module, "smith_form")
@@ -100,8 +100,13 @@ def check_built_once(counted, label, command, max_enum):
     assert kernels == ({codes_mod._pairing_columns(C): 1} if searched else {})
     assert counted["intersect", None] == 0
     assert counted["quotient_rank", None] == 0
-    # no derived module is contracted into ring-level generators
-    assert counted["phi_contract", None] == 0
+    # rows are contracted to ring elements only for the report and the
+    # ring-level checks: C's and C''s rows, the decomposition's and the
+    # tails'; no row of the chi-dual or of the meet beyond those
+    contracted = {k for name, k in counted if name == "phi_contract"}
+    d, Cp = C.decomposition, C.extension
+    tails = construct_symplectic_subset(ring, Cp.n - C.n, d.exponents)
+    assert contracted <= {*C.rows, *Cp.rows, *d.all_generators(), *(r for t in tails for r in t)}
     # Smith forms: the minimal generators of C and of C cap C^chi and the
     # Gram matrix; verify adds the minimal generators of C'.  Kernels,
     # enumerations and the meet read Howell forms only.
@@ -136,6 +141,17 @@ def test_chi_dual_is_checked_against_its_size(monkeypatch):
                         lambda code: ZpbMatrix(2, 2, 0, ((), ())))
     with pytest.raises(InternalInvariantViolation, match="is not q"):
         C.dual
+
+
+def test_rho_is_checked_to_be_even(monkeypatch):
+    """rho_t = rank(t-1) - rank(t) counts the Gram matrix's Smith exponents
+    equal to b - t, which come in pairs: over Z4 a Gram matrix read as
+    having one exponent 1 gives rho_1 = 1, which ``rho`` rejects."""
+    ring, C = parse_code_text(CODES["Z4"])
+    C.gram  # built with the real Smith form
+    monkeypatch.setattr(codes_mod, "smith_form", lambda A: SmithDecomposition((1,), ((2, 0),)))
+    with pytest.raises(InternalInvariantViolation, match="^rho_1 = 1 is odd$"):
+        C.rho
 
 
 @pytest.mark.parametrize("t", [-3, -1, 3, 5])
@@ -176,9 +192,11 @@ def test_repeated_calls_return_the_cached_objects():
     d = hyperbolic_decompose(C)
     assert hyperbolic_decompose(C) is d
     assert C.extension is C.extension
-    assert C.extension.generators[len(d.isotropic)].x[:C.n] == d.pairs[0][0].x
+    nm = C.n * ring.m
+    assert C.extension.rows[len(d.isotropic)][:nm] == d.pairs[0][0][:nm]
+    assert C.generators is C.generators
     assert C.dual is C.dual
-    assert chi_dual_level(C).expanded_howell is C.dual
+    assert chi_dual_level(C).rows == C.dual.rows
     assert C.meet is C.meet
     assert C.gram is C.gram
     assert C.rho is C.rho
@@ -236,7 +254,7 @@ def test_every_cached_matrix_is_well_formed(monkeypatch, ring_args, n):
         monkeypatch.setattr(codes_mod, name, spy)
     ring = make_ring(*ring_args)
     codes = sample_codes(ring, random.Random(sum(x * 10 ** i for i, x in enumerate(ring_args))))
-    codes += [AdditiveCode.from_expanded(ring, n, H) for H in (all_codes(ring, n) if n else ())]
+    codes += [AdditiveCode(ring, n, H.rows) for H in (all_codes(ring, n) if n else ())]
     for C in codes:
         for t in range(ring.b + 1):
             assert_well_formed(dual_level(C, t).expanded_howell)

@@ -64,7 +64,7 @@ def test_census(ring_args, n, count):
     assert len(bases) == count
     flag_false = []
     for H in bases:
-        C = AdditiveCode.from_expanded(ring, n, H)
+        C = AdditiveCode(ring, n, H.rows)
         assert C.meet == code_intersection(C, chi_dual_level(C)).expanded_howell
         for t in range(ring.b + 1):
             meet = code_intersection(C, dual_level(C, t))

@@ -37,7 +37,7 @@ from eaqring.errors import (
     size_text,
 )
 from eaqring.extension import eaqecc_params
-from eaqring.galois import make_ring
+from eaqring.galois import RingElement, make_ring, phi_expand
 from oracles import same_module
 
 Z4_WORKED = "ring p=2 b=2 m=1\nn 1\ngen 1 0\ngen 0 2\n"
@@ -49,8 +49,28 @@ Z8_N2 = "ring p=2 b=3 m=1\nn 2\ngen 1 2 4 3\ngen 2 6 1 0\ngen 0 4 2 2\n"
 def test_parse_worked():
     ring, C = parse_code_text(Z4_WORKED)
     assert (ring.p, ring.b, ring.m) == (2, 2, 1)
-    want = AdditiveCode.from_int_rows(make_ring(2, 2, 1), [[1, 0], [0, 2]])
+    want = AdditiveCode(make_ring(2, 2, 1), 1, [[1, 0], [0, 2]])
     assert same_module(C, want)
+
+
+def test_parse_makes_no_ring_element(monkeypatch):
+    """The parser writes each generator's phi-expanded row directly: parsing
+    a Z4 and a GR(4, 2) file calls ``RingElement.__init__`` 0 times, once
+    their rings and trace forms are built, and the rows are the expansions
+    of the generators the report echoes."""
+    for ring in (make_ring(2, 2, 1), make_ring(2, 2, 2)):
+        ring._gram
+    calls = []
+    init = RingElement.__init__
+    monkeypatch.setattr(RingElement, "__init__", lambda self, *args: calls.append(1) or init(self, *args))
+    parsed = [parse_code_text(text) for text in (Z4_WORKED, GR42)]
+    assert calls == []
+    monkeypatch.undo()
+    for ring, C in parsed:
+        assert C.rows == tuple(phi_expand(g.components) for g in C.generators)
+    assert parsed[0][1].rows == ((1, 0), (0, 2))
+    # GR(4, 2): y = 0 expands to (0, 0), y = 2 to 2 * (Tr 1, Tr theta)
+    assert parsed[1][1].rows == ((1, 0, 0, 0), (0, 1, 0, 2))
 
 
 def test_parse_round_trip():
@@ -163,8 +183,8 @@ def test_decompose_and_extend_reports():
     assert code == 0
     assert rep["card_extended"] == 16
     gens = [[e[0] for e in row] for row in rep["extended_generators"]]
-    ext = AdditiveCode.from_int_rows(make_ring(2, 2, 1), gens)
-    want = AdditiveCode.from_int_rows(make_ring(2, 2, 1), [[1, 2, 0, 0], [0, 0, 2, 1]])
+    ext = AdditiveCode(make_ring(2, 2, 1), 2, gens)
+    want = AdditiveCode(make_ring(2, 2, 1), 2, [[1, 2, 0, 0], [0, 0, 2, 1]])
     assert same_module(ext, want)
 
 

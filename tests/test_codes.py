@@ -28,7 +28,7 @@ from eaqring.errors import SearchLimitExceeded
 from eaqring.extension import eaqecc_params
 from eaqring.galois import gen_trace, make_ring, phi_contract, phi_expand
 from eaqring.zpblinalg import BLOCK, enumerate_module, howell_member, lane_adder, lane_width, packed_blocks, unpack
-from oracles import combine, contains, dual_level, puncture, same_module, symplectic_weight
+from oracles import combine, contains, dual_level, puncture, same_module, symplectic_weight, vector, vector_code
 
 
 def all_vectors(ring, n):
@@ -89,12 +89,12 @@ def gr42():
 
 @pytest.fixture(scope="module")
 def worked(z4):
-    return AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    return AdditiveCode(z4, 1, [[1, 0], [0, 2]])
 
 
 def test_symplectic_product_examples(z4, gr42):
-    u = SymplecticVector.from_ints(z4, [1, 0])
-    v = SymplecticVector.from_ints(z4, [0, 1])
+    u = vector(z4, [1, 0])
+    v = vector(z4, [0, 1])
     assert symplectic_product(u, v).coeffs == (3,)
     th = gr42.theta
     a = SymplecticVector(gr42, (th,), (gr42.zero,))
@@ -117,18 +117,18 @@ def test_a_negative_length_is_a_value_error(z4):
     q^(2n)).  n = 0, which ``puncture`` builds, stays a code."""
     with pytest.raises(ValueError, match="n = -1 is negative"):
         AdditiveCode(z4, -1, ())
-    empty = puncture(AdditiveCode.from_int_rows(z4, [[1, 0]]), 0)
+    empty = puncture(AdditiveCode(z4, 1, [[1, 0]]), 0)
     assert (empty.n, eaqecc_params(empty).K_exact) == (0, 1)
 
 
 def test_symplectic_weight(z4):
-    assert symplectic_weight(SymplecticVector.from_ints(z4, [0, 0, 0, 0])) == 0
-    assert symplectic_weight(SymplecticVector.from_ints(z4, [1, 0, 2, 0])) == 1
-    assert symplectic_weight(SymplecticVector.from_ints(z4, [1, 1, 0, 2])) == 2
+    assert symplectic_weight(vector(z4, [0, 0, 0, 0])) == 0
+    assert symplectic_weight(vector(z4, [1, 0, 2, 0])) == 1
+    assert symplectic_weight(vector(z4, [1, 1, 0, 2])) == 2
 
 
 def test_cardinality_examples(z4, worked):
-    assert cardinality(AdditiveCode.from_int_rows(z4, [[2, 0]])) == 2
+    assert cardinality(AdditiveCode(z4, 1, [[2, 0]])) == 2
     assert cardinality(worked) == 8
     zero = AdditiveCode(z4, 1, ())
     assert cardinality(zero) == 1
@@ -140,7 +140,7 @@ def test_cardinality_matches_closure(z4, gr42):
         vecs = list(all_vectors(ring, n))
         for _ in range(10):
             gens = tuple(rng.choice(vecs) for _ in range(rng.choice([1, 2])))
-            C = AdditiveCode(ring, n, gens)
+            C = vector_code(ring, n, gens)
             assert cardinality(C) == len(closure(ring, n, gens))
 
 
@@ -162,7 +162,7 @@ def test_chi_dual_brute_force(z4, gr42):
         vecs = list(all_vectors(ring, n))
         for _ in range(6):
             gens = tuple(rng.choice(vecs) for _ in range(rng.choice([1, 2])))
-            C = AdditiveCode(ring, n, gens)
+            C = vector_code(ring, n, gens)
             for t in range(ring.b + 1):
                 D = dual_level(C, t)
                 got = {tuple(flat) for flat in enumerate_module(D.expanded_howell)}
@@ -183,7 +183,7 @@ def test_duality_cardinality_law(z4, gr42):
             if vecs is None:
                 vecs = list(all_vectors(ring, n))
             gens = tuple(rng.choice(vecs) for _ in range(rng.choice([1, 2, 3])))
-            C = AdditiveCode(ring, n, gens)
+            C = vector_code(ring, n, gens)
             assert cardinality(C) * cardinality(chi_dual_level(C)) == ring.cardinality ** (2 * n)
 
 
@@ -193,7 +193,7 @@ def test_bidual_and_nesting(z4, gr42):
         vecs = list(all_vectors(ring, n))
         for _ in range(8):
             gens = tuple(rng.choice(vecs) for _ in range(2))
-            C = AdditiveCode(ring, n, gens)
+            C = vector_code(ring, n, gens)
             assert same_module(chi_dual_level(chi_dual_level(C)), C)
             for t in range(ring.b):
                 lower = dual_level(C, t)
@@ -203,10 +203,10 @@ def test_bidual_and_nesting(z4, gr42):
 
 
 def test_is_chi_self_orthogonal(z4):
-    assert is_chi_self_orthogonal(AdditiveCode.from_int_rows(z4, [[2, 0]]))
-    assert not is_chi_self_orthogonal(AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]]))
+    assert is_chi_self_orthogonal(AdditiveCode(z4, 1, [[2, 0]]))
+    assert not is_chi_self_orthogonal(AdditiveCode(z4, 1, [[1, 0], [0, 1]]))
     f2 = make_ring(2, 1, 1)
-    assert is_chi_self_orthogonal(AdditiveCode.from_int_rows(f2, [[1, 1]]))
+    assert is_chi_self_orthogonal(AdditiveCode(f2, 1, [[1, 1]]))
 
 
 def test_min_symplectic_distance(z4, worked):
@@ -216,7 +216,7 @@ def test_min_symplectic_distance(z4, worked):
     # the whole space: its chi-dual {0} is inside it, and D is infinite
     assert min_symplectic_distance(chi_dual_level(AdditiveCode(z4, 1, ()))) == math.inf
     # a code whose chi-dual is not inside it: members of C are skipped
-    C = AdditiveCode.from_int_rows(z4, [[2, 0]])
+    C = AdditiveCode(z4, 1, [[2, 0]])
     assert not C.dual_in_code
     assert min_symplectic_distance(C) == 1
     with pytest.raises(SearchLimitExceeded) as exc:
@@ -237,7 +237,7 @@ def brute_distances(ring, n, gens):
     tr = [[gen_trace(a * b) for b in elems] for a in elems]
     index = {e.coeffs: i for i, e in enumerate(elems)}
     gen_idx = [[index[e.coeffs] for e in g.components] for g in gens]
-    C = AdditiveCode(ring, n, tuple(gens))
+    C = vector_code(ring, n, gens)
     code = closure(ring, n, gens)
 
     def in_dual(v):
@@ -295,7 +295,7 @@ def test_min_distance_skips_light_members_of_the_code(params, rows):
     on two new coordinates each, which has no weight-1 vector, C^chi spans
     several blocks, so those members come as h - t with h != 0; D stays 2."""
     ring = make_ring(*params)
-    C, want = brute_distances(ring, 2, [SymplecticVector.from_ints(ring, r) for r in rows])
+    C, want = brute_distances(ring, 2, [vector(ring, r) for r in rows])
     assert want == {"code": 1, "dual": 1, "dual_minus_code": 2, "D": 2, "dual_in_code": False}
     assert not C.dual_in_code
     assert min_symplectic_distance(C) == 2
@@ -305,7 +305,7 @@ def test_min_distance_skips_light_members_of_the_code(params, rows):
     for j in range(2, n, 2):
         padded.append([int(i in (j, j + 1)) for i in range(n)] + [0] * n)
         padded.append([0] * n + [{j: 1, j + 1: ring.modulus - 1}.get(i, 0) for i in range(n)])
-    C = AdditiveCode.from_int_rows(ring, padded)
+    C = AdditiveCode(ring, n, padded)
     table, highs = packed_blocks(C.dual)
     assert len(table) < C.dual.cardinality and not C.dual_in_code
     assert min_symplectic_distance(C) == tuple_search_distance(C) == 2
@@ -347,7 +347,7 @@ def test_distance_search_tests_membership_only_to_lower_the_minimum(monkeypatch)
     on under 1% of them."""
     f2 = make_ring(2, 1, 1)
     rng = random.Random(37)
-    C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(20)] for _ in range(8)])
+    C = AdditiveCode(f2, 10, [[rng.randrange(2) for _ in range(20)] for _ in range(8)])
     size = 2 ** 20 // cardinality(C)
     counts = {"member": 0, "weighed": 0}
     member, weights = codes_mod.howell_member, codes_mod.block_weights
@@ -380,7 +380,7 @@ def test_block_weights_match_the_lane_formula(label):
     ring = make_ring(*RINGS[label])
     n, m, N = 6 if label == "F2" else 3, ring.m, ring.modulus
     cols, L = 2 * n * m, lane_width(N)
-    C = AdditiveCode(ring, n, (_random_vector(ring, n, random.Random(53)),))
+    C = vector_code(ring, n, [_random_vector(ring, n, random.Random(53))])
     table, highs = packed_blocks(C.dual)
     assert len(table) < C.dual.cardinality
     add, weights = lane_adder(N, cols), block_weights(n, m, N)
@@ -390,7 +390,7 @@ def test_block_weights_match_the_lane_formula(label):
         if N == 2:
             assert block == [h ^ t for t in table] == [add(h, t) for t in table]
         assert weights(h, table) == [
-            symplectic_weight(SymplecticVector.from_components(ring, phi_contract(ring, unpack(v, L, cols))))
+            symplectic_weight(vector(ring, unpack(v, L, cols)))
             for v in block]
 
 
@@ -404,7 +404,7 @@ def test_distance_search_memory_does_not_grow_with_the_dual():
     rng = random.Random(47)
     for n, k in ((8, 6), (14, 12)):
         while True:
-            C = AdditiveCode.from_int_rows(f2, [[rng.randrange(2) for _ in range(2 * n)] for _ in range(k)])
+            C = AdditiveCode(f2, n, [[rng.randrange(2) for _ in range(2 * n)] for _ in range(k)])
             if cardinality(C) == 2 ** k:
                 break
         C.dual, C.dual_in_code, C.expanded_howell
@@ -454,10 +454,10 @@ def _random_isotropic(ring, n, rng, lo):
     """A chi-self-orthogonal code of size >= lo: each generator is a random
     combination of the Howell rows of the chi-dual of those before it."""
     gens = []
-    while cardinality(AdditiveCode(ring, n, tuple(gens))) < lo:
-        dual = chi_dual_level(AdditiveCode(ring, n, tuple(gens))).generators
+    while cardinality(vector_code(ring, n, gens)) < lo:
+        dual = chi_dual_level(vector_code(ring, n, gens)).generators
         gens.append(combine([(rng.randrange(ring.modulus), g) for g in dual]))
-    return AdditiveCode(ring, n, tuple(gens))
+    return vector_code(ring, n, gens)
 
 
 def _blocks_class(C):
@@ -498,8 +498,8 @@ def test_min_distance_matches_the_tuple_search(label, monkeypatch):
                     A = _random_isotropic(ring, n, rng, min(2 ** rng.randint(8, 12), q ** n))
                     C = chi_dual_level(A)
                 else:
-                    C = AdditiveCode(ring, n, tuple(_random_vector(ring, n, rng)
-                                                    for _ in range(rng.randint(1, 2 * n * ring.m))))
+                    C = vector_code(ring, n, (_random_vector(ring, n, rng)
+                                              for _ in range(rng.randint(1, 2 * n * ring.m))))
                 size = q ** (2 * n) // cardinality(C)
                 if 2 ** 8 <= size <= 2 ** 14 and C.dual_in_code == case:
                     break
@@ -517,14 +517,14 @@ def test_min_distance_matches_the_tuple_search(label, monkeypatch):
         if not wanted:
             break
         n = rng.choice(lengths)
-        C = AdditiveCode(ring, n, tuple(_graded_vector(ring, n, rng)
-                                        for _ in range(rng.randint(1, 2 * n * ring.m))))
+        C = vector_code(ring, n, (_graded_vector(ring, n, rng)
+                                  for _ in range(rng.randint(1, 2 * n * ring.m))))
         if q ** (2 * n) // cardinality(C) > 2 ** 14:
             continue
         tested.clear()
         D = min_symplectic_distance(C)
         assert C.dual_in_code or D == min(
-            symplectic_weight(SymplecticVector.from_components(ring, phi_contract(ring, v)))
+            symplectic_weight(vector(ring, v))
             for v in tested if not member(C.expanded_howell, v))
         if (_blocks_class(C), D == 1) in wanted:
             assert D == tuple_search_distance(C), n
@@ -542,7 +542,7 @@ def test_min_distance_early_exit_and_infinite_against_the_tuple_search(z4):
     rng = random.Random(43)
     rows = [[0] + [rng.randrange(2) for _ in range(11)] + [0] + [rng.randrange(2) for _ in range(11)]
             for _ in range(14)]
-    C = AdditiveCode.from_int_rows(f2, rows)
+    C = AdditiveCode(f2, 12, rows)
     assert not C.dual_in_code and 2 ** 24 // cardinality(C) <= 2 ** 14
     assert min_symplectic_distance(C) == tuple_search_distance(C) == 1
     whole = chi_dual_level(AdditiveCode(z4, 4, ()))
@@ -552,26 +552,25 @@ def test_min_distance_early_exit_and_infinite_against_the_tuple_search(z4):
 
 def test_puncture(z4, worked):
     assert same_module(puncture(worked, 1), worked)
-    C = AdditiveCode.from_int_rows(z4, [[1, 2, 0, 3], [0, 2, 2, 0]])
+    C = AdditiveCode(z4, 2, [[1, 2, 0, 3], [0, 2, 2, 0]])
     P = puncture(C, 1)
     assert P.n == 1
-    want = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    want = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     assert same_module(P, want)
     zero = AdditiveCode(z4, 2, ())
     assert cardinality(puncture(zero, 1)) == 1
 
 
 def test_membership_and_freeness(z4, worked):
-    assert contains(worked, SymplecticVector.from_ints(z4, [2, 0]))
-    assert contains(worked, SymplecticVector.from_ints(z4, [3, 2]))
-    assert not contains(worked, SymplecticVector.from_ints(z4, [0, 1]))
+    assert contains(worked, vector(z4, [2, 0]))
+    assert contains(worked, vector(z4, [3, 2]))
+    assert not contains(worked, vector(z4, [0, 1]))
     assert not is_free(worked)
-    assert is_free(AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]]))
+    assert is_free(AdditiveCode(z4, 1, [[1, 0], [0, 1]]))
 
 
 def test_minimal_generating_vectors(z4, worked):
-    gens = [SymplecticVector.from_components(z4, phi_contract(z4, r))
-            for r in worked.expanded_smith.generators]
-    rebuilt = AdditiveCode(z4, 1, tuple(gens))
+    gens = [vector(z4, r) for r in worked.expanded_smith.generators]
+    rebuilt = vector_code(z4, 1, gens)
     assert same_module(rebuilt, worked)
     assert len(gens) == 2

@@ -22,7 +22,7 @@ from eaqring.decompose import (
 from eaqring.errors import InternalInvariantViolation
 from eaqring.galois import gen_trace, make_ring
 from eaqring.zpblinalg import ZpbMatrix, howell_form, howell_member, quotient_rank
-from oracles import combine, contains, dual_level, random_code, same_module, verify_prop_count
+from oracles import combine, contains, dual_level, random_code, same_module, vector, vector_code, verify_prop_count
 from test_census import all_codes
 
 
@@ -42,50 +42,50 @@ def z4():
 
 
 def test_isotropic_only(z4):
-    C = AdditiveCode.from_int_rows(z4, [[2, 0]])
+    C = AdditiveCode(z4, 1, [[2, 0]])
     d = hyperbolic_decompose(C)
     assert d.c == 0 and not d.pairs
     assert same_module(AdditiveCode(z4, 1, d.isotropic), C)
 
 
 def test_full_space(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 1]])
     d = hyperbolic_decompose(C)
     assert d.c == 1
     assert not d.isotropic
-    assert gen_trace(d.grams[0]) != 0
+    assert d.exponents[0] != 0
 
 
 def test_worked_instance(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     d = hyperbolic_decompose(C)
     assert d.c == 1
-    assert gen_trace(d.grams[0]) == 2
+    assert d.exponents == (2,)
     # the pair already generates C minimally, so no isotropic completion;
     # C cap C-dual = {(0,0),(2,0)} sits inside the pair span
     assert d.isotropic == ()
     span = AdditiveCode(z4, 1, tuple(d.all_generators()))
-    assert contains(span, SymplecticVector.from_ints(z4, [2, 0]))
+    assert contains(span, vector(z4, [2, 0]))
 
 
 def test_rho_profile_examples(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     assert C.rho == (2,)
-    full = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])
+    full = AdditiveCode(z4, 1, [[1, 0], [0, 1]])
     assert full.rho == (0,)
     f4 = make_ring(2, 1, 2)
-    C1 = AdditiveCode(f4, 1, (SymplecticVector(f4, (f4.one,), (f4.zero,)),))
+    C1 = vector_code(f4, 1, [SymplecticVector(f4, (f4.one,), (f4.zero,))])
     assert C1.rho == ()
 
 
 def test_verify_prop_count_worked(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     d = hyperbolic_decompose(C)
     for t in range(3):
         assert verify_prop_count(d, C, t)
     # t=1 specifics: both pair members in the level-1 dual
     dual1 = dual_level(C, 1)
-    assert sum(1 for p in d.pairs for mem in p if contains(dual1, mem)) == 2
+    assert sum(1 for p in d.pairs for mem in p if contains(dual1, vector(z4, mem))) == 2
 
 
 @pytest.mark.parametrize("ring,n,kmax", RINGS)
@@ -103,7 +103,7 @@ def test_randomized_invariants(ring, n, kmax):
         assert 2 * d.c >= (len(C.expanded_smith.diag_exponents)
                            - len(D.expanded_smith.diag_exponents))
         # character pairing structure
-        gens = d.all_generators()
+        gens = [vector(ring, r) for r in d.all_generators()]
         k = len(d.isotropic)
         for i, g in enumerate(gens):
             for j, h in enumerate(gens):
@@ -114,7 +114,7 @@ def test_randomized_invariants(ring, n, kmax):
         for t in range(ring.b + 1):
             assert verify_prop_count(d, C, t)
         # idempotence of the pair count
-        d2 = hyperbolic_decompose(AdditiveCode(ring, n, tuple(gens)))
+        d2 = hyperbolic_decompose(AdditiveCode(ring, n, d.all_generators()))
         assert d2.c == d.c
         # rho profile sanity
         rho = C.rho
@@ -127,18 +127,31 @@ def test_check_rejects_a_split_pair():
     """A hyperbolic pair listed as two isotropic generators pairs
     nontrivially across non-partners."""
     z4 = make_ring(2, 2, 1)
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     (g0, g1), = hyperbolic_decompose(C).pairs
-    split = HyperbolicDecomposition(isotropic=(g0, g1), pairs=(), grams=())
+    split = HyperbolicDecomposition(isotropic=(g0, g1), pairs=(), exponents=())
     with pytest.raises(InternalInvariantViolation, match="non-partners"):
         _check_decomposition(split, C)
+
+
+def test_check_compares_each_pair_exponent_with_the_recorded_one():
+    """The pairing check's exponents must be the ones the decomposition
+    records: the worked pair's is 2, and a record of 1 fails."""
+    z4 = make_ring(2, 2, 1)
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
+    d = hyperbolic_decompose(C)
+    assert d.exponents == (2,)
+    _check_decomposition(d, C)
+    wrong = HyperbolicDecomposition(d.isotropic, d.pairs, (1,))
+    with pytest.raises(InternalInvariantViolation, match="^a pair's exponent is not the one recorded$"):
+        _check_decomposition(wrong, C)
 
 
 def pair_and_isotropic():
     """An F2 code of length 2 with one hyperbolic pair, (e_0 | 0) and
     (0 | e_0), and one isotropic generator, (e_1 | 0)."""
     f2 = make_ring(2, 1, 1)
-    return AdditiveCode.from_int_rows(f2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]])
+    return AdditiveCode(f2, 2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]])
 
 
 def test_lift_checks_its_row_count(monkeypatch):
@@ -181,7 +194,7 @@ def test_lift_on_the_gram_rows_matches_the_oracle_on_the_census(ring_args, n):
     pC + D in the ambient columns."""
     ring = make_ring(*ring_args)
     for H in all_codes(ring, n):
-        C = AdditiveCode.from_expanded(ring, n, H)
+        C = AdditiveCode(ring, n, H.rows)
         assert [list(r) for r in _lift_quotient_basis(C)] == lift_oracle(C)
 
 
@@ -198,5 +211,5 @@ def test_lift_on_the_gram_rows_matches_the_oracle_on_random_codes(ring_args):
         g = C.generators
         extra = (combine([(1, g[0]), (1, g[-1])]), combine([(ring.p, g[0])]),
                  combine([(rng.randrange(ring.modulus), g[-1])]))
-        for code in (C, AdditiveCode(ring, n, g + extra)):
+        for code in (C, vector_code(ring, n, g + extra)):
             assert [list(r) for r in _lift_quotient_basis(code)] == lift_oracle(code)

@@ -36,9 +36,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqring.cli import run, serialize_code
-from eaqring.codes import AdditiveCode, SymplecticVector
+from eaqring.codes import SymplecticVector
 from eaqring.galois import make_ring
-from oracles import combine, frobenius
+from oracles import combine, frobenius, vector_code
 
 RINGS = {"F2": (2, 1, 1), "F4": (2, 1, 2), "Z4": (2, 2, 1), "Z8": (2, 3, 1), "Z9": (3, 2, 1),
          "GR(4,2)": (2, 2, 2)}
@@ -78,7 +78,7 @@ def codes(draw, ring):
     n = draw(st.integers(1, max(n for n in range(1, 5) if ring.cardinality ** (2 * n) <= 1 << 16)))
     rows = draw(st.lists(st.lists(elements(ring), min_size=2 * n, max_size=2 * n),
                          min_size=1, max_size=4))
-    return AdditiveCode(ring, n, tuple(SymplecticVector.from_components(ring, r) for r in rows))
+    return vector_code(ring, n, (SymplecticVector.from_components(ring, r) for r in rows))
 
 
 def at(values, i, value):
@@ -121,7 +121,7 @@ def transformed(draw, ring, C):
             coeffs = draw(st.lists(st.integers(0, ring.modulus - 1),
                                    min_size=len(gens), max_size=len(gens)))
             gens.append(combine(zip(coeffs, gens)))
-    return AdditiveCode(ring, n, tuple(gens))
+    return vector_code(ring, n, gens)
 
 
 @pytest.mark.parametrize("label", RINGS)

@@ -25,9 +25,12 @@ from eaqring.extension import (
     eaqecc_params,
     minimum_entanglement_degree,
 )
-from eaqring.galois import gen_trace, make_ring
+from eaqring.galois import RingElement, gen_trace, make_ring
+from eaqring.zpblinalg import SmithDecomposition
+import eaqring.codes as codes_mod
 import oracles
-from oracles import build_extension, puncture, random_code, same_module, verify_quasi_symplectic
+from oracles import (build_extension, puncture, random_code, same_module, vector, vector_code,
+                     verify_quasi_symplectic)
 
 
 @pytest.fixture(scope="module")
@@ -42,20 +45,21 @@ def gr42():
 
 @pytest.fixture(scope="module")
 def worked(z4):
-    return AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    return AdditiveCode(z4, 1, [[1, 0], [0, 2]])
 
 
-def exponents(pairs):
-    """The character exponent of each pair's symplectic product."""
-    return tuple(gen_trace(symplectic_product(a, b)) for a, b in pairs)
+def exponents(ring, pairs):
+    """The character exponent of each pair's symplectic product, over
+    ring elements, for pairs of phi-expanded rows."""
+    return tuple(gen_trace(symplectic_product(vector(ring, a), vector(ring, b))) for a, b in pairs)
 
 
 def tail_pairs(ext, n, k):
-    """The tail pairs of an extension of a length-n code, read back off its
-    generators after the k isotropic ones, which ``_extend`` gives the
-    tails (-a.x | a.y) member by member."""
-    members = [SymplecticVector(ext.ring, tuple(-v for v in u.x[n:]), u.y[n:])
-               for u in ext.generators[k:]]
+    """The tail pairs of an extension of a length-n code, as phi-expanded
+    rows, read back off its rows after the k isotropic ones, which
+    ``_extend`` gives the tails (-x | y) member by member."""
+    nm, half, N = n * ext.ring.m, ext.n * ext.ring.m, ext.ring.modulus
+    members = [tuple(-v % N for v in u[nm:half]) + u[half + nm:] for u in ext.rows[k:]]
     return tuple(zip(members[::2], members[1::2]))
 
 
@@ -63,41 +67,40 @@ def test_build_extension_worked(z4, worked):
     ext = build_extension(worked)
     assert ext.n - worked.n == 1
     assert cardinality(ext) == 16
-    want = AdditiveCode.from_int_rows(z4, [[1, 2, 0, 0], [0, 0, 2, 1]])
+    want = AdditiveCode(z4, 2, [[1, 2, 0, 0], [0, 0, 2, 1]])
     assert same_module(ext, want)
     assert is_chi_self_orthogonal(ext)
     assert same_module(puncture(ext, 1), worked)
 
 
 def test_build_extension_self_orthogonal_base(z4):
-    C = AdditiveCode.from_int_rows(z4, [[2, 0]])
+    C = AdditiveCode(z4, 1, [[2, 0]])
     ext = build_extension(C)
     assert ext.n - C.n == 0
     assert same_module(ext, C)
 
 
 def test_build_extension_free_base(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 1]])
     ext = build_extension(C)
     assert cardinality(ext) == cardinality(C) == 16
 
 
 def test_construct_symplectic_subset_z4(z4):
     s = construct_symplectic_subset(z4, 1, [2])
-    assert exponents(s) == (2,)
-    a1, a2 = s[0]
-    assert gen_trace(symplectic_product(a1, a2)) == 2
+    assert exponents(z4, s) == (2,)
+    assert s == (((2, 0), (0, 1)),)  # (-2 * dual_0 | 0) and (0 | 1)
     s3 = construct_symplectic_subset(z4, 1, [3])
-    assert exponents(s3) == (3,)
+    assert exponents(z4, s3) == (3,)
 
 
 def test_construct_symplectic_subset_gr42(gr42):
     s = construct_symplectic_subset(gr42, 1, [1, 3])
     assert len(s) == 2
-    assert exponents(s) == (1, 3)
-    # both pairs live in one ring coordinate pair: c = 1
+    assert exponents(gr42, s) == (1, 3)
+    # both pairs live in one ring coordinate pair: c = 1, 2cm = 4 columns
     for a1, a2 in s:
-        assert a1.n == 1 and a2.n == 1
+        assert len(a1) == len(a2) == 4
 
 
 def test_construct_symplectic_subset_errors(z4, gr42):
@@ -131,25 +134,25 @@ def test_construct_symplectic_subset_formula(spec):
     for j, (z, (a1, a2)) in enumerate(zip(targets, s)):
         k, ell = divmod(j, ring.m)
         x1 = [ring.zero] * c
-        x1[k] = ring.dual[ell].scale(-z)
+        x1[k] = ring.scalar(-z) * RingElement(ring, ring._dual_coeffs[ell])
         y2 = [ring.zero] * c
         y2[k] = ring.theta ** ell
-        assert a1 == SymplecticVector(ring, tuple(x1), (ring.zero,) * c)
-        assert a2 == SymplecticVector(ring, (ring.zero,) * c, tuple(y2))
-    assert exponents(s) == tuple(targets)
+        assert vector(ring, a1) == SymplecticVector(ring, tuple(x1), (ring.zero,) * c)
+        assert vector(ring, a2) == SymplecticVector(ring, (ring.zero,) * c, tuple(y2))
+    assert exponents(ring, s) == tuple(targets)
 
 
 def test_subset_verify_rejects_a_trivial_pair(z4):
-    a1 = SymplecticVector.from_ints(z4, [2, 0])
-    a2 = SymplecticVector.from_ints(z4, [0, 2])
+    a1 = vector(z4, [2, 0])
+    a2 = vector(z4, [0, 2])
     with pytest.raises(InternalInvariantViolation, match="partners pair character-trivially"):
         _check_partner_pairings([a1, a2], 0)
 
 
 def test_subset_verify_rejects_a_nontrivial_cross_pair(z4):
     # each pair pairs to -1, but a_{11} also pairs to -1 with a_{22}
-    p1 = (SymplecticVector.from_ints(z4, [1, 0, 0, 0]), SymplecticVector.from_ints(z4, [0, 0, 1, 0]))
-    p2 = (SymplecticVector.from_ints(z4, [0, 1, 0, 0]), SymplecticVector.from_ints(z4, [0, 0, 1, 1]))
+    p1 = (vector(z4, [1, 0, 0, 0]), vector(z4, [0, 0, 1, 0]))
+    p2 = (vector(z4, [0, 1, 0, 0]), vector(z4, [0, 0, 1, 1]))
     with pytest.raises(InternalInvariantViolation, match="non-partners"):
         _check_partner_pairings([*p1, *p2], 0)
 
@@ -159,15 +162,18 @@ def test_partner_check_returns_each_pairs_exponent(gr42):
     of each pair (a, b), in pair order."""
     s = construct_symplectic_subset(gr42, 1, [3, 1])
     zero = SymplecticVector(gr42, (gr42.zero,), (gr42.zero,))
-    assert _check_partner_pairings([zero, *s[0], *s[1]], 1) == (3, 1) == exponents(s)
+    pairs = [vector(gr42, r) for r in s[0] + s[1]]
+    assert _check_partner_pairings([zero, *pairs], 1) == (3, 1) == exponents(gr42, s)
 
 
 def test_subset_rejects_a_pair_that_misses_its_target(monkeypatch):
-    """Over Z9, tails doubled in both members pair to 4z, not z: still
-    nonzero, so the partner check passes, and exponent 4 misses target 1."""
+    """Over Z9, tails doubled in both members, as the check contracts them,
+    pair to 4z, not z: still nonzero, so the partner check passes, and
+    exponent 4 misses target 1."""
     z9 = make_ring(3, 2, 1)
-    at = extension_mod._at
-    monkeypatch.setattr(extension_mod, "_at", lambda ring, c, k, el: at(ring, c, k, el.scale(2)))
+    contract = extension_mod._contract
+    monkeypatch.setattr(extension_mod, "_contract",
+                        lambda ring, rows: contract(ring, [[2 * x for x in r] for r in rows]))
     with pytest.raises(InternalInvariantViolation, match="^a constructed pair misses its target exponent$"):
         construct_symplectic_subset(z9, 1, [1])
 
@@ -178,42 +184,39 @@ def test_extension_verify_rejects_a_broken_tail(z4, worked):
     # without the gram in its tail, u1 still pairs nontrivially with u2
     bad = SymplecticVector(z4, u1.x[:1] + (z4.zero,), u1.y)
     with pytest.raises(InternalInvariantViolation, match="not chi-self-orthogonal"):
-        _check_extension(AdditiveCode(z4, 2, (bad, u2)), worked)
+        _check_extension(vector_code(z4, 2, (bad, u2)), worked)
 
 
-def test_check_extension_rejects_each_broken_invariant(z4, worked):
+def test_check_extension_rejects_each_broken_invariant(z4, worked, monkeypatch):
     """The puncture, the rho sandwich and no growth over a free base each
     fire on a chi-self-orthogonal C' that breaks only that invariant."""
-    def padded(Cp, *extra):
-        """C' with one more coordinate, zero on its generators, and the
-        extra generators."""
-        z = (z4.zero,)
-        return AdditiveCode(z4, Cp.n + 1, tuple(
-            SymplecticVector(z4, g.x + z, g.y + z) for g in Cp.generators) + extra)
-
     ext = build_extension(worked)
     with pytest.raises(InternalInvariantViolation, match="puncturing does not recover"):
-        _check_extension(ext, AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]]))
-    # (0, 0, 1 | 0) pairs trivially with all of C' and punctures to 0, and
-    # |C'| = 64 > |C| * 4
+        _check_extension(ext, AdditiveCode(z4, 1, [[1, 0], [0, 1]]))
+    # one row more, (0, 0 | 0, 2), which pairs trivially with all of C' and
+    # cuts to 0: C' still punctures onto C, but not to its decomposition's rows
+    with pytest.raises(InternalInvariantViolation, match="puncturing does not recover"):
+        _check_extension(AdditiveCode(z4, 2, ext.rows + ((0, 0, 0, 2),)), worked)
+    # C = <(2 | 0)> is isotropic, with rho = (0,): its one row with a tail
+    # (2, 1 | 0, 0) cuts back to it, and |C'| = 4 > |C| * 1
+    iso = AdditiveCode(z4, 1, [[2, 0]])
+    assert iso.decomposition.all_generators() == [(2, 0)] and iso.rho == (0,)
     with pytest.raises(InternalInvariantViolation, match="rho sandwich"):
-        _check_extension(padded(ext, SymplecticVector.from_ints(z4, [0, 0, 1, 0, 0, 0])), worked)
-    # a free base with rho = (2,): |C'| = 2|C| is inside the sandwich
-    free = AdditiveCode.from_int_rows(z4, [[1, 0, 0, 0], [0, 0, 2, 1]])
-    assert is_free(free) and free.rho == (2,)
-    Cp = free.extension
-    zeros = (z4.zero,) * Cp.n
-    grown = padded(Cp, SymplecticVector(z4, zeros + (z4.scalar(2),), zeros + (z4.zero,)))
+        _check_extension(AdditiveCode(z4, 2, [[2, 1, 0, 0]]), iso)
+    # C' cut row for row to C's decomposition maps onto C, injectively when C
+    # is free, so a free base cannot grow; the check fires on C = worked,
+    # |C'| = 2|C| inside its sandwich, once is_free reads it as free
+    monkeypatch.setattr(extension_mod, "is_free", lambda C: True)
     with pytest.raises(InternalInvariantViolation, match="free base must extend without growth"):
-        _check_extension(grown, free)
+        _check_extension(ext, worked)
 
 
 def test_minimum_entanglement_degree(z4, gr42, worked):
-    assert minimum_entanglement_degree(AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]])) == 1
-    assert minimum_entanglement_degree(AdditiveCode.from_int_rows(z4, [[2, 0]])) == 0
+    assert minimum_entanglement_degree(AdditiveCode(z4, 1, [[1, 0], [0, 1]])) == 1
+    assert minimum_entanglement_degree(AdditiveCode(z4, 1, [[2, 0]])) == 0
     assert minimum_entanglement_degree(worked) == 1
     th = gr42.theta
-    full = AdditiveCode(gr42, 1, (
+    full = vector_code(gr42, 1, (
         SymplecticVector(gr42, (gr42.one,), (gr42.zero,)),
         SymplecticVector(gr42, (gr42.zero,), (gr42.one,)),
         SymplecticVector(gr42, (th,), (gr42.zero,)),
@@ -222,9 +225,19 @@ def test_minimum_entanglement_degree(z4, gr42, worked):
     assert minimum_entanglement_degree(full) == 1
 
 
+def test_minimum_entanglement_degree_rejects_an_odd_rank(z4, monkeypatch):
+    """rank(C / (C cap C^chi)) is twice the pair count: a Gram matrix read
+    as having one Smith exponent 0 gives rank 1, which the degree rejects."""
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
+    C.gram  # built with the real Smith form
+    monkeypatch.setattr(codes_mod, "smith_form", lambda A: SmithDecomposition((0,), ((1, 0),)))
+    with pytest.raises(InternalInvariantViolation, match=r"^rank\(C/\(C cap dual\)\) = 1 is odd$"):
+        minimum_entanglement_degree(C)
+
+
 def test_build_minimal_extension_packs_pairs(gr42):
     th = gr42.theta
-    full = AdditiveCode(gr42, 1, (
+    full = vector_code(gr42, 1, (
         SymplecticVector(gr42, (gr42.one,), (gr42.zero,)),
         SymplecticVector(gr42, (gr42.zero,), (gr42.one,)),
         SymplecticVector(gr42, (th,), (gr42.zero,)),
@@ -261,37 +274,34 @@ def test_extension_invariants_randomized(spec, n):
             assert card <= cardinality(ext)
             if is_free(C):
                 assert cardinality(ext) == card
-            # the tails read off the pairs' generators are the minimal
-            # extension's subset, and pair to the grams' exponents
+            # the tails read off the pairs' rows are the minimal extension's
+            # subset, and pair to the pairs' exponents
             tails = tail_pairs(ext, n, len(d.isotropic))
-            grams = tuple(gen_trace(g) for g in d.grams)
             if ext is C.extension:
-                assert tails == construct_symplectic_subset(ring, ext.n - n, grams)
-            assert exponents(tails) == grams
+                assert tails == construct_symplectic_subset(ring, ext.n - n, d.exponents)
+            assert exponents(ring, tails) == d.exponents
 
 
 def test_extract_worked_shape(z4, worked):
     sub = tail_pairs(build_extension(worked), 1, 0)
     assert len(sub) == 1
-    assert exponents(sub) == (2,)
-    a1, a2 = sub[0]
+    assert exponents(z4, sub) == (2,)
     # the one-pair-per-coordinate subset: (-gamma, 0) and (0, 1), gamma = 2
-    assert (a1.x[0].coeffs[0], a1.y[0].coeffs[0]) == (2, 0)
-    assert (a2.x[0].coeffs[0], a2.y[0].coeffs[0]) == (0, 1)
+    assert sub[0] == ((2, 0), (0, 1))
 
 
 def test_verify_quasi_symplectic(z4):
-    pair = (SymplecticVector.from_ints(z4, [2, 0]), SymplecticVector.from_ints(z4, [0, 1]))
+    pair = (vector(z4, [2, 0]), vector(z4, [0, 1]))
     assert verify_quasi_symplectic(z4, [pair], [])
     bad = [
-        (SymplecticVector.from_ints(z4, [1, 0]), SymplecticVector.from_ints(z4, [0, 1])),
-        (SymplecticVector.from_ints(z4, [0, 1]), SymplecticVector.from_ints(z4, [1, 0])),
+        (vector(z4, [1, 0]), vector(z4, [0, 1])),
+        (vector(z4, [0, 1]), vector(z4, [1, 0])),
     ]
     assert not verify_quasi_symplectic(z4, bad, [])
     # J-side: independence of mod-p reductions
-    p1 = (SymplecticVector.from_ints(z4, [1, 0]), SymplecticVector.from_ints(z4, [0, 0]))
+    p1 = (vector(z4, [1, 0]), vector(z4, [0, 0]))
     assert verify_quasi_symplectic(z4, [p1], [0])
-    p2 = (SymplecticVector.from_ints(z4, [2, 0]), SymplecticVector.from_ints(z4, [0, 0]))
+    p2 = (vector(z4, [2, 0]), vector(z4, [0, 0]))
     assert not verify_quasi_symplectic(z4, [p2], [0])  # reduces to 0 mod 2
 
 
@@ -302,7 +312,7 @@ def test_verify_quasi_symplectic_rejects_an_index_outside_the_pairs(z4, monkeypa
         raise AssertionError("a product was formed")
 
     monkeypatch.setattr(oracles, "symplectic_product", no_product)
-    pair = (SymplecticVector.from_ints(z4, [2, 0]), SymplecticVector.from_ints(z4, [0, 1]))
+    pair = (vector(z4, [2, 0]), vector(z4, [0, 1]))
     for pairs, J in (([], [0]), ([pair], [1]), ([pair], [0, -1])):
         with pytest.raises(ValueError, match="outside"):
             verify_quasi_symplectic(z4, pairs, J)
@@ -310,7 +320,7 @@ def test_verify_quasi_symplectic_rejects_an_index_outside_the_pairs(z4, monkeypa
 
 def test_symplectic_subset_is_quasi(z4):
     s = construct_symplectic_subset(z4, 2, [1, 3])
-    assert verify_quasi_symplectic(z4, list(s), [])
+    assert verify_quasi_symplectic(z4, [(vector(z4, a), vector(z4, b)) for a, b in s], [])
 
 
 def test_eaqecc_params_worked(z4, worked):
@@ -326,7 +336,7 @@ def test_eaqecc_params_worked(z4, worked):
 
 def test_eaqecc_params_f2(z4):
     f2 = make_ring(2, 1, 1)
-    C = AdditiveCode.from_int_rows(f2, [[1, 1]])
+    C = AdditiveCode(f2, 1, [[1, 1]])
     P = eaqecc_params(C)
     assert (P.n, P.c, P.K_exact) == (1, 0, 1)
     # the dual equals C, so the distance is d_s of the dual itself; the
@@ -359,7 +369,7 @@ def test_eaqecc_params_distance_uses_extended_code():
     Pauli matrix check reads D_matrix = 1), yet every weight-1 vector of
     C^chi lies in C, so the C^chi minus C minimum is 2."""
     z8 = make_ring(2, 3, 1)
-    C = AdditiveCode.from_int_rows(z8, [[3, 4, 7, 1], [3, 6, 5, 6]])
+    C = AdditiveCode(z8, 2, [[3, 4, 7, 1], [3, 6, 5, 6]])
     assert eaqecc_params(C).D == 1
 
 
@@ -386,9 +396,9 @@ def test_tail_oracle_reaches_K_exact_where_the_tails_keep_the_orders(z4):
     generators all have full order, and reaches K_upper on item 16's
     reproducer (16^2 tails at c = 1), where it finds |C'| = 8."""
     for rows in ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 2, 0, 1], [0, 1, 1, 3]]):
-        P = eaqecc_params(AdditiveCode.from_int_rows(z4, rows))
+        P = eaqecc_params(AdditiveCode(z4, len(rows[0]) // 2, rows))
         assert largest_K_over_all_tails(z4, rows, P.c) == P.K_exact
-    P = eaqecc_params(AdditiveCode.from_int_rows(z4, [[2, 0], [0, 1]]))
+    P = eaqecc_params(AdditiveCode(z4, 1, [[2, 0], [0, 1]]))
     assert (P.c, P.card_code) == (1, 8)
     assert largest_K_over_all_tails(z4, [[2, 0], [0, 1]], 1) == P.K_upper == 2
 
@@ -400,7 +410,7 @@ def test_minimal_extension_reaches_the_largest_K_over_all_tails(z4):
     |C'| = 16, yet a chi-self-orthogonal C' with |C'| = 8, so K = 2, exists
     among the 16^2 tails at c = 1."""
     rows = [[2, 0], [0, 1]]
-    P = eaqecc_params(AdditiveCode.from_int_rows(z4, rows))
+    P = eaqecc_params(AdditiveCode(z4, 1, rows))
     assert P.c == 1
     assert P.K_exact == largest_K_over_all_tails(z4, rows, 1)
 
@@ -413,8 +423,8 @@ def test_K_exact_does_not_depend_on_the_order_of_the_generators(z4):
     |C'| = 512.  Reordering the rows does not change the code."""
     rows = [[0, 3, 0, 1, 3, 1], [2, 1, 0, 0, 2, 3], [0, 1, 2, 3, 1, 1],
             [0, 1, 1, 2, 1, 1], [2, 1, 1, 3, 1, 1]]
-    as_given = eaqecc_params(AdditiveCode.from_int_rows(z4, rows))
-    moved = eaqecc_params(AdditiveCode.from_int_rows(z4, rows[:1] + rows[2:] + rows[1:2]))
+    as_given = eaqecc_params(AdditiveCode(z4, 3, rows))
+    moved = eaqecc_params(AdditiveCode(z4, 3, rows[:1] + rows[2:] + rows[1:2]))
     assert (as_given.c, as_given.card_code) == (moved.c, moved.card_code)
     assert (as_given.K_exact, as_given.card_extended) == (moved.K_exact, moved.card_extended)
 

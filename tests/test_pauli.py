@@ -44,7 +44,7 @@ from eaqring.pauli import (
 )
 from eaqring.zpblinalg import enumerate_module, smith_form, solve_congruence
 from oracles import (build_extension, compose, contains, group_operators, indexed_elements,
-                     monomial_tables, symplectic_weight)
+                     monomial_tables, symplectic_weight, vector_code)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,7 @@ def test_matrix_cap(z4):
 
 
 def test_stabilizer_f2_repetition(f2):
-    C = AdditiveCode.from_int_rows(f2, [[1, 1]])
+    C = AdditiveCode(f2, 1, [[1, 1]])
     ext = build_extension(C)
     assert ext.n - C.n == 0
     g = build_stabilizer(ext)
@@ -168,7 +168,7 @@ def test_stabilizer_f2_repetition(f2):
 
 
 def test_stabilizer_elements_commute_and_square(f2):
-    C = AdditiveCode.from_int_rows(f2, [[1, 1]])
+    C = AdditiveCode(f2, 1, [[1, 1]])
     g = build_stabilizer(build_extension(C))
     mats = [pauli_matrix(el) for el in group_operators(g)]
     for A in mats:
@@ -181,7 +181,7 @@ def test_stabilizer_elements_commute_and_square(f2):
 
 
 def test_stabilizer_worked_instance(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     ext = build_extension(C)
     g = build_stabilizer(ext)
     assert g.size == 16
@@ -218,7 +218,7 @@ def test_non_projector_detected(z4):
 
 
 def test_error_search_worked_instance(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     ext = build_extension(C)
     g = build_stabilizer(ext)
     res = undetectable_error_search(C, g)
@@ -245,7 +245,7 @@ def test_error_search_zero_code(z4):
 
 
 def test_error_search_f2(f2):
-    C = AdditiveCode.from_int_rows(f2, [[1, 1]])
+    C = AdditiveCode(f2, 1, [[1, 1]])
     ext = build_extension(C)
     g = build_stabilizer(ext)
     res = undetectable_error_search(C, g)
@@ -257,7 +257,7 @@ def test_error_search_f2(f2):
 
 
 def test_error_search_limit(z4):
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     ext = build_extension(C)
     g = build_stabilizer(ext)
     with pytest.raises(SearchLimitExceeded):
@@ -267,8 +267,8 @@ def test_error_search_limit(z4):
 def test_error_search_rejects_a_group_over_another_ring(z4, f4):
     """A Z4 code and the group of an F4 code: both have q = 4, so the
     search would run, on the wrong code space."""
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
-    other = AdditiveCode(f4, 1, (SymplecticVector(f4, (f4.one,), (f4.zero,)),))
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
+    other = vector_code(f4, 1, [SymplecticVector(f4, (f4.one,), (f4.zero,))])
     group = build_stabilizer(other.extension)
     with pytest.raises(RingMismatch):
         undetectable_error_search(C, group)
@@ -277,8 +277,8 @@ def test_error_search_rejects_a_group_over_another_ring(z4, f4):
 def test_error_search_rejects_a_group_on_fewer_coordinates(z4, monkeypatch):
     """A Z4 n = 2 code and the group of an n = 1 code, rejected before the
     projector is built."""
-    C = AdditiveCode.from_int_rows(z4, [[1, 0, 0, 0], [0, 0, 2, 0]])
-    group = build_stabilizer(AdditiveCode.from_int_rows(z4, [[1, 0]]).extension)
+    C = AdditiveCode(z4, 2, [[1, 0, 0, 0], [0, 0, 2, 0]])
+    group = build_stabilizer(AdditiveCode(z4, 1, [[1, 0]]).extension)
     monkeypatch.setattr(pauli, "stabilizer_projector", None)
     with pytest.raises(DimensionMismatch):
         undetectable_error_search(C, group)
@@ -308,7 +308,7 @@ def test_error_search_rejects_a_group_whose_projector_has_rank_0(f2):
     ``_check_stabilizer`` rejects a nontrivial scalar."""
     group = StabilizerGroup(f2, 1, ((0, (0,), (0,)), (2, (0,), (0,))))
     assert projector_dimension(group) == 0
-    C = AdditiveCode.from_int_rows(f2, [[1, 0]])
+    C = AdditiveCode(f2, 1, [[1, 0]])
     with pytest.raises(ValueError, match="^the stabilizer group's projector has rank 0"):
         undetectable_error_search(C, group)
 
@@ -322,7 +322,7 @@ def test_stabilizer_randomized(z4, f4):
                 comps = [ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
                          for _ in range(2)]
                 gens.append(SymplecticVector.from_components(ring, comps))
-            C = AdditiveCode(ring, 1, tuple(gens))
+            C = vector_code(ring, 1, gens)
             ext = build_extension(C)
             if ring.cardinality ** ext.n > 256:
                 continue
@@ -427,7 +427,7 @@ def random_verify_instances(count, seed, specs=ORACLE_RINGS[:4], dims=range(65),
         gens = tuple(SymplecticVector.from_components(ring, [
             ring.element([rng.randrange(ring.modulus) for _ in range(ring.m)])
             for _ in range(2 * n)]) for _ in range(rng.randint(1, 2 * n * ring.m)))
-        C = AdditiveCode(ring, n, gens)
+        C = vector_code(ring, n, gens)
         ext = C.extension
         if ring.cardinality ** ext.n in dims:
             out.append((C, ext, build_stabilizer(ext)))
@@ -700,7 +700,7 @@ def test_check_stabilizer_rejects_broken_groups(z4):
     # phi-expanded rows (x | z) of X(1) and Z(1): pairing -1 mod 4, which
     # build_stabilizer rejects as input
     with pytest.raises(ValueError, match="not chi-self-orthogonal"):
-        build_stabilizer(AdditiveCode.from_int_rows(z4, [[1, 0], [0, 1]]))
+        build_stabilizer(AdditiveCode(z4, 1, [[1, 0], [0, 1]]))
     # X(1)^2 = X(2) is missing
     with pytest.raises(InternalInvariantViolation, match="not closed"):
         pauli._check_stabilizer(T, [I, X], [X])
@@ -718,7 +718,7 @@ def test_build_stabilizer_rejects_the_base_code(z4, monkeypatch):
     def no_tables(*args):
         raise AssertionError("tables were built")
 
-    C = AdditiveCode.from_int_rows(z4, [[1, 0], [0, 2]])
+    C = AdditiveCode(z4, 1, [[1, 0], [0, 2]])
     monkeypatch.setattr(pauli, "_Monomials", no_tables)
     with pytest.raises(ValueError, match="^the code is not chi-self-orthogonal"):
         build_stabilizer(C)

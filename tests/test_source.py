@@ -117,7 +117,7 @@ def _value_objects():
     """One instance of each value class, built by the pipeline; a
     ``PauliOperator``, which only ``pauli_matrix`` reads, built directly."""
     ring = make_ring(2, 2, 1)
-    C = AdditiveCode.from_int_rows(ring, [[1, 0], [0, 2]])
+    C = AdditiveCode(ring, 1, [[1, 0], [0, 2]])
     ext = C.extension
     group = pauli.build_stabilizer(ext)
     return [C.expanded_matrix, C.expanded_howell, C.expanded_smith, ring, ring.one,
@@ -133,8 +133,8 @@ FIELDS = {
     "GaloisRingSpec": ("p", "b", "m", "h_coeffs"),
     "RingElement": ("ring", "coeffs"),
     "SymplecticVector": ("ring", "x", "y"),
-    "AdditiveCode": ("ring", "n", "generators"),
-    "HyperbolicDecomposition": ("isotropic", "pairs", "grams"),
+    "AdditiveCode": ("ring", "n", "rows"),
+    "HyperbolicDecomposition": ("isotropic", "pairs", "exponents"),
     "EaqeccParams": ("n", "c", "K_exact", "K_lower", "K_upper", "K_lower_raw", "D",
                      "distance_case", "rho", "card_code", "card_extended"),
     "PauliOperator": ("ring", "n", "phase_exp", "a", "b"),
@@ -176,12 +176,22 @@ def test_value_class_constructors_check_as_before():
         SymplecticVector(z4, (z4.one,), ())
     with pytest.raises(RingMismatch, match="different ring"):
         SymplecticVector(z4, (z4.one,), (f2.one,))
-    with pytest.raises(RingMismatch, match="code's ring or length"):
-        AdditiveCode(z4, 2, (SymplecticVector.from_ints(z4, [1, 0]),))
+    with pytest.raises(DimensionMismatch, match="^a generator row's length is not 2nm = 4$"):
+        AdditiveCode(z4, 2, [[1, 0]])
     with pytest.raises(DimensionMismatch, match="support length"):
         pauli.PauliOperator(z4, 2, 0, (z4.one,), (z4.one, z4.zero))
     with pytest.raises(RingMismatch, match="different ring"):
         pauli.PauliOperator(z4, 1, 0, (f2.one,), (z4.one,))
+
+
+def test_code_rows_are_reduced_mod_p_to_the_b():
+    """A code's rows are its one input check: entries are reduced into
+    [0, p^b), so codes given equal residues are equal."""
+    z4, gr42 = make_ring(2, 2, 1), make_ring(2, 2, 2)
+    C = AdditiveCode(z4, 1, [[5, -1], (-4, 6)])
+    assert C.rows == ((1, 3), (0, 2)) and C == AdditiveCode(z4, 1, [[1, 3], [0, 2]])
+    assert AdditiveCode(gr42, 1, [[4, 7, -2, 9]]).rows == ((0, 3, 2, 1),)
+    assert AdditiveCode(z4, 1, []).rows == ()
 
 
 def _public_definitions():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from eaqring.codes import AdditiveCode, min_symplectic_distance
 from eaqring.errors import (
     DimensionMismatch,
+    InternalInvariantViolation,
     NoSolution,
     NotContained,
     ParameterTooLarge,
@@ -28,6 +29,7 @@ from eaqring.galois import make_ring
 import eaqring.zpblinalg as zpb_mod
 from eaqring.zpblinalg import (
     BLOCK,
+    HowellBasis,
     ZpbMatrix,
     check_ring_size,
     enumerate_module,
@@ -357,6 +359,21 @@ def test_quotient_rank_examples():
         quotient_rank(sub, full)
 
 
+def test_quotient_rank_checks_its_cardinalities(monkeypatch):
+    """|pM + S| must divide |M|, and their ratio be a power of p.  Over Z9
+    a Howell form of pM + S that reads 27 elements against |M| = 9 fails
+    the first; a basis M whose pivot 2 is no power of 3, with |M| = 36
+    over |pM| = 9, fails the second."""
+    full, zero = howell_form(mat(3, 2, [[1]])), howell_form(ZpbMatrix(3, 2, 1, ()))
+    with monkeypatch.context() as patch:
+        patch.setattr(zpb_mod, "howell_form", lambda A: HowellBasis(3, 2, 1, ((1,), (3,)), (0, 0)))
+        with pytest.raises(InternalInvariantViolation, match=r"^\|pM \+ S\| = 27 does not divide \|M\| = 9$"):
+            quotient_rank(full, zero)
+    bad = HowellBasis(3, 2, 2, ((2, 0), (0, 1)), (0, 1))
+    with pytest.raises(InternalInvariantViolation, match=r"^\|M / \(pM \+ S\)\| = 4 is not a power of p = 3$"):
+        quotient_rank(bad, howell_form(ZpbMatrix(3, 2, 2, ())))
+
+
 @pytest.mark.parametrize("p,b,rows", CASES)
 def test_quotient_rank_against_counting(p, b, rows):
     cols = len(rows[0])
@@ -558,7 +575,7 @@ def test_enumerate_module_limit_is_inclusive():
     (3, 1) has a chi-dual of 81 / 9 = 9 vectors, all of which
     ``enumerate_module`` yields; a limit of 9 searches it and 8 raises."""
     z9 = make_ring(3, 2, 1)
-    C = AdditiveCode.from_int_rows(z9, [[3, 1]])
+    C = AdditiveCode(z9, 1, [[3, 1]])
     H = C.dual
     card = H.cardinality
     assert card == 9 and len(set(enumerate_module(H))) == card
